@@ -3,155 +3,115 @@
 Two passes over the evaluation grid: one accumulates the bump sum S and
 its derivatives up to second order at every flagged point, the second
 walks the cached triangle data and accumulates the local fields into the
-truncated values.  Both are plain scalar loops so numba can compile them;
-without numba they run as-is (slow but identical).
+truncated values.
+
+Every kernel works on flattened (cube or triple, grid point) pairs.  Each
+cube or triple gets an integer box of the grid points strictly inside its
+support; the boxes are expanded with ``np.repeat`` plus offsets into at
+most ``_CHUNK`` pairs at a time (a larger box is one chunk of its own),
+pairs at unflagged points are dropped by a ``bad_index`` lookup, the
+formulas are evaluated column by column over the chunk, and the pair
+results are scattered into ``out`` with ``np.add.at``.  The chunk bound
+keeps the working set to a few tens of MB whatever the grid size.
 
 Pack layout per point: [v, dx, dy, dz, dxx, dyy, dzz, dyz, dxz, dxy].
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-try:
-    if os.environ.get("DIVSYM_DISABLE_NUMBA"):
-        raise ImportError
-    from numba import njit
+from .whitney import bump
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via DIVSYM_DISABLE_NUMBA
-    HAVE_NUMBA = False
+# The kernels are plain numpy; the constant stays because benchmark records
+# stamp the kernel backend from it.
+HAVE_NUMBA = False
 
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
+_CHUNK = 100_000  # pairs per evaluation chunk
 
-        def deco(f):
-            return f
+# pack slot of the second derivative d^2 / dx_d dx_e
+_D2 = ((4, 9, 8), (9, 5, 7), (8, 7, 6))
 
-        return deco
-
-
-from .whitney import BUMP_CORE, BUMP_SUPP
-
-_TRANS = BUMP_SUPP - BUMP_CORE
+# (i, j, k, sign) of the six permutations, and the cycles (alpha, beta, gamma)
+_PERMS = ((0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
+          (1, 0, 2, -1.0), (0, 2, 1, -1.0), (2, 1, 0, -1.0))
+_CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+_OFFDIAG = {(0, 1): 5, (1, 2): 3, (2, 0): 4, (0, 2): 4}  # slot in [11, 22, 33, 23, 13, 12]
 
 
-@njit(cache=True)
-def _bump012(t):
-    """Bump value and first two derivatives w.r.t. the normalized coordinate."""
-    u = abs(t)
-    if u <= BUMP_CORE:
-        return 1.0, 0.0, 0.0
-    if u >= BUMP_SUPP:
-        return 0.0, 0.0, 0.0
-    s = (u - BUMP_CORE) / _TRANS
-    one = 1.0 - s
-    b0 = 1.0 - s**5 * (126.0 + s * (-420.0 + s * (540.0 + s * (-315.0 + s * 70.0))))
-    b1 = -630.0 * s**4 * one**4 / _TRANS
-    b2 = -2520.0 * s**3 * one**3 * (1.0 - 2.0 * s) / _TRANS**2
-    if t < 0.0:
-        b1 = -b1
-    return b0, b1, b2
+def _grid_box(lo, hi, hm):
+    """Integer sample range with (i + 1/2) hm inside the open interval (lo, hi)."""
+    return (np.floor(lo / hm - 0.5).astype(np.int64) + 1,
+            np.ceil(hi / hm - 0.5).astype(np.int64) - 1)
 
 
-@njit(cache=True)
-def _axis_range(center, half, hm):
-    """Integer sample range with (i + 1/2) hm inside (center - half, center + half)."""
-    lo = int(math.floor((center - half) / hm - 0.5)) + 1
-    hi = int(math.ceil((center + half) / hm - 0.5)) - 1
-    return lo, hi
+def _flagged_pairs(ilo, ihi, m, hm, bad_index):
+    """Yield ``(box, x, p)`` chunks for the flagged grid points inside each box.
+
+    ``box`` is the row of the owning box, ``x`` the point in the box's own
+    (unwrapped) frame and ``p`` the flagged-point index; pairs come in box
+    order, then in row-major grid order within a box.
+    """
+    ext = np.maximum(ihi - ilo + 1, 0)
+    counts = ext.prod(axis=1)
+    ends = np.cumsum(counts)
+    start, nbox = 0, len(counts)
+    while start < nbox:
+        base = ends[start] - counts[start]
+        stop = max(start + 1, int(np.searchsorted(ends, base + _CHUNK, side="right")))
+        box = np.repeat(np.arange(start, stop), counts[start:stop])
+        off = base + np.arange(len(box)) - (ends[box] - counts[box])
+        plane = ext[box, 1] * ext[box, 2]
+        i0 = ilo[box, 0] + off // plane
+        i1 = ilo[box, 1] + (off % plane) // ext[box, 2]
+        i2 = ilo[box, 2] + off % ext[box, 2]
+        p = bad_index[i0 % m, i1 % m, i2 % m]
+        keep = p >= 0
+        x = (np.stack([i0[keep], i1[keep], i2[keep]], axis=1) + 0.5) * hm
+        yield box[keep], x, p[keep]
+        start = stop
 
 
-@njit(cache=True)
+def _eta_packs(x, center, side):
+    """Bump derivative packs of the cubes (center, side) at x, one column per pair."""
+    t = (x - center) / side[:, None]
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = [
+        [bump(t[:, d], k) for k in range(3)] for d in range(3)]
+    s2 = side * side
+    return np.stack([
+        a0 * b0 * c0,
+        a1 * b0 * c0 / side, a0 * b1 * c0 / side, a0 * b0 * c1 / side,
+        a2 * b0 * c0 / s2, a0 * b2 * c0 / s2, a0 * b0 * c2 / s2,
+        a0 * b1 * c1 / s2, a1 * b0 * c1 / s2, a1 * b1 * c0 / s2,
+    ])
+
+
+def _phi_packs(eta, spk):
+    """Quotient derivatives of phi = eta / S up to second order (packs as rows)."""
+    s0 = spk[0]
+    out = np.empty_like(eta)
+    v = out[0] = eta[0] / s0
+    for d in range(3):
+        out[1 + d] = (eta[1 + d] - v * spk[1 + d]) / s0
+    for d, e in ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1)):
+        q = _D2[d][e]
+        out[q] = (eta[q] - out[1 + d] * spk[1 + e] - out[1 + e] * spk[1 + d] - v * spk[q]) / s0
+    return out
+
+
+def _cube_boxes(centers, sides, hm):
+    half = 0.5 * sides[:, None]
+    return _grid_box(centers - half, centers + half, hm)
+
+
 def accumulate_spacks(centers, sides, m, period, bad_index, out):
     """Add every cube's bump derivative pack onto the flagged grid points."""
     hm = period / m
-    nc = centers.shape[0]
-    for j in range(nc):
-        s = sides[j]
-        half = 0.5 * s
-        lo0, hi0 = _axis_range(centers[j, 0], half, hm)
-        lo1, hi1 = _axis_range(centers[j, 1], half, hm)
-        lo2, hi2 = _axis_range(centers[j, 2], half, hm)
-        for i0 in range(lo0, hi0 + 1):
-            x0 = (i0 + 0.5) * hm
-            a0, a1, a2 = _bump012((x0 - centers[j, 0]) / s)
-            if a0 == 0.0 and a1 == 0.0 and a2 == 0.0:
-                continue
-            ii0 = ((i0 % m) + m) % m
-            for i1 in range(lo1, hi1 + 1):
-                x1 = (i1 + 0.5) * hm
-                b0, b1, b2 = _bump012((x1 - centers[j, 1]) / s)
-                if b0 == 0.0 and b1 == 0.0 and b2 == 0.0:
-                    continue
-                ii1 = ((i1 % m) + m) % m
-                for i2 in range(lo2, hi2 + 1):
-                    x2 = (i2 + 0.5) * hm
-                    p = bad_index[ii0, ii1, ((i2 % m) + m) % m]
-                    if p < 0:
-                        continue
-                    c0, c1, c2 = _bump012((x2 - centers[j, 2]) / s)
-                    if c0 == 0.0 and c1 == 0.0 and c2 == 0.0:
-                        continue
-                    out[p, 0] += a0 * b0 * c0
-                    out[p, 1] += a1 * b0 * c0 / s
-                    out[p, 2] += a0 * b1 * c0 / s
-                    out[p, 3] += a0 * b0 * c1 / s
-                    out[p, 4] += a2 * b0 * c0 / (s * s)
-                    out[p, 5] += a0 * b2 * c0 / (s * s)
-                    out[p, 6] += a0 * b0 * c2 / (s * s)
-                    out[p, 7] += a0 * b1 * c1 / (s * s)
-                    out[p, 8] += a1 * b0 * c1 / (s * s)
-                    out[p, 9] += a1 * b1 * c0 / (s * s)
+    ilo, ihi = _cube_boxes(centers, sides, hm)
+    for j, x, p in _flagged_pairs(ilo, ihi, m, hm, bad_index):
+        np.add.at(out, p, _eta_packs(x, centers[j], sides[j]).T)
 
 
-@njit(cache=True)
-def _eta_pack(x0, x1, x2, c0, c1, c2, s, pack):
-    a0, a1, a2 = _bump012((x0 - c0) / s)
-    b0, b1, b2 = _bump012((x1 - c1) / s)
-    g0, g1, g2 = _bump012((x2 - c2) / s)
-    pack[0] = a0 * b0 * g0
-    pack[1] = a1 * b0 * g0 / s
-    pack[2] = a0 * b1 * g0 / s
-    pack[3] = a0 * b0 * g1 / s
-    pack[4] = a2 * b0 * g0 / (s * s)
-    pack[5] = a0 * b2 * g0 / (s * s)
-    pack[6] = a0 * b0 * g2 / (s * s)
-    pack[7] = a0 * b1 * g1 / (s * s)
-    pack[8] = a1 * b0 * g1 / (s * s)
-    pack[9] = a1 * b1 * g0 / (s * s)
-
-
-@njit(cache=True)
-def _phi_pack(eta, spk, out):
-    """Quotient derivatives of phi = eta / S up to second order."""
-    s0 = spk[0]
-    v = eta[0] / s0
-    out[0] = v
-    for d in range(3):
-        out[1 + d] = (eta[1 + d] - v * spk[1 + d]) / s0
-    # second derivatives: index map (d,e) -> 4..9 as in the pack layout
-    pairs = ((0, 0, 4), (1, 1, 5), (2, 2, 6), (1, 2, 7), (0, 2, 8), (0, 1, 9))
-    for d, e, q in pairs:
-        out[q] = (eta[q] - out[1 + d] * spk[1 + e] - out[1 + e] * spk[1 + d] - v * spk[q]) / s0
-
-
-@njit(cache=True)
-def _d2(pack, d, e):
-    if d == e:
-        return pack[4 + d]
-    if (d == 1 and e == 2) or (d == 2 and e == 1):
-        return pack[7]
-    if (d == 0 and e == 2) or (d == 2 and e == 0):
-        return pack[8]
-    return pack[9]
-
-
-@njit(cache=True)
 def accumulate_truncation(triples, tri_b, tri_g, tri_verts, sides, m, period,
                           bad_index, spacks, out):
     """Accumulate sum_k phi_k * wtilde^(k) over all cached triangles.
@@ -162,106 +122,47 @@ def accumulate_truncation(triples, tri_b, tri_g, tri_verts, sides, m, period,
     components are ordered [11, 22, 33, 23, 13, 12].
     """
     hm = period / m
-    nt = triples.shape[0]
-    perm_i = (0, 1, 2, 1, 0, 2)
-    perm_j = (1, 2, 0, 0, 2, 1)
-    perm_k = (2, 0, 1, 2, 1, 0)
-    perm_s = (1.0, 1.0, 1.0, -1.0, -1.0, -1.0)
-    cyc_a = (0, 1, 2)
-    cyc_b = (1, 2, 0)
-    cyc_g = (2, 0, 1)
-    comp_off = (5, 3, 4)  # (0,1) -> 12, (1,2) -> 23, (2,0) -> 13
+    half = 0.5 * sides[triples][:, :, None]
+    lo = (tri_verts - half).max(axis=1)
+    hi = (tri_verts + half).min(axis=1)
+    ilo, ihi = _grid_box(lo, hi, hm)
+    disjoint = (hi <= lo).any(axis=1)
+    ihi[disjoint] = ilo[disjoint] - 1
 
-    eta = np.zeros(10)
-    packs = np.zeros((3, 10))
-    amat = np.zeros((3, 3))
+    for t, x, p in _flagged_pairs(ilo, ihi, m, hm, bad_index):
+        spk = spacks[p].T
+        phi = [_phi_packs(_eta_packs(x, tri_verts[t, v], sides[triples[t, v]]), spk)
+               for v in range(3)]
+        b = tri_b[t].T
+        g = tri_g[t]
+        y = x.T
+        amat = [[None] * 3 for _ in range(3)]
+        for a in range(3):
+            for c in range(a + 1, 3):
+                val = y[c] * b[a] - g[:, a, c] - y[a] * b[c] + g[:, c, a]
+                amat[a][c] = val
+                amat[c][a] = -val
 
-    for t in range(nt):
-        # intersection box of the three supports, in frame coordinates
-        lo0 = -1e30
-        hi0 = 1e30
-        lo1 = -1e30
-        hi1 = 1e30
-        lo2 = -1e30
-        hi2 = 1e30
-        for v in range(3):
-            half = 0.5 * sides[triples[t, v]]
-            lo0 = max(lo0, tri_verts[t, v, 0] - half)
-            hi0 = min(hi0, tri_verts[t, v, 0] + half)
-            lo1 = max(lo1, tri_verts[t, v, 1] - half)
-            hi1 = min(hi1, tri_verts[t, v, 1] + half)
-            lo2 = max(lo2, tri_verts[t, v, 2] - half)
-            hi2 = min(hi2, tri_verts[t, v, 2] + half)
-        if hi0 <= lo0 or hi1 <= lo1 or hi2 <= lo2:
-            continue
-        ilo0 = int(math.floor(lo0 / hm - 0.5)) + 1
-        ihi0 = int(math.ceil(hi0 / hm - 0.5)) - 1
-        ilo1 = int(math.floor(lo1 / hm - 0.5)) + 1
-        ihi1 = int(math.ceil(hi1 / hm - 0.5)) - 1
-        ilo2 = int(math.floor(lo2 / hm - 0.5)) + 1
-        ihi2 = int(math.ceil(hi2 / hm - 0.5)) - 1
+        acc = np.zeros((6, len(p)))
+        for pi, pj, pk, sg in _PERMS:
+            di, dj = phi[pi], phi[pj]
+            phik = sg * phi[pk][0]
+            for al, be, ga in _CYCLES:
+                a_bega, a_gaal, a_albe = amat[be][ga], amat[ga][al], amat[al][be]
+                nd = 3.0 * (dj[1 + ga] * di[1 + al] * b[al] + dj[1 + be] * di[1 + ga] * b[be])
+                nd += (dj[_D2[be][ga]] * di[1 + ga] - dj[_D2[ga][ga]] * di[1 + be]) * a_bega
+                nd += (dj[_D2[al][ga]] * di[1 + ga] - dj[_D2[ga][ga]] * di[1 + al]) * a_gaal
+                nd += (dj[_D2[al][ga]] * di[1 + be] + dj[_D2[be][ga]] * di[1 + al]
+                       - 2.0 * dj[_D2[al][be]] * di[1 + ga]) * a_albe
+                acc[_OFFDIAG[al, be]] += phik * nd
 
-        for i0 in range(ilo0, ihi0 + 1):
-            ii0 = ((i0 % m) + m) % m
-            x0 = (i0 + 0.5) * hm
-            for i1 in range(ilo1, ihi1 + 1):
-                ii1 = ((i1 % m) + m) % m
-                x1 = (i1 + 0.5) * hm
-                for i2 in range(ilo2, ihi2 + 1):
-                    p = bad_index[ii0, ii1, ((i2 % m) + m) % m]
-                    if p < 0:
-                        continue
-                    x2 = (i2 + 0.5) * hm
-
-                    for v in range(3):
-                        cj = triples[t, v]
-                        _eta_pack(x0, x1, x2, tri_verts[t, v, 0], tri_verts[t, v, 1],
-                                  tri_verts[t, v, 2], sides[cj], eta)
-                        _phi_pack(eta, spacks[p], packs[v])
-
-                    # antisymmetric moment matrix at this point
-                    for a in range(3):
-                        amat[a, a] = 0.0
-                    ya = (x0, x1, x2)
-                    for a in range(3):
-                        for b in range(a + 1, 3):
-                            val = ya[b] * tri_b[t, a] - tri_g[t, a, b] - ya[a] * tri_b[t, b] + tri_g[t, b, a]
-                            amat[a, b] = val
-                            amat[b, a] = -val
-
-                    for q in range(6):
-                        pi = perm_i[q]
-                        pj = perm_j[q]
-                        pk = perm_k[q]
-                        sg = perm_s[q]
-                        phik = packs[pk][0]
-                        if phik == 0.0:
-                            continue
-                        for c in range(3):
-                            al = cyc_a[c]
-                            be = cyc_b[c]
-                            ga = cyc_g[c]
-                            b_al = sg * tri_b[t, al]
-                            b_be = sg * tri_b[t, be]
-                            a_bega = sg * amat[be, ga]
-                            a_gaal = sg * amat[ga, al]
-                            a_albe = sg * amat[al, be]
-                            dj = packs[pj]
-                            di = packs[pi]
-                            nd = 3.0 * (dj[1 + ga] * di[1 + al] * b_al + dj[1 + be] * di[1 + ga] * b_be)
-                            nd += (_d2(dj, be, ga) * di[1 + ga] - _d2(dj, ga, ga) * di[1 + be]) * a_bega
-                            nd += (_d2(dj, al, ga) * di[1 + ga] - _d2(dj, ga, ga) * di[1 + al]) * a_gaal
-                            nd += (_d2(dj, al, ga) * di[1 + be] + _d2(dj, be, ga) * di[1 + al]
-                                   - 2.0 * _d2(dj, al, be) * di[1 + ga]) * a_albe
-                            out[p, comp_off[c]] += phik * nd
-
-                            dd = 6.0 * dj[1 + be] * di[1 + ga] * b_al
-                            dd += 2.0 * (_d2(dj, ga, ga) * di[1 + be] - _d2(dj, be, ga) * di[1 + ga]) * a_gaal
-                            dd += 2.0 * (_d2(dj, be, be) * di[1 + ga] - _d2(dj, be, ga) * di[1 + be]) * a_albe
-                            out[p, al] += phik * dd
+                dd = 6.0 * dj[1 + be] * di[1 + ga] * b[al]
+                dd += 2.0 * (dj[_D2[ga][ga]] * di[1 + be] - dj[_D2[be][ga]] * di[1 + ga]) * a_gaal
+                dd += 2.0 * (dj[_D2[be][be]] * di[1 + ga] - dj[_D2[be][ga]] * di[1 + be]) * a_albe
+                acc[al] += phik * dd
+        np.add.at(out, p, acc.T)
 
 
-@njit(cache=True)
 def accumulate_patch_curl(centers, sides, patch_c0, patch_grad, m, period, bad_index,
                           spacks, out):
     """Accumulate curl curl^T of sum_j phi_j * (affine patch_j) at flagged points.
@@ -271,61 +172,26 @@ def accumulate_patch_curl(centers, sides, patch_c0, patch_grad, m, period, bad_i
     components ordered [11, 22, 33, 23, 13, 12].
     """
     hm = period / m
-    nc = centers.shape[0]
-    eta = np.zeros(10)
-    phi = np.zeros(10)
-    xmat = np.zeros((3, 3, 3, 3))  # second derivatives d2[p][q] of phi*patch, sym part
-    comp_r = (1, 2, 0)
-    comp_s = (2, 0, 1)
+    ilo, ihi = _cube_boxes(centers, sides, hm)
+    comp = ((1, 2), (2, 0), (0, 1))  # row r of curl pairs derivative a with component b
+    for j, x, p in _flagged_pairs(ilo, ihi, m, hm, bad_index):
+        phi = _phi_packs(_eta_packs(x, centers[j], sides[j]), spacks[p].T)
+        grad = patch_grad[j]
+        d = x - centers[j]
+        pv = (patch_c0[j] + grad[..., 0] * d[:, 0, None, None]
+              + grad[..., 1] * d[:, 1, None, None] + grad[..., 2] * d[:, 2, None, None])
 
-    for j in range(nc):
-        s = sides[j]
-        half = 0.5 * s
-        lo0, hi0 = _axis_range(centers[j, 0], half, hm)
-        lo1, hi1 = _axis_range(centers[j, 1], half, hm)
-        lo2, hi2 = _axis_range(centers[j, 2], half, hm)
-        for i0 in range(lo0, hi0 + 1):
-            ii0 = ((i0 % m) + m) % m
-            x0 = (i0 + 0.5) * hm
-            for i1 in range(lo1, hi1 + 1):
-                ii1 = ((i1 % m) + m) % m
-                x1 = (i1 + 0.5) * hm
-                for i2 in range(lo2, hi2 + 1):
-                    p = bad_index[ii0, ii1, ((i2 % m) + m) % m]
-                    if p < 0:
-                        continue
-                    x2 = (i2 + 0.5) * hm
-                    _eta_pack(x0, x1, x2, centers[j, 0], centers[j, 1], centers[j, 2], s, eta)
-                    _phi_pack(eta, spacks[p], phi)
-                    # patch value at this point (affine around the cube center)
-                    d0 = x0 - centers[j, 0]
-                    d1 = x1 - centers[j, 1]
-                    d2v = x2 - centers[j, 2]
-                    for a in range(3):
-                        for b in range(3):
-                            pv = patch_c0[j, a, b] + patch_grad[j, a, b, 0] * d0 \
-                                + patch_grad[j, a, b, 1] * d1 + patch_grad[j, a, b, 2] * d2v
-                            for pp in range(3):
-                                for qq in range(pp, 3):
-                                    val = _d2(phi, pp, qq) * pv \
-                                        + phi[1 + pp] * patch_grad[j, a, b, qq] \
-                                        + phi[1 + qq] * patch_grad[j, a, b, pp]
-                                    xmat[a, b, pp, qq] = val
-                                    xmat[a, b, qq, pp] = val
-                    # curl curl^T of the product, entry (r, s)
-                    for r in range(3):
-                        a = comp_r[r]
-                        b = comp_s[r]
-                        for scol in range(r, 3):
-                            cc = comp_r[scol]
-                            dd = comp_s[scol]
-                            val = xmat[b, dd, a, cc] + xmat[a, cc, b, dd] \
-                                - xmat[b, cc, a, dd] - xmat[a, dd, b, cc]
-                            if r == scol:
-                                out[p, r] += val
-                            elif r == 0 and scol == 1:
-                                out[p, 5] += val
-                            elif r == 0 and scol == 2:
-                                out[p, 4] += val
-                            else:
-                                out[p, 3] += val
+        def hess(a, b, pp, qq):
+            """Second derivative d_pp d_qq of phi * (patch entry a, b)."""
+            pp, qq = min(pp, qq), max(pp, qq)
+            return (phi[_D2[pp][qq]] * pv[:, a, b] + phi[1 + pp] * grad[:, a, b, qq]
+                    + phi[1 + qq] * grad[:, a, b, pp])
+
+        acc = np.empty((6, len(p)))
+        for r in range(3):
+            a, b = comp[r]
+            for sc in range(r, 3):
+                cc, dd = comp[sc]
+                val = hess(b, dd, a, cc) + hess(a, cc, b, dd) - hess(b, cc, a, dd) - hess(a, dd, b, cc)
+                acc[r if r == sc else _OFFDIAG[r, sc]] = val
+        np.add.at(out, p, acc.T)

@@ -23,14 +23,6 @@ from .potential_trunc import stability_comparison
 from .truncation import build_context, sample_truncation_norm, verify
 
 
-def worker_count():
-    """Parallelism cap from DIVSYM_THREADS (default: leave libraries alone)."""
-    try:
-        return max(1, int(os.environ.get("DIVSYM_THREADS", "0"))) or None
-    except ValueError:
-        return None
-
-
 def _dump_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -137,7 +129,7 @@ def main(argv=None):
         if n is not None and not (16 <= n <= 128):
             raise PreconditionError(f"grid resolution {n} outside [16, 128]")
         return args.func(args)
-    except (PreconditionError, ValueError, OSError) as exc:
+    except (PreconditionError, ValueError, OSError, schemas.ValidationError) as exc:
         json.dump({"error": {"type": type(exc).__name__, "message": str(exc)}}, sys.stdout)
         sys.stdout.write("\n")
         return 2

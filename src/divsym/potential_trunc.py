@@ -12,7 +12,7 @@ below the threshold can still be modified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from . import _kernels
 from .fields import (PreconditionError, TrigSymField, assert_div_free,
                      potential_inverse)
 from .maximal import OpenSetMask, ScalarGrid, bad_set, maximal_function
-from .truncation import SYM6, LAMBDA_EFF_FACTOR, build_context, sym6_to_mat
+from .truncation import SYM6, LAMBDA_EFF_FACTOR, _bad_grid_index, build_context, sym6_to_mat
 from .whitney import WhitneyCube, build_partition, pou_eval, whitney_decompose
 
 _GAUSS4 = np.polynomial.legendre.leggauss(4)
@@ -153,6 +153,7 @@ class PotentialFieldTruncation:
 
     u: TrigSymField
     vtrunc: PotentialTruncation
+    _samples: dict = field(default_factory=dict, repr=False)  # sample_bad results by m
 
     @property
     def period(self):
@@ -163,27 +164,21 @@ class PotentialFieldTruncation:
 
     def sample_bad(self, m: int):
         """Packed values of u_lambda at flagged m-grid points: (bad_index, mask, vals)."""
+        if m in self._samples:
+            return self._samples[m]
         vt = self.vtrunc
-        if vt.cover is None:
-            idx = np.full((m, m, m), -1, dtype=np.int32)
-            return idx, np.zeros((m, m, m), dtype=bool), np.zeros((0, 6))
-        if m % vt.n != 0:
-            raise ValueError("evaluation resolution must be a multiple of the grid")
-        r = m // vt.n
-        mask_m = np.repeat(np.repeat(np.repeat(vt.bad.mask, r, 0), r, 1), r, 2)
-        idx = np.full(m**3, -1, dtype=np.int32)
-        flat = np.flatnonzero(mask_m.ravel())
-        idx[flat] = np.arange(len(flat), dtype=np.int32)
-        idx = idx.reshape(m, m, m)
-        npts = len(flat)
-        spacks = np.zeros((npts, 10))
-        _kernels.accumulate_spacks(vt.cover.centers, vt.cover.sides, m, vt.period, idx, spacks)
-        patch_c0 = np.stack([p.value for p in vt.patches])
-        patch_grad = np.stack([p.grad for p in vt.patches])
+        idx, mask_m = _bad_grid_index(vt.bad.mask, m)
+        npts = int(mask_m.sum())
         out = np.zeros((npts, 6))
-        _kernels.accumulate_patch_curl(vt.cover.centers, vt.cover.sides, patch_c0,
-                                       patch_grad, m, vt.period, idx, spacks, out)
-        return idx, mask_m, out
+        if vt.cover is not None:
+            spacks = np.zeros((npts, 10))
+            _kernels.accumulate_spacks(vt.cover.centers, vt.cover.sides, m, vt.period, idx, spacks)
+            patch_c0 = np.stack([p.value for p in vt.patches])
+            patch_grad = np.stack([p.grad for p in vt.patches])
+            _kernels.accumulate_patch_curl(vt.cover.centers, vt.cover.sides, patch_c0,
+                                           patch_grad, m, vt.period, idx, spacks, out)
+        self._samples[m] = (idx, mask_m, out)
+        return self._samples[m]
 
     def grid_norm(self, m: int) -> ScalarGrid:
         _, mask_m, vals = self.sample_bad(m)

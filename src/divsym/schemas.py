@@ -7,10 +7,14 @@ from importlib import resources
 
 try:
     import jsonschema
+    from jsonschema import ValidationError
 
     HAVE_JSONSCHEMA = True
 except ImportError:  # pragma: no cover
     HAVE_JSONSCHEMA = False
+
+    class ValidationError(Exception):
+        """Stand-in so callers can name the error; never raised without jsonschema."""
 
 _cache = {}
 

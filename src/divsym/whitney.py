@@ -30,9 +30,25 @@ BUMP_SUPP = 0.5
 
 _TRANS = BUMP_SUPP - BUMP_CORE  # transition width in units of the dilated side
 
-# smootherstep with four vanishing derivatives at both ends
-_S4 = np.array([70.0, -315.0, 540.0, -420.0, 126.0, 0.0, 0.0, 0.0, 0.0, 0.0])  # t^9 ... t^0
-_S4_D = [np.polyder(_S4, k) for k in range(4)]
+
+def _smootherstep(s, order):
+    """Derivative ``order`` (<= 3) of S(s) = s^5 (126 - 420 s + 540 s^2 - 315 s^3 + 70 s^4).
+
+    S rises from 0 to 1 on [0, 1] with four vanishing derivatives at both
+    ends.  The derivatives are kept in factored form: next to the support
+    edge s = 1 they vanish to high order, and an expanded polynomial would
+    leave rounding noise of up to 1e-11 there instead.
+    """
+    r = 1.0 - s
+    if order == 0:
+        return s**5 * (126.0 + s * (-420.0 + s * (540.0 + s * (-315.0 + s * 70.0))))
+    if order == 1:
+        return 630.0 * s**4 * r**4
+    if order == 2:
+        return 2520.0 * s**3 * r**3 * (1.0 - 2.0 * s)
+    if order == 3:
+        return 2520.0 * s**2 * r**2 * (3.0 + s * (-14.0 + s * 14.0))
+    raise UnsupportedOrderError(f"bump derivative order {order} exceeds 3")
 
 
 def bump(t, order=0):
@@ -44,14 +60,13 @@ def bump(t, order=0):
     outside = u >= BUMP_SUPP
     trans = ~inside & ~outside
     out = np.zeros_like(t)
+    s = (u[trans] - BUMP_CORE) / _TRANS
     if order == 0:
         out[inside] = 1.0
-        out[trans] = 1.0 - np.polyval(_S4, (u[trans] - BUMP_CORE) / _TRANS)
+        out[trans] = 1.0 - _smootherstep(s, 0)
     else:
-        s = (u[trans] - BUMP_CORE) / _TRANS
-        val = -np.polyval(_S4_D[order], s) / _TRANS**order
         sign = np.where(t[trans] < 0, (-1.0) ** order, 1.0)
-        out[trans] = val * sign
+        out[trans] = -_smootherstep(s, order) / _TRANS**order * sign
     return float(out[0]) if scalar else out
 
 

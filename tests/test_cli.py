@@ -70,6 +70,21 @@ class TestTruncate:
         err = json.loads(capsys.readouterr().out)
         assert "error" in err
 
+    def test_schema_failure_exits_with_error_object(self, field_file, tmp_path, capsys,
+                                                    monkeypatch):
+        from divsym import cli
+
+        class Incomplete:
+            def to_dict(self):
+                return {"lambda": 1e9}
+
+        monkeypatch.setattr(cli, "verify", lambda ctx: Incomplete())
+        code = run(["truncate", "--field", field_file, "--lambda", 1e9, "--grid-n", 16,
+                    "--out", tmp_path / "r.json"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValidationError"
+
     def test_resolution_guardrail(self, field_file, tmp_path, capsys):
         code = run(["truncate", "--field", field_file, "--lambda", 1.0, "--grid-n", 8,
                     "--out", tmp_path / "r.json"])

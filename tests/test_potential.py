@@ -162,6 +162,24 @@ class TestAfreeTruncate:
         with pytest.raises(PreconditionError):
             afree_potential_truncate(random_field(7, 1, 1.0), 1.0, 16)
 
+    def test_pointwise_calls_sample_once(self, monkeypatch):
+        from divsym import _kernels
+        from divsym.potential_trunc import strong_stability_witness
+
+        calls = []
+        kernel = _kernels.accumulate_patch_curl
+
+        def counted(*args):
+            calls.append(args[4])
+            kernel(*args)
+
+        monkeypatch.setattr(_kernels, "accumulate_patch_curl", counted)
+        ut = afree_potential_truncate(strong_stability_witness(1.0), 1.0, 16)
+        first, second = (np.argwhere(ut.vtrunc.bad.mask)[:2] + 0.5) / 16
+        np.testing.assert_array_equal(ut(first), ut(first))
+        ut(second)
+        assert calls == [32]
+
 
 class TestStabilityComparison:
     def test_low_frequency_both_unchanged(self):

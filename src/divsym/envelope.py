@@ -1,11 +1,14 @@
 """Div-quasiconvex envelope estimation by projected descent over test fields.
 
 The admissible class is the linear subspace of mean-zero divergence-free
-trigonometric fields up to a frequency cutoff, so projected gradient
-descent is exact: each iterate is resampled on the grid, stepped along
-the pointwise objective gradient, band-limited, projected mode-wise and
-re-centered.  Estimates are upper bounds of the restricted-frequency
-envelope; membership in a hull is therefore one-sided.
+trigonometric fields up to a frequency cutoff F, so projected gradient
+descent is exact.  The iterate is a coefficient array over the (2F+1)^3 - 1
+non-zero modes.  Each step resamples it at the n^3 cell centres by one
+inverse FFT (exact: n = max(4F, 16) > 2F, so no mode aliases), steps along
+the pointwise objective gradient, and band-projects: one forward FFT, then
+every band mode is symmetrised, paired and projected at once.  The FFT pair
+is the one in ``fields``.  Estimates are upper bounds of the
+restricted-frequency envelope; membership in a hull is therefore one-sided.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .fields import (PreconditionError, TrigSymField, _cell_centers,
-                     project_div_free)
+from .fields import (PreconditionError, TrigSymField, _fft_index, _grid_to_modes,
+                     _modes_to_grid, project_div_free)
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -205,25 +208,47 @@ class DistanceObjective:
         return vals.reshape(shape), grads.reshape(shape + (3, 3))
 
 
-def _band_project(values, max_freq, n, period):
-    """Grid field -> band-limited, mean-zero, divergence-free trig field."""
-    spec = np.empty((3, 3, n, n, n), dtype=complex)
-    for a in range(3):
-        for b in range(3):
-            spec[a, b] = np.fft.fftn(values[..., a, b]) / n**3
-    coeffs = {}
-    rng_span = range(-max_freq, max_freq + 1)
-    shift = np.exp(-1j * np.pi * np.arange(-max_freq, max_freq + 1) / n)  # undo half-cell offset
-    for i, fi in enumerate(rng_span):
-        for j, fj in enumerate(rng_span):
-            for l, fl in enumerate(rng_span):
-                if (fi, fj, fl) == (0, 0, 0):
-                    continue
-                c = spec[:, :, fi % n, fj % n, fl % n] * (shift[i] * shift[j] * shift[l])
-                c = 0.5 * (c + c.T)
-                coeffs[(fi, fj, fl)] = c
-    f = TrigSymField(coeffs, period=period, tol=1e-6)
-    return project_div_free(f)
+def _modes(max_freq):
+    """All modes of max-norm <= max_freq, sorted; the zero mode sits in the middle."""
+    span = np.arange(-max_freq, max_freq + 1)
+    return np.stack(np.meshgrid(span, span, span, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def _band(max_freq, n):
+    """The non-zero modes, their FFT index on the n-grid and projectors Q = I - xi^ xi^T.
+
+    The modes are symmetric about the removed zero mode, so reversing an
+    array pairs each mode with its mirror -xi, and the first half holds the
+    smaller mode of each pair.
+    """
+    xis = np.delete(_modes(max_freq), (2 * max_freq + 1) ** 3 // 2, axis=0)
+    unit = xis / np.linalg.norm(xis, axis=1, keepdims=True)
+    return xis, _fft_index(xis, n), np.eye(3) - unit[:, :, None] * unit[:, None, :]
+
+
+def _pair_and_project(c, q, tol):
+    """Symmetrise band coefficients, pair mirrors and project every mode by Q c Q.
+
+    As in the validating constructor, mirrors must be Hermitian partners
+    within ``tol * max(1, max|c|)`` and the smaller mode of a pair wins.
+    """
+    c = 0.5 * (c + c.swapaxes(1, 2))
+    partner = c[::-1].conj()
+    if np.abs(c - partner).max(initial=0.0) > tol * max(1.0, np.abs(c).max(initial=0.0)):
+        raise ValueError("band coefficients are not Hermitian partners")
+    c[len(c) // 2:] = partner[len(c) // 2:]
+    c = q @ c @ q  # q is real and even in xi, so the pairs stay exact
+    return 0.5 * (c + c.swapaxes(1, 2))
+
+
+def _band_project(values, band):
+    """Grid field -> coefficients of its band-limited, mean-zero, divergence-free part."""
+    _, index, q = band
+    return _pair_and_project(_grid_to_modes(values, index), q, tol=1e-6)
+
+
+def _band_field(xis, coeffs, period):
+    return TrigSymField(dict(zip(map(tuple, xis.tolist()), coeffs)), period=period)
 
 
 @dataclass
@@ -248,29 +273,30 @@ def minimize_over_test_fields(objective, max_freq, restarts, iterations, seed,
     initial one.  Returns (best value, best field, trace).
     """
     n = max(4 * max_freq, 16)
-    grid = _cell_centers(n, period).reshape(-1, 3)
+    band = _band(max_freq, n)
+    xis, index, _ = band
     offset = np.zeros((3, 3)) if xi_offset is None else np.asarray(xi_offset, dtype=float)
 
     def evaluate(phi_values):
         vals, grads = objective(offset[None, :, :] + phi_values)
         return float(vals.mean()), grads
 
-    best_val, best_field, trace = np.inf, None, []
+    best_val, best_coeffs, trace = np.inf, None, []
     for r in range(restarts):
-        if r == 0:
-            phi = TrigSymField({}, period=period)
+        if r == 0:  # the zero field: no modes, so a best field from it has none
+            coeffs, phi_vals = np.zeros((0, 3, 3), dtype=complex), np.zeros((n, n, n, 3, 3))
         else:
-            phi = _seeded_init(seed, r, max_freq, init_amplitude, period)
-        phi_vals = phi.eval_many(grid).reshape(n, n, n, 3, 3) if phi.coeffs else np.zeros((n, n, n, 3, 3))
+            # the initial field holds every band mode, so its sorted modes are the band
+            coeffs = _seeded_init(seed, r, max_freq, init_amplitude, period).mode_arrays()[1]
+            phi_vals = _modes_to_grid(coeffs, index, n)
         val, grads = evaluate(phi_vals)
         step = 1.0
         for _ in range(iterations):
-            trial_grid = phi_vals - step * grads
-            trial = _band_project(trial_grid, max_freq, n, period)
-            trial_vals = trial.eval_many(grid).reshape(n, n, n, 3, 3) if trial.coeffs else np.zeros_like(phi_vals)
+            trial = _band_project(phi_vals - step * grads, band)
+            trial_vals = _modes_to_grid(trial, index, n)
             tval, tgrads = evaluate(trial_vals)
             if tval < val - 1e-14:
-                phi, phi_vals, val, grads = trial, trial_vals, tval, tgrads
+                coeffs, phi_vals, val, grads = trial, trial_vals, tval, tgrads
                 step *= 1.3
             else:
                 step *= 0.5
@@ -278,7 +304,8 @@ def minimize_over_test_fields(objective, max_freq, restarts, iterations, seed,
                     break
         trace.append(val)
         if val < best_val:
-            best_val, best_field = val, phi
+            best_val, best_coeffs = val, coeffs
+    best_field = None if best_coeffs is None else _band_field(xis, best_coeffs, period)
     return best_val, best_field, trace
 
 
@@ -334,7 +361,8 @@ def truncate_project_sequence(u: TrigSymField, big_r: float, n: int | None = Non
 
     Frequencies at the grid Nyquist are dropped (they have no Hermitian
     partner on an even grid); choose n above twice the bandwidth to make
-    the clamp-free round trip exact.
+    the clamp-free round trip exact.  Modes below 1e-15 times the largest
+    grid coefficient are dropped.
     """
     if big_r <= 0:
         raise PreconditionError("R must be positive")
@@ -343,23 +371,12 @@ def truncate_project_sequence(u: TrigSymField, big_r: float, n: int | None = Non
     vals = u.grid_values(n)
     norms = np.sqrt(np.einsum("...ab,...ab->...", vals, vals))
     vals = np.where((norms <= 2.0 * big_r)[..., None, None], vals, 0.0)
-    spec = np.empty((3, 3, n, n, n), dtype=complex)
-    for a in range(3):
-        for b in range(3):
-            spec[a, b] = np.fft.fftn(vals[..., a, b]) / n**3
-    coeffs = {}
-    half = n // 2
-    freqs = [f if f <= half else f - n for f in range(n)]
-    shift = {f: np.exp(-1j * np.pi * f / n) for f in freqs}
-    scale = max(np.abs(spec).max(), 1.0)
-    for i, fi in enumerate(freqs):
-        for j, fj in enumerate(freqs):
-            for l, fl in enumerate(freqs):
-                if (fi, fj, fl) == (0, 0, 0) or abs(fi) == half or abs(fj) == half or abs(fl) == half:
-                    continue
-                c = spec[:, :, i, j, l] * (shift[fi] * shift[fj] * shift[fl])
-                if np.abs(c).max() < 1e-15 * scale:
-                    continue
-                coeffs[(fi, fj, fl)] = 0.5 * (c + c.T)
-    f = TrigSymField(coeffs, period=u.period, tol=1e-8)
-    return project_div_free(f)
+    full = _modes(n // 2)  # every grid frequency: the Nyquist and zero modes also set the drop scale
+    coeffs = _grid_to_modes(vals, _fft_index(full, n))
+    scale = max(np.abs(coeffs).max(), 1.0)
+    xis, _, q = _band(n // 2 - 1, n)
+    coeffs = coeffs[(np.abs(full) < n // 2).all(axis=1) & full.any(axis=1)]
+    keep = np.abs(coeffs).max(axis=(1, 2)) >= 1e-15 * scale
+    keep |= keep[::-1]
+    coeffs = _pair_and_project(coeffs, q, tol=1e-8)
+    return _band_field(xis[keep], coeffs[keep], u.period)

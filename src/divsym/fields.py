@@ -145,22 +145,41 @@ class _ModeField:
         for d in range(3):
             if order[d]:
                 factor = factor * (1j * k * xis[:, d]) ** order[d]
-        # half-cell shift: centers sit at (idx + 1/2) h
-        factor = factor * np.exp(1j * np.pi * xis.sum(axis=1) / n)
-        idx = tuple((xis % n).T)
-        out = np.empty((n, n, n, len(comps)))
-        spec = np.zeros((n, n, n), dtype=complex)
-        for q, comp in enumerate(comps):
-            spec[...] = 0.0
-            np.add.at(spec, idx, cs[(slice(None),) + tuple(comp)] * factor)
-            out[..., q] = np.fft.ifftn(spec).real * n**3
-        return out
+        sel = np.stack([cs[(slice(None),) + tuple(c)] for c in comps], axis=-1)
+        return _modes_to_grid(sel * factor[:, None], _fft_index(xis, n), n)
 
     def grid_values(self, n, order=(0, 0, 0)):
         """Values at the n^3 cell centers ``x = (idx + 1/2) * period / n``."""
         comps = [np.unravel_index(i, self._shape) for i in range(int(np.prod(self._shape)))]
         flat = self.grid_components(n, comps, order)
         return flat.reshape((n, n, n) + self._shape)
+
+
+def _fft_index(xis, n):
+    """FFT index ``xi mod n`` of modes ``(m, 3)`` and the phase of the half-cell shift."""
+    return tuple((xis % n).T), np.exp(1j * np.pi * xis.sum(axis=1) / n)
+
+
+def _modes_to_grid(coeffs, index, n):
+    """Real values ``(n, n, n, ...)`` at the cell centres ``(idx + 1/2) h`` of modes ``(m, ...)``.
+
+    Exact for Hermitian-paired modes with every ``|xi_d| < n / 2``.
+    """
+    from scipy import fft  # faster than numpy.fft here; imported on first use, not with the package
+
+    idx, phase = index
+    spec = np.zeros((n, n, n) + coeffs.shape[1:], dtype=complex)
+    spec[idx] = (coeffs.T * phase).T
+    return fft.ifftn(spec, axes=(0, 1, 2)).real * n**3
+
+
+def _grid_to_modes(values, index):
+    """Coefficients ``(m, ...)`` of cell-centre values ``(n, n, n, ...)``; inverts ``_modes_to_grid``."""
+    from scipy import fft
+
+    idx, phase = index
+    n = values.shape[0]
+    return (fft.fftn(values, axes=(0, 1, 2))[idx].T * (phase.conj() / n**3)).T
 
 
 def _cell_centers(n, period):

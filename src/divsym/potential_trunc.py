@@ -227,7 +227,8 @@ def stability_comparison(u: TrigSymField, lam: float, n: int = 32) -> dict:
     ctx = build_context(u, lam, n)
     geometric_changed = ctx.bad.measure()
     pot = afree_potential_truncate(u, lam, n)
-    umax = float(np.sqrt(np.einsum("...ab,...ab->...", u.grid_values(n), u.grid_values(n))).max())
+    vals = u.grid_values(n)
+    umax = float(np.sqrt(np.einsum("...ab,...ab->...", vals, vals)).max())
     return {
         "lambda": lam,
         "grid_n": n,

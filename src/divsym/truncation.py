@@ -18,7 +18,7 @@ from . import _kernels
 from .fields import TWO_PI, PreconditionError, TrigSymField, assert_div_free
 from .flux import permutation_sign, rule_for_degree, triangle_moments
 from .maximal import OpenSetMask, ScalarGrid, bad_set, maximal_function, sample_abs
-from .whitney import build_partition, pou_eval, whitney_decompose
+from .whitney import SUPPORT_MARGIN, build_partition, pou_eval, whitney_decompose
 
 LAMBDA_EFF_FACTOR = 1.25
 BAD_MARGIN = 1e-9  # relative threshold slack: borderline cells count as bad
@@ -205,8 +205,14 @@ def _batched_moments(w, tri_verts, rule):
 
 
 def _phi_packs(ctx, y):
-    """Value, gradient and Hessian of each active phi at ``y`` via pou_eval."""
-    active = ctx.cover.cubes_at(y)
+    """Value, gradient and Hessian of each active phi at ``y`` via pou_eval.
+
+    Active cubes hold ``y`` more than ``SUPPORT_MARGIN`` inside their
+    support, as ``neighbor_pairs`` demands, so all their triples are cached.
+    """
+    cover = ctx.cover
+    active = [c for c in cover.cubes_at(y)
+              if (np.abs(cover.wrap(y - cover.centers[c])) < cover.sides[c] / 2.0 - SUPPORT_MARGIN).all()]
     packs = {}
     for c in active:
         val = pou_eval(ctx.pou, c, y)

@@ -30,6 +30,10 @@ BUMP_SUPP = 0.5
 
 _TRANS = BUMP_SUPP - BUMP_CORE  # transition width in units of the dilated side
 
+# Supports closer than this to touching do not intersect: the bumps vanish
+# there to rounding, so such cubes are neither neighbours nor active at a point.
+SUPPORT_MARGIN = 1e-12
+
 
 def _smootherstep(s, order):
     """Derivative ``order`` (<= 3) of S(s) = s^5 (126 - 420 s + 540 s^2 - 315 s^3 + 70 s^4).
@@ -163,7 +167,7 @@ class WhitneyCover:
                         continue
                     seen.add((i, j))
                     gap = np.abs(self.wrap(self.centers[i] - self.centers[j]))
-                    if (gap < (self.sides[i] + self.sides[j]) / 2.0 - 1e-12).all():
+                    if (gap < (self.sides[i] + self.sides[j]) / 2.0 - SUPPORT_MARGIN).all():
                         adj[i].add(j)
                         adj[j].add(i)
         return adj
@@ -286,9 +290,6 @@ class PartitionOfUnity:
         for d in range(3):
             val *= bump(t[d], order[d]) / ell ** order[d]
         return val
-
-    def sum_eta(self, x, order=(0, 0, 0)):
-        return sum(self.eta(j, x, order) for j in self.cover.cubes_at(x))
 
 
 def build_partition(cover: WhitneyCover) -> PartitionOfUnity:

@@ -61,17 +61,11 @@ class TestBuildContext:
             build_context(random_field(2, 1, 1.0), 1.0, 16)
 
     def test_triple_count_brute_force(self, ctx):
-        cover = ctx.cover
-        nc = len(cover)
-        oracle = 0
-        for i in range(nc):
-            for j in range(i + 1, nc):
-                if not _touch(cover, i, j):
-                    continue
-                for k in range(j + 1, nc):
-                    if _touch(cover, i, k) and _touch(cover, j, k):
-                        oracle += 1
-        assert len(ctx.triples) == oracle
+        # all-pairs touch matrix by the same wrapped-gap predicate as _touch;
+        # a triangle of touching cubes is counted once per ordering (6 times).
+        # Float products stay exact: every count is far below 2^53.
+        a = _touch_matrix(ctx.cover)
+        assert len(ctx.triples) == int(((a @ a) * a).sum()) // 6
 
     def test_cached_triples_pairwise_touching(self, ctx):
         rng = np.random.default_rng(0)
@@ -84,6 +78,14 @@ class TestBuildContext:
 def _touch(cover, i, j):
     gap = np.abs(cover.wrap(cover.centers[i] - cover.centers[j]))
     return bool((gap < (cover.sides[i] + cover.sides[j]) / 2.0 - 1e-12).all())
+
+
+def _touch_matrix(cover):
+    gap = np.abs(cover.wrap(cover.centers[:, None, :] - cover.centers[None, :, :]))
+    reach = (cover.sides[:, None] + cover.sides[None, :]) / 2.0 - 1e-12
+    a = (gap < reach[..., None]).all(axis=2)
+    np.fill_diagonal(a, False)
+    return a.astype(float)
 
 
 class TestLocalField:
@@ -201,6 +203,16 @@ class TestTruncate:
         for y in bad_points(ctx, 5, seed=6):
             val = ev(y)
             assert np.array_equal(val, val.T)
+
+    def test_mask_cell_centres(self, ctx):
+        # cell centres of the mask grid lie exactly on support edges of
+        # neighbouring cubes; the evaluator must not look up their triples
+        bad_index, mask_m, tvals = sample_bad_truncation(ctx, ctx.n)
+        ev = truncate(ctx)
+        scale = max(1.0, np.abs(tvals).max())
+        for cell in np.argwhere(ctx.bad.mask)[:40]:
+            ker = sym6_to_mat(tvals[bad_index[tuple(cell)]])
+            np.testing.assert_allclose(ev((cell + 0.5) / ctx.n), ker, rtol=0, atol=1e-12 * scale)
 
     def test_kernel_matches_reference(self, ctx):
         m = 2 * ctx.n

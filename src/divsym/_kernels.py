@@ -14,6 +14,9 @@ formulas are evaluated column by column over the chunk, and the pair
 results are scattered into ``out`` with ``np.add.at``.  The chunk bound
 keeps the working set to a few tens of MB whatever the grid size.
 
+The local reconstruction formula is ``_local_terms``; the pointwise
+evaluator in ``truncation`` runs it on the packs of a single point.
+
 Pack layout per point: [v, dx, dy, dz, dxx, dyy, dzz, dyz, dxz, dxy].
 """
 
@@ -133,34 +136,53 @@ def accumulate_truncation(triples, tri_b, tri_g, tri_verts, sides, m, period,
         spk = spacks[p].T
         phi = [_phi_packs(_eta_packs(x, tri_verts[t, v], sides[triples[t, v]]), spk)
                for v in range(3)]
-        b = tri_b[t].T
-        g = tri_g[t]
-        y = x.T
-        amat = [[None] * 3 for _ in range(3)]
-        for a in range(3):
-            for c in range(a + 1, 3):
-                val = y[c] * b[a] - g[:, a, c] - y[a] * b[c] + g[:, c, a]
-                amat[a][c] = val
-                amat[c][a] = -val
-
-        acc = np.zeros((6, len(p)))
-        for pi, pj, pk, sg in _PERMS:
-            di, dj = phi[pi], phi[pj]
-            phik = sg * phi[pk][0]
-            for al, be, ga in _CYCLES:
-                a_bega, a_gaal, a_albe = amat[be][ga], amat[ga][al], amat[al][be]
-                nd = 3.0 * (dj[1 + ga] * di[1 + al] * b[al] + dj[1 + be] * di[1 + ga] * b[be])
-                nd += (dj[_D2[be][ga]] * di[1 + ga] - dj[_D2[ga][ga]] * di[1 + be]) * a_bega
-                nd += (dj[_D2[al][ga]] * di[1 + ga] - dj[_D2[ga][ga]] * di[1 + al]) * a_gaal
-                nd += (dj[_D2[al][ga]] * di[1 + be] + dj[_D2[be][ga]] * di[1 + al]
-                       - 2.0 * dj[_D2[al][be]] * di[1 + ga]) * a_albe
-                acc[_OFFDIAG[al, be]] += phik * nd
-
-                dd = 6.0 * dj[1 + be] * di[1 + ga] * b[al]
-                dd += 2.0 * (dj[_D2[ga][ga]] * di[1 + be] - dj[_D2[be][ga]] * di[1 + ga]) * a_gaal
-                dd += 2.0 * (dj[_D2[be][be]] * di[1 + ga] - dj[_D2[be][ga]] * di[1 + be]) * a_albe
-                acc[al] += phik * dd
+        acc = _local_terms(phi, [phi[v][0] for v in range(3)], tri_b[t].T, tri_g[t], x.T)
         np.add.at(out, p, acc.T)
+
+
+def _amat(b, g, y):
+    """Moment functions A(alpha, beta)(y) as a 3x3 nested list of pair columns.
+
+    ``b`` is (3, pairs), ``g`` (pairs, 3, 3) and ``y`` (3, pairs), all in the
+    frame of each pair's triangle; the diagonal is the scalar 0.
+    """
+    amat = [[0.0] * 3 for _ in range(3)]
+    for a in range(3):
+        for c in range(a + 1, 3):
+            val = y[c] * b[a] - g[:, a, c] - y[a] * b[c] + g[:, c, a]
+            amat[a][c] = val
+            amat[c][a] = -val
+    return amat
+
+
+def _local_terms(phi, weight, b, g, y):
+    """The local reconstruction formula summed over the six vertex orderings.
+
+    ``phi[v]`` is the phi pack of the triangle's vertex v (pair columns) and
+    ``weight[v]`` multiplies the orderings whose k slot is vertex v: phi_v
+    itself for the truncated field, an indicator of one cube for its local
+    field.  ``b``, ``g`` and ``y`` are as in ``_amat``.  Returns (6, pairs),
+    components ordered [11, 22, 33, 23, 13, 12].
+    """
+    amat = _amat(b, g, y)
+    acc = np.zeros((6, len(weight[0])))
+    for pi, pj, pk, sg in _PERMS:
+        di, dj = phi[pi], phi[pj]
+        phik = sg * weight[pk]
+        for al, be, ga in _CYCLES:
+            a_bega, a_gaal, a_albe = amat[be][ga], amat[ga][al], amat[al][be]
+            nd = 3.0 * (dj[1 + ga] * di[1 + al] * b[al] + dj[1 + be] * di[1 + ga] * b[be])
+            nd += (dj[_D2[be][ga]] * di[1 + ga] - dj[_D2[ga][ga]] * di[1 + be]) * a_bega
+            nd += (dj[_D2[al][ga]] * di[1 + ga] - dj[_D2[ga][ga]] * di[1 + al]) * a_gaal
+            nd += (dj[_D2[al][ga]] * di[1 + be] + dj[_D2[be][ga]] * di[1 + al]
+                   - 2.0 * dj[_D2[al][be]] * di[1 + ga]) * a_albe
+            acc[_OFFDIAG[al, be]] += phik * nd
+
+            dd = 6.0 * dj[1 + be] * di[1 + ga] * b[al]
+            dd += 2.0 * (dj[_D2[ga][ga]] * di[1 + be] - dj[_D2[be][ga]] * di[1 + ga]) * a_gaal
+            dd += 2.0 * (dj[_D2[be][be]] * di[1 + ga] - dj[_D2[be][ga]] * di[1 + be]) * a_albe
+            acc[al] += phik * dd
+    return acc
 
 
 def accumulate_patch_curl(centers, sides, patch_c0, patch_grad, m, period, bad_index,

@@ -18,29 +18,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .fields import (PreconditionError, TrigSymField, _fft_index, _grid_to_modes,
-                     _modes_to_grid, project_div_free)
-
-_SQRT2 = np.sqrt(2.0)
-
-
-def _to6(m):
-    """Isometric 6-vector of a symmetric matrix (Mandel components)."""
-    m = np.asarray(m, dtype=float)
-    return np.array([m[..., 0, 0], m[..., 1, 1], m[..., 2, 2],
-                     _SQRT2 * m[..., 1, 2], _SQRT2 * m[..., 0, 2], _SQRT2 * m[..., 0, 1]]).T
-
-
-def _from6(v):
-    v = np.asarray(v, dtype=float)
-    s = 1.0 / _SQRT2
-    out = np.empty(v.shape[:-1] + (3, 3))
-    out[..., 0, 0] = v[..., 0]
-    out[..., 1, 1] = v[..., 1]
-    out[..., 2, 2] = v[..., 2]
-    out[..., 1, 2] = out[..., 2, 1] = s * v[..., 3]
-    out[..., 0, 2] = out[..., 2, 0] = s * v[..., 4]
-    out[..., 0, 1] = out[..., 1, 0] = s * v[..., 5]
-    return out
+                     _mandel_to_sym, _modes_to_grid, _sym_to_mandel, project_div_free)
 
 
 @dataclass
@@ -67,7 +45,7 @@ class CompactSetDescriptor:
     def diameter(self):
         if self.kind == "ball":
             return 2.0 * self.radius
-        pts = np.stack([_to6(p) for p in self.points])
+        pts = np.stack([_sym_to_mandel(p) for p in self.points])
         if len(pts) == 1:
             return 0.0
         d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
@@ -144,25 +122,25 @@ def _project_simplex_hull(vertices6, y6):
 
 def nearest_point(k: CompactSetDescriptor, xi):
     """The (deterministically tie-broken) nearest point of K to xi."""
-    y6 = _to6(np.asarray(xi, dtype=float))
+    y6 = _sym_to_mandel(np.asarray(xi, dtype=float))
     if k.kind == "ball":
-        c6 = _to6(k.center)
+        c6 = _sym_to_mandel(k.center)
         d = np.linalg.norm(y6 - c6)
         if d <= k.radius:
             return np.asarray(xi, dtype=float)
-        return _from6(c6 + (y6 - c6) * (k.radius / d))
+        return _mandel_to_sym(c6 + (y6 - c6) * (k.radius / d))
     if k.kind == "points":
-        pts = np.stack([_to6(p) for p in k.points])
+        pts = np.stack([_sym_to_mandel(p) for p in k.points])
         return k.points[int(np.argmin(np.linalg.norm(pts - y6, axis=1)))]
-    return _from6(_project_simplex_hull(np.stack([_to6(p) for p in k.points]), y6))
+    return _mandel_to_sym(_project_simplex_hull(np.stack([_sym_to_mandel(p) for p in k.points]), y6))
 
 
 def dist_p(k: CompactSetDescriptor, xi, p: float) -> float:
     """Frobenius distance from xi to K, raised to the power p."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    y6 = _to6(np.asarray(xi, dtype=float))
-    n6 = _to6(nearest_point(k, xi))
+    y6 = _sym_to_mandel(np.asarray(xi, dtype=float))
+    n6 = _sym_to_mandel(nearest_point(k, xi))
     return float(np.linalg.norm(y6 - n6) ** p)
 
 
@@ -177,16 +155,16 @@ class DistanceObjective:
 
     def __call__(self, values):
         """values: (..., 3, 3) -> (vals (...,), grads (..., 3, 3))."""
-        y6 = _to6(values).reshape(-1, 6)
+        y6 = _sym_to_mandel(values).reshape(-1, 6)
         if self.k.kind == "ball":
-            c6 = _to6(self.k.center)
+            c6 = _sym_to_mandel(self.k.center)
             delta = y6 - c6
             dist = np.maximum(np.linalg.norm(delta, axis=1) - self.k.radius, 0.0)
             dirs = np.zeros_like(delta)
             nz = dist > 0
             dirs[nz] = delta[nz] / np.linalg.norm(delta[nz], axis=1, keepdims=True)
         elif self.k.kind == "points":
-            pts = np.stack([_to6(q) for q in self.k.points])
+            pts = np.stack([_sym_to_mandel(q) for q in self.k.points])
             d2 = ((y6[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
             best = np.argmin(d2, axis=1)
             delta = y6 - pts[best]
@@ -195,7 +173,7 @@ class DistanceObjective:
             nz = dist > 0
             dirs[nz] = delta[nz] / dist[nz, None]
         else:
-            near = np.stack([_to6(nearest_point(self.k, _from6(v))) for v in y6])
+            near = np.stack([_sym_to_mandel(nearest_point(self.k, _mandel_to_sym(v))) for v in y6])
             delta = y6 - near
             dist = np.linalg.norm(delta, axis=1)
             dirs = np.zeros_like(delta)
@@ -203,7 +181,7 @@ class DistanceObjective:
             dirs[nz] = delta[nz] / dist[nz, None]
         vals = dist**self.p
         gmag = np.where(dist > 0, self.p * dist ** (self.p - 1.0), 0.0)
-        grads = _from6(gmag[:, None] * dirs)
+        grads = _mandel_to_sym(gmag[:, None] * dirs)
         shape = values.shape[:-2]
         return vals.reshape(shape), grads.reshape(shape + (3, 3))
 

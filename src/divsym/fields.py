@@ -216,11 +216,6 @@ class TrigVecField(_ModeField):
 # operations
 
 
-def eval_field(f, x, order=(0, 0, 0)):
-    """Evaluate ``f`` (or the partial derivative ``order``, total order <= 3) at ``x``."""
-    return f(x, order)
-
-
 def divergence(f: TrigSymField) -> TrigVecField:
     """Row-wise divergence, computed mode-by-mode: ``i (2pi/L) M(xi) xi``."""
     k = TWO_PI / f.period
@@ -278,18 +273,32 @@ def curl_curl_T(v: TrigSymField) -> TrigSymField:
     return TrigSymField(out, period=v.period)
 
 
+_SQRT2 = np.sqrt(2.0)
+
+
 def _sym_to_mandel(m):
-    s = np.sqrt(2.0)
-    return np.array([m[0, 0], m[1, 1], m[2, 2], s * m[1, 2], s * m[0, 2], s * m[0, 1]])
+    """Isometric 6-vectors [11, 22, 33, r 23, r 13, r 12], r = sqrt 2, of symmetric matrices.
+
+    The component axis comes last; the ``.T`` reverses the order of the
+    leading batch axes when there is more than one.
+    """
+    m = np.asarray(m)
+    return np.array([m[..., 0, 0], m[..., 1, 1], m[..., 2, 2],
+                     _SQRT2 * m[..., 1, 2], _SQRT2 * m[..., 0, 2], _SQRT2 * m[..., 0, 1]]).T
 
 
 def _mandel_to_sym(v):
-    s = 1.0 / np.sqrt(2.0)
-    return np.array([
-        [v[0], s * v[5], s * v[4]],
-        [s * v[5], v[1], s * v[3]],
-        [s * v[4], s * v[3], v[2]],
-    ])
+    """Inverse of ``_sym_to_mandel`` over the last axis."""
+    v = np.asarray(v)
+    s = 1.0 / _SQRT2
+    out = np.empty(v.shape[:-1] + (3, 3), dtype=np.result_type(v, float))
+    out[..., 0, 0] = v[..., 0]
+    out[..., 1, 1] = v[..., 1]
+    out[..., 2, 2] = v[..., 2]
+    out[..., 1, 2] = out[..., 2, 1] = s * v[..., 3]
+    out[..., 0, 2] = out[..., 2, 0] = s * v[..., 4]
+    out[..., 0, 1] = out[..., 1, 0] = s * v[..., 5]
+    return out
 
 
 def curl_curl_symbol_matrix(xi, period=1.0):

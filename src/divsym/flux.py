@@ -68,15 +68,21 @@ def rule_for_degree(degree: int) -> QuadratureRule:
 
 def normal(x_i, x_j, x_k, tol=DEGENERACY_TOL):
     """Area-weighted normal ``0.5 (x_i - x_j) x (x_k - x_j)``; zero if degenerate."""
-    x_i, x_j, x_k = (np.asarray(v, dtype=float) for v in (x_i, x_j, x_k))
-    nu = 0.5 * np.cross(x_i - x_j, x_k - x_j)
-    edges = max(
-        np.linalg.norm(x_i - x_j),
-        np.linalg.norm(x_k - x_j),
-        np.linalg.norm(x_i - x_k),
-    )
-    if np.linalg.norm(nu) < tol * edges**2:
-        return np.zeros(3)
+    verts = np.stack([np.asarray(v, dtype=float) for v in (x_i, x_j, x_k)])
+    return _normals(verts[None], tol)[0]
+
+
+def _normals(tri_verts, tol=DEGENERACY_TOL):
+    """Area-weighted normals of (nt, 3, 3) triangles; zero rows where degenerate."""
+    e_ij = tri_verts[:, 0] - tri_verts[:, 1]
+    e_kj = tri_verts[:, 2] - tri_verts[:, 1]
+    nu = 0.5 * np.cross(e_ij, e_kj)
+    edges = np.stack([
+        np.linalg.norm(e_ij, axis=1),
+        np.linalg.norm(e_kj, axis=1),
+        np.linalg.norm(tri_verts[:, 0] - tri_verts[:, 2], axis=1),
+    ]).max(axis=0)
+    nu[np.linalg.norm(nu, axis=1) < tol * edges**2] = 0.0
     return nu
 
 
@@ -102,15 +108,28 @@ def triangle_moments(w: TrigSymField, x_i, x_j, x_k, rule: QuadratureRule) -> Tr
     frame first, and must evaluate ``A`` in the same frame.
     """
     verts = np.stack([np.asarray(v, dtype=float) for v in (x_i, x_j, x_k)])
-    nu = normal(*verts)
-    if not nu.any():
-        return TriangleMoments(vertices=verts, nu=np.zeros(3), B=np.zeros(3), G=np.zeros((3, 3)))
-    pts = rule.points @ verts
-    vals = w.eval_many(pts)                      # (q, 3, 3)
-    flux = np.einsum("qab,b->qa", vals, nu)      # rows dotted with nu
-    b = rule.weights @ flux
-    g = np.einsum("q,qb,qa->ab", rule.weights, pts, flux)
-    return TriangleMoments(vertices=verts, nu=nu, B=b, G=g)
+    b, g = _batched_moments(w, verts[None], rule)
+    return TriangleMoments(vertices=verts, nu=_normals(verts[None])[0], B=b[0], G=g[0])
+
+
+def _batched_moments(w, tri_verts, rule):
+    """Flux vectors (nt, 3) and first moments (nt, 3, 3) of (nt, 3, 3) triangles."""
+    nt = tri_verts.shape[0]
+    if nt == 0:
+        return np.zeros((0, 3)), np.zeros((0, 3, 3))
+    nu = _normals(tri_verts)
+    q = len(rule.weights)
+    pts = np.einsum("qk,tkd->tqd", rule.points, tri_verts).reshape(nt * q, 3)
+    nmodes = max(1, len(w.coeffs))
+    chunk = max(1, int(4.0e6 / nmodes))
+    vals = np.empty((nt * q, 3, 3))
+    for start in range(0, nt * q, chunk):
+        vals[start:start + chunk] = w.eval_many(pts[start:start + chunk])
+    vals = vals.reshape(nt, q, 3, 3)
+    flux = np.einsum("tqab,tb->tqa", vals, nu)
+    tri_b = np.einsum("q,tqa->ta", rule.weights, flux)
+    tri_g = np.einsum("q,tqb,tqa->tab", rule.weights, pts.reshape(nt, q, 3), flux)
+    return tri_b, tri_g
 
 
 def eval_A(m: TriangleMoments, y, alpha: int, beta: int) -> float:

@@ -65,6 +65,12 @@ class OpenSetMask:
     def is_full(self):
         return bool(self.mask.all())
 
+    def contains(self, x):
+        """Whether the flagged cells hold the point ``x`` (taken modulo the period)."""
+        h = self.h
+        idx = tuple(int(np.floor((float(v) % self.period) / h)) % self.n for v in np.asarray(x).ravel())
+        return bool(self.mask[idx])
+
 
 def dyadic_radii(n, period=1.0):
     """The default radius family {h, 2h, 4h, ...} capped at period/2."""

@@ -87,14 +87,9 @@ class PotentialTruncation:
     def period(self):
         return self.v.period
 
-    def in_bad_set(self, x):
-        h = self.period / self.n
-        idx = tuple(int(np.floor((float(q) % self.period) / h)) % self.n for q in np.asarray(x).ravel())
-        return bool(self.bad.mask[idx])
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if self.cover is None or not self.in_bad_set(x):
+        if self.cover is None or not self.bad.contains(x):
             return self.v(x)
         acc = np.zeros((3, 3))
         for j in self.cover.cubes_at(x):
@@ -196,7 +191,7 @@ class PotentialFieldTruncation:
         """Pointwise evaluation (reference path; patch curl via finite cubes)."""
         vt = self.vtrunc
         x = np.asarray(x, dtype=float)
-        if vt.cover is None or not vt.in_bad_set(x):
+        if vt.cover is None or not vt.bad.contains(x):
             return self.u(x)
         m = 2 * vt.n
         idx, mask_m, vals = self.sample_bad(m)

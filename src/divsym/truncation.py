@@ -11,12 +11,13 @@ partition-weighted sum of the local flux reconstructions on them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from math import comb
 
 import numpy as np
 
 from . import _kernels
 from .fields import TWO_PI, PreconditionError, TrigSymField, assert_div_free
-from .flux import permutation_sign, rule_for_degree, triangle_moments
+from .flux import _batched_moments, rule_for_degree
 from .maximal import OpenSetMask, ScalarGrid, bad_set, maximal_function, sample_abs
 from .whitney import SUPPORT_MARGIN, build_partition, pou_eval, whitney_decompose
 
@@ -24,12 +25,7 @@ LAMBDA_EFF_FACTOR = 1.25
 BAD_MARGIN = 1e-9  # relative threshold slack: borderline cells count as bad
 
 SYM6 = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
-CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 _COMP6 = {(0, 0): 0, (1, 1): 1, (2, 2): 2, (1, 2): 3, (2, 1): 3, (0, 2): 4, (2, 0): 4, (0, 1): 5, (1, 0): 5}
-
-_FIRST = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-_SECOND = {(0, 0): (2, 0, 0), (1, 1): (0, 2, 0), (2, 2): (0, 0, 2),
-           (1, 2): (0, 1, 1), (0, 2): (1, 0, 1), (0, 1): (1, 1, 0)}
 
 
 def sym6_to_mat(v):
@@ -83,33 +79,11 @@ class TruncationContext:
     tri_verts: np.ndarray    # (nt, 3, 3) centers unwrapped into a per-triple frame
     tri_B: np.ndarray        # (nt, 3)
     tri_G: np.ndarray        # (nt, 3, 3)
-    moment_index: dict
     _caches: dict = dfield(default_factory=dict)
 
     @property
     def period(self):
         return self.w.period
-
-    def in_bad_set(self, x):
-        h = self.period / self.n
-        idx = tuple(int(np.floor((float(v) % self.period) / h)) % self.n for v in np.asarray(x).ravel())
-        return bool(self.bad.mask[idx])
-
-    def moment(self, i, j, k):
-        """Signed (B, row) data for the ordered triple; None when it vanishes."""
-        if i == j or j == k or i == k:
-            return None
-        key = tuple(sorted((i, j, k)))
-        row = self.moment_index.get(key)
-        if row is None:
-            raise KeyError(f"triple {key} missing from the moment cache")
-        return row, permutation_sign((i, j, k))
-
-    def frame_point(self, row, y):
-        """Unwrap ``y`` into the frame of cached triangle ``row``."""
-        anchor = self.tri_verts[row, 0]
-        p = self.period
-        return anchor + ((np.asarray(y, dtype=float) - anchor + p / 2) % p - p / 2)
 
 
 def lambda_for_fraction(w, n, fraction):
@@ -137,7 +111,6 @@ def build_context(w: TrigSymField, lam: float, n: int, degree: int = 10) -> Trun
             cover=None, pou=None, rule=rule,
             triples=np.zeros((0, 3), dtype=np.int32),
             tri_verts=np.zeros((0, 3, 3)), tri_B=np.zeros((0, 3)), tri_G=np.zeros((0, 3, 3)),
-            moment_index={},
         )
 
     cover = whitney_decompose(mask)
@@ -161,103 +134,55 @@ def build_context(w: TrigSymField, lam: float, n: int, degree: int = 10) -> Trun
         for v in (1, 2):
             tri_verts[:, v] = anchors + cover.wrap(cover.centers[triples[:, v]] - anchors)
     tri_B, tri_G = _batched_moments(w, tri_verts, rule)
-    moment_index = {tuple(int(v) for v in t): r for r, t in enumerate(triples)}
 
     return TruncationContext(
         w=w, lam=lam, lam_eff=lam_eff, n=n, abs_grid=g, maximal_grid=m, bad=mask,
         cover=cover, pou=pou, rule=rule, triples=triples, tri_verts=tri_verts,
-        tri_B=tri_B, tri_G=tri_G, moment_index=moment_index,
+        tri_B=tri_B, tri_G=tri_G,
     )
 
 
-def _batched_moments(w, tri_verts, rule):
-    """Flux vectors and first moments for all cached triangles at once."""
-    nt = tri_verts.shape[0]
-    tri_b = np.zeros((nt, 3))
-    tri_g = np.zeros((nt, 3, 3))
-    if nt == 0:
-        return tri_b, tri_g
-    nu = 0.5 * np.cross(tri_verts[:, 0] - tri_verts[:, 1], tri_verts[:, 2] - tri_verts[:, 1])
-    edges = np.stack([
-        np.linalg.norm(tri_verts[:, 0] - tri_verts[:, 1], axis=1),
-        np.linalg.norm(tri_verts[:, 2] - tri_verts[:, 1], axis=1),
-        np.linalg.norm(tri_verts[:, 0] - tri_verts[:, 2], axis=1),
-    ]).max(axis=0)
-    degenerate = np.linalg.norm(nu, axis=1) < 1e-12 * edges**2
-    nu[degenerate] = 0.0
-
-    q = len(rule.weights)
-    pts = np.einsum("qk,tkd->tqd", rule.points, tri_verts).reshape(nt * q, 3)
-    nmodes = max(1, len(w.coeffs))
-    chunk = max(1, int(4.0e6 / nmodes))
-    vals = np.empty((nt * q, 3, 3))
-    for start in range(0, nt * q, chunk):
-        vals[start:start + chunk] = w.eval_many(pts[start:start + chunk])
-    vals = vals.reshape(nt, q, 3, 3)
-    flux = np.einsum("tqab,tb->tqa", vals, nu)
-    tri_b = np.einsum("q,tqa->ta", rule.weights, flux)
-    tri_g = np.einsum("q,tqb,tqa->tab", rule.weights, pts.reshape(nt, q, 3), flux)
-    return tri_b, tri_g
-
-
 # ---------------------------------------------------------------------------
-# pointwise reference evaluation
+# pointwise evaluation (the kernels' formula at one point)
 
 
-def _phi_packs(ctx, y):
-    """Value, gradient and Hessian of each active phi at ``y`` via pou_eval.
+def _active(ctx, y):
+    """Active cubes at ``y`` and the cached triples among them.
 
     Active cubes hold ``y`` more than ``SUPPORT_MARGIN`` inside their
-    support, as ``neighbor_pairs`` demands, so all their triples are cached.
+    support, as ``neighbor_pairs`` demands, so they pairwise intersect and
+    every triple of them must be cached.  Returns ``(active, off, rows, yf)``:
+    sorted cube indices, ``wrap(y - center)`` per active cube, the rows of
+    ``ctx.triples`` with all three cubes active, and ``y`` unwrapped into
+    each row's frame.
     """
     cover = ctx.cover
-    active = [c for c in cover.cubes_at(y)
-              if (np.abs(cover.wrap(y - cover.centers[c])) < cover.sides[c] / 2.0 - SUPPORT_MARGIN).all()]
-    packs = {}
-    for c in active:
-        val = pou_eval(ctx.pou, c, y)
-        d1 = np.array([pou_eval(ctx.pou, c, y, o) for o in _FIRST])
-        d2 = np.zeros((3, 3))
-        for (a, b), o in _SECOND.items():
-            d2[a, b] = pou_eval(ctx.pou, c, y, o)
-            d2[b, a] = d2[a, b]
-        packs[c] = (val, d1, d2)
-    return active, packs
+    cand = np.asarray(cover.cubes_at(y), dtype=np.int64)
+    off = cover.wrap(y - cover.centers[cand])
+    keep = (np.abs(off) < cover.sides[cand, None] / 2.0 - SUPPORT_MARGIN).all(axis=1)
+    active = cand[keep]
+    rows = np.flatnonzero(np.isin(ctx.triples, active).all(axis=1))
+    if len(rows) != comb(len(active), 3):
+        raise KeyError(f"{comb(len(active), 3) - len(rows)} triples of cubes {active.tolist()} "
+                       "missing from the moment cache")
+    anchor = ctx.tri_verts[rows, 0]
+    return active, off[keep], rows, anchor + cover.wrap(y - anchor)
 
 
-def _accumulate_local(ctx, k, y, packs, active, weight=1.0):
-    """Contribution phi-weighted local field of cube k at y (packed sym6)."""
-    out = np.zeros(6)
-    for i in active:
-        for j in active:
-            mom = ctx.moment(i, j, k)
-            if mom is None:
-                continue
-            row, sign = mom
-            b = sign * ctx.tri_B[row]
-            yf = ctx.frame_point(row, y)
-            amat = np.zeros((3, 3))
-            for a in range(3):
-                for bb in range(a + 1, 3):
-                    val = sign * (yf[bb] * ctx.tri_B[row, a] - ctx.tri_G[row, a, bb]
-                                  - yf[a] * ctx.tri_B[row, bb] + ctx.tri_G[row, bb, a])
-                    amat[a, bb] = val
-                    amat[bb, a] = -val
-            _, dj, d2j = packs[j]
-            _, di, _ = packs[i]
-            for al, be, ga in CYCLES:
-                nd = 3.0 * (dj[ga] * di[al] * b[al] + dj[be] * di[ga] * b[be])
-                nd += (d2j[be, ga] * di[ga] - d2j[ga, ga] * di[be]) * amat[be, ga]
-                nd += (d2j[al, ga] * di[ga] - d2j[ga, ga] * di[al]) * amat[ga, al]
-                nd += (d2j[al, ga] * di[be] + d2j[be, ga] * di[al]
-                       - 2.0 * d2j[al, be] * di[ga]) * amat[al, be]
-                out[_COMP6[(al, be)]] += weight * nd
+def _point_terms(ctx, y, weight):
+    """``_kernels._local_terms`` at ``y``, summed over the active triples; (6,).
 
-                dd = 6.0 * dj[be] * di[ga] * b[al]
-                dd += 2.0 * (d2j[ga, ga] * di[be] - d2j[be, ga] * di[ga]) * amat[ga, al]
-                dd += 2.0 * (d2j[be, be] * di[ga] - d2j[be, ga] * di[be]) * amat[al, be]
-                out[al] += weight * dd
-    return out
+    ``weight(rows, phi)`` gives the per-vertex weights from the rows and the
+    vertices' phi packs.
+    """
+    cover = ctx.cover
+    active, off, rows, yf = _active(ctx, y)
+    eta = _kernels._eta_packs(off, 0.0, cover.sides[active])
+    packs = _kernels._phi_packs(eta, eta.sum(axis=1, keepdims=True))
+    slot = np.searchsorted(active, ctx.triples[rows])
+    phi = [packs[:, slot[:, v]] for v in range(3)]
+    return active, _kernels._local_terms(phi, weight(rows, phi), ctx.tri_B[rows].T,
+                                         ctx.tri_G[rows], yf.T).sum(axis=1)
 
 
 def local_field(ctx: TruncationContext, k: int, y) -> np.ndarray:
@@ -265,10 +190,11 @@ def local_field(ctx: TruncationContext, k: int, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if ctx.cover is None:
         raise PreconditionError("context has an empty cover")
-    active, packs = _phi_packs(ctx, y)
+    active, acc = _point_terms(
+        ctx, y, lambda rows, phi: [(ctx.triples[rows, v] == k).astype(float) for v in range(3)])
     if k not in active:
         raise PreconditionError(f"point {y} is outside cube {k}")
-    return sym6_to_mat(_accumulate_local(ctx, k, y, packs, active))
+    return sym6_to_mat(acc)
 
 
 class TruncationEvaluator:
@@ -280,12 +206,9 @@ class TruncationEvaluator:
     def __call__(self, x):
         ctx = self.ctx
         x = np.asarray(x, dtype=float)
-        if ctx.cover is None or not ctx.in_bad_set(x):
+        if ctx.cover is None or not ctx.bad.contains(x):
             return ctx.w(x)
-        active, packs = _phi_packs(ctx, x)
-        acc = np.zeros(6)
-        for k in active:
-            acc += _accumulate_local(ctx, k, x, packs, active, weight=packs[k][0])
+        _, acc = _point_terms(ctx, x, lambda rows, phi: [p[0] for p in phi])
         return sym6_to_mat(acc)
 
 
@@ -464,30 +387,21 @@ def summation_vanish_check(ctx: TruncationContext, a, b, c, mode, samples):
     used = skipped = 0
     for y in samples:
         y = np.asarray(y, dtype=float)
-        if not ctx.in_bad_set(y):
+        if not ctx.bad.contains(y):
             skipped += 1
             continue
         used += 1
-        active = ctx.cover.cubes_at(y)
-        da = {l: pou_eval(ctx.pou, l, y, a) for l in active}
-        db = {l: pou_eval(ctx.pou, l, y, b) for l in active}
-        dc = {l: pou_eval(ctx.pou, l, y, c) for l in active}
+        active, _, rows, yf = _active(ctx, y)
+        slot = np.searchsorted(active, ctx.triples[rows])
+        da, db, dc = (np.array([pou_eval(ctx.pou, int(l), y, o) for l in active], dtype=float)
+                      for o in (a, b, c))
+        if mode[0] == "B":
+            val = ctx.tri_B[rows, mode[1]]
+        else:
+            val = _kernels._amat(ctx.tri_B[rows].T, ctx.tri_G[rows], yf.T)[mode[1]][mode[2]]
         total = 0.0
-        for k in active:
-            for j in active:
-                for i in active:
-                    mom = ctx.moment(i, j, k)
-                    if mom is None:
-                        continue
-                    row, sign = mom
-                    if mode[0] == "B":
-                        val = sign * ctx.tri_B[row, mode[1]]
-                    else:
-                        al, be = mode[1], mode[2]
-                        yf = ctx.frame_point(row, y)
-                        val = sign * (yf[be] * ctx.tri_B[row, al] - ctx.tri_G[row, al, be]
-                                      - yf[al] * ctx.tri_B[row, be] + ctx.tri_G[row, be, al])
-                    total += da[k] * db[j] * dc[i] * val
+        for pi, pj, pk, sg in _kernels._PERMS:
+            total += sg * float((da[slot[:, pk]] * db[slot[:, pj]] * dc[slot[:, pi]] * val).sum())
         worst = max(worst, abs(total))
     return {"max_abs": worst, "used": used, "skipped": skipped}
 

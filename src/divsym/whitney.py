@@ -192,7 +192,7 @@ def _block_min(arr, s):
 
 
 def whitney_decompose(mask: OpenSetMask) -> WhitneyCover:
-    """Maximal admissible dyadic blocks of the flagged set, dilated by 9/8.
+    """Maximal admissible dyadic blocks of the flagged set, dilated by ``DILATION``.
 
     Admissible means fully flagged with side <= center distance to the
     complement; maximality is failure of the parent block.  The selected
@@ -339,8 +339,3 @@ def pou_eval(pou: PartitionOfUnity, j: int, x, order=(0, 0, 0)) -> float:
             acc -= _mi_binom(beta, gamma) * phi[gamma] * s[diff]
         phi[beta] = acc / s[(0, 0, 0)]
     return phi[order]
-
-
-def cubes_at(cover: WhitneyCover, x):
-    """Cube indices whose open cube contains ``x`` (at most the overlap bound)."""
-    return cover.cubes_at(x)

@@ -47,7 +47,7 @@ class TestDistP:
         # plus a dense random-combination sample as an upper-bound sanity check
         import itertools
 
-        from divsym.envelope import _to6
+        from divsym.fields import _sym_to_mandel
 
         rng = np.random.default_rng(0)
         verts = [rand_sym(rng) for _ in range(5)]
@@ -55,8 +55,8 @@ class TestDistP:
         xi = rand_sym(rng, 2.0)
         got = dist_p(k, xi, 1)
 
-        v6 = np.stack([_to6(v) for v in verts])
-        y6 = _to6(xi)
+        v6 = np.stack([_sym_to_mandel(v) for v in verts])
+        y6 = _sym_to_mandel(xi)
         oracle = np.inf
         for r in range(1, 6):
             for sub in itertools.combinations(range(5), r):

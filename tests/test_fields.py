@@ -11,7 +11,6 @@ from divsym.fields import (
     curl_curl_symbol_matrix,
     div_symbol_matrix,
     divergence,
-    eval_field,
     field_from_dict,
     field_to_dict,
     potential_inverse,
@@ -35,20 +34,20 @@ def mean_zero(f):
 class TestEval:
     def test_zero_field(self):
         f = TrigSymField({})
-        assert np.array_equal(eval_field(f, [0.3, 0.1, 0.9]), np.zeros((3, 3)))
+        assert np.array_equal(f([0.3, 0.1, 0.9]), np.zeros((3, 3)))
 
     def test_single_mode_pair_at_origin(self):
         # coeff diag(1,0,0)/2 at +-e1 sums to diag(1,0,0) at x = 0
         f = single_mode_field()
-        np.testing.assert_allclose(eval_field(f, [0, 0, 0]), np.diag([1.0, 0, 0]), atol=1e-14)
+        np.testing.assert_allclose(f([0, 0, 0]), np.diag([1.0, 0, 0]), atol=1e-14)
 
     def test_derivative_of_cosine_at_origin(self):
         f = single_mode_field()
-        np.testing.assert_allclose(eval_field(f, [0, 0, 0], (1, 0, 0)), np.zeros((3, 3)), atol=1e-12)
+        np.testing.assert_allclose(f([0, 0, 0], (1, 0, 0)), np.zeros((3, 3)), atol=1e-12)
 
     def test_order_cap(self):
         with pytest.raises(UnsupportedOrderError):
-            eval_field(single_mode_field(), [0, 0, 0], (2, 1, 1))
+            single_mode_field()([0, 0, 0], (2, 1, 1))
 
     def test_finite_difference_consistency(self):
         # central differences at h=1e-4 agree with analytic derivatives to 1e-5

@@ -22,9 +22,15 @@ RTOL = 1e-12
 # forms its own.  The triple kernel shares the chunking and keeps the default.
 SMALL_CHUNK = 50
 
-# seed, n, m / n, bad fraction; the loop reference costs about 0.3 ms per pair,
-# so a few examples already take seconds
-CASES = st.tuples(st.integers(0, 30), st.sampled_from([16, 20]), st.sampled_from([1, 2]),
+# Smallest largest reference component a comparison must see.  At m = n
+# every evaluation point is a mask-cell centre, where every phi derivative
+# vanishes: both sides read 0 (or 1e-93) and the comparison checks nothing.
+MIN_SCALE = 1e-6
+
+# seed, n, m / n, bad fraction; m / n is even so that no evaluation point is
+# a mask-cell centre.  The loop reference costs about 0.3 ms per pair, so a
+# few examples at m = 2n already take seconds and m = 4n about a minute each.
+CASES = st.tuples(st.integers(0, 30), st.sampled_from([16, 20]), st.just(2),
                   st.floats(0.01, 0.05))
 
 
@@ -35,6 +41,7 @@ def div_free(seed):
 
 
 def assert_close(got, ref):
+    assert np.abs(ref).max() > MIN_SCALE
     np.testing.assert_allclose(got, ref, rtol=0, atol=RTOL * np.abs(ref).max())
 
 

@@ -123,6 +123,16 @@ class TestBadSet:
             oracle = delta.max(axis=1).min() * h
             assert abs(got.distance[tuple(cell)] - oracle) < 1e-12
 
+    def test_contains_wraps_points(self):
+        n = 12
+        vals = np.random.default_rng(3).random((n, n, n))
+        mask = bad_set(ScalarGrid(n=n, period=2.0, values=vals), 0.5)
+        h = 2.0 / n
+        for cell in np.random.default_rng(4).integers(0, n, size=(30, 3)):
+            shift = np.random.default_rng(int(cell.sum())).integers(-2, 3, size=3) * 2.0
+            x = (cell + 0.5) * h + shift
+            assert mask.contains(x) == bool(mask.mask[tuple(cell)])
+
 
 class TestZhang:
     def test_empty_superlevels(self):

@@ -1,0 +1,81 @@
+"""The kernel-routed pointwise evaluator and local fields against the pou_eval reference."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from _reference_pointwise import PointwiseReference
+from divsym.fields import TrigSymField, project_div_free, random_field
+from divsym.truncation import build_context, lambda_for_fraction, local_field, truncate
+from divsym.whitney import SUPPORT_MARGIN, pou_eval
+
+# Agreement bound, relative to max(1, largest reference component): the
+# kernel formula takes phi derivatives from the packed quotient instead of
+# the Leibniz recursion and sums the triples in another order.
+RTOL = 1e-10
+
+# seed, n (20 is not dyadic), bad fraction; build_context dominates the cost
+CASES = st.tuples(st.integers(0, 30), st.sampled_from([16, 20]), st.floats(0.01, 0.05))
+
+
+def div_free(seed):
+    f = project_div_free(random_field(seed, 2, 1.0))
+    f.coeffs.pop((0, 0, 0), None)
+    return TrigSymField(f.coeffs)
+
+
+def assert_close(got, ref):
+    np.testing.assert_allclose(got, ref, rtol=0, atol=RTOL * max(1.0, np.abs(ref).max()))
+
+
+def active_cubes(cover, y):
+    return [k for k in cover.cubes_at(y)
+            if (np.abs(cover.wrap(y - cover.centers[k])) < cover.sides[k] / 2.0 - SUPPORT_MARGIN).all()]
+
+
+@settings(max_examples=3, deadline=None)
+@given(CASES, st.integers(0, 2**16))
+def test_evaluator_matches_reference(case, pick):
+    seed, n, fraction = case
+    w = div_free(seed)
+    ctx = build_context(w, lambda_for_fraction(w, n, fraction), n)
+    ev, ref = truncate(ctx), PointwiseReference(ctx)
+    rng = np.random.default_rng(pick)
+    cells = np.argwhere(ctx.bad.mask)
+    chosen = cells[rng.integers(0, len(cells), size=6)]
+    h = ctx.period / n
+    # three random flagged points, then three mask-cell centres (support edges)
+    pts = np.concatenate([(chosen[:3] + rng.random((3, 3))) * h, (chosen[3:] + 0.5) * h])
+    for s, y in enumerate(pts):
+        got = ev(y)
+        assert np.array_equal(got, got.T)
+        assert_close(got, ref(y))
+        active = active_cubes(ctx.cover, y)
+        locals_ = {k: local_field(ctx, k, y) for k in active}
+        assert_close(sum(pou_eval(ctx.pou, k, y) * locals_[k] for k in active), got)
+        if s == 0:
+            for k in active:
+                assert np.array_equal(locals_[k], locals_[k].T)
+                assert_close(locals_[k], ref.local_field(k, y))
+
+
+def test_missing_triple_raises():
+    w = div_free(3)
+    ctx = build_context(w, lambda_for_fraction(w, 16, 0.03), 16)
+    row = len(ctx.triples) // 2
+    verts = ctx.tri_verts[row]
+    half = 0.5 * ctx.cover.sides[ctx.triples[row]][:, None]
+    # axis-parallel boxes that pairwise intersect share a point
+    y = 0.5 * ((verts - half).max(axis=0) + (verts + half).min(axis=0)) % ctx.period
+    k = int(ctx.triples[row, 0])
+    local_field(ctx, k, y)
+    cut = dataclasses.replace(
+        ctx, triples=np.delete(ctx.triples, row, axis=0), tri_verts=np.delete(ctx.tri_verts, row, axis=0),
+        tri_B=np.delete(ctx.tri_B, row, axis=0), tri_G=np.delete(ctx.tri_G, row, axis=0), _caches={})
+    with pytest.raises(KeyError):
+        local_field(cut, k, y)
+    if ctx.bad.contains(y):
+        with pytest.raises(KeyError):
+            truncate(cut)(y)

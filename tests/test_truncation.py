@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from _reference_pointwise import PointwiseReference
 from divsym.fields import PreconditionError, TrigSymField, project_div_free, random_field
-from divsym.flux import eval_A, rule_for_degree, triangle_moments
+from divsym.flux import _batched_moments, eval_A, rule_for_degree, triangle_moments
 from divsym.maximal import ScalarGrid, bad_set
 from divsym.truncation import (
     PlaneWave,
     TruncationContext,
-    _batched_moments,
     battery_psis,
     build_context,
     divergence_battery,
@@ -123,7 +123,7 @@ class TestLocalField:
         ctx = TruncationContext(
             w=w, lam=1.0, lam_eff=1.25, n=n, abs_grid=None, maximal_grid=None, bad=mask,
             cover=cover, pou=pou, rule=rule, triples=triples, tri_verts=tri_verts,
-            tri_B=tri_b, tri_G=tri_g, moment_index={(0, 1, 2): 0},
+            tri_B=tri_b, tri_G=tri_g,
         )
         y = (np.array([5, 4, 4]) + np.array([0.45, 0.52, 0.5])) / n
         active = cover.cubes_at(y)
@@ -182,7 +182,7 @@ class TestTruncate:
         checked = 0
         while checked < 10:
             x = rng.random(3)
-            if ctx.in_bad_set(x):
+            if ctx.bad.contains(x):
                 continue
             assert np.array_equal(ev(x), ctx.w(x))
             checked += 1
@@ -208,23 +208,28 @@ class TestTruncate:
         # cell centres of the mask grid lie exactly on support edges of
         # neighbouring cubes; the evaluator must not look up their triples
         bad_index, mask_m, tvals = sample_bad_truncation(ctx, ctx.n)
-        ev = truncate(ctx)
+        ev, ref = truncate(ctx), PointwiseReference(ctx)
         scale = max(1.0, np.abs(tvals).max())
         for cell in np.argwhere(ctx.bad.mask)[:40]:
+            x = (cell + 0.5) / ctx.n
+            got = ev(x)
             ker = sym6_to_mat(tvals[bad_index[tuple(cell)]])
-            np.testing.assert_allclose(ev((cell + 0.5) / ctx.n), ker, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(got, ker, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(got, ref(x), rtol=0, atol=1e-12 * scale)
 
     def test_kernel_matches_reference(self, ctx):
         m = 2 * ctx.n
         bad_index, mask_m, tvals = sample_bad_truncation(ctx, m)
-        ev = truncate(ctx)
+        ev, ref = truncate(ctx), PointwiseReference(ctx)
         pts = (np.argwhere(mask_m) + 0.5) / m
         rng = np.random.default_rng(8)
         scale = max(1.0, np.abs(tvals).max())
         for s in rng.choice(len(pts), size=6, replace=False):
             cell = tuple((pts[s] * m - 0.5).round().astype(int))
+            got = ev(pts[s])
             ker = sym6_to_mat(tvals[bad_index[cell]])
-            np.testing.assert_allclose(ev(pts[s]), ker, atol=1e-10 * scale)
+            np.testing.assert_allclose(got, ker, atol=1e-10 * scale)
+            np.testing.assert_allclose(got, ref(pts[s]), atol=1e-10 * scale)
 
     def test_interior_divergence_vanishes(self):
         # pointwise solenoidality inside the bad set, by central differences
@@ -336,7 +341,7 @@ class TestSummationVanish:
 
     def test_A_mode_and_skip_counting(self, ctx):
         samples = [np.array([0.0, 0.0, 0.0]), bad_points(ctx, 1, seed=11)[0]]
-        if ctx.in_bad_set(samples[0]):
+        if ctx.bad.contains(samples[0]):
             samples = samples[1:]
         rep = summation_vanish_check(ctx, (1, 0, 0), (1, 0, 0), (1, 0, 0), ("A", 0, 1), samples)
         assert rep["used"] >= 1

@@ -10,7 +10,6 @@ from divsym.whitney import (
     WhitneyCover,
     bump,
     build_partition,
-    cubes_at,
     pou_eval,
     whitney_decompose,
 )
@@ -208,7 +207,7 @@ class TestPartition:
         rng = np.random.default_rng(17)
         for _ in range(20):
             x = rng.random(3)
-            got = cubes_at(self.cover, x)
+            got = self.cover.cubes_at(x)
             oracle = []
             for j in range(len(self.cover)):
                 d = np.abs(self.cover.wrap(x - self.cover.centers[j]))

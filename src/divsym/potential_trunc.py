@@ -188,7 +188,10 @@ class PotentialFieldTruncation:
         return ScalarGrid(n=m, period=self.period, values=np.sqrt(sq))
 
     def __call__(self, x):
-        """Pointwise evaluation (reference path; patch curl via finite cubes)."""
+        """Pointwise value: the ``sample_bad(2n)`` value of the m = 2n cell holding ``x``.
+
+        Off the flagged cells (and in an unflagged 2n-cell) it is ``u(x)``.
+        """
         vt = self.vtrunc
         x = np.asarray(x, dtype=float)
         if vt.cover is None or not vt.bad.contains(x):

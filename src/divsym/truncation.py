@@ -19,7 +19,7 @@ from . import _kernels
 from .fields import TWO_PI, PreconditionError, TrigSymField, assert_div_free
 from .flux import _batched_moments, rule_for_degree
 from .maximal import OpenSetMask, ScalarGrid, bad_set, maximal_function, sample_abs
-from .whitney import SUPPORT_MARGIN, build_partition, pou_eval, whitney_decompose
+from .whitney import SUPPORT_MARGIN, _upsample, build_partition, pou_eval, whitney_decompose
 
 LAMBDA_EFF_FACTOR = 1.25
 BAD_MARGIN = 1e-9  # relative threshold slack: borderline cells count as bad
@@ -115,16 +115,7 @@ def build_context(w: TrigSymField, lam: float, n: int, degree: int = 10) -> Trun
 
     cover = whitney_decompose(mask)
     pou = build_partition(cover)
-    adj = cover.neighbor_pairs()
-    triples = []
-    for i in range(len(cover)):
-        for j in sorted(adj[i]):
-            if j <= i:
-                continue
-            for k in sorted(adj[i] & adj[j]):
-                if k > j:
-                    triples.append((i, j, k))
-    triples = np.array(triples, dtype=np.int32).reshape(-1, 3)
+    triples = cover.triples()
 
     nt = len(triples)
     tri_verts = np.zeros((nt, 3, 3))
@@ -150,8 +141,9 @@ def _active(ctx, y):
     """Active cubes at ``y`` and the cached triples among them.
 
     Active cubes hold ``y`` more than ``SUPPORT_MARGIN`` inside their
-    support, as ``neighbor_pairs`` demands, so they pairwise intersect and
-    every triple of them must be cached.  Returns ``(active, off, rows, yf)``:
+    support, the margin by which ``WhitneyCover.neighbor_pairs`` asks
+    supports to overlap, so they pairwise intersect and every triple of
+    them must be a row of ``ctx.triples``.  Returns ``(active, off, rows, yf)``:
     sorted cube indices, ``wrap(y - center)`` per active cube, the rows of
     ``ctx.triples`` with all three cubes active, and ``y`` unwrapped into
     each row's frame.
@@ -230,7 +222,7 @@ def _bad_grid_index(mask, m):
     if m % n != 0:
         raise ValueError("evaluation resolution must be a multiple of the grid")
     r = m // n
-    mask_m = np.repeat(np.repeat(np.repeat(mask, r, 0), r, 1), r, 2)
+    mask_m = _upsample(mask, r)
     idx = np.full(m**3, -1, dtype=np.int32)
     flat = np.flatnonzero(mask_m.ravel())
     idx[flat] = np.arange(len(flat), dtype=np.int32)

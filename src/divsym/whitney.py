@@ -80,13 +80,18 @@ class WhitneyCube:
     side: float          # dilated sidelength (support width)
     level: int           # undilated side = 2^level * h
 
-    @property
-    def tile_half(self):
-        return self.side * BUMP_CORE
 
-    @property
-    def support_half(self):
-        return self.side * BUMP_SUPP
+def _segments(counts):
+    """``(owner, rank)`` of every entry when segment i holds ``counts[i]`` entries in turn."""
+    counts = np.asarray(counts, dtype=np.int64)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    rank = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return owner, rank
+
+
+def _upsample(arr, r):
+    """Each entry of a 3-D array repeated into an r x r x r block."""
+    return np.repeat(np.repeat(np.repeat(arr, r, axis=0), r, axis=1), r, axis=2)
 
 
 @dataclass
@@ -102,30 +107,24 @@ class WhitneyCover:
         self.sides = np.array([c.side for c in self.cubes])
         self.levels = np.array([c.level for c in self.cubes], dtype=np.int64)
         self._build_index()
+        self.pairs = self.neighbor_pairs()
 
     def _build_index(self):
+        """``cell_ids[cell_ptr[c]:cell_ptr[c + 1]]``: the cubes meeting cell c, increasing."""
         n, h = self.n, self.period / self.n
-        pairs = []
-        for j in range(len(self.cubes)):
-            c, half = self.centers[j], self.sides[j] / 2.0
-            ranges = []
-            for d in range(3):
-                lo = int(np.floor((c[d] - half) / h + 1e-12))
-                hi = int(np.ceil((c[d] + half) / h - 1e-12)) - 1
-                ranges.append([i % n for i in range(lo, hi + 1)])
-            for ix in ranges[0]:
-                for iy in ranges[1]:
-                    for iz in ranges[2]:
-                        pairs.append((ix * n * n + iy * n + iz, j))
+        half = self.sides[:, None] / 2.0
+        lo = np.floor((self.centers - half) / h + 1e-12).astype(np.int64)
+        hi = np.ceil((self.centers + half) / h - 1e-12).astype(np.int64) - 1
+        span = hi - lo + 1                                   # cells per axis, (nc, 3)
+        cube, rank = _segments(span.prod(axis=1))
+        plane = span[cube, 1] * span[cube, 2]
+        off = np.stack([rank // plane, rank % plane // span[cube, 2], rank % span[cube, 2]], axis=1)
+        ijk = (lo[cube] + off) % n
+        cells = (ijk[:, 0] * n + ijk[:, 1]) * n + ijk[:, 2]
+        order = np.lexsort((cube, cells))
+        self.cell_ids = cube[order].astype(np.int32)
         self.cell_ptr = np.zeros(n**3 + 1, dtype=np.int64)
-        if pairs:
-            pairs.sort()
-            cells = np.array([p[0] for p in pairs], dtype=np.int64)
-            self.cell_ids = np.array([p[1] for p in pairs], dtype=np.int32)
-            np.add.at(self.cell_ptr, cells + 1, 1)
-            np.cumsum(self.cell_ptr, out=self.cell_ptr)
-        else:
-            self.cell_ids = np.zeros(0, dtype=np.int32)
+        np.cumsum(np.bincount(cells, minlength=n**3), out=self.cell_ptr[1:])
 
     def __len__(self):
         return len(self.cubes)
@@ -152,25 +151,37 @@ class WhitneyCover:
         return sorted(int(j) for j in cand[hit])
 
     def neighbor_pairs(self):
-        """Unordered pairs of cubes with intersecting open supports."""
-        seen = set()
+        """Cubes with intersecting open supports: ``(pairs, 2)`` int64 rows ``i < j``, sorted.
+
+        Cubes sharing a cell of the index intersect when their wrapped center
+        gap is below the half-sum of the sides by more than ``SUPPORT_MARGIN``
+        on every axis.  The cover keeps the result as ``pairs``.
+        """
         nc = len(self.cubes)
-        adj = [set() for _ in range(nc)]
-        for cell in range(len(self.cell_ptr) - 1):
-            ids = self.cell_ids[self.cell_ptr[cell]:self.cell_ptr[cell + 1]]
-            for a in range(len(ids)):
-                for b in range(a + 1, len(ids)):
-                    i, j = int(ids[a]), int(ids[b])
-                    if i > j:
-                        i, j = j, i
-                    if (i, j) in seen:
-                        continue
-                    seen.add((i, j))
-                    gap = np.abs(self.wrap(self.centers[i] - self.centers[j]))
-                    if (gap < (self.sides[i] + self.sides[j]) / 2.0 - SUPPORT_MARGIN).all():
-                        adj[i].add(j)
-                        adj[j].add(i)
-        return adj
+        ptr, ids = self.cell_ptr, self.cell_ids.astype(np.int64)
+        cell_end = np.repeat(ptr[1:], np.diff(ptr))
+        entry, rank = _segments(cell_end - np.arange(len(ids)) - 1)
+        i, j = ids[entry], ids[entry + 1 + rank]          # each entry with the later ones of its cell
+        keys = np.unique((i * nc + j)[i < j])
+        i, j = keys // nc, keys % nc
+        gap = np.abs(self.wrap(self.centers[i] - self.centers[j]))
+        touch = (gap < ((self.sides[i] + self.sides[j]) / 2.0 - SUPPORT_MARGIN)[:, None]).all(axis=1)
+        return np.stack([i[touch], j[touch]], axis=1)
+
+    def triples(self):
+        """Pairwise-intersecting triples: ``(nt, 3)`` int32 rows ``i < j < k``, sorted.
+
+        Pair ``(i, j)`` joins the later rows ``(i, k)`` of ``pairs`` with ``(j, k)`` a pair.
+        """
+        nc = len(self.cubes)
+        first, second = self.pairs[:, 0], self.pairs[:, 1]
+        keys = first * nc + second
+        block_end = np.searchsorted(first, first, side="right")
+        row, rank = _segments(block_end - np.arange(len(first)) - 1)
+        i, j, k = first[row], second[row], second[row + 1 + rank]
+        jk = j * nc + k
+        hit = keys[np.minimum(np.searchsorted(keys, jk), len(keys) - 1)] == jk
+        return np.stack([i[hit], j[hit], k[hit]], axis=1).astype(np.int32)
 
     def to_json(self):
         return [
@@ -196,13 +207,16 @@ def whitney_decompose(mask: OpenSetMask) -> WhitneyCover:
 
     Admissible means fully flagged with side <= center distance to the
     complement; maximality is failure of the parent block.  The selected
-    undilated blocks partition the flagged cells exactly (W1).
+    undilated blocks partition the flagged cells exactly (W1).  Cubes run
+    by level, then block in row-major order; ``stats`` holds W1-W4.
     """
     n, h, period = mask.n, mask.h, mask.period
     if mask.is_empty():
         return WhitneyCover(period=period, n=n, cubes=[], stats={"overlap": 0})
     if mask.is_full():
         raise PreconditionError("bad set covers the whole torus: no complement to measure against")
+    if n < 4:
+        raise PreconditionError(f"grid resolution {n} has no dyadic block level (needs n >= 4)")
 
     levels = [k for k in range(0, n.bit_length()) if n % (1 << k) == 0 and (1 << k) <= n // 4]
     dist_cells = mask.distance / h
@@ -213,64 +227,54 @@ def whitney_decompose(mask: OpenSetMask) -> WhitneyCover:
         dmin = _block_min(dist_cells, s)
         adm[k] = flagged & (s <= dmin + 1e-9)
 
-    cubes = []
+    cubes, dists, ratios = [], [], []
+    paint = np.zeros_like(mask.mask)     # W1: the undilated blocks must repaint the mask exactly
     for k in levels:
         s = 1 << k
         maximal = adm[k].copy()
         if k + 1 in adm:
-            parent = adm[k + 1]
-            up = np.repeat(np.repeat(np.repeat(parent, 2, axis=0), 2, axis=1), 2, axis=2)
-            maximal &= ~up
-        for idx in np.argwhere(maximal):
-            center = (idx + 0.5) * s * h
-            cubes.append(WhitneyCube(center=center, side=DILATION * s * h, level=k))
+            maximal &= ~_upsample(adm[k + 1], 2)
+        paint |= _upsample(maximal, s)
+        # W2: center distance to the complement against the undilated side
+        dists.append(_block_min(mask.distance, s)[maximal])
+        ratios.append(dists[-1] / (s * h))
+        side = DILATION * s * h
+        cubes += [WhitneyCube(center=c, side=side, level=k) for c in (np.argwhere(maximal) + 0.5) * s * h]
 
     cover = WhitneyCover(period=period, n=n, cubes=cubes)
-    cover.stats = _cover_stats(cover, mask)
+    dists, ratios = np.concatenate(dists), np.concatenate(ratios)
+    si, sj = cover.sides[cover.pairs.T]     # W4: side comparability over touching cubes
+    cover.stats = {
+        "w1_exact": bool((paint == mask.mask).all()),
+        "w2_dist": dists.tolist(),
+        "w2_ratio": ratios.tolist(),
+        "w2_ratio_min": float(ratios.min()),
+        "w2_ratio_max": float(ratios.max()),
+        "overlap": _max_overlap(cover),
+        "w4_ratio_max": float(np.max(np.maximum(si, sj) / np.minimum(si, sj), initial=1.0)),
+    }
     return cover
 
 
-def _cover_stats(cover: WhitneyCover, mask: OpenSetMask) -> dict:
-    n, h = mask.n, mask.h
-    # W1: the undilated blocks must repaint the mask exactly
-    paint = np.zeros_like(mask.mask)
-    for c in cover.cubes:
-        s = 1 << c.level
-        base = np.round(c.center / h - 0.5 * s).astype(int)
-        sl = tuple(slice(b, b + s) for b in base)
-        paint[sl] = True
-    w1_exact = bool((paint == mask.mask).all())
+def _max_overlap(cover: WhitneyCover) -> int:
+    """W3: the largest number of open supports holding one point, exactly.
 
-    # W2: center distance to the complement against the undilated side
-    dists, ratios = [], []
-    for c in cover.cubes:
-        s = 1 << c.level
-        base = np.round(c.center / h - 0.5 * s).astype(int)
-        sl = tuple(slice(b, b + s) for b in base)
-        dist = float(mask.distance[sl].min())
-        dists.append(dist)
-        ratios.append(dist / (s * h))
-
-    # W3: overlap count at every cell center
-    overlap = 0
-    for cell in np.argwhere(mask.mask):
-        overlap = max(overlap, len(cover.cubes_at((cell + 0.5) * h)))
-
-    # W4: side comparability over touching cubes
-    w4 = 1.0
-    for i, nbrs in enumerate(cover.neighbor_pairs()):
-        for j in nbrs:
-            w4 = max(w4, cover.sides[i] / cover.sides[j], cover.sides[j] / cover.sides[i])
-
-    return {
-        "w1_exact": w1_exact,
-        "w2_dist": dists,
-        "w2_ratio": ratios,
-        "w2_ratio_min": min(ratios) if ratios else 0.0,
-        "w2_ratio_max": max(ratios) if ratios else 0.0,
-        "overlap": overlap,
-        "w4_ratio_max": w4,
-    }
+    With ``DILATION = 2`` the support endpoints lie on the half-cell lattice
+    (cell centres among them), so the count is constant on each product of
+    open half-cell arcs.
+    """
+    m = 2 * cover.n
+    q = cover.period / m
+    lo = np.rint((cover.centers - cover.sides[:, None] / 2.0) / q).astype(np.int64)
+    width = np.rint(cover.sides / q).astype(np.int64)
+    # inside[d][j, a]: arc (a, a + 1) of axis d lies in cube j's support
+    inside = [(np.arange(m) - lo[:, d, None]) % m < width[:, None] for d in range(3)]
+    best = 0
+    for a in range(m):
+        sel = inside[0][:, a]
+        counts = inside[1][sel].T.astype(np.float64) @ inside[2][sel]
+        best = max(best, int(counts.max()))
+    return best
 
 
 @dataclass

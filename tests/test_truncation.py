@@ -23,6 +23,7 @@ from divsym.truncation import (
     weak_divergence_defect,
 )
 from divsym.whitney import build_partition, pou_eval, whitney_decompose
+from test_topology import triangles
 
 
 def div_free(seed, max_freq=2, amplitude=1.0):
@@ -66,6 +67,7 @@ class TestBuildContext:
         # Float products stay exact: every count is far below 2^53.
         a = _touch_matrix(ctx.cover)
         assert len(ctx.triples) == int(((a @ a) * a).sum()) // 6
+        np.testing.assert_array_equal(ctx.triples, triangles(a.astype(bool)))  # same rows, same order
 
     def test_cached_triples_pairwise_touching(self, ctx):
         rng = np.random.default_rng(0)

@@ -31,6 +31,32 @@ def two_ball_mask(n):
     return bad_set(ScalarGrid(n=n, period=1.0, values=vals), 0.5)
 
 
+def random_mask(n, seed):
+    vals = np.random.default_rng(seed).random((n, n, n))
+    return bad_set(ScalarGrid(n=n, period=1.0, values=vals), 0.75)
+
+
+def max_count_at_random_points(cover, count, seed=0):
+    """Largest number of open cube supports holding one of ``count`` uniform points.
+
+    Per cube, the points in its x-interval (found in the x-sorted points,
+    wrapped across the period) are tested on y and z and counted.
+    """
+    p = cover.period
+    pts = np.random.default_rng(seed).random((count, 3)) * p
+    pts = pts[np.argsort(pts[:, 0])]
+    hits = np.zeros(count, dtype=np.int64)
+    for c, side in zip(cover.centers, cover.sides):
+        lo, hi = c[0] - side / 2.0, c[0] + side / 2.0
+        spans = [(lo, hi)] + [(lo + s, hi + s) for s in (-p, p)]
+        idx = np.concatenate([np.arange(np.searchsorted(pts[:, 0], a, "right"),
+                                        np.searchsorted(pts[:, 0], b, "left")) for a, b in spans])
+        gap = np.abs(pts[idx, 1:] - c[1:])
+        inside = (np.minimum(gap, p - gap) < side / 2.0).all(axis=1)
+        hits[idx[inside]] += 1
+    return int(hits.max())
+
+
 def interior_points(mask, count, seed=0):
     rng = np.random.default_rng(seed)
     cells = np.argwhere(mask.mask)
@@ -92,23 +118,26 @@ class TestDecompose:
                 i = parent[i]
             return i
 
-        for i, nbrs in enumerate(cover.neighbor_pairs()):
-            for j in nbrs:
-                parent[find(i)] = find(j)
+        for i, j in cover.neighbor_pairs():
+            parent[find(i)] = find(j)
         roots = {find(i) for i in range(len(cover))}
         assert len(roots) == 2
 
     def test_overlap_bounded_across_masks(self):
         overlaps = []
         for seed in range(6):
-            rng = np.random.default_rng(seed)
-            vals = rng.random((16, 16, 16))
-            mask = bad_set(ScalarGrid(n=16, period=1.0, values=vals), 0.75)
+            mask = random_mask(16, seed)
             if mask.is_empty() or mask.is_full():
                 continue
             cover = whitney_decompose(mask)
             overlaps.append(cover.stats["overlap"])
         assert max(overlaps) <= 27  # dimensional bound for the dilation in use
+
+    @pytest.mark.parametrize("n, seed", [(16, s) for s in range(6)] + [(20, 0), (24, 0)])
+    def test_overlap_matches_random_points(self, n, seed):
+        # cell centres lie on support boundaries; generic points do not
+        cover = whitney_decompose(random_mask(n, seed))
+        assert cover.stats["overlap"] == max_count_at_random_points(cover, 200_000)
 
     def test_w4_comparability(self):
         mask = ball_mask(64, (0.5, 0.5, 0.5), 0.2)

@@ -14,7 +14,7 @@ from .fields import (
     field_from_dict,
 )
 from .maximal import ScalarGrid, OpenSetMask, sample_abs, maximal_function, bad_set, zhang_bound_check
-from .whitney import WhitneyCube, WhitneyCover, PartitionOfUnity, whitney_decompose, build_partition, pou_eval
+from .whitney import WhitneyCube, WhitneyCover, whitney_decompose
 from .flux import QuadratureRule, TriangleMoments, normal, triangle_moments, eval_A, gauss_green_defect_B, gauss_green_defect_A
 from .truncation import TruncationContext, VerificationReport, build_context, local_field, truncate, weak_divergence_defect, summation_vanish_check, verify
 from .potential_trunc import PolyPatch, averaged_taylor, w_m_inf_truncate, afree_potential_truncate, stability_comparison

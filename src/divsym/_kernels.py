@@ -17,14 +17,17 @@ keeps the working set to a few tens of MB whatever the grid size.
 The local reconstruction formula is ``_local_terms``; the pointwise
 evaluator in ``truncation`` runs it on the packs of a single point.
 
-Pack layout per point: [v, dx, dy, dz, dxx, dyy, dzz, dyz, dxz, dxy].
+The bump and phi derivative packs, layout [v, dx, dy, dz, dxx, dyy, dzz,
+dyz, dxz, dxy], come from ``whitney``, which owns the partition; packed
+symmetric outputs follow ``fields.SYM6``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .whitney import bump
+from .fields import SYM6_SLOT
+from .whitney import _D2, _eta_packs, _phi_packs
 
 # The kernels are plain numpy; the constant stays because benchmark records
 # stamp the kernel backend from it.
@@ -32,14 +35,10 @@ HAVE_NUMBA = False
 
 _CHUNK = 100_000  # pairs per evaluation chunk
 
-# pack slot of the second derivative d^2 / dx_d dx_e
-_D2 = ((4, 9, 8), (9, 5, 7), (8, 7, 6))
-
 # (i, j, k, sign) of the six permutations, and the cycles (alpha, beta, gamma)
 _PERMS = ((0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
           (1, 0, 2, -1.0), (0, 2, 1, -1.0), (2, 1, 0, -1.0))
 _CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-_OFFDIAG = {(0, 1): 5, (1, 2): 3, (2, 0): 4, (0, 2): 4}  # slot in [11, 22, 33, 23, 13, 12]
 
 
 def _grid_box(lo, hi, hm):
@@ -73,33 +72,6 @@ def _flagged_pairs(ilo, ihi, m, hm, bad_index):
         x = (np.stack([i0[keep], i1[keep], i2[keep]], axis=1) + 0.5) * hm
         yield box[keep], x, p[keep]
         start = stop
-
-
-def _eta_packs(x, center, side):
-    """Bump derivative packs of the cubes (center, side) at x, one column per pair."""
-    t = (x - center) / side[:, None]
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = [
-        [bump(t[:, d], k) for k in range(3)] for d in range(3)]
-    s2 = side * side
-    return np.stack([
-        a0 * b0 * c0,
-        a1 * b0 * c0 / side, a0 * b1 * c0 / side, a0 * b0 * c1 / side,
-        a2 * b0 * c0 / s2, a0 * b2 * c0 / s2, a0 * b0 * c2 / s2,
-        a0 * b1 * c1 / s2, a1 * b0 * c1 / s2, a1 * b1 * c0 / s2,
-    ])
-
-
-def _phi_packs(eta, spk):
-    """Quotient derivatives of phi = eta / S up to second order (packs as rows)."""
-    s0 = spk[0]
-    out = np.empty_like(eta)
-    v = out[0] = eta[0] / s0
-    for d in range(3):
-        out[1 + d] = (eta[1 + d] - v * spk[1 + d]) / s0
-    for d, e in ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1)):
-        q = _D2[d][e]
-        out[q] = (eta[q] - out[1 + d] * spk[1 + e] - out[1 + e] * spk[1 + d] - v * spk[q]) / s0
-    return out
 
 
 def _cube_boxes(centers, sides, hm):
@@ -172,15 +144,15 @@ def _local_terms(phi, weight, b, g, y):
         for al, be, ga in _CYCLES:
             a_bega, a_gaal, a_albe = amat[be][ga], amat[ga][al], amat[al][be]
             nd = 3.0 * (dj[1 + ga] * di[1 + al] * b[al] + dj[1 + be] * di[1 + ga] * b[be])
-            nd += (dj[_D2[be][ga]] * di[1 + ga] - dj[_D2[ga][ga]] * di[1 + be]) * a_bega
-            nd += (dj[_D2[al][ga]] * di[1 + ga] - dj[_D2[ga][ga]] * di[1 + al]) * a_gaal
-            nd += (dj[_D2[al][ga]] * di[1 + be] + dj[_D2[be][ga]] * di[1 + al]
-                   - 2.0 * dj[_D2[al][be]] * di[1 + ga]) * a_albe
-            acc[_OFFDIAG[al, be]] += phik * nd
+            nd += (dj[_D2[be, ga]] * di[1 + ga] - dj[_D2[ga, ga]] * di[1 + be]) * a_bega
+            nd += (dj[_D2[al, ga]] * di[1 + ga] - dj[_D2[ga, ga]] * di[1 + al]) * a_gaal
+            nd += (dj[_D2[al, ga]] * di[1 + be] + dj[_D2[be, ga]] * di[1 + al]
+                   - 2.0 * dj[_D2[al, be]] * di[1 + ga]) * a_albe
+            acc[SYM6_SLOT[al, be]] += phik * nd
 
             dd = 6.0 * dj[1 + be] * di[1 + ga] * b[al]
-            dd += 2.0 * (dj[_D2[ga][ga]] * di[1 + be] - dj[_D2[be][ga]] * di[1 + ga]) * a_gaal
-            dd += 2.0 * (dj[_D2[be][be]] * di[1 + ga] - dj[_D2[be][ga]] * di[1 + be]) * a_albe
+            dd += 2.0 * (dj[_D2[ga, ga]] * di[1 + be] - dj[_D2[be, ga]] * di[1 + ga]) * a_gaal
+            dd += 2.0 * (dj[_D2[be, be]] * di[1 + ga] - dj[_D2[be, ga]] * di[1 + be]) * a_albe
             acc[al] += phik * dd
     return acc
 
@@ -206,7 +178,7 @@ def accumulate_patch_curl(centers, sides, patch_c0, patch_grad, m, period, bad_i
         def hess(a, b, pp, qq):
             """Second derivative d_pp d_qq of phi * (patch entry a, b)."""
             pp, qq = min(pp, qq), max(pp, qq)
-            return (phi[_D2[pp][qq]] * pv[:, a, b] + phi[1 + pp] * grad[:, a, b, qq]
+            return (phi[_D2[pp, qq]] * pv[:, a, b] + phi[1 + pp] * grad[:, a, b, qq]
                     + phi[1 + qq] * grad[:, a, b, pp])
 
         acc = np.empty((6, len(p)))
@@ -215,5 +187,5 @@ def accumulate_patch_curl(centers, sides, patch_c0, patch_grad, m, period, bad_i
             for sc in range(r, 3):
                 cc, dd = comp[sc]
                 val = hess(b, dd, a, cc) + hess(a, cc, b, dd) - hess(b, cc, a, dd) - hess(a, dd, b, cc)
-                acc[r if r == sc else _OFFDIAG[r, sc]] = val
+                acc[SYM6_SLOT[r, sc]] = val
         np.add.at(out, p, acc.T)

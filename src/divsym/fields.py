@@ -17,6 +17,13 @@ TWO_PI = 2.0 * np.pi
 # order of the 6 independent entries of a symmetric matrix (row-major upper triangle)
 UPPER_TRI = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
 
+# packed order [11, 22, 33, 23, 13, 12] of the computed symmetric fields, and
+# SYM6_SLOT[a, b]: the packed slot of entry (a, b)
+SYM6 = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
+SYM6_SLOT = np.zeros((3, 3), dtype=np.int64)
+_r, _c = np.array(SYM6).T
+SYM6_SLOT[_r, _c] = SYM6_SLOT[_c, _r] = np.arange(6)
+
 
 class UnsupportedOrderError(ValueError):
     """Derivative order outside the supported range (total order <= 3)."""
@@ -186,6 +193,14 @@ def _cell_centers(n, period):
     ax = (np.arange(n) + 0.5) * (period / n)
     g = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
     return g
+
+
+def _sym6_sq(v):
+    """Squared Frobenius norms of symmetric matrices packed in ``SYM6`` order on the last axis."""
+    sq = 0.0
+    for q, (a, b) in enumerate(SYM6):
+        sq = sq + (1.0 if a == b else 2.0) * v[..., q] ** 2
+    return sq
 
 
 class TrigSymField(_ModeField):

@@ -156,15 +156,3 @@ def gauss_green_defect_A(w: TrigSymField, x_i, x_j, x_k, x_l, y, alpha: int, bet
     """Same four-term combination for the moment function evaluated at ``y``."""
     assert_div_free(w, what="gauss_green_defect_A input")
     return float(_tetra_defect(w, x_i, x_j, x_k, x_l, rule, lambda m: eval_A(m, y, alpha, beta)))
-
-
-def permutation_sign(perm):
-    """Parity sign of a sequence of distinct items relative to sorted order."""
-    items = list(perm)
-    sign = 1
-    for a in range(len(items)):
-        m = min(range(a, len(items)), key=lambda i: items[i])
-        if m != a:
-            items[a], items[m] = items[m], items[a]
-            sign = -sign
-    return sign

@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .fields import (PreconditionError, TrigSymField, assert_div_free,
-                     potential_inverse)
+from .fields import SYM6, PreconditionError, TrigSymField, assert_div_free, potential_inverse
 from .maximal import OpenSetMask, ScalarGrid, bad_set, maximal_function
-from .truncation import SYM6, LAMBDA_EFF_FACTOR, _bad_grid_index, build_context, sym6_to_mat
-from .whitney import WhitneyCube, build_partition, pou_eval, whitney_decompose
+from .truncation import _bad_grid_index, _spliced_norm, build_context, sym6_to_mat
+from .whitney import WhitneyCube, _phi_at, whitney_decompose
 
 _GAUSS4 = np.polynomial.legendre.leggauss(4)
 
@@ -79,8 +78,7 @@ class PotentialTruncation:
     n: int
     level_grid: ScalarGrid   # sum of the three maximal functions
     bad: OpenSetMask
-    cover: object
-    pou: object
+    cover: object            # WhitneyCover or None; phi is whitney._phi_at
     patches: list
 
     @property
@@ -91,29 +89,31 @@ class PotentialTruncation:
         x = np.asarray(x, dtype=float)
         if self.cover is None or not self.bad.contains(x):
             return self.v(x)
-        acc = np.zeros((3, 3))
-        for j in self.cover.cubes_at(x):
-            xf = self.cover.centers[j] + self.cover.wrap(x - self.cover.centers[j])
-            acc += pou_eval(self.pou, j, x) * self.patches[j](xf)
-        return acc
+        active, off, packs = _phi_at(self.cover, x)
+        return sum((phi * (self.patches[j].value + self.patches[j].grad @ d)
+                    for j, d, phi in zip(active, off, packs[0])), np.zeros((3, 3)))
 
 
 def _derivative_magnitude_grids(v: TrigSymField, n: int):
-    """Frobenius norms of v, grad v, grad^2 v at the cell centers."""
-    lvl0 = np.zeros((n, n, n))
-    lvl1 = np.zeros((n, n, n))
-    lvl2 = np.zeros((n, n, n))
-    orders1 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    for q, (a, b) in enumerate(SYM6):
-        mult = 1.0 if a == b else 2.0
-        lvl0 += mult * v.grid_components(n, [(a, b)])[..., 0] ** 2
-        for o1 in orders1:
-            lvl1 += mult * v.grid_components(n, [(a, b)], order=o1)[..., 0] ** 2
-        for d in range(3):
-            for e in range(3):
-                o2 = tuple(np.add(orders1[d], orders1[e]))
-                lvl2 += mult * v.grid_components(n, [(a, b)], order=o2)[..., 0] ** 2
-    return np.sqrt(lvl0), np.sqrt(lvl1), np.sqrt(lvl2)
+    """Frobenius norms of v, grad v, grad^2 v at the cell centers.
+
+    One batched transform per distinct derivative multi-index; level l sums
+    over the ordered index tuples (d_1, ..., d_l), so mixed second
+    derivatives count twice.
+    """
+    eye = np.eye(3, dtype=np.int64)
+    levels = [[(0, 0, 0)], [tuple(eye[d]) for d in range(3)],
+              [tuple(eye[d] + eye[e]) for d in range(3) for e in range(3)]]
+    grids = {o: v.grid_components(n, SYM6, order=o) for orders in levels for o in orders}
+    out = []
+    for orders in levels:
+        sq = np.zeros((n, n, n))
+        for q, (a, b) in enumerate(SYM6):
+            mult = 1.0 if a == b else 2.0
+            for o in orders:
+                sq += mult * grids[o][..., q] ** 2
+        out.append(np.sqrt(sq))
+    return tuple(out)
 
 
 def w_m_inf_truncate(v: TrigSymField, lam: float, n: int) -> PotentialTruncation:
@@ -134,12 +134,11 @@ def w_m_inf_truncate(v: TrigSymField, lam: float, n: int) -> PotentialTruncation
         raise PreconditionError("potential bad set covers the whole torus; raise lambda")
     if mask.is_empty():
         return PotentialTruncation(v=v, lam=lam, n=n, level_grid=level, bad=mask,
-                                   cover=None, pou=None, patches=[])
+                                   cover=None, patches=[])
     cover = whitney_decompose(mask)
-    pou = build_partition(cover)
     patches = [averaged_taylor(v, cube) for cube in cover.cubes]
     return PotentialTruncation(v=v, lam=lam, n=n, level_grid=level, bad=mask,
-                               cover=cover, pou=pou, patches=patches)
+                               cover=cover, patches=patches)
 
 
 @dataclass
@@ -177,15 +176,8 @@ class PotentialFieldTruncation:
 
     def grid_norm(self, m: int) -> ScalarGrid:
         _, mask_m, vals = self.sample_bad(m)
-        sq = np.zeros((m, m, m))
-        for q, (a, b) in enumerate(SYM6):
-            comp = self.u.grid_components(m, [(a, b)])[..., 0]
-            mult = 1.0 if a == b else 2.0
-            csq = mult * comp**2
-            if mask_m.any():
-                csq[mask_m] = mult * vals[:, q] ** 2
-            sq += csq
-        return ScalarGrid(n=m, period=self.period, values=np.sqrt(sq))
+        return ScalarGrid(n=m, period=self.period,
+                          values=_spliced_norm(self.u.grid_components(m, SYM6), mask_m, vals))
 
     def __call__(self, x):
         """Pointwise value: the ``sample_bad(2n)`` value of the m = 2n cell holding ``x``.

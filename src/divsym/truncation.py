@@ -16,24 +16,18 @@ from math import comb
 import numpy as np
 
 from . import _kernels
-from .fields import TWO_PI, PreconditionError, TrigSymField, assert_div_free
+from .fields import SYM6, SYM6_SLOT, TWO_PI, PreconditionError, TrigSymField, _sym6_sq, assert_div_free
 from .flux import _batched_moments, rule_for_degree
 from .maximal import OpenSetMask, ScalarGrid, bad_set, maximal_function, sample_abs
-from .whitney import SUPPORT_MARGIN, _upsample, build_partition, pou_eval, whitney_decompose
+from .whitney import _pack_slot, _phi_at, _upsample, whitney_decompose
 
 LAMBDA_EFF_FACTOR = 1.25
 BAD_MARGIN = 1e-9  # relative threshold slack: borderline cells count as bad
 
-SYM6 = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
-_COMP6 = {(0, 0): 0, (1, 1): 1, (2, 2): 2, (1, 2): 3, (2, 1): 3, (0, 2): 4, (2, 0): 4, (0, 1): 5, (1, 0): 5}
-
 
 def sym6_to_mat(v):
-    m = np.empty((3, 3))
-    for q, (a, b) in enumerate(SYM6):
-        m[a, b] = v[q]
-        m[b, a] = v[q]
-    return m
+    """The symmetric 3x3 matrix of a vector packed in ``SYM6`` order."""
+    return np.asarray(v, dtype=float)[SYM6_SLOT]
 
 
 class PlaneWave:
@@ -72,8 +66,7 @@ class TruncationContext:
     abs_grid: ScalarGrid
     maximal_grid: ScalarGrid
     bad: OpenSetMask
-    cover: object            # WhitneyCover or None when the bad set is empty
-    pou: object              # PartitionOfUnity or None
+    cover: object            # WhitneyCover or None when the bad set is empty; phi is whitney._phi_at
     rule: object
     triples: np.ndarray      # (nt, 3) int32, sorted rows
     tri_verts: np.ndarray    # (nt, 3, 3) centers unwrapped into a per-triple frame
@@ -108,13 +101,12 @@ def build_context(w: TrigSymField, lam: float, n: int, degree: int = 10) -> Trun
     if mask.is_empty():
         return TruncationContext(
             w=w, lam=lam, lam_eff=lam_eff, n=n, abs_grid=g, maximal_grid=m, bad=mask,
-            cover=None, pou=None, rule=rule,
+            cover=None, rule=rule,
             triples=np.zeros((0, 3), dtype=np.int32),
             tri_verts=np.zeros((0, 3, 3)), tri_B=np.zeros((0, 3)), tri_G=np.zeros((0, 3, 3)),
         )
 
     cover = whitney_decompose(mask)
-    pou = build_partition(cover)
     triples = cover.triples()
 
     nt = len(triples)
@@ -128,7 +120,7 @@ def build_context(w: TrigSymField, lam: float, n: int, degree: int = 10) -> Trun
 
     return TruncationContext(
         w=w, lam=lam, lam_eff=lam_eff, n=n, abs_grid=g, maximal_grid=m, bad=mask,
-        cover=cover, pou=pou, rule=rule, triples=triples, tri_verts=tri_verts,
+        cover=cover, rule=rule, triples=triples, tri_verts=tri_verts,
         tri_B=tri_B, tri_G=tri_G,
     )
 
@@ -138,27 +130,21 @@ def build_context(w: TrigSymField, lam: float, n: int, degree: int = 10) -> Trun
 
 
 def _active(ctx, y):
-    """Active cubes at ``y`` and the cached triples among them.
+    """Active cubes at ``y``, their phi packs and the cached triples among them.
 
-    Active cubes hold ``y`` more than ``SUPPORT_MARGIN`` inside their
-    support, the margin by which ``WhitneyCover.neighbor_pairs`` asks
-    supports to overlap, so they pairwise intersect and every triple of
-    them must be a row of ``ctx.triples``.  Returns ``(active, off, rows, yf)``:
-    sorted cube indices, ``wrap(y - center)`` per active cube, the rows of
-    ``ctx.triples`` with all three cubes active, and ``y`` unwrapped into
-    each row's frame.
+    The active cubes of ``whitney._phi_at`` pairwise intersect, so every
+    triple of them must be a row of ``ctx.triples``.  Returns
+    ``(active, packs, rows, yf)``: sorted cube indices, their (10, active)
+    phi packs, the rows of ``ctx.triples`` with all three cubes active, and
+    ``y`` unwrapped into each row's frame.
     """
-    cover = ctx.cover
-    cand = np.asarray(cover.cubes_at(y), dtype=np.int64)
-    off = cover.wrap(y - cover.centers[cand])
-    keep = (np.abs(off) < cover.sides[cand, None] / 2.0 - SUPPORT_MARGIN).all(axis=1)
-    active = cand[keep]
+    active, _, packs = _phi_at(ctx.cover, y)
     rows = np.flatnonzero(np.isin(ctx.triples, active).all(axis=1))
     if len(rows) != comb(len(active), 3):
         raise KeyError(f"{comb(len(active), 3) - len(rows)} triples of cubes {active.tolist()} "
                        "missing from the moment cache")
     anchor = ctx.tri_verts[rows, 0]
-    return active, off[keep], rows, anchor + cover.wrap(y - anchor)
+    return active, packs, rows, anchor + ctx.cover.wrap(y - anchor)
 
 
 def _point_terms(ctx, y, weight):
@@ -167,10 +153,7 @@ def _point_terms(ctx, y, weight):
     ``weight(rows, phi)`` gives the per-vertex weights from the rows and the
     vertices' phi packs.
     """
-    cover = ctx.cover
-    active, off, rows, yf = _active(ctx, y)
-    eta = _kernels._eta_packs(off, 0.0, cover.sides[active])
-    packs = _kernels._phi_packs(eta, eta.sum(axis=1, keepdims=True))
+    active, packs, rows, yf = _active(ctx, y)
     slot = np.searchsorted(active, ctx.triples[rows])
     phi = [packs[:, slot[:, v]] for v in range(3)]
     return active, _kernels._local_terms(phi, weight(rows, phi), ctx.tri_B[rows].T,
@@ -265,26 +248,25 @@ def _bad_points(ctx, m):
     return pts
 
 
-def _w_comp_on_grid(ctx, m, a, b):
-    key = ("wcomp", m, a, b)
-    if key in ctx._caches:
-        return ctx._caches[key]
-    vals = ctx.w.grid_components(m, [(a, b)])[..., 0]
-    ctx._caches[key] = vals
-    return vals
+def _w_on_grid(ctx, m):
+    """The packed components of w on the m-grid, (m, m, m, 6) in ``SYM6`` order."""
+    key = ("w", m)
+    if key not in ctx._caches:
+        ctx._caches[key] = ctx.w.grid_components(m, SYM6)
+    return ctx._caches[key]
+
+
+def _spliced_norm(comps, mask, vals):
+    """Frobenius norm grid of packed ``comps`` with the packed ``vals`` in place at ``mask``."""
+    sq = _sym6_sq(comps)
+    sq[mask] = _sym6_sq(vals)
+    return np.sqrt(sq)
 
 
 def sample_truncation_norm(ctx: TruncationContext, m: int) -> ScalarGrid:
     """Frobenius norm of the truncated field on the m-grid."""
-    bad_index, mask_m, tvals = sample_bad_truncation(ctx, m)
-    sq = np.zeros((m, m, m))
-    for q, (a, b) in enumerate(SYM6):
-        comp = _w_comp_on_grid(ctx, m, a, b)
-        mult = 1.0 if a == b else 2.0
-        csq = mult * comp**2
-        csq[mask_m] = mult * tvals[:, q] ** 2
-        sq += csq
-    return ScalarGrid(n=m, period=ctx.period, values=np.sqrt(sq))
+    _, mask_m, tvals = sample_bad_truncation(ctx, m)
+    return ScalarGrid(n=m, period=ctx.period, values=_spliced_norm(_w_on_grid(ctx, m), mask_m, tvals))
 
 
 # ---------------------------------------------------------------------------
@@ -319,22 +301,20 @@ def weak_divergence_defect(ctx: TruncationContext, alpha: int, psi, m: int | Non
         term1 = _plane_wave_pairing(ctx.w, psi, alpha)
     else:
         term1 = 0.0
-        grid = None
+        hm = ctx.period / m
+        ax = (np.arange(m) + 0.5) * hm
+        grid = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+        row = _w_on_grid(ctx, m)[..., SYM6_SLOT[alpha]]
         for d in range(3):
-            comp = _w_comp_on_grid(ctx, m, alpha, d)
-            if grid is None:
-                hm = ctx.period / m
-                ax = (np.arange(m) + 0.5) * hm
-                grid = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
-            term1 += float(comp.ravel() @ psi.grad(grid)[:, d]) * h3
+            term1 += float(row[..., d].ravel() @ psi.grad(grid)[:, d]) * h3
 
     if not mask_m.any():
         return term1
 
     pts = _bad_points(ctx, m)
     g = psi.grad(pts)
-    t_row = np.stack([tvals[:, _COMP6[(alpha, d)]] for d in range(3)], axis=1)
-    w_row = np.stack([_w_comp_on_grid(ctx, m, alpha, d)[mask_m] for d in range(3)], axis=1)
+    t_row = tvals[:, SYM6_SLOT[alpha]]
+    w_row = _w_on_grid(ctx, m)[mask_m][:, SYM6_SLOT[alpha]]
     term2 = float(((t_row - w_row) * g).sum()) * h3
     return term1 + term2
 
@@ -370,9 +350,11 @@ def summation_vanish_check(ctx: TruncationContext, a, b, c, mode, samples):
     """Max over samples of the triple partition-derivative sums against B or A.
 
     ``mode`` is ``("B", alpha)`` or ``("A", alpha, beta)``; ``a`` weights
-    phi_k, ``b`` weights phi_j, ``c`` weights phi_i.  Samples outside the
-    bad set are skipped (counted in the returned report).
+    phi_k, ``b`` weights phi_j, ``c`` weights phi_i, each a derivative
+    multi-index of total order <= 2 (the phi packs' range).  Samples
+    outside the bad set are skipped (counted in the returned report).
     """
+    sa, sb, sc = (_pack_slot(o) for o in (a, b, c))
     if ctx.cover is None:
         return {"max_abs": 0.0, "used": 0, "skipped": len(list(samples))}
     worst = 0.0
@@ -383,10 +365,9 @@ def summation_vanish_check(ctx: TruncationContext, a, b, c, mode, samples):
             skipped += 1
             continue
         used += 1
-        active, _, rows, yf = _active(ctx, y)
+        active, packs, rows, yf = _active(ctx, y)
         slot = np.searchsorted(active, ctx.triples[rows])
-        da, db, dc = (np.array([pou_eval(ctx.pou, int(l), y, o) for l in active], dtype=float)
-                      for o in (a, b, c))
+        da, db, dc = packs[sa], packs[sb], packs[sc]
         if mode[0] == "B":
             val = ctx.tri_B[rows, mode[1]]
         else:
@@ -439,25 +420,14 @@ class VerificationReport:
 def verify(ctx: TruncationContext, m: int | None = None, psis=None) -> VerificationReport:
     """Measure every quantity of the truncation theorem on the m-grid."""
     m = 2 * ctx.n if m is None else m
-    bad_index, mask_m, tvals = sample_bad_truncation(ctx, m)
+    _, mask_m, tvals = sample_bad_truncation(ctx, m)
     h3 = (ctx.period / m) ** 3
 
-    norm_w_sq = np.zeros((m, m, m))
-    diff_sq = np.zeros(tvals.shape[0])
-    t_sq = np.zeros(tvals.shape[0])
-    for q, (a, b) in enumerate(SYM6):
-        comp = _w_comp_on_grid(ctx, m, a, b)
-        mult = 1.0 if a == b else 2.0
-        norm_w_sq += mult * comp**2
-        diff_sq += mult * (tvals[:, q] - comp[mask_m]) ** 2
-        t_sq += mult * tvals[:, q] ** 2
+    wcomps = _w_on_grid(ctx, m)
+    norm_w = np.sqrt(_sym6_sq(wcomps))
+    linf_ratio = _spliced_norm(wcomps, mask_m, tvals).max() / ctx.lam
 
-    norm_w = np.sqrt(norm_w_sq)
-    linf_t = np.sqrt(t_sq).max() if tvals.shape[0] else 0.0
-    linf_off = norm_w[~mask_m].max() if (~mask_m).any() else 0.0
-    linf_ratio = max(linf_t, linf_off) / ctx.lam
-
-    l1_distance = float(np.sqrt(diff_sq).sum()) * h3
+    l1_distance = float(np.sqrt(_sym6_sq(tvals - wcomps[mask_m])).sum()) * h3
     tail = float(norm_w[norm_w > ctx.lam / 2].sum()) * h3
     changed = ctx.bad.measure()
 

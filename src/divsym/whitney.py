@@ -12,16 +12,21 @@ Bumps are even C^4 piecewise polynomials equal to 1 on the undilated core
 ``(-1/2, 1/2)``, so supports stay inside the open dilated cubes.  The
 partition is the normalized family ``phi_j = eta_j / sum eta``; since the
 cores tile the covered set, the normalizer is >= 1 there.
+
+The partition's derivatives up to second order live here and nowhere
+else: ``_eta_packs`` gives the bump derivatives and ``_phi_packs`` the
+quotient, as packs [v, dx, dy, dz, dxx, dyy, dzz, dyz, dxz, dxy] with the
+second derivatives in ``fields.SYM6`` order.  The grid kernels call them
+over (cube, grid point) pairs; ``_phi_at`` gives them at one point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 
-from .fields import PreconditionError, UnsupportedOrderError, _check_order
+from .fields import SYM6, SYM6_SLOT, PreconditionError, UnsupportedOrderError, _check_order
 from .maximal import OpenSetMask
 
 DILATION = 2.0        # dilated side over tile side; 9/8 leaves overlap too thin to sample
@@ -72,6 +77,64 @@ def bump(t, order=0):
         sign = np.where(t[trans] < 0, (-1.0) ** order, 1.0)
         out[trans] = -_smootherstep(s, order) / _TRANS**order * sign
     return float(out[0]) if scalar else out
+
+
+# pack slot of the second derivative d^2 / dx_d dx_e
+_D2 = 4 + SYM6_SLOT
+
+
+def _eta_packs(x, center, side):
+    """Bump derivative packs of the cubes (center, side) at x, one column per pair."""
+    t = (x - center) / side[:, None]
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = [
+        [bump(t[:, d], k) for k in range(3)] for d in range(3)]
+    s2 = side * side
+    return np.stack([
+        a0 * b0 * c0,
+        a1 * b0 * c0 / side, a0 * b1 * c0 / side, a0 * b0 * c1 / side,
+        a2 * b0 * c0 / s2, a0 * b2 * c0 / s2, a0 * b0 * c2 / s2,
+        a0 * b1 * c1 / s2, a1 * b0 * c1 / s2, a1 * b1 * c0 / s2,
+    ])
+
+
+def _phi_packs(eta, spk):
+    """Quotient derivatives of phi = eta / S up to second order (packs as rows)."""
+    s0 = spk[0]
+    out = np.empty_like(eta)
+    v = out[0] = eta[0] / s0
+    for d in range(3):
+        out[1 + d] = (eta[1 + d] - v * spk[1 + d]) / s0
+    for d, e in SYM6:
+        q = _D2[d, e]
+        out[q] = (eta[q] - out[1 + d] * spk[1 + e] - out[1 + e] * spk[1 + d] - v * spk[q]) / s0
+    return out
+
+
+def _pack_slot(order):
+    """Pack slot of the derivative multi-index ``order``; packs stop at total order 2."""
+    axes = [d for d, k in enumerate(_check_order(order)) for _ in range(k)]
+    if len(axes) > 2:
+        raise UnsupportedOrderError(f"phi packs hold derivatives up to order 2, not {tuple(order)}")
+    if len(axes) == 2:
+        return int(_D2[axes[0], axes[1]])
+    return 1 + axes[0] if axes else 0
+
+
+def _phi_at(cover, y):
+    """The partition at one point: ``(active, off, packs)``.
+
+    Active cubes hold ``y`` more than ``SUPPORT_MARGIN`` inside their
+    support, the margin by which ``WhitneyCover.neighbor_pairs`` asks
+    supports to overlap, so they pairwise intersect.  ``active`` holds their
+    indices in increasing order, ``off`` the rows ``wrap(y - center)`` and
+    ``packs`` the (10, active) phi packs, normalised over the active cubes.
+    """
+    cand = cover.candidates(y).astype(np.int64)
+    off = cover.wrap(y - cover.centers[cand])
+    keep = (np.abs(off) < cover.sides[cand, None] / 2.0 - SUPPORT_MARGIN).all(axis=1)
+    active, off = cand[keep], off[keep]
+    eta = _eta_packs(off, 0.0, cover.sides[active])
+    return active, off, _phi_packs(eta, eta.sum(axis=1, keepdims=True))
 
 
 @dataclass
@@ -275,71 +338,3 @@ def _max_overlap(cover: WhitneyCover) -> int:
         counts = inside[1][sel].T.astype(np.float64) @ inside[2][sel]
         best = max(best, int(counts.max()))
     return best
-
-
-@dataclass
-class PartitionOfUnity:
-    cover: WhitneyCover
-
-    def __post_init__(self):
-        if len(self.cover) == 0:
-            raise PreconditionError("cannot build a partition over an empty cover")
-
-    def eta(self, j, x, order=(0, 0, 0)):
-        """Derivative of the unnormalized bump eta_j at ``x``."""
-        c = self.cover.centers[j]
-        ell = self.cover.sides[j]
-        t = self.cover.wrap(np.asarray(x, dtype=float) - c) / ell
-        val = 1.0
-        for d in range(3):
-            val *= bump(t[d], order[d]) / ell ** order[d]
-        return val
-
-
-def build_partition(cover: WhitneyCover) -> PartitionOfUnity:
-    return PartitionOfUnity(cover=cover)
-
-
-def _multi_indices_upto(order):
-    out = [
-        (a, b, c)
-        for a in range(order[0] + 1)
-        for b in range(order[1] + 1)
-        for c in range(order[2] + 1)
-    ]
-    out.sort(key=sum)
-    return out
-
-
-def _mi_binom(beta, gamma):
-    return comb(beta[0], gamma[0]) * comb(beta[1], gamma[1]) * comb(beta[2], gamma[2])
-
-
-def pou_eval(pou: PartitionOfUnity, j: int, x, order=(0, 0, 0)) -> float:
-    """Analytic derivative of phi_j = eta_j / sum_l eta_l; total order <= 3.
-
-    The quotient is resolved by the Leibniz recursion on phi * S = eta_j,
-    so only bump derivatives enter and the result is exact to rounding.
-    """
-    order = _check_order(order)
-    active = pou.cover.cubes_at(x)
-    if j not in active:
-        return 0.0
-    betas = _multi_indices_upto(order)
-    eta_j = {}
-    s = {}
-    for beta in betas:
-        eta_j[beta] = pou.eta(j, x, beta)
-        s[beta] = sum(pou.eta(l, x, beta) for l in active)
-    if s[(0, 0, 0)] <= 0.0:
-        return 0.0
-    phi = {}
-    for beta in betas:
-        acc = eta_j[beta]
-        for gamma in _multi_indices_upto(beta):
-            if gamma == beta:
-                continue
-            diff = (beta[0] - gamma[0], beta[1] - gamma[1], beta[2] - gamma[2])
-            acc -= _mi_binom(beta, gamma) * phi[gamma] * s[diff]
-        phi[beta] = acc / s[(0, 0, 0)]
-    return phi[order]

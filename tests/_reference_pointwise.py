@@ -1,19 +1,28 @@
-"""Pointwise reference for the truncated field and the local fields.
+"""Pointwise reference for the partition of unity, the truncated field and the local fields.
 
-The per-point path the package used before it ran the grid kernel's
-formula at one point: phi derivatives from the ``pou_eval`` Leibniz
-quotient, a dict from sorted cube triples to cache rows, and the
+``pou_eval`` is the partition the package used before its phi derivatives
+came only from ``whitney``'s array packs: each derivative of
+``phi_j = eta_j / sum eta`` to total order 3 by the Leibniz recursion on
+``phi * S = eta_j``, one cube and one multi-index at a time.  The tests
+compare the packs (``whitney._phi_at``) with it.
+
+``PointwiseReference`` is the per-point path the package used before it
+ran the grid kernel's formula at one point: phi derivatives from
+``pou_eval``, a dict from sorted cube triples to cache rows, and the
 permutation sign of each ordered triple applied to the cached B and A.
-Kept apart from the code under test; the tests compare
-``truncation.TruncationEvaluator`` and ``truncation.local_field`` with it.
-About 0.1 s per point on the n = 24 test fixture.
+The tests compare ``truncation.TruncationEvaluator`` and
+``truncation.local_field`` with it.  About 0.1 s per point on the n = 24
+test fixture.
 """
+
+from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
-from divsym.flux import permutation_sign
+from divsym.fields import PreconditionError, _check_order
 from divsym.truncation import sym6_to_mat
-from divsym.whitney import SUPPORT_MARGIN, pou_eval
+from divsym.whitney import SUPPORT_MARGIN, WhitneyCover, bump
 
 CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 _COMP6 = {(0, 0): 0, (1, 1): 1, (2, 2): 2, (1, 2): 3, (2, 1): 3, (0, 2): 4, (2, 0): 4, (0, 1): 5, (1, 0): 5}
@@ -23,11 +32,92 @@ _SECOND = {(0, 0): (2, 0, 0), (1, 1): (0, 2, 0), (2, 2): (0, 0, 2),
            (1, 2): (0, 1, 1), (0, 2): (1, 0, 1), (0, 1): (1, 1, 0)}
 
 
+@dataclass
+class PartitionOfUnity:
+    cover: WhitneyCover
+
+    def __post_init__(self):
+        if len(self.cover) == 0:
+            raise PreconditionError("cannot build a partition over an empty cover")
+
+    def eta(self, j, x, order=(0, 0, 0)):
+        """Derivative of the unnormalized bump eta_j at ``x``."""
+        c = self.cover.centers[j]
+        ell = self.cover.sides[j]
+        t = self.cover.wrap(np.asarray(x, dtype=float) - c) / ell
+        val = 1.0
+        for d in range(3):
+            val *= bump(t[d], order[d]) / ell ** order[d]
+        return val
+
+
+def build_partition(cover: WhitneyCover) -> PartitionOfUnity:
+    return PartitionOfUnity(cover=cover)
+
+
+def _multi_indices_upto(order):
+    out = [
+        (a, b, c)
+        for a in range(order[0] + 1)
+        for b in range(order[1] + 1)
+        for c in range(order[2] + 1)
+    ]
+    out.sort(key=sum)
+    return out
+
+
+def _mi_binom(beta, gamma):
+    return comb(beta[0], gamma[0]) * comb(beta[1], gamma[1]) * comb(beta[2], gamma[2])
+
+
+def pou_eval(pou: PartitionOfUnity, j: int, x, order=(0, 0, 0)) -> float:
+    """Analytic derivative of phi_j = eta_j / sum_l eta_l; total order <= 3.
+
+    The quotient is resolved by the Leibniz recursion on phi * S = eta_j,
+    so only bump derivatives enter and the result is exact to rounding.
+    """
+    order = _check_order(order)
+    active = pou.cover.cubes_at(x)
+    if j not in active:
+        return 0.0
+    betas = _multi_indices_upto(order)
+    eta_j = {}
+    s = {}
+    for beta in betas:
+        eta_j[beta] = pou.eta(j, x, beta)
+        s[beta] = sum(pou.eta(l, x, beta) for l in active)
+    if s[(0, 0, 0)] <= 0.0:
+        return 0.0
+    phi = {}
+    for beta in betas:
+        acc = eta_j[beta]
+        for gamma in _multi_indices_upto(beta):
+            if gamma == beta:
+                continue
+            diff = (beta[0] - gamma[0], beta[1] - gamma[1], beta[2] - gamma[2])
+            acc -= _mi_binom(beta, gamma) * phi[gamma] * s[diff]
+        phi[beta] = acc / s[(0, 0, 0)]
+    return phi[order]
+
+
+def permutation_sign(perm):
+    """Parity sign of a sequence of distinct items relative to sorted order."""
+    items = list(perm)
+    sign = 1
+    for a in range(len(items)):
+        m = min(range(a, len(items)), key=lambda i: items[i])
+        if m != a:
+            items[a], items[m] = items[m], items[a]
+            sign = -sign
+    return sign
+
+
 class PointwiseReference:
     """Truncated field and local fields of a ``TruncationContext``, point by point."""
 
     def __init__(self, ctx):
         self.ctx = ctx
+        self.pou = None if ctx.cover is None else build_partition(ctx.cover)
         self.moment_index = {tuple(int(v) for v in t): r for r, t in enumerate(ctx.triples)}
 
     def in_bad_set(self, x):
@@ -64,11 +154,11 @@ class PointwiseReference:
                   if (np.abs(cover.wrap(y - cover.centers[c])) < cover.sides[c] / 2.0 - SUPPORT_MARGIN).all()]
         packs = {}
         for c in active:
-            val = pou_eval(ctx.pou, c, y)
-            d1 = np.array([pou_eval(ctx.pou, c, y, o) for o in _FIRST])
+            val = pou_eval(self.pou, c, y)
+            d1 = np.array([pou_eval(self.pou, c, y, o) for o in _FIRST])
             d2 = np.zeros((3, 3))
             for (a, b), o in _SECOND.items():
-                d2[a, b] = pou_eval(ctx.pou, c, y, o)
+                d2[a, b] = pou_eval(self.pou, c, y, o)
                 d2[b, a] = d2[a, b]
             packs[c] = (val, d1, d2)
         return active, packs

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _reference_pointwise import permutation_sign
 from divsym.fields import PreconditionError, TrigSymField, project_div_free, random_field
 from divsym.flux import (
     QuadratureRule,
@@ -9,7 +10,6 @@ from divsym.flux import (
     gauss_green_defect_B,
     grundmann_moeller,
     normal,
-    permutation_sign,
     rule_for_degree,
     triangle_moments,
 )

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _reference_pointwise import PointwiseReference
+from _reference_pointwise import PointwiseReference, pou_eval
 from divsym.fields import TrigSymField, project_div_free, random_field
 from divsym.truncation import build_context, lambda_for_fraction, local_field, truncate
-from divsym.whitney import SUPPORT_MARGIN, pou_eval
+from divsym.whitney import SUPPORT_MARGIN
 
 # Agreement bound, relative to max(1, largest reference component): the
 # kernel formula takes phi derivatives from the packed quotient instead of
@@ -54,7 +54,7 @@ def test_evaluator_matches_reference(case, pick):
         assert_close(got, ref(y))
         active = active_cubes(ctx.cover, y)
         locals_ = {k: local_field(ctx, k, y) for k in active}
-        assert_close(sum(pou_eval(ctx.pou, k, y) * locals_[k] for k in active), got)
+        assert_close(sum(pou_eval(ref.pou, k, y) * locals_[k] for k in active), got)
         if s == 0:
             for k in active:
                 assert np.array_equal(locals_[k], locals_[k].T)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from _reference_pointwise import build_partition, pou_eval
 from divsym.fields import PreconditionError, TrigSymField, curl_curl_T, potential_inverse, random_field, project_div_free
-from divsym.maximal import ScalarGrid, bad_set
+from divsym.maximal import ScalarGrid, bad_set, maximal_function
 from divsym.potential_trunc import (
+    _derivative_magnitude_grids,
     afree_potential_truncate,
     averaged_taylor,
     stability_comparison,
@@ -82,6 +84,12 @@ class TestAveragedTaylor:
         assert worst < 1.0  # recorded constant for this cube family
 
 
+def vt_level(v, n=16):
+    """The potential truncation's level grid: the sum of the three maximal functions."""
+    return sum(maximal_function(ScalarGrid(n=n, period=1.0, values=g)).values
+               for g in _derivative_magnitude_grids(v, n))
+
+
 class TestWmInfTruncate:
     def test_empty_bad_set_identity(self):
         v = div_free(4, max_freq=1, amplitude=0.01)
@@ -99,19 +107,28 @@ class TestWmInfTruncate:
         with pytest.raises(PreconditionError):
             w_m_inf_truncate(v, 1e-6, 16)
 
+    def test_call_matches_reference_partition(self):
+        # v_lambda = sum_j phi_j * patch_j, with phi from the pou_eval reference,
+        # at random flagged points and at mask-cell centres (support edges)
+        v = div_free(2)
+        vt = w_m_inf_truncate(v, float(np.quantile(vt_level(v), 0.9)), 16)
+        pou = build_partition(vt.cover)
+        rng = np.random.default_rng(4)
+        cells = np.argwhere(vt.bad.mask)
+        chosen = cells[rng.integers(0, len(cells), size=12)]
+        for x in np.concatenate([chosen[:6] + rng.random((6, 3)), chosen[6:] + 0.5]) / 16:
+            centers = vt.cover.centers
+            ref = sum(pou_eval(pou, j, x) * vt.patches[j](centers[j] + vt.cover.wrap(x - centers[j]))
+                      for j in vt.cover.cubes_at(x))
+            np.testing.assert_allclose(vt(x), ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
+
     def test_second_derivative_bounded(self):
         # measured sup |grad^2 v_lambda| / lambda across seeds, finite differences
         # inside cube interiors
         ratios = []
         for seed in (1, 2, 3):
             v = div_free(seed)
-            from divsym.potential_trunc import _derivative_magnitude_grids
-            from divsym.maximal import maximal_function
-
-            g0, g1, g2 = _derivative_magnitude_grids(v, 16)
-            tot = sum(maximal_function(ScalarGrid(n=16, period=1.0, values=g)).values
-                      for g in (g0, g1, g2))
-            lam = float(np.quantile(tot, 0.9))
+            lam = float(np.quantile(vt_level(v), 0.9))
             vt = w_m_inf_truncate(v, lam, 16)
             if vt.cover is None:
                 continue

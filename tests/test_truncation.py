@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from _reference_pointwise import PointwiseReference
-from divsym.fields import PreconditionError, TrigSymField, project_div_free, random_field
+from _reference_pointwise import PointwiseReference, build_partition, pou_eval
+from divsym.fields import (PreconditionError, TrigSymField, UnsupportedOrderError, project_div_free,
+                           random_field)
 from divsym.flux import _batched_moments, eval_A, rule_for_degree, triangle_moments
 from divsym.maximal import ScalarGrid, bad_set
 from divsym.truncation import (
@@ -22,7 +23,7 @@ from divsym.truncation import (
     verify,
     weak_divergence_defect,
 )
-from divsym.whitney import build_partition, pou_eval, whitney_decompose
+from divsym.whitney import _pack_slot, _phi_at, whitney_decompose
 from test_topology import triangles
 
 
@@ -124,7 +125,7 @@ class TestLocalField:
         tri_b, tri_g = _batched_moments(w, tri_verts, rule)
         ctx = TruncationContext(
             w=w, lam=1.0, lam_eff=1.25, n=n, abs_grid=None, maximal_grid=None, bad=mask,
-            cover=cover, pou=pou, rule=rule, triples=triples, tri_verts=tri_verts,
+            cover=cover, rule=rule, triples=triples, tri_verts=tri_verts,
             tri_B=tri_b, tri_G=tri_g,
         )
         y = (np.array([5, 4, 4]) + np.array([0.45, 0.52, 0.5])) / n
@@ -323,11 +324,10 @@ class TestSummationVanish:
     def test_constant_moment_factorizes(self, ctx):
         # with the moment replaced by 1 the sum factorizes into derivative sums
         y = bad_points(ctx, 1, seed=9)[0]
-        active = ctx.cover.cubes_at(y)
+        _, _, packs = _phi_at(ctx.cover, y)
         for order in ((1, 0, 0), (0, 1, 0)):
-            total = sum(pou_eval(ctx.pou, l, y, order) for l in active)
-            scale = max(abs(pou_eval(ctx.pou, l, y, order)) for l in active)
-            assert abs(total) ** 3 < 1e-20 * max(1.0, scale**3)
+            row = packs[_pack_slot(order)]
+            assert abs(row.sum()) ** 3 < 1e-20 * max(1.0, np.abs(row).max() ** 3)
 
     def test_sums_small_and_refinement_convergent(self):
         w = div_free(7)
@@ -348,6 +348,16 @@ class TestSummationVanish:
         rep = summation_vanish_check(ctx, (1, 0, 0), (1, 0, 0), (1, 0, 0), ("A", 0, 1), samples)
         assert rep["used"] >= 1
         assert np.isfinite(rep["max_abs"])
+
+    def test_order_cap(self, ctx):
+        # the phi packs stop at second derivatives
+        samples = bad_points(ctx, 2, seed=12)
+        rep = summation_vanish_check(ctx, (1, 1, 0), (0, 0, 2), (0, 0, 0), ("B", 1), samples)
+        assert rep["used"] == 2 and np.isfinite(rep["max_abs"])
+        for orders in [((2, 1, 0), (0, 0, 0), (0, 0, 0)), ((0, 0, 0), (1, 1, 1), (0, 0, 0)),
+                       ((0, 0, 0), (0, 0, 0), (0, 0, 3))]:
+            with pytest.raises(UnsupportedOrderError):
+                summation_vanish_check(ctx, *orders, ("B", 0), samples)
 
 
 class TestVerify:

@@ -1,18 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from divsym.fields import PreconditionError, UnsupportedOrderError
-from divsym.maximal import OpenSetMask, ScalarGrid, bad_set
+from _reference_pointwise import build_partition, pou_eval
+from divsym.fields import PreconditionError, UnsupportedOrderError, random_field
+from divsym.maximal import OpenSetMask, ScalarGrid, bad_set, maximal_function, sample_abs
 from divsym.whitney import (
     BUMP_CORE,
     BUMP_SUPP,
     DILATION,
     WhitneyCover,
+    _pack_slot,
+    _phi_at,
     bump,
-    build_partition,
-    pou_eval,
     whitney_decompose,
 )
+
+# the derivative multi-index of each phi pack slot
+PACK_ORDERS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 0), (0, 0, 2),
+               (0, 1, 1), (1, 0, 1), (1, 1, 0)]
+
+# Packs against pou_eval, relative to max(1, largest reference entry at the
+# point): both are exact quotient formulas, evaluated in a different order.
+PACK_RTOL = 1e-12
 
 
 def ball_mask(n, center, radius, period=1.0):
@@ -153,6 +163,13 @@ class TestDecompose:
         assert (tmp_path / "w2.csv").read_text().startswith("index,side")
 
 
+def phi_pack(cover, x, j, order=(0, 0, 0)):
+    """Derivative ``order`` of phi_j at ``x`` from the ``whitney`` packs; 0 where cube j is inactive."""
+    active, _, packs = _phi_at(cover, np.asarray(x, dtype=float))
+    hit = np.flatnonzero(active == j)
+    return float(packs[_pack_slot(order), hit[0]]) if len(hit) else 0.0
+
+
 class TestPartition:
     def setup_method(self):
         self.mask = ball_mask(32, (0.5, 0.5, 0.5), 0.15)
@@ -164,30 +181,34 @@ class TestPartition:
         with pytest.raises(PreconditionError):
             build_partition(empty)
 
+    def test_pack_slots(self):
+        assert [_pack_slot(o) for o in PACK_ORDERS] == list(range(10))
+
     def test_partition_of_unity_on_bad_set(self):
         for x in interior_points(self.mask, 60):
-            total = sum(pou_eval(self.pou, j, x) for j in self.cover.cubes_at(x))
-            assert abs(total - 1.0) < 1e-12
+            _, _, packs = _phi_at(self.cover, x)
+            assert abs(packs[0].sum() - 1.0) < 1e-12
 
     def test_outside_supports_zero(self):
         # a point far from the ball is in no cube
         x = np.array([0.03, 0.03, 0.03])
         assert self.cover.cubes_at(x) == []
-        assert pou_eval(self.pou, 0, x) == 0.0
+        assert len(_phi_at(self.cover, x)[0]) == 0
+        assert phi_pack(self.cover, x, 0) == 0.0
 
     def test_single_cube_region(self):
         # wherever only one cube covers, its phi is exactly 1
         for x in interior_points(self.mask, 200, seed=3):
             active = self.cover.cubes_at(x)
             if len(active) == 1:
-                assert pou_eval(self.pou, active[0], x) == pytest.approx(1.0, abs=1e-14)
+                assert phi_pack(self.cover, x, active[0]) == pytest.approx(1.0, abs=1e-14)
                 break
         else:
             pytest.skip("no single-cube point sampled")
 
     def test_value_at_center_positive(self):
         j = len(self.cover) // 2
-        val = pou_eval(self.pou, j, self.cover.centers[j])
+        val = phi_pack(self.cover, self.cover.centers[j], j)
         assert 0.0 < val <= 1.0
 
     def test_derivatives_match_finite_differences(self):
@@ -200,20 +221,22 @@ class TestPartition:
                     e = np.zeros(3)
                     e[d] = h
                     order = tuple(int(q == d) for q in range(3))
-                    fd = (pou_eval(self.pou, j, x + e) - pou_eval(self.pou, j, x - e)) / (2 * h)
-                    an = pou_eval(self.pou, j, x, order)
+                    fd = (phi_pack(self.cover, x + e, j) - phi_pack(self.cover, x - e, j)) / (2 * h)
+                    an = phi_pack(self.cover, x, j, order)
                     assert abs(fd - an) <= 1e-6 * max(1.0, abs(an)) + 1e-4 * abs(an) + 5e-5
 
     def test_derivative_sums_vanish(self):
         # differentiating the constant 1: every derivative sum is 0 on the set
-        orders = [(1, 0, 0), (0, 1, 0), (2, 0, 0), (1, 1, 0), (1, 1, 1), (0, 0, 3)]
         for x in interior_points(self.mask, 25, seed=5):
+            _, _, packs = _phi_at(self.cover, x)
+            for order in [(1, 0, 0), (0, 1, 0), (2, 0, 0), (1, 1, 0)]:
+                row = packs[_pack_slot(order)]
+                assert abs(row.sum()) < 1e-9 * max(1.0, np.abs(row).max())
+            # third order lies beyond the packs: the reference partition
             active = self.cover.cubes_at(x)
-            scale = max(1.0, max(abs(pou_eval(self.pou, j, x, (1, 0, 0))) for j in active))
-            for order in orders:
-                total = sum(pou_eval(self.pou, j, x, order) for j in active)
-                allvals = max(abs(pou_eval(self.pou, j, x, order)) for j in active)
-                assert abs(total) < 1e-9 * max(1.0, allvals)
+            for order in [(1, 1, 1), (0, 0, 3)]:
+                vals = [pou_eval(self.pou, j, x, order) for j in active]
+                assert abs(sum(vals)) < 1e-9 * max(1.0, max(abs(v) for v in vals))
 
     def test_order_cap(self):
         with pytest.raises(UnsupportedOrderError):
@@ -227,8 +250,9 @@ class TestPartition:
             ell = self.cover.sides[j]
             for _ in range(12):
                 x = self.cover.centers[j] + (rng.random(3) - 0.5) * ell
-                for order, l in [((1, 0, 0), 1), ((1, 1, 0), 2), ((1, 1, 1), 3)]:
-                    worst[l] = max(worst[l], abs(pou_eval(self.pou, j, x, order)) * ell**l)
+                for order, l in [((1, 0, 0), 1), ((1, 1, 0), 2)]:
+                    worst[l] = max(worst[l], abs(phi_pack(self.cover, x, j, order)) * ell**l)
+                worst[3] = max(worst[3], abs(pou_eval(self.pou, j, x, (1, 1, 1))) * ell**3)
         # recorded magnitudes for the shipped bump profile (dilation 2)
         assert worst[1] < 60 and worst[2] < 6000 and worst[3] < 8e5
 
@@ -247,3 +271,24 @@ class TestPartition:
     def test_cubes_at_center(self):
         j = 0
         assert j in self.cover.cubes_at(self.cover.centers[j])
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 30), st.sampled_from([16, 20, 24]), st.floats(0.01, 0.30), st.integers(0, 2**16))
+def test_packs_match_pou_eval(seed, n, fraction, pick):
+    # all ten pack slots at random flagged points and at mask-cell centres (support edges)
+    maxf = maximal_function(sample_abs(random_field(seed, 2, 1.0), n))
+    mask = bad_set(maxf, float(np.quantile(maxf.values, 1.0 - fraction)))
+    cover = whitney_decompose(mask)
+    pou = build_partition(cover)
+    rng = np.random.default_rng(pick)
+    cells = np.argwhere(mask.mask)
+    chosen = cells[rng.integers(0, len(cells), size=6)]
+    for y in np.concatenate([chosen[:3] + rng.random((3, 3)), chosen[3:] + 0.5]) / n:
+        active, _, packs = _phi_at(cover, y)
+        listed = cover.cubes_at(y)
+        assert len(active) >= 1 and set(active.tolist()) <= set(listed)
+        ref = np.array([[pou_eval(pou, j, y, o) for o in PACK_ORDERS] for j in listed])
+        got = np.zeros_like(ref)  # cubes within SUPPORT_MARGIN of their edge carry phi = 0
+        got[np.searchsorted(listed, active)] = packs.T
+        np.testing.assert_allclose(got, ref, rtol=0, atol=PACK_RTOL * max(1.0, np.abs(ref).max()))

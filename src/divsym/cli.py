@@ -68,11 +68,7 @@ def cmd_envelope(args):
     xi6 = [float(v) for v in args.xi.split(",")]
     if len(xi6) != 6:
         raise PreconditionError("--xi wants 6 comma-separated floats (upper triangle)")
-    xi = np.array([
-        [xi6[0], xi6[1], xi6[2]],
-        [xi6[1], xi6[3], xi6[4]],
-        [xi6[2], xi6[4], xi6[5]],
-    ])
+    xi = np.array(xi6)[[[0, 1, 2], [1, 3, 4], [2, 4, 5]]]
     budget = {"max_freq": args.max_freq, "restarts": args.restarts, "iterations": args.iters}
     result = hull_membership(k, xi, args.p, budget, seed=args.seed)
     payload = {"K": k.to_json(), "xi": xi6, "p": args.p, "budget": budget, "result": result}
@@ -93,19 +89,14 @@ def _build_parser():
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen_field)
 
-    t = sub.add_parser("truncate", help="run the truncation pipeline and verify it")
-    t.add_argument("--field", required=True)
-    t.add_argument("--lambda", dest="lam", type=float, required=True)
-    t.add_argument("--grid-n", type=int, required=True)
-    t.add_argument("--out", required=True)
-    t.set_defaults(func=cmd_truncate)
-
-    c = sub.add_parser("compare", help="geometric vs potential truncation stability")
-    c.add_argument("--field", required=True)
-    c.add_argument("--lambda", dest="lam", type=float, required=True)
-    c.add_argument("--grid-n", type=int, required=True)
-    c.add_argument("--out", required=True)
-    c.set_defaults(func=cmd_compare)
+    for name, func, text in (("truncate", cmd_truncate, "run the truncation pipeline and verify it"),
+                             ("compare", cmd_compare, "geometric vs potential truncation stability")):
+        t = sub.add_parser(name, help=text)
+        t.add_argument("--field", required=True)
+        t.add_argument("--lambda", dest="lam", type=float, required=True)
+        t.add_argument("--grid-n", type=int, required=True)
+        t.add_argument("--out", required=True)
+        t.set_defaults(func=func)
 
     e = sub.add_parser("envelope", help="hull membership via envelope estimation")
     e.add_argument("--set", required=True, help="JSON descriptor of the compact set K")

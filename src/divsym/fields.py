@@ -114,6 +114,15 @@ class _ModeField:
             self._arrays = (xis, cs)
         return self._arrays
 
+    def _order_factor(self, order):
+        """Per-mode symbol ``prod_d (i k xi_d)^order_d`` of the derivative ``order``."""
+        xis, k = self.mode_arrays()[0], TWO_PI / self.period
+        factor = np.ones(len(xis), dtype=complex)
+        for d in range(3):
+            if order[d]:
+                factor = factor * (1j * k * xis[:, d]) ** order[d]
+        return factor
+
     def eval_many(self, pts, order=(0, 0, 0)):
         """Evaluate the field (or a derivative) at an ``(m,3)`` array of points."""
         order = _check_order(order)
@@ -123,10 +132,7 @@ class _ModeField:
         if len(xis) == 0:
             return np.zeros(out_shape)
         k = TWO_PI / self.period
-        factor = np.ones(len(xis), dtype=complex)
-        for d in range(3):
-            if order[d]:
-                factor = factor * (1j * k * xis[:, d]) ** order[d]
+        factor = self._order_factor(order)
         phases = np.exp(1j * k * (pts @ xis.T))  # (p, m)
         weighted = cs * factor.reshape((-1,) + (1,) * len(self._shape))
         vals = np.tensordot(phases, weighted, axes=(1, 0))
@@ -147,11 +153,7 @@ class _ModeField:
             grid = _cell_centers(n, self.period)
             full = self.eval_many(grid.reshape(-1, 3), order).reshape((n, n, n) + self._shape)
             return np.stack([full[(...,) + tuple(c)] for c in comps], axis=-1)
-        k = TWO_PI / self.period
-        factor = np.ones(len(xis), dtype=complex)
-        for d in range(3):
-            if order[d]:
-                factor = factor * (1j * k * xis[:, d]) ** order[d]
+        factor = self._order_factor(order)
         sel = np.stack([cs[(slice(None),) + tuple(c)] for c in comps], axis=-1)
         return _modes_to_grid(sel * factor[:, None], _fft_index(xis, n), n)
 
@@ -191,8 +193,7 @@ def _grid_to_modes(values, index):
 
 def _cell_centers(n, period):
     ax = (np.arange(n) + 0.5) * (period / n)
-    g = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
-    return g
+    return np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
 
 
 def _sym6_sq(v):
@@ -234,9 +235,7 @@ class TrigVecField(_ModeField):
 def divergence(f: TrigSymField) -> TrigVecField:
     """Row-wise divergence, computed mode-by-mode: ``i (2pi/L) M(xi) xi``."""
     k = TWO_PI / f.period
-    out = {}
-    for xi, c in f.coeffs.items():
-        out[xi] = 1j * k * (c @ np.asarray(xi, dtype=float))
+    out = {xi: 1j * k * (c @ np.asarray(xi, dtype=float)) for xi, c in f.coeffs.items()}
     return TrigVecField(out, period=f.period)
 
 
@@ -282,9 +281,7 @@ def curl_curl_T(v: TrigSymField) -> TrigSymField:
     the potential operator whose kernel is the image of the symmetric
     gradient.
     """
-    out = {}
-    for xi, c in v.coeffs.items():
-        out[xi] = _curl_curl_coeff(c, xi, v.period)
+    out = {xi: _curl_curl_coeff(c, xi, v.period) for xi, c in v.coeffs.items()}
     return TrigSymField(out, period=v.period)
 
 
@@ -318,33 +315,19 @@ def _mandel_to_sym(v):
 
 def curl_curl_symbol_matrix(xi, period=1.0):
     """The 6x6 matrix of the curl curl^T symbol in the orthonormal Mandel basis."""
-    cols = []
-    for j in range(6):
-        e = np.zeros(6)
-        e[j] = 1.0
-        cols.append(_sym_to_mandel(_curl_curl_coeff(_mandel_to_sym(e).astype(complex), xi, period).real))
-    return np.stack(cols, axis=1)
+    return np.stack([_sym_to_mandel(_curl_curl_coeff(_mandel_to_sym(e).astype(complex), xi, period).real)
+                     for e in np.eye(6)], axis=1)
 
 
 def div_symbol_matrix(xi, period=1.0):
     """The 3x6 divergence symbol (Mandel basis, without the factor ``i 2pi/L``)."""
-    cols = []
-    for j in range(6):
-        e = np.zeros(6)
-        e[j] = 1.0
-        cols.append(_mandel_to_sym(e) @ np.asarray(xi, dtype=float))
-    return np.stack(cols, axis=1)
+    return np.stack([_mandel_to_sym(e) @ np.asarray(xi, dtype=float) for e in np.eye(6)], axis=1)
 
 
 def sym_grad_symbol_matrix(xi, period=1.0):
     """The 6x3 symmetric-gradient symbol (Mandel basis, without ``i 2pi/L``)."""
-    cols = []
     x = np.asarray(xi, dtype=float)
-    for j in range(3):
-        u = np.zeros(3)
-        u[j] = 1.0
-        cols.append(_sym_to_mandel(0.5 * (np.outer(u, x) + np.outer(x, u))))
-    return np.stack(cols, axis=1)
+    return np.stack([_sym_to_mandel(0.5 * (np.outer(u, x) + np.outer(x, u))) for u in np.eye(3)], axis=1)
 
 
 def assert_div_free(f: TrigSymField, tol=1e-10, what="field"):
@@ -429,7 +412,6 @@ def field_from_dict(data: dict) -> TrigSymField:
         xi = _as_freq(mode["xi"])
         c = np.zeros((3, 3), dtype=complex)
         for (a, b), re, im in zip(UPPER_TRI, mode["re"], mode["im"]):
-            c[a, b] = re + 1j * im
-            c[b, a] = re + 1j * im
+            c[a, b] = c[b, a] = re + 1j * im
         coeffs[xi] = c
     return TrigSymField(coeffs, period=float(data.get("period", 1.0)))

@@ -10,6 +10,16 @@ From these the moment function is affine in the evaluation point:
 Quadrature is Grundmann-Moller: fully symmetric under vertex permutations
 (so the antisymmetry of B and A under index swaps is exact up to rounding)
 with polynomial degree 2s+1 at C(s+3,3) nodes.
+
+Every quadrature node is an anchor ``a`` plus an offset ``delta`` of a
+shared shape, so each mode factors as e^{ik xi.a} e^{ik xi.delta}:
+``_lattice_moments`` contracts one transfer row per shape (node sums of
+e^{ik xi.delta} and delta e^{ik xi.delta}) times one phase row per anchor
+with the coefficients, and never evaluates the field at a node.  Whitney
+cube centres lie on the half-cell lattice, so a triangle's shape key, its
+vertex offsets from the anchor cube in units of h/2, is exact after
+rounding; ``truncation._triple_moments`` refuses a larger residue rather
+than merge two shapes.
 """
 
 from __future__ import annotations
@@ -19,9 +29,10 @@ from math import factorial
 
 import numpy as np
 
-from .fields import PreconditionError, TrigSymField, assert_div_free
+from .fields import TWO_PI, PreconditionError, TrigSymField, assert_div_free
 
 DEGENERACY_TOL = 1e-12
+_CHUNK = 1 << 19  # complex entries per (rows, 4, modes) product block
 
 
 @dataclass
@@ -108,28 +119,52 @@ def triangle_moments(w: TrigSymField, x_i, x_j, x_k, rule: QuadratureRule) -> Tr
     frame first, and must evaluate ``A`` in the same frame.
     """
     verts = np.stack([np.asarray(v, dtype=float) for v in (x_i, x_j, x_k)])
-    b, g = _batched_moments(w, verts[None], rule)
-    return TriangleMoments(vertices=verts, nu=_normals(verts[None])[0], B=b[0], G=g[0])
+    nu, b, g = _triangle_moments(w, verts[:1], (verts - verts[0])[None], rule, [0], [0])
+    return TriangleMoments(vertices=verts, nu=nu[0], B=b[0], G=g[0])
 
 
-def _batched_moments(w, tri_verts, rule):
-    """Flux vectors (nt, 3) and first moments (nt, 3, 3) of (nt, 3, 3) triangles."""
-    nt = tri_verts.shape[0]
-    if nt == 0:
-        return np.zeros((0, 3)), np.zeros((0, 3, 3))
-    nu = _normals(tri_verts)
-    q = len(rule.weights)
-    pts = np.einsum("qk,tkd->tqd", rule.points, tri_verts).reshape(nt * q, 3)
-    nmodes = max(1, len(w.coeffs))
-    chunk = max(1, int(4.0e6 / nmodes))
-    vals = np.empty((nt * q, 3, 3))
-    for start in range(0, nt * q, chunk):
-        vals[start:start + chunk] = w.eval_many(pts[start:start + chunk])
-    vals = vals.reshape(nt, q, 3, 3)
-    flux = np.einsum("tqab,tb->tqa", vals, nu)
-    tri_b = np.einsum("q,tqa->ta", rule.weights, flux)
-    tri_g = np.einsum("q,tqb,tqa->tab", rule.weights, pts.reshape(nt, q, 3), flux)
-    return tri_b, tri_g
+def _triangle_moments(w, anchors, shapes, rule, anchor_of, shape_of):
+    """Normals (nt, 3), fluxes B (nt, 3) and first moments G (nt, 3, 3) of triangles.
+
+    Triangle t has vertices ``anchors[anchor_of[t]] + shapes[shape_of[t]]``.
+    """
+    nu = _normals(shapes)[shape_of]
+    m0, m1 = _lattice_moments(w, anchors, np.einsum("qk,skd->sqd", rule.points, shapes),
+                              rule.weights, anchor_of, shape_of)
+    tri_b = np.einsum("tab,tb->ta", m0, nu)
+    tri_g = tri_b[:, :, None] * anchors[anchor_of][:, None, :] + np.einsum("tdab,tb->tad", m1, nu)
+    return nu, tri_b, tri_g
+
+
+def _lattice_moments(w, anchors, offsets, weights, anchor_of, shape_of):
+    """Weighted moments of ``w`` over the nodes ``anchors[anchor_of[r]] + offsets[shape_of[r]]``.
+
+    Returns ``m0[r] = sum_q weights_q w(node_q)``, (nr, 3, 3), and
+    ``m1[r, d] = sum_q weights_q offsets_qd w(node_q)``, (nr, 3, 3, 3), from
+    one transfer table per shape, one phase row per anchor and chunks of
+    ``(rows, modes) @ (modes, 9)`` contractions, never a per-node field value.
+    """
+    nr, (xis, cs) = len(anchor_of), w.mode_arrays()
+    # modes pair as c(-xi) = conj c(xi), and both give one real part: keep one of each pair, doubled
+    key = xis @ (2 * np.abs(xis).max(initial=0) + 1) ** np.arange(2, -1, -1)
+    xis, cs = xis[key >= 0], cs[key >= 0] * (1.0 + (key[key >= 0] > 0))[:, None, None]
+    out = np.zeros((nr, 4, 3, 3))
+    if len(xis) and nr:
+        k, nm = TWO_PI / w.period, len(xis)
+        moment = weights * np.concatenate(
+            [np.ones(offsets.shape[:2] + (1,)), offsets], axis=2).transpose(0, 2, 1)   # (ns, 4, q)
+        transfer = np.empty((len(offsets), 4, nm), dtype=complex)
+        step = max(1, _CHUNK // (offsets.shape[1] * nm))
+        for s in range(0, len(offsets), step):
+            nodes = np.exp(1j * k * (offsets[s:s + step] @ xis.T))       # (shapes, q, modes)
+            transfer[s:s + step] = moment[s:s + step] @ nodes
+        phase = np.exp(1j * k * (anchors @ xis.T))                          # (na, modes)
+        coeffs = cs.reshape(nm, 9)
+        step = max(1, _CHUNK // (4 * nm))
+        for r in range(0, nr, step):
+            rows = phase[anchor_of[r:r + step], None, :] * transfer[shape_of[r:r + step]]
+            out[r:r + step] = (rows @ coeffs).real.reshape(-1, 4, 3, 3)
+    return out[:, 0], out[:, 1:]
 
 
 def eval_A(m: TriangleMoments, y, alpha: int, beta: int) -> float:

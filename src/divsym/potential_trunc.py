@@ -8,6 +8,11 @@ affine approximations on Whitney cubes of the superlevel set of
 patchwise.  This keeps the field bounded and weakly solenoidal away from
 patch boundaries, but is only weakly stable: a high-frequency field far
 below the threshold can still be modified.
+
+Patches come from tensor-Gauss moments over each cube.  All cubes of one
+side share the same 64 node offsets from their centre, so one level is one
+shape of ``flux._lattice_moments``: one transfer table per level, one
+phase row per cube centre, and every patch from one contraction.
 """
 
 from __future__ import annotations
@@ -18,8 +23,9 @@ import numpy as np
 
 from . import _kernels
 from .fields import SYM6, PreconditionError, TrigSymField, assert_div_free, potential_inverse
+from .flux import _lattice_moments
 from .maximal import OpenSetMask, ScalarGrid, bad_set, maximal_function
-from .truncation import _bad_grid_index, _spliced_norm, build_context, sym6_to_mat
+from .truncation import _bad_grid_index, _spliced_norm, flag_bad_set, sym6_to_mat
 from .whitney import WhitneyCube, _phi_at, whitney_decompose
 
 _GAUSS4 = np.polynomial.legendre.leggauss(4)
@@ -38,35 +44,36 @@ class PolyPatch:
         return self.value + self.grad @ d
 
 
-def _cube_quadrature(cube: WhitneyCube, period):
-    """Tensor Gauss nodes/weights over the (dilated) cube, weights averaging."""
-    nodes, weights = _GAUSS4
-    half = cube.side / 2.0
-    ax = [cube.center[d] + half * nodes for d in range(3)]
-    pts = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1).reshape(-1, 3)
-    ww = (weights[:, None, None] * weights[None, :, None] * weights[None, None, :]).ravel()
-    return pts, ww / ww.sum()
+def _cube_patches(v: TrigSymField, centers, sides, degree: int = 1):
+    """Patch values (nc, 3, 3) and gradients (nc, 3, 3, 3) of cubes ``centers``, ``sides``.
 
-
-def averaged_taylor(v: TrigSymField, cube: WhitneyCube, degree: int = 1) -> PolyPatch:
-    """L2 projection of each component onto polynomials of total degree <= degree.
-
-    The affine basis {1, t1, t2, t3} is orthogonal on the cube under the
-    symmetric tensor quadrature, so the projection reduces to moment
-    ratios and reproduces polynomials of that degree exactly.
+    Each component is L2-projected onto polynomials of total degree <= degree
+    under the 4^3 tensor-Gauss rule on the cube.  The affine basis
+    {1, t1, t2, t3} is orthogonal under that symmetric rule, so the
+    projection reduces to moment ratios and reproduces polynomials of that
+    degree exactly.
     """
     if degree not in (0, 1):
         raise PreconditionError("only degrees 0 and 1 are supported")
-    pts, ww = _cube_quadrature(cube, v.period)
-    vals = v.eval_many(pts)                       # (q, 3, 3)
-    t = (pts - cube.center) / cube.side           # centered, orthogonal to 1
-    mean = np.einsum("q,qab->ab", ww, vals)
-    grad = np.zeros((3, 3, 3))
+    nodes, weights = _GAUSS4
+    unit = np.stack(np.meshgrid(nodes, nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 3)
+    ww = np.einsum("i,j,k->ijk", weights, weights, weights).ravel()
+    ww = ww / ww.sum()
+    level_sides, level_of = np.unique(sides, return_inverse=True)
+    offsets = level_sides[:, None, None] / 2.0 * unit                 # (levels, 64, 3)
+    value, first = _lattice_moments(v, centers, offsets, ww, np.arange(len(sides)), level_of)
+    grad = np.zeros((len(sides), 3, 3, 3))
     if degree == 1:
-        tsq = np.einsum("q,qd->d", ww, t * t)
-        for d in range(3):
-            grad[:, :, d] = np.einsum("q,qab->ab", ww * t[:, d], vals) / tsq[d] / cube.side
-    return PolyPatch(center=cube.center.copy(), value=mean, grad=grad)
+        second = np.einsum("q,lqd->ld", ww, offsets**2)[level_of]   # sum_q ww delta_d^2
+        grad = (first / second[:, :, None, None]).transpose(0, 2, 3, 1)
+    return value, grad
+
+
+def averaged_taylor(v: TrigSymField, cube: WhitneyCube, degree: int = 1) -> PolyPatch:
+    """The affine patch of ``v`` on one cube: ``_cube_patches`` for a batch of one."""
+    center = np.array(cube.center, dtype=float)
+    value, grad = _cube_patches(v, center[None], np.array([cube.side]), degree)
+    return PolyPatch(center=center, value=value[0], grad=grad[0])
 
 
 @dataclass
@@ -79,7 +86,8 @@ class PotentialTruncation:
     level_grid: ScalarGrid   # sum of the three maximal functions
     bad: OpenSetMask
     cover: object            # WhitneyCover or None; phi is whitney._phi_at
-    patches: list
+    patch_values: np.ndarray  # (nc, 3, 3) patch value at each cube centre
+    patch_grads: np.ndarray   # (nc, 3, 3, 3) constant gradient, last axis = direction
 
     @property
     def period(self):
@@ -90,8 +98,8 @@ class PotentialTruncation:
         if self.cover is None or not self.bad.contains(x):
             return self.v(x)
         active, off, packs = _phi_at(self.cover, x)
-        return sum((phi * (self.patches[j].value + self.patches[j].grad @ d)
-                    for j, d, phi in zip(active, off, packs[0])), np.zeros((3, 3)))
+        local = self.patch_values[active] + np.einsum("jabd,jd->jab", self.patch_grads[active], off)
+        return np.einsum("j,jab->ab", packs[0], local)
 
 
 def _derivative_magnitude_grids(v: TrigSymField, n: int):
@@ -132,13 +140,10 @@ def w_m_inf_truncate(v: TrigSymField, lam: float, n: int) -> PotentialTruncation
     mask = bad_set(level, lam)
     if mask.is_full():
         raise PreconditionError("potential bad set covers the whole torus; raise lambda")
-    if mask.is_empty():
-        return PotentialTruncation(v=v, lam=lam, n=n, level_grid=level, bad=mask,
-                                   cover=None, patches=[])
     cover = whitney_decompose(mask)
-    patches = [averaged_taylor(v, cube) for cube in cover.cubes]
-    return PotentialTruncation(v=v, lam=lam, n=n, level_grid=level, bad=mask,
-                               cover=cover, patches=patches)
+    values, grads = _cube_patches(v, cover.centers, cover.sides)
+    return PotentialTruncation(v=v, lam=lam, n=n, level_grid=level, bad=mask, cover=cover or None,
+                               patch_values=values, patch_grads=grads)
 
 
 @dataclass
@@ -167,10 +172,8 @@ class PotentialFieldTruncation:
         if vt.cover is not None:
             spacks = np.zeros((npts, 10))
             _kernels.accumulate_spacks(vt.cover.centers, vt.cover.sides, m, vt.period, idx, spacks)
-            patch_c0 = np.stack([p.value for p in vt.patches])
-            patch_grad = np.stack([p.grad for p in vt.patches])
-            _kernels.accumulate_patch_curl(vt.cover.centers, vt.cover.sides, patch_c0,
-                                           patch_grad, m, vt.period, idx, spacks, out)
+            _kernels.accumulate_patch_curl(vt.cover.centers, vt.cover.sides, vt.patch_values,
+                                           vt.patch_grads, m, vt.period, idx, spacks, out)
         self._samples[m] = (idx, mask_m, out)
         return self._samples[m]
 
@@ -214,8 +217,7 @@ def stability_comparison(u: TrigSymField, lam: float, n: int = 32) -> dict:
     set when the potential's second derivatives are large.
     """
     assert_div_free(u, what="stability_comparison input")
-    ctx = build_context(u, lam, n)
-    geometric_changed = ctx.bad.measure()
+    geometric = flag_bad_set(u, lam, n)[3]
     pot = afree_potential_truncate(u, lam, n)
     vals = u.grid_values(n)
     umax = float(np.sqrt(np.einsum("...ab,...ab->...", vals, vals)).max())
@@ -224,8 +226,8 @@ def stability_comparison(u: TrigSymField, lam: float, n: int = 32) -> dict:
         "grid_n": n,
         "linf_u": umax,
         "linf_of_u_over_lambda": umax / lam,
-        "geometric": {"changed_measure": float(geometric_changed),
-                      "bad_fraction": float(ctx.bad.mask.mean())},
+        "geometric": {"changed_measure": float(geometric.measure()),
+                      "bad_fraction": float(geometric.mask.mean())},
         "potential": {"changed_measure": float(pot.changed_measure()),
                       "bad_fraction": float(pot.vtrunc.bad.mask.mean())},
     }

@@ -10,14 +10,14 @@ partition-weighted sum of the local flux reconstructions on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import asdict, dataclass, field as dfield
 from math import comb
 
 import numpy as np
 
 from . import _kernels
 from .fields import SYM6, SYM6_SLOT, TWO_PI, PreconditionError, TrigSymField, _sym6_sq, assert_div_free
-from .flux import _batched_moments, rule_for_degree
+from .flux import _triangle_moments, rule_for_degree
 from .maximal import OpenSetMask, ScalarGrid, bad_set, maximal_function, sample_abs
 from .whitney import _pack_slot, _phi_at, _upsample, whitney_decompose
 
@@ -38,16 +38,15 @@ class PlaneWave:
         self.phase = float(phase)
         self.period = float(period)
 
+    def _arg(self, pts):
+        return TWO_PI / self.period * (np.atleast_2d(pts) @ np.asarray(self.xi, dtype=float)) + self.phase
+
     def value(self, pts):
-        k = TWO_PI / self.period
-        arg = k * (np.atleast_2d(pts) @ np.asarray(self.xi, dtype=float)) + self.phase
-        return np.cos(arg)
+        return np.cos(self._arg(pts))
 
     def grad(self, pts):
-        k = TWO_PI / self.period
-        xi = np.asarray(self.xi, dtype=float)
-        arg = k * (np.atleast_2d(pts) @ xi) + self.phase
-        return -np.sin(arg)[:, None] * (k * xi)[None, :]
+        k_xi = TWO_PI / self.period * np.asarray(self.xi, dtype=float)
+        return -np.sin(self._arg(pts))[:, None] * k_xi[None, :]
 
 
 def battery_psis(period=1.0):
@@ -85,9 +84,8 @@ def lambda_for_fraction(w, n, fraction):
     return float(np.quantile(m.values, 1.0 - fraction)) / LAMBDA_EFF_FACTOR
 
 
-def build_context(w: TrigSymField, lam: float, n: int, degree: int = 10) -> TruncationContext:
-    """Run the full pipeline and cache triangle moments for all cube triples."""
-    assert_div_free(w, what="build_context input")
+def flag_bad_set(w: TrigSymField, lam: float, n: int):
+    """The flagging stage: |w| on the n-grid, its maximal function, lam_eff = 1.25 lam, the mask."""
     if lam <= 0:
         raise PreconditionError("lambda must be positive")
     g = sample_abs(w, n)
@@ -96,33 +94,40 @@ def build_context(w: TrigSymField, lam: float, n: int, degree: int = 10) -> Trun
     mask = bad_set(m, lam_eff * (1.0 - BAD_MARGIN)) if m.values.max() > 0 else bad_set(m, lam_eff)
     if mask.is_full():
         raise PreconditionError("bad set covers the whole torus; raise lambda")
+    return g, m, lam_eff, mask
 
+
+def _triple_moments(w, cover, triples, rule):
+    """Vertices unwrapped next to the anchor cube's centre (nt, 3, 3), fluxes and first moments.
+
+    Triples whose vertex offsets round to the same multiples of h/2 share one shape.
+    """
+    anchors = cover.centers[triples[:, 0], None]
+    off = cover.wrap(cover.centers[triples] - anchors)
+    unit = cover.period / (2 * cover.n)
+    keys = np.rint(off / unit)
+    if len(keys) and np.abs(off / unit - keys).max() > 1e-9:
+        raise ValueError("cube centres are off the half-cell lattice")
+    shapes, shape_of = np.unique(keys.reshape(-1, 9), axis=0, return_inverse=True)
+    _, tri_b, tri_g = _triangle_moments(w, cover.centers, shapes.reshape(-1, 3, 3) * unit, rule,
+                                        triples[:, 0], shape_of.ravel())
+    return anchors + off, tri_b, tri_g
+
+
+def build_context(w: TrigSymField, lam: float, n: int, degree: int = 10) -> TruncationContext:
+    """Run the full pipeline and cache triangle moments for all cube triples."""
+    assert_div_free(w, what="build_context input")
+    g, m, lam_eff, mask = flag_bad_set(w, lam, n)
     rule = rule_for_degree(degree)
-    if mask.is_empty():
-        return TruncationContext(
-            w=w, lam=lam, lam_eff=lam_eff, n=n, abs_grid=g, maximal_grid=m, bad=mask,
-            cover=None, rule=rule,
-            triples=np.zeros((0, 3), dtype=np.int32),
-            tri_verts=np.zeros((0, 3, 3)), tri_B=np.zeros((0, 3)), tri_G=np.zeros((0, 3, 3)),
-        )
-
-    cover = whitney_decompose(mask)
-    triples = cover.triples()
-
-    nt = len(triples)
-    tri_verts = np.zeros((nt, 3, 3))
-    if nt:
-        anchors = cover.centers[triples[:, 0]]
-        tri_verts[:, 0] = anchors
-        for v in (1, 2):
-            tri_verts[:, v] = anchors + cover.wrap(cover.centers[triples[:, v]] - anchors)
-    tri_B, tri_G = _batched_moments(w, tri_verts, rule)
-
+    cover, triples = None, np.zeros((0, 3), dtype=np.int32)
+    tri_verts, tri_B, tri_G = np.zeros((0, 3, 3)), np.zeros((0, 3)), np.zeros((0, 3, 3))
+    if not mask.is_empty():
+        cover = whitney_decompose(mask)
+        triples = cover.triples()
+        tri_verts, tri_B, tri_G = _triple_moments(w, cover, triples, rule)
     return TruncationContext(
-        w=w, lam=lam, lam_eff=lam_eff, n=n, abs_grid=g, maximal_grid=m, bad=mask,
-        cover=cover, rule=rule, triples=triples, tri_verts=tri_verts,
-        tri_B=tri_B, tri_G=tri_G,
-    )
+        w=w, lam=lam, lam_eff=lam_eff, n=n, abs_grid=g, maximal_grid=m, bad=mask, cover=cover,
+        rule=rule, triples=triples, tri_verts=tri_verts, tri_B=tri_B, tri_G=tri_G)
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +244,9 @@ def sample_bad_truncation(ctx: TruncationContext, m: int):
 
 def _bad_points(ctx, m):
     key = ("badpts", m)
-    if key in ctx._caches:
-        return ctx._caches[key]
-    _, mask_m, _ = sample_bad_truncation(ctx, m)
-    hm = ctx.period / m
-    pts = (np.argwhere(mask_m) + 0.5) * hm
-    ctx._caches[key] = pts
-    return pts
+    if key not in ctx._caches:
+        ctx._caches[key] = (np.argwhere(sample_bad_truncation(ctx, m)[1]) + 0.5) * (ctx.period / m)
+    return ctx._caches[key]
 
 
 def _w_on_grid(ctx, m):
@@ -379,6 +380,9 @@ def summation_vanish_check(ctx: TruncationContext, a, b, c, mode, samples):
     return {"max_abs": worst, "used": used, "skipped": skipped}
 
 
+_REPORT_KEYS = {"lam": "lambda", "lam_eff": "lambda_effective", "n": "grid_n", "m": "eval_m"}
+
+
 @dataclass
 class VerificationReport:
     lam: float
@@ -398,23 +402,7 @@ class VerificationReport:
     overlap: int
 
     def to_dict(self):
-        return {
-            "lambda": self.lam,
-            "lambda_effective": self.lam_eff,
-            "grid_n": self.n,
-            "eval_m": self.m,
-            "linf_ratio": self.linf_ratio,
-            "l1_distance": self.l1_distance,
-            "tail_integral": self.tail_integral,
-            "stability_ratio": self.stability_ratio,
-            "changed_measure": self.changed_measure,
-            "small_change_ratio": self.small_change_ratio,
-            "div_defects": list(self.div_defects),
-            "spiked_defect": self.spiked_defect,
-            "cover_size": self.cover_size,
-            "triple_count": self.triple_count,
-            "overlap": self.overlap,
-        }
+        return {_REPORT_KEYS.get(k, k): v for k, v in asdict(self).items()}
 
 
 def verify(ctx: TruncationContext, m: int | None = None, psis=None) -> VerificationReport:

@@ -89,8 +89,6 @@ def test_patch_curl_matches_loops(case):
     spacks = spacks_both(vt.cover, m, bad_index, len(got))
 
     ref = np.zeros_like(got)
-    loops.accumulate_patch_curl(vt.cover.centers, vt.cover.sides,
-                                np.stack([p.value for p in vt.patches]),
-                                np.stack([p.grad for p in vt.patches]),
+    loops.accumulate_patch_curl(vt.cover.centers, vt.cover.sides, vt.patch_values, vt.patch_grads,
                                 m, vt.period, bad_index, spacks, ref)
     assert_close(got, ref)

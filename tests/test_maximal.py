@@ -4,6 +4,7 @@ import pytest
 from divsym.fields import TrigSymField, random_field
 from divsym.maximal import (
     ScalarGrid,
+    _ball_kernel,
     bad_set,
     dyadic_radii,
     grid_to_csv,
@@ -13,6 +14,7 @@ from divsym.maximal import (
     write_grid,
     zhang_bound_check,
 )
+from divsym.truncation import BAD_MARGIN, LAMBDA_EFF_FACTOR, flag_bad_set, lambda_for_fraction
 
 
 def constant_field(c):
@@ -202,3 +204,31 @@ class TestGridIO:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x,y,z,value"
         assert len(lines) == 8**3 + 1
+
+
+def numpy_fft_maximal(g):
+    """``maximal_function`` over the default radii through ``numpy.fft`` instead of ``scipy.fft``."""
+    spec = np.fft.rfftn(g.values)
+    out = g.values.copy()
+    for r in dyadic_radii(g.n, g.period):
+        kernel = _ball_kernel(g.n, g.h, r)
+        avg = np.fft.irfftn(spec * np.fft.rfftn(kernel), s=g.values.shape, axes=(0, 1, 2))
+        np.maximum(out, avg / int(kernel.sum()), out=out)
+    return out
+
+
+def test_fft_module_changes_rounding_only():
+    # scipy.fft against numpy.fft: values within rounding (6.7e-16 of the largest
+    # value measured over these cases), and the same lambda_for_fraction bad sets
+    for seed in (3, 7, 11):
+        w = random_field(seed, 2, 1.0, divfree=True)
+        for n in (16, 20, 24, 32):
+            g = sample_abs(w, n)
+            ref = numpy_fft_maximal(g)
+            np.testing.assert_allclose(maximal_function(g).values, ref, rtol=0,
+                                       atol=1e-15 * np.abs(ref).max())
+            for fraction in (0.01, 0.08, 0.30):
+                lam = float(np.quantile(ref, 1.0 - fraction)) / LAMBDA_EFF_FACTOR
+                want = ref > LAMBDA_EFF_FACTOR * lam * (1.0 - BAD_MARGIN)
+                got = flag_bad_set(w, lambda_for_fraction(w, n, fraction), n)[3].mask
+                assert np.array_equal(got, want)

@@ -1,0 +1,149 @@
+"""Lattice-factored moments against the point-sum references, and guards on where they run."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import _reference_moments as ref
+from divsym import potential_trunc, truncation, whitney
+from divsym.fields import TrigSymField, potential_inverse, random_field
+from divsym.flux import _normals, rule_for_degree
+from divsym.maximal import ScalarGrid, bad_set, maximal_function
+from divsym.potential_trunc import _derivative_magnitude_grids, w_m_inf_truncate
+from divsym.truncation import _triple_moments, build_context, flag_bad_set, lambda_for_fraction
+from divsym.whitney import WhitneyCube, whitney_decompose
+
+# Agreement bound, relative to the largest reference entry, fixed before the
+# first run.  The two sides sum the same node values in another order and
+# through another factorisation of each phase, so only rounding may differ.
+RTOL = 1e-12
+
+# triples compared per example besides every wrapping and degenerate one (capped)
+SAMPLE = 150
+CAP = 60
+
+
+def assert_close(got, want):
+    scale = max(np.abs(w).max() for w in want)
+    assert scale > 1e-6
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=RTOL * scale)
+
+
+def wrapping(cover, triples, tri_verts):
+    """Triples with a vertex unwrapped across the period from its cube's centre."""
+    return np.abs(tri_verts - cover.centers[triples]).max(axis=(1, 2)) > cover.period / 2
+
+
+def compare_triples(w, cover, triples, rule):
+    tri_verts, tri_b, tri_g = _triple_moments(w, cover, triples, rule)
+    assert_close((tri_b, tri_g), ref._batched_moments(w, tri_verts, rule))
+    return tri_verts
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 30), st.sampled_from([16, 20, 24]), st.floats(0.01, 0.30), st.integers(0, 2**16))
+def test_triangle_moments_match_point_sums(seed, n, fraction, pick):
+    w = random_field(seed, 2, 1.0, divfree=True)
+    cover = whitney_decompose(flag_bad_set(w, lambda_for_fraction(w, n, fraction), n)[3])
+    triples = cover.triples()
+    if not len(triples):
+        return
+    anchors = cover.centers[triples[:, 0]]
+    verts = anchors[:, None] + cover.wrap(cover.centers[triples] - anchors[:, None])
+    rng = np.random.default_rng(pick)
+    special = [np.flatnonzero(wrapping(cover, triples, verts))[:CAP],
+               np.flatnonzero(~_normals(verts).any(axis=1))[:CAP]]
+    rows = np.concatenate([rng.integers(0, len(triples), SAMPLE)] + special)
+    compare_triples(w, cover, triples[rows], rule_for_degree(10))
+
+
+def test_wrapping_and_degenerate_triples():
+    # a row of cells across the period boundary plus two off-line cells; the
+    # moment code takes any index triple, so collinear and wrapped rows are chosen
+    n = 16
+    vals = np.zeros((n, n, n))
+    for x in (13, 14, 15, 0, 1, 2):
+        vals[x, 4, 4] = 1.0
+    vals[0, 5, 4] = vals[15, 4, 5] = 1.0
+    cover = whitney_decompose(bad_set(ScalarGrid(n=n, period=1.0, values=vals), 0.5))
+    cells = {tuple(np.rint(c * n - 0.5).astype(int)): j for j, c in enumerate(cover.centers)}
+    line = [cells[(x, 4, 4)] for x in (13, 14, 15, 0, 1, 2)]
+    triples = np.array([line[0:3], line[1:4], line[2:5], line[3:6], [line[0], line[2], line[5]],
+                        [line[2], line[3], cells[(0, 5, 4)]], [line[2], cells[(15, 4, 5)], line[4]],
+                        [cells[(0, 5, 4)], line[2], cells[(15, 4, 5)]]], dtype=np.int32)
+    w = random_field(4, 2, 1.0, divfree=True)
+    verts = compare_triples(w, cover, triples, rule_for_degree(10))
+    assert (~_normals(verts).any(axis=1)).tolist() == [True] * 5 + [False] * 3
+    assert wrapping(cover, triples, verts).tolist() == [False, True, True, False] + [True] * 4
+
+
+def test_off_lattice_centres_refused():
+    n = 16
+    vals = np.zeros((n, n, n))
+    vals[4:7, 4, 4] = 1.0
+    cover = whitney_decompose(bad_set(ScalarGrid(n=n, period=1.0, values=vals), 0.5))
+    cover.centers[1] += 1e-4
+    with pytest.raises(ValueError, match="lattice"):
+        _triple_moments(random_field(1, 1, 1.0, divfree=True), cover,
+                        np.array([[0, 1, 2]], dtype=np.int32), rule_for_degree(10))
+
+
+def test_patches_match_per_cube_loop():
+    v = potential_inverse(random_field(3, 2, 1.0, divfree=True))
+    level = sum(maximal_function(ScalarGrid(n=16, period=1.0, values=g)).values
+                for g in _derivative_magnitude_grids(v, 16))
+    vt = w_m_inf_truncate(v, float(np.quantile(level, 0.5)), 16)
+    levels = vt.cover.levels
+    assert (levels == 0).any() and (levels == 1).any()
+    rows = np.flatnonzero((levels == 1) | (np.arange(len(levels)) % 7 == 0))
+    want = [ref.averaged_taylor(v, vt.cover.cubes[j]) for j in rows]
+    assert_close((vt.patch_values[rows], vt.patch_grads[rows]),
+                 (np.stack([p[0] for p in want]), np.stack([p[1] for p in want])))
+
+
+def test_averaged_taylor_is_a_batch_of_one():
+    v = potential_inverse(random_field(5, 2, 1.0, divfree=True))
+    cube = WhitneyCube(center=np.array([0.93, 0.02, 0.51]), side=0.125, level=1)
+    patch = potential_trunc.averaged_taylor(v, cube)
+    assert_close((patch.value, patch.grad), ref.averaged_taylor(v, cube))
+
+
+def test_no_point_sums(monkeypatch):
+    # the moments and patches come from mode tables, never from field values at nodes
+    calls = []
+    original = TrigSymField.eval_many
+
+    def counted(self, *args, **kwargs):
+        calls.append(len(args[0]))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(TrigSymField, "eval_many", counted)
+    w = random_field(3, 2, 1.0, divfree=True)
+    ctx = build_context(w, lambda_for_fraction(w, 16, 0.08), 16)
+    v = potential_inverse(w)
+    level = sum(maximal_function(ScalarGrid(n=16, period=1.0, values=g)).values
+                for g in _derivative_magnitude_grids(v, 16))
+    vt = w_m_inf_truncate(v, float(np.quantile(level, 0.5)), 16)
+    assert len(ctx.triples) and len(vt.cover)
+    assert calls == []
+
+
+def test_compare_stops_at_the_mask(monkeypatch):
+    # the geometric side of the comparison needs only the mask: one cover, the potential's
+    covers = []
+    decompose = whitney.whitney_decompose
+
+    def counted(mask):
+        covers.append(mask)
+        return decompose(mask)
+
+    monkeypatch.setattr(potential_trunc, "whitney_decompose", counted)
+    monkeypatch.setattr(truncation, "whitney_decompose", counted)
+    w = random_field(3, 2, 1.0, divfree=True)
+    lam = lambda_for_fraction(w, 16, 0.08)
+    rep = potential_trunc.stability_comparison(w, lam, 16)
+    assert len(covers) == 1
+    mask = flag_bad_set(w, lam, 16)[3]
+    assert rep["geometric"]["bad_fraction"] == float(mask.mask.mean())
+    assert rep["potential"]["bad_fraction"] == float(covers[0].mask.mean())

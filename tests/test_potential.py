@@ -20,19 +20,16 @@ def div_free(seed, max_freq=2, amplitude=1.0):
     return TrigSymField(f.coeffs)
 
 
-def affine_field(m0, grad):
-    """Not a trig field; small helper class quacking like one for projections."""
+def affine_field(m0, grad, period=1e8):
+    """A trig field equal to ``m0 + grad . x`` to rounding on the unit cube.
 
-    class Affine:
-        period = 1.0
-
-        def eval_many(self, pts, order=(0, 0, 0)):
-            pts = np.atleast_2d(pts)
-            if order == (0, 0, 0):
-                return m0[None] + np.einsum("abd,pd->pab", grad, pts)
-            raise NotImplementedError
-
-    return Affine()
+    Each coordinate is ``x_d = (P / 2 pi) sin(2 pi x_d / P) + O((2 pi / P)^2 |x_d|^3 / 6)``,
+    under 1e-15 for P = 1e8, so the patches see an affine field through their mode path.
+    """
+    coeffs = {(0, 0, 0): m0.astype(complex)}
+    for d in range(3):
+        coeffs[tuple(np.eye(3, dtype=int)[d])] = -0.5j * period / (2 * np.pi) * grad[:, :, d]
+    return TrigSymField(coeffs, period=period)
 
 
 class TestAveragedTaylor:
@@ -118,7 +115,7 @@ class TestWmInfTruncate:
         chosen = cells[rng.integers(0, len(cells), size=12)]
         for x in np.concatenate([chosen[:6] + rng.random((6, 3)), chosen[6:] + 0.5]) / 16:
             centers = vt.cover.centers
-            ref = sum(pou_eval(pou, j, x) * vt.patches[j](centers[j] + vt.cover.wrap(x - centers[j]))
+            ref = sum(pou_eval(pou, j, x) * (vt.patch_values[j] + vt.patch_grads[j] @ vt.cover.wrap(x - centers[j]))
                       for j in vt.cover.cubes_at(x))
             np.testing.assert_allclose(vt(x), ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from _reference_moments import _batched_moments
 from _reference_pointwise import PointwiseReference, build_partition, pou_eval
 from divsym.fields import (PreconditionError, TrigSymField, UnsupportedOrderError, project_div_free,
                            random_field)
-from divsym.flux import _batched_moments, eval_A, rule_for_degree, triangle_moments
+from divsym.flux import eval_A, rule_for_degree, triangle_moments
 from divsym.maximal import ScalarGrid, bad_set
 from divsym.truncation import (
     PlaneWave,

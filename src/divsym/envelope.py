@@ -2,13 +2,23 @@
 
 The admissible class is the linear subspace of mean-zero divergence-free
 trigonometric fields up to a frequency cutoff F, so projected gradient
-descent is exact.  The iterate is a coefficient array over the (2F+1)^3 - 1
-non-zero modes.  Each step resamples it at the n^3 cell centres by one
-inverse FFT (exact: n = max(4F, 16) > 2F, so no mode aliases), steps along
-the pointwise objective gradient, and band-projects: one forward FFT, then
-every band mode is symmetrised, paired and projected at once.  The FFT pair
-is the one in ``fields``.  Estimates are upper bounds of the
-restricted-frequency envelope; membership in a hull is therefore one-sided.
+descent is exact.  Symmetric matrices are Mandel rows (six real components,
+an isometry), from the iterate to the objective's gradient.  The iterate is
+a coefficient array over the half band: the non-zero modes with xi_z >= 0,
+one of each Hermitian pair except in the plane xi_z = 0.  Each step
+resamples it at the n^3 cell centres by one inverse real FFT, steps along
+the pointwise objective gradient, and band-projects: one forward real FFT,
+then one 6x6 matrix per mode for c -> Q c Q.  The FFT pair is the one in
+``fields``.  Estimates are upper bounds of the restricted-frequency
+envelope; membership in a hull is therefore one-sided.
+
+The projection once checked that the band coefficients came in Hermitian
+pairs, coeff(-xi) = conj(coeff(xi)), and refused them otherwise: the
+coefficients of a complex grid field do not pair, and projecting them gives
+no real field.  That cannot happen now.  The forward transform is a real
+FFT, which refuses complex input; the half band holds one mode of each pair
+except in the plane xi_z = 0, where the real FFT of real data pairs them;
+the inverse transform and the field constructor supply the mirrors.
 """
 
 from __future__ import annotations
@@ -17,8 +27,8 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .fields import (PreconditionError, TrigSymField, _fft_index, _grid_to_modes,
-                     _mandel_to_sym, _modes_to_grid, _sym_to_mandel, project_div_free)
+from .fields import (PreconditionError, TrigSymField, _fft_index, _grid_to_modes, _mandel_to_sym,
+                     _modes_to_grid, _sym_to_mandel, project_div_free)
 
 
 @dataclass
@@ -41,14 +51,13 @@ class CompactSetDescriptor:
             self.points = [np.asarray(p, dtype=float).reshape(3, 3) for p in self.points]
         else:
             raise ValueError(f"unknown set kind {self.kind!r}")
+        # Mandel rows of the points (of the centre for a ball), computed once
+        self.rows = _sym_to_mandel(self.center[None] if self.kind == "ball" else np.stack(self.points))
 
     def diameter(self):
         if self.kind == "ball":
             return 2.0 * self.radius
-        pts = np.stack([_sym_to_mandel(p) for p in self.points])
-        if len(pts) == 1:
-            return 0.0
-        d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+        d = np.linalg.norm(self.rows[:, None, :] - self.rows[None, :, :], axis=-1)
         return float(d.max())
 
     def to_json(self):
@@ -124,15 +133,14 @@ def nearest_point(k: CompactSetDescriptor, xi):
     """The (deterministically tie-broken) nearest point of K to xi."""
     y6 = _sym_to_mandel(np.asarray(xi, dtype=float))
     if k.kind == "ball":
-        c6 = _sym_to_mandel(k.center)
+        c6 = k.rows[0]
         d = np.linalg.norm(y6 - c6)
         if d <= k.radius:
             return np.asarray(xi, dtype=float)
         return _mandel_to_sym(c6 + (y6 - c6) * (k.radius / d))
     if k.kind == "points":
-        pts = np.stack([_sym_to_mandel(p) for p in k.points])
-        return k.points[int(np.argmin(np.linalg.norm(pts - y6, axis=1)))]
-    return _mandel_to_sym(_project_simplex_hull(np.stack([_sym_to_mandel(p) for p in k.points]), y6))
+        return k.points[int(np.argmin(np.linalg.norm(k.rows - y6, axis=1)))]
+    return _mandel_to_sym(_project_simplex_hull(k.rows, y6))
 
 
 def dist_p(k: CompactSetDescriptor, xi, p: float) -> float:
@@ -145,7 +153,7 @@ def dist_p(k: CompactSetDescriptor, xi, p: float) -> float:
 
 
 class DistanceObjective:
-    """Pointwise value/gradient of dist^p(., K) for batched matrix samples."""
+    """Pointwise value/gradient of dist^p(., K) for batched Mandel rows."""
 
     def __init__(self, k: CompactSetDescriptor, p: float):
         if p < 1:
@@ -154,36 +162,26 @@ class DistanceObjective:
         self.p = float(p)
 
     def __call__(self, values):
-        """values: (..., 3, 3) -> (vals (...,), grads (..., 3, 3))."""
-        y6 = _sym_to_mandel(values).reshape(-1, 6)
+        """values: (..., 6) -> (vals (...,), grads (..., 6)).
+
+        Matrices (..., 3, 3) are converted to rows on entry and the
+        gradients back to matrices on exit.
+        """
+        values = np.asarray(values)
+        if values.shape[-1] == 3:
+            vals, grads = self(_sym_to_mandel(values))
+            return vals, _mandel_to_sym(grads)
+        y6, rows = values.reshape(-1, 6), self.k.rows
         if self.k.kind == "ball":
-            c6 = _sym_to_mandel(self.k.center)
-            delta = y6 - c6
-            dist = np.maximum(np.linalg.norm(delta, axis=1) - self.k.radius, 0.0)
-            dirs = np.zeros_like(delta)
-            nz = dist > 0
-            dirs[nz] = delta[nz] / np.linalg.norm(delta[nz], axis=1, keepdims=True)
-        elif self.k.kind == "points":
-            pts = np.stack([_sym_to_mandel(q) for q in self.k.points])
-            d2 = ((y6[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-            best = np.argmin(d2, axis=1)
-            delta = y6 - pts[best]
-            dist = np.linalg.norm(delta, axis=1)
-            dirs = np.zeros_like(delta)
-            nz = dist > 0
-            dirs[nz] = delta[nz] / dist[nz, None]
+            delta = y6 - rows[0]
+        elif self.k.kind == "points":  # nearest: the largest y.r - |r|^2/2
+            delta = y6 - rows[np.argmax(y6 @ rows.T - 0.5 * np.einsum("ij,ij->i", rows, rows), axis=1)]
         else:
-            near = np.stack([_sym_to_mandel(nearest_point(self.k, _mandel_to_sym(v))) for v in y6])
-            delta = y6 - near
-            dist = np.linalg.norm(delta, axis=1)
-            dirs = np.zeros_like(delta)
-            nz = dist > 0
-            dirs[nz] = delta[nz] / dist[nz, None]
-        vals = dist**self.p
-        gmag = np.where(dist > 0, self.p * dist ** (self.p - 1.0), 0.0)
-        grads = _mandel_to_sym(gmag[:, None] * dirs)
-        shape = values.shape[:-2]
-        return vals.reshape(shape), grads.reshape(shape + (3, 3))
+            delta = y6 - np.stack([_project_simplex_hull(rows, v) for v in y6])
+        norm = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+        dist = np.maximum(norm - self.k.radius, 0.0)  # the radius of a point set is 0
+        slope = self.p * dist ** (self.p - 1.0) / np.where(dist > 0, norm, np.inf)  # 0 where dist = 0
+        return (dist**self.p).reshape(values.shape[:-1]), (delta * slope[:, None]).reshape(values.shape)
 
 
 def _modes(max_freq):
@@ -193,40 +191,30 @@ def _modes(max_freq):
 
 
 def _band(max_freq, n):
-    """The non-zero modes, their FFT index on the n-grid and projectors Q = I - xi^ xi^T.
-
-    The modes are symmetric about the removed zero mode, so reversing an
-    array pairs each mode with its mirror -xi, and the first half holds the
-    smaller mode of each pair.
+    """The half band: the non-zero modes with ``xi_z >= 0``, in sorted order, their
+    half-spectrum index on the n-grid and the 6x6 Mandel matrices of c -> Q c Q,
+    Q = I - xi^ xi^T.
     """
-    xis = np.delete(_modes(max_freq), (2 * max_freq + 1) ** 3 // 2, axis=0)
+    xis = _modes(max_freq)
+    xis = xis[(xis[:, 2] >= 0) & xis.any(axis=1)]
     unit = xis / np.linalg.norm(xis, axis=1, keepdims=True)
-    return xis, _fft_index(xis, n), np.eye(3) - unit[:, :, None] * unit[:, None, :]
-
-
-def _pair_and_project(c, q, tol):
-    """Symmetrise band coefficients, pair mirrors and project every mode by Q c Q.
-
-    As in the validating constructor, mirrors must be Hermitian partners
-    within ``tol * max(1, max|c|)`` and the smaller mode of a pair wins.
-    """
-    c = 0.5 * (c + c.swapaxes(1, 2))
-    partner = c[::-1].conj()
-    if np.abs(c - partner).max(initial=0.0) > tol * max(1.0, np.abs(c).max(initial=0.0)):
-        raise ValueError("band coefficients are not Hermitian partners")
-    c[len(c) // 2:] = partner[len(c) // 2:]
-    c = q @ c @ q  # q is real and even in xi, so the pairs stay exact
-    return 0.5 * (c + c.swapaxes(1, 2))
+    q = (np.eye(3) - unit[:, :, None] * unit[:, None, :])[:, None]
+    proj = _sym_to_mandel(q @ _mandel_to_sym(np.eye(6)) @ q).swapaxes(1, 2)
+    return xis, _fft_index(xis, n), proj
 
 
 def _band_project(values, band):
-    """Grid field -> coefficients of its band-limited, mean-zero, divergence-free part."""
-    _, index, q = band
-    return _pair_and_project(_grid_to_modes(values, index), q, tol=1e-6)
+    """Real grid rows (n, n, n, 6) -> half-band Mandel coefficients of their divergence-free part.
+
+    The part is band-limited and mean-zero by construction of the band.
+    """
+    _, index, proj = band
+    return np.einsum("mij,mj->mi", proj, _grid_to_modes(values, index))
 
 
 def _band_field(xis, coeffs, period):
-    return TrigSymField(dict(zip(map(tuple, xis.tolist()), coeffs)), period=period)
+    """The field of half-band Mandel coefficients; the constructor adds the mirrors."""
+    return TrigSymField(dict(zip(map(tuple, xis.tolist()), _mandel_to_sym(coeffs))), period=period)
 
 
 @dataclass
@@ -246,26 +234,28 @@ def minimize_over_test_fields(objective, max_freq, restarts, iterations, seed,
                               period=1.0, init_amplitude=0.1, xi_offset=None):
     """Projected descent of mean(objective(xi + phi)) over admissible fields.
 
-    Restart 0 starts from the zero field; every restart only ever accepts
-    decreasing steps, so the reported value never exceeds the restart's
-    initial one.  Returns (best value, best field, trace).
+    The objective maps Mandel rows ``(n, n, n, 6)`` to values ``(n, n, n)``
+    and gradients ``(n, n, n, 6)``.  Restart 0 starts from the zero field;
+    every restart only ever accepts decreasing steps, so the reported value
+    never exceeds the restart's initial one.  Returns (best value, best
+    field, trace).
     """
     n = max(4 * max_freq, 16)
     band = _band(max_freq, n)
     xis, index, _ = band
-    offset = np.zeros((3, 3)) if xi_offset is None else np.asarray(xi_offset, dtype=float)
+    offset = _sym_to_mandel(np.zeros((3, 3)) if xi_offset is None else np.asarray(xi_offset, dtype=float))
 
     def evaluate(phi_values):
-        vals, grads = objective(offset[None, :, :] + phi_values)
+        vals, grads = objective(offset + phi_values)
         return float(vals.mean()), grads
 
     best_val, best_coeffs, trace = np.inf, None, []
     for r in range(restarts):
         if r == 0:  # the zero field: no modes, so a best field from it has none
-            coeffs, phi_vals = np.zeros((0, 3, 3), dtype=complex), np.zeros((n, n, n, 3, 3))
+            coeffs, phi_vals = np.zeros((0, 6), dtype=complex), np.zeros((n, n, n, 6))
         else:
-            # the initial field holds every band mode, so its sorted modes are the band
-            coeffs = _seeded_init(seed, r, max_freq, init_amplitude, period).mode_arrays()[1]
+            init = _seeded_init(seed, r, max_freq, init_amplitude, period).coeffs
+            coeffs = _sym_to_mandel(np.stack([init[x] for x in map(tuple, xis.tolist())]))
             phi_vals = _modes_to_grid(coeffs, index, n)
         val, grads = evaluate(phi_vals)
         step = 1.0
@@ -340,21 +330,15 @@ def truncate_project_sequence(u: TrigSymField, big_r: float, n: int | None = Non
     Frequencies at the grid Nyquist are dropped (they have no Hermitian
     partner on an even grid); choose n above twice the bandwidth to make
     the clamp-free round trip exact.  Modes below 1e-15 times the largest
-    grid coefficient are dropped.
+    clamped grid value are dropped.
     """
     if big_r <= 0:
         raise PreconditionError("R must be positive")
     if n is None:
         n = max(2 * u.max_freq + 2, 16)
-    vals = u.grid_values(n)
-    norms = np.sqrt(np.einsum("...ab,...ab->...", vals, vals))
-    vals = np.where((norms <= 2.0 * big_r)[..., None, None], vals, 0.0)
-    full = _modes(n // 2)  # every grid frequency: the Nyquist and zero modes also set the drop scale
-    coeffs = _grid_to_modes(vals, _fft_index(full, n))
-    scale = max(np.abs(coeffs).max(), 1.0)
-    xis, _, q = _band(n // 2 - 1, n)
-    coeffs = coeffs[(np.abs(full) < n // 2).all(axis=1) & full.any(axis=1)]
-    keep = np.abs(coeffs).max(axis=(1, 2)) >= 1e-15 * scale
-    keep |= keep[::-1]
-    coeffs = _pair_and_project(coeffs, q, tol=1e-8)
-    return _band_field(xis[keep], coeffs[keep], u.period)
+    vals = _sym_to_mandel(u.grid_values(n))
+    vals = np.where((np.linalg.norm(vals, axis=-1) <= 2.0 * big_r)[..., None], vals, 0.0)
+    band = _band(n // 2 - 1, n)
+    coeffs = _band_project(vals, band)
+    keep = np.abs(coeffs).max(axis=1) >= 1e-15 * max(np.abs(vals).max(), 1.0)
+    return _band_field(band[0][keep], coeffs[keep], u.period)

@@ -142,20 +142,13 @@ class _ModeField:
         """Selected components at the n^3 cell centers; returns (n, n, n, len(comps)).
 
         ``comps`` is a list of index tuples into the per-mode value shape.
-        Uses an inverse FFT (exact for trig polynomials) when the grid
-        resolves every stored mode, otherwise the direct mode sum.
+        One inverse real FFT, exact for trig polynomials at every n: modes
+        that alias on the grid add into the same bin.
         """
         order = _check_order(order)
         xis, cs = self.mode_arrays()
-        if len(xis) == 0:
-            return np.zeros((n, n, n, len(comps)))
-        if 2 * self.max_freq >= n:
-            grid = _cell_centers(n, self.period)
-            full = self.eval_many(grid.reshape(-1, 3), order).reshape((n, n, n) + self._shape)
-            return np.stack([full[(...,) + tuple(c)] for c in comps], axis=-1)
-        factor = self._order_factor(order)
         sel = np.stack([cs[(slice(None),) + tuple(c)] for c in comps], axis=-1)
-        return _modes_to_grid(sel * factor[:, None], _fft_index(xis, n), n)
+        return _modes_to_grid(sel * self._order_factor(order)[:, None], _fft_index(xis, n), n)
 
     def grid_values(self, n, order=(0, 0, 0)):
         """Values at the n^3 cell centers ``x = (idx + 1/2) * period / n``."""
@@ -165,30 +158,39 @@ class _ModeField:
 
 
 def _fft_index(xis, n):
-    """FFT index ``xi mod n`` of modes ``(m, 3)`` and the phase of the half-cell shift."""
-    return tuple((xis % n).T), np.exp(1j * np.pi * xis.sum(axis=1) / n)
+    """Half-spectrum index of the modes ``(m, 3)`` on the n-grid.
+
+    Returns the rows of the modes whose folded ``xi_z mod n <= n/2`` (the
+    bins ``irfftn`` reads; the mirror of every other mode is among them),
+    their bins, and the phases of the half-cell shift.
+    """
+    keep = np.flatnonzero(xis[:, 2] % n <= n // 2)
+    return keep, tuple((xis[keep] % n).T), np.exp(1j * np.pi * xis[keep].sum(axis=1) / n)
 
 
 def _modes_to_grid(coeffs, index, n):
     """Real values ``(n, n, n, ...)`` at the cell centres ``(idx + 1/2) h`` of modes ``(m, ...)``.
 
-    Exact for Hermitian-paired modes with every ``|xi_d| < n / 2``.
+    Exact for any Hermitian-paired mode set, aliased modes included: every
+    kept mode adds into its bin of the half spectrum.
     """
     from scipy import fft  # faster than numpy.fft here; imported on first use, not with the package
 
-    idx, phase = index
-    spec = np.zeros((n, n, n) + coeffs.shape[1:], dtype=complex)
-    spec[idx] = (coeffs.T * phase).T
-    return fft.ifftn(spec, axes=(0, 1, 2)).real * n**3
+    keep, idx, phase = index
+    spec = np.zeros((n, n, n // 2 + 1) + coeffs.shape[1:], dtype=complex)
+    np.add.at(spec, idx, (coeffs[keep].T * phase).T)
+    return fft.irfftn(spec, s=(n, n, n), axes=(0, 1, 2), norm="forward")
 
 
 def _grid_to_modes(values, index):
-    """Coefficients ``(m, ...)`` of cell-centre values ``(n, n, n, ...)``; inverts ``_modes_to_grid``."""
+    """Coefficients ``(len(keep), ...)`` of real cell-centre values ``(n, n, n, ...)``.
+
+    Inverts ``_modes_to_grid`` on the index's kept modes.
+    """
     from scipy import fft
 
-    idx, phase = index
-    n = values.shape[0]
-    return (fft.fftn(values, axes=(0, 1, 2))[idx].T * (phase.conj() / n**3)).T
+    _, idx, phase = index
+    return (fft.rfftn(values, axes=(0, 1, 2), norm="forward")[idx].T * phase.conj()).T
 
 
 def _cell_centers(n, period):
@@ -285,32 +287,21 @@ def curl_curl_T(v: TrigSymField) -> TrigSymField:
     return TrigSymField(out, period=v.period)
 
 
-_SQRT2 = np.sqrt(2.0)
+# Mandel weights of the SYM6 slots: the packed entries times these are an isometry
+_MANDEL = np.array([1.0, 1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0), np.sqrt(2.0)])
 
 
 def _sym_to_mandel(m):
     """Isometric 6-vectors [11, 22, 33, r 23, r 13, r 12], r = sqrt 2, of symmetric matrices.
 
-    The component axis comes last; the ``.T`` reverses the order of the
-    leading batch axes when there is more than one.
+    The component axis replaces the last two; batch axes keep their order.
     """
-    m = np.asarray(m)
-    return np.array([m[..., 0, 0], m[..., 1, 1], m[..., 2, 2],
-                     _SQRT2 * m[..., 1, 2], _SQRT2 * m[..., 0, 2], _SQRT2 * m[..., 0, 1]]).T
+    return np.asarray(m)[..., _r, _c] * _MANDEL
 
 
 def _mandel_to_sym(v):
     """Inverse of ``_sym_to_mandel`` over the last axis."""
-    v = np.asarray(v)
-    s = 1.0 / _SQRT2
-    out = np.empty(v.shape[:-1] + (3, 3), dtype=np.result_type(v, float))
-    out[..., 0, 0] = v[..., 0]
-    out[..., 1, 1] = v[..., 1]
-    out[..., 2, 2] = v[..., 2]
-    out[..., 1, 2] = out[..., 2, 1] = s * v[..., 3]
-    out[..., 0, 2] = out[..., 2, 0] = s * v[..., 4]
-    out[..., 0, 1] = out[..., 1, 0] = s * v[..., 5]
-    return out
+    return np.asarray(v)[..., SYM6_SLOT] * (1.0 / _MANDEL)[SYM6_SLOT]
 
 
 def curl_curl_symbol_matrix(xi, period=1.0):

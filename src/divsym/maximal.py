@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .fields import PreconditionError, TrigSymField
+from .fields import SYM6, PreconditionError, TrigSymField, _sym6_sq
 
 
 @dataclass
@@ -88,9 +88,7 @@ def sample_abs(f: TrigSymField, n: int) -> ScalarGrid:
     """Grid of Frobenius norms |f(x)| at cell centers."""
     if n < 8:
         raise ValueError("resolution must be >= 8")
-    vals = f.grid_values(n)
-    norms = np.sqrt(np.einsum("...ab,...ab->...", vals, vals))
-    return ScalarGrid(n=n, period=f.period, values=norms)
+    return ScalarGrid(n=n, period=f.period, values=np.sqrt(_sym6_sq(f.grid_components(n, SYM6))))
 
 
 def _ball_kernel(n, h, r):

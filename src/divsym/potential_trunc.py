@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .fields import SYM6, PreconditionError, TrigSymField, assert_div_free, potential_inverse
+from .fields import SYM6, PreconditionError, TrigSymField, _sym6_sq, assert_div_free, potential_inverse
 from .flux import _lattice_moments
 from .maximal import OpenSetMask, ScalarGrid, bad_set, maximal_function
 from .truncation import _bad_grid_index, _spliced_norm, flag_bad_set, sym6_to_mat
@@ -219,8 +219,7 @@ def stability_comparison(u: TrigSymField, lam: float, n: int = 32) -> dict:
     assert_div_free(u, what="stability_comparison input")
     geometric = flag_bad_set(u, lam, n)[3]
     pot = afree_potential_truncate(u, lam, n)
-    vals = u.grid_values(n)
-    umax = float(np.sqrt(np.einsum("...ab,...ab->...", vals, vals)).max())
+    umax = float(np.sqrt(_sym6_sq(u.grid_components(n, SYM6))).max())
     return {
         "lambda": lam,
         "grid_n": n,

@@ -11,7 +11,7 @@ from divsym.envelope import (
     qsdqc_estimate,
     truncate_project_sequence,
 )
-from divsym.fields import TrigSymField, divergence, project_div_free, random_field
+from divsym.fields import TrigSymField, _sym_to_mandel, divergence, project_div_free, random_field
 
 BUDGET = {"max_freq": 1, "restarts": 4, "iterations": 30}
 
@@ -88,6 +88,25 @@ class TestDistP:
             dist_p(ball(), np.eye(3), 0.5)
 
 
+@pytest.mark.parametrize("kind", ["ball", "points", "polytope"])
+def test_objective_keeps_batch_axes(kind):
+    # a grid of matrices and the same matrices flattened give the same values
+    # and gradients; Mandel rows give the same values and the rows of the gradients
+    rng = np.random.default_rng(1)
+    pts = [rand_sym(rng) for _ in range(3)]
+    k = ball(0.5, pts[0]) if kind == "ball" else CompactSetDescriptor(kind=kind, points=pts)
+    objective = DistanceObjective(k, 2)
+    grid = rng.standard_normal((4, 4, 4, 3, 3))
+    grid = grid + grid.swapaxes(-1, -2)
+    vals, grads = objective(grid)
+    flat_vals, flat_grads = objective(grid.reshape(-1, 3, 3))
+    np.testing.assert_array_equal(vals, flat_vals.reshape(4, 4, 4))
+    np.testing.assert_array_equal(grads, flat_grads.reshape(4, 4, 4, 3, 3))
+    row_vals, row_grads = objective(_sym_to_mandel(grid))
+    np.testing.assert_array_equal(row_vals, vals)
+    np.testing.assert_allclose(row_grads, _sym_to_mandel(grads), rtol=0, atol=1e-14 * np.abs(row_grads).max())
+
+
 class TestEstimate:
     def test_member_zero(self):
         est = qsdqc_estimate(ball(1.0), 0.3 * np.eye(3) / np.sqrt(3), 2, BUDGET, seed=1)
@@ -114,13 +133,13 @@ class TestEstimate:
 
     def test_tartar_quadratic_no_negative_direction(self):
         # 2|xi|^2 - tr(xi)^2 is div-quasiconvex: per divergence-free mode the
-        # quadratic form is a sum of squares, so no admissible field descends
+        # quadratic form is a sum of squares, so no admissible field descends.
+        # On Mandel rows y it reads 2|y|^2 - (y0 + y1 + y2)^2.
         class Tartar:
             def __call__(self, values):
-                sq = np.einsum("...ab,...ab->...", values, values)
-                tr = np.trace(values, axis1=-2, axis2=-1)
-                vals = 2.0 * sq - tr**2
-                grads = 4.0 * values - 2.0 * tr[..., None, None] * np.eye(3)
+                tr = values[..., :3].sum(axis=-1)
+                vals = 2.0 * (values**2).sum(axis=-1) - tr**2
+                grads = 4.0 * values - 2.0 * tr[..., None] * np.array([1.0, 1, 1, 0, 0, 0])
                 return vals, grads
 
         val, best, trace = minimize_over_test_fields(Tartar(), max_freq=1, restarts=6,

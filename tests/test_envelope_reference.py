@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import _reference_envelope as ref
 from divsym.envelope import (CompactSetDescriptor, DistanceObjective, _band, _band_project,
                              minimize_over_test_fields, truncate_project_sequence)
-from divsym.fields import TrigSymField, project_div_free, random_field
+from divsym.fields import TrigSymField, _modes_to_grid, project_div_free, random_field
 
 # Agreement bound, relative to the largest reference value.  Resampling by
 # inverse FFT instead of the direct mode sum, and projecting all modes at
@@ -87,11 +87,15 @@ def test_truncate_project_sequence_matches_reference():
                             ref.truncate_project_sequence(u, big_r, n=n))
 
 
-def test_band_project_rejects_non_hermitian_band():
-    # a complex grid field has band coefficients without Hermitian partners
+def test_band_project_idempotent_and_real_only():
+    # the band projection is a projector: re-projecting its own resampled output
+    # changes only rounding; a complex grid has no real transform and is refused
     rng = np.random.default_rng(0)
     band = _band(2, 16)
-    values = rng.standard_normal((16, 16, 16, 3, 3))
-    assert _band_project(values, band).shape == (124, 3, 3)
-    with pytest.raises(ValueError, match="Hermitian"):
+    values = rng.standard_normal((16, 16, 16, 6))
+    coeffs = _band_project(values, band)
+    assert coeffs.shape == (74, 6)
+    again = _band_project(_modes_to_grid(coeffs, band[1], 16), band)
+    np.testing.assert_allclose(again, coeffs, rtol=0, atol=1e-12 * np.abs(coeffs).max())
+    with pytest.raises(TypeError):
         _band_project(values + 1e-3j * rng.standard_normal(values.shape), band)

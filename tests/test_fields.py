@@ -2,11 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from divsym.fields import (
     PreconditionError,
     TrigSymField,
     UnsupportedOrderError,
+    _cell_centers,
+    _sym_to_mandel,
     curl_curl_T,
     curl_curl_symbol_matrix,
     div_symbol_matrix,
@@ -74,6 +77,38 @@ class TestEval:
         c[0, 1] = 1.0
         with pytest.raises(ValueError):
             TrigSymField({(1, 0, 0): c})
+
+
+def direct_grid(f, n, order):
+    """Every component at the n^3 cell centres by the direct mode sum, in chunks of points."""
+    pts = _cell_centers(n, f.period).reshape(-1, 3)
+    vals = np.concatenate([f.eval_many(pts[i:i + 512], order) for i in range(0, len(pts), 512)])
+    return vals.reshape(n, n, n, -1)
+
+
+# every n, including aliased grids (2 max_freq >= n), and derivative orders of total <= 3
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([4, 6, 8, 12, 16, 20]), st.integers(1, 5),
+       st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)).filter(lambda o: sum(o) <= 3),
+       st.booleans(), st.integers(0, 2**16))
+@example(8, 5, (1, 0, 2), False, 0)
+@example(8, 5, (0, 0, 0), True, 1)
+def test_grid_components_match_direct_sum(n, max_freq, order, vector, seed):
+    f = random_field(seed, max_freq, 1.0)
+    if vector:
+        f = divergence(f)
+    comps = [np.unravel_index(i, f._shape) for i in range(int(np.prod(f._shape)))]
+    ref = direct_grid(f, n, order)
+    got = f.grid_components(n, comps, order)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+def test_mandel_keeps_batch_axes():
+    grid = np.random.default_rng(0).standard_normal((4, 4, 4, 3, 3))
+    grid = grid + grid.swapaxes(-1, -2)
+    rows = np.stack([_sym_to_mandel(m) for m in grid.reshape(-1, 3, 3)])
+    np.testing.assert_array_equal(_sym_to_mandel(grid), rows.reshape(4, 4, 4, 6))
 
 
 class TestDivergence:

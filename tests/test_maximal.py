@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from divsym.fields import TrigSymField, random_field
+from divsym.fields import TrigSymField, _cell_centers, random_field
 from divsym.maximal import (
     ScalarGrid,
     _ball_kernel,
@@ -218,12 +218,17 @@ def numpy_fft_maximal(g):
 
 
 def test_fft_module_changes_rounding_only():
-    # scipy.fft against numpy.fft: values within rounding (6.7e-16 of the largest
-    # value measured over these cases), and the same lambda_for_fraction bad sets
+    # the reference |w| is the direct mode sum at the cell centres, independent
+    # of the transform under test; sample_abs agrees within rounding (1.3e-15 of
+    # the largest value measured over these cases), scipy.fft against numpy.fft
+    # gives maximal values within rounding (6.7e-16 measured), and the
+    # lambda_for_fraction bad sets are the reference's
     for seed in (3, 7, 11):
         w = random_field(seed, 2, 1.0, divfree=True)
         for n in (16, 20, 24, 32):
-            g = sample_abs(w, n)
+            vals = w.eval_many(_cell_centers(n, w.period).reshape(-1, 3)).reshape(n, n, n, 3, 3)
+            g = ScalarGrid(n=n, period=w.period, values=np.sqrt(np.einsum("...ab,...ab->...", vals, vals)))
+            np.testing.assert_allclose(sample_abs(w, n).values, g.values, rtol=0, atol=1e-14 * g.values.max())
             ref = numpy_fft_maximal(g)
             np.testing.assert_allclose(maximal_function(g).values, ref, rtol=0,
                                        atol=1e-15 * np.abs(ref).max())

@@ -5,30 +5,30 @@ trigonometric fields up to a frequency cutoff F, so projected gradient
 descent is exact.  Symmetric matrices are Mandel rows (six real components,
 an isometry), from the iterate to the objective's gradient.  The iterate is
 a coefficient array over the half band: the non-zero modes with xi_z >= 0,
-one of each Hermitian pair except in the plane xi_z = 0.  Each step
-resamples it at the n^3 cell centres by one inverse real FFT, steps along
-the pointwise objective gradient, and band-projects: one forward real FFT,
-then one 6x6 matrix per mode for c -> Q c Q.  The FFT pair is the one in
-``fields``.  Estimates are upper bounds of the restricted-frequency
+one of each Hermitian pair except in the plane xi_z = 0.  Since it lies in
+the band, the band projection P of a trial step is P(phi - s g) =
+phi - s P(g).  So the gradient is projected once per accepted point: one
+forward real FFT, one 6x6 matrix per mode for c -> Q c Q, and one inverse
+real FFT to resample P(g) at the n^3 cell centres.  A rejected step costs
+only an axpy on the coefficients and on the grid.  The FFT pair is the one
+in ``fields``.  Estimates are upper bounds of the restricted-frequency
 envelope; membership in a hull is therefore one-sided.
 
-The projection once checked that the band coefficients came in Hermitian
-pairs, coeff(-xi) = conj(coeff(xi)), and refused them otherwise: the
-coefficients of a complex grid field do not pair, and projecting them gives
-no real field.  That cannot happen now.  The forward transform is a real
-FFT, which refuses complex input; the half band holds one mode of each pair
-except in the plane xi_z = 0, where the real FFT of real data pairs them;
-the inverse transform and the field constructor supply the mirrors.
+The forward transform is a real FFT, which refuses complex input; the half
+band holds one mode of each pair except in the plane xi_z = 0, where the
+real FFT of real data pairs them; the inverse transform and the field
+constructor supply the mirrors.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
 from .fields import (PreconditionError, TrigSymField, _fft_index, _grid_to_modes, _mandel_to_sym,
-                     _modes_to_grid, _sym_to_mandel, project_div_free)
+                     _modes_to_grid, _sym_to_mandel)
 
 
 @dataclass
@@ -75,58 +75,32 @@ class CompactSetDescriptor:
         raise ValueError(f"unknown set kind {kind!r}")
 
 
-def _project_simplex_hull(vertices6, y6):
-    """Nearest point of conv(vertices) to y, by an active-set loop on the weights.
+def _project_hull(vertices, y):
+    """Nearest points of conv(vertices) to the rows of ``y`` (N, 6), all rows at once.
 
-    Solves min |V lam - y| over the probability simplex: repeatedly solve the
-    equality-constrained problem on the active support and prune negative
-    weights Lawson-Hanson style.
+    The nearest point is the projection onto the affine hull of some affinely
+    independent vertex subset (at most 7 in six dimensions) with non-negative
+    weights, so every such subset gets one solve, shared by all rows, and each
+    row keeps its nearest feasible projection.  Weights are clipped to the
+    simplex, so every candidate lies in the hull.
     """
-    v = np.asarray(vertices6)
-    k = len(v)
-    start = int(np.argmin(np.linalg.norm(v - y6, axis=1)))
-    lam = np.zeros(k)
-    lam[start] = 1.0
-    support = {start}
-    for _ in range(8 * k + 16):
-        idx = sorted(support)
-        vs = v[idx]
-        g = vs @ vs.T
-        kkt = np.zeros((len(idx) + 1, len(idx) + 1))
-        kkt[:len(idx), :len(idx)] = 2.0 * g
-        kkt[:len(idx), -1] = 1.0
-        kkt[-1, :len(idx)] = 1.0
-        rhs = np.concatenate([2.0 * vs @ y6, [1.0]])
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        trial = np.zeros(k)
-        trial[idx] = sol[:len(idx)]
-        if (trial[idx] >= -1e-12).all():
-            lam = np.clip(trial, 0.0, None)
-            lam /= lam.sum()
-            # optimality: no outside vertex may offer a lower multiplier
-            grad = 2.0 * v @ (v.T @ lam - y6)
-            mu = float(np.min(grad[idx]))
-            outside = np.setdiff1d(np.arange(k), idx)
-            if len(outside) == 0 or grad[outside].min() >= mu - 1e-10 * (1 + abs(mu)):
-                return v.T @ lam
-            support.add(int(outside[np.argmin(grad[outside])]))
-        else:
-            # step from lam toward trial until the first weight hits zero
-            d = trial - lam
-            neg = [i for i in idx if trial[i] < 0 and d[i] < 0]
-            alpha = min(-lam[i] / d[i] for i in neg)
-            lam = lam + alpha * d
-            for i in list(support):
-                if lam[i] <= 1e-14:
-                    lam[i] = 0.0
-                    support.discard(i)
-            if not support:
-                support = {start}
-                lam[start] = 1.0
-    return v.T @ lam  # fallback: best found
+    best, best_d2 = np.empty_like(y), np.full(len(y), np.inf)
+    for size in range(1, min(len(vertices), 7) + 1):
+        for subset in itertools.combinations(vertices, size):
+            vs = np.stack(subset)
+            edges = vs[1:] - vs[0]
+            if size > 1 and np.linalg.matrix_rank(edges) < size - 1:
+                continue
+            mu = (y - vs[0]) @ np.linalg.solve(edges @ edges.T, edges).T
+            lam = np.concatenate([1.0 - mu.sum(axis=1, keepdims=True), mu], axis=1)
+            ok = (lam >= -1e-12).all(axis=1)
+            lam = np.clip(lam, 0.0, None)
+            point = (lam / lam.sum(axis=1, keepdims=True)) @ vs
+            gap = y - point
+            d2 = np.einsum("ij,ij->i", gap, gap)
+            take = ok & (d2 < best_d2)
+            best[take], best_d2[take] = point[take], d2[take]
+    return best
 
 
 def nearest_point(k: CompactSetDescriptor, xi):
@@ -140,7 +114,7 @@ def nearest_point(k: CompactSetDescriptor, xi):
         return _mandel_to_sym(c6 + (y6 - c6) * (k.radius / d))
     if k.kind == "points":
         return k.points[int(np.argmin(np.linalg.norm(k.rows - y6, axis=1)))]
-    return _mandel_to_sym(_project_simplex_hull(k.rows, y6))
+    return _mandel_to_sym(_project_hull(k.rows, y6[None])[0])
 
 
 def dist_p(k: CompactSetDescriptor, xi, p: float) -> float:
@@ -165,23 +139,31 @@ class DistanceObjective:
         """values: (..., 6) -> (vals (...,), grads (..., 6)).
 
         Matrices (..., 3, 3) are converted to rows on entry and the
-        gradients back to matrices on exit.
+        gradients back to matrices on exit.  The work runs on the rows
+        transposed to component-major (6, N).
         """
         values = np.asarray(values)
         if values.shape[-1] == 3:
             vals, grads = self(_sym_to_mandel(values))
             return vals, _mandel_to_sym(grads)
-        y6, rows = values.reshape(-1, 6), self.k.rows
+        y, rows = np.ascontiguousarray(values.reshape(-1, 6).T), self.k.rows
         if self.k.kind == "ball":
-            delta = y6 - rows[0]
-        elif self.k.kind == "points":  # nearest: the largest y.r - |r|^2/2
-            delta = y6 - rows[np.argmax(y6 @ rows.T - 0.5 * np.einsum("ij,ij->i", rows, rows), axis=1)]
+            delta = y - rows[0][:, None]
+        elif self.k.kind == "points":  # nearest: the first largest y.r - |r|^2/2
+            scores = rows @ y
+            scores -= 0.5 * np.einsum("ij,ij->i", rows, rows)[:, None]
+            top, first = scores[0], np.zeros(y.shape[1], dtype=np.intp)
+            for j in range(1, len(rows)):
+                better = scores[j] > top
+                top = np.where(better, scores[j], top)
+                first[better] = j
+            delta = y - np.take(rows.T, first, axis=1)
         else:
-            delta = y6 - np.stack([_project_simplex_hull(rows, v) for v in y6])
-        norm = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+            delta = y - _project_hull(rows, y.T).T
+        norm = np.sqrt(np.einsum("ij,ij->j", delta, delta))
         dist = np.maximum(norm - self.k.radius, 0.0)  # the radius of a point set is 0
         slope = self.p * dist ** (self.p - 1.0) / np.where(dist > 0, norm, np.inf)  # 0 where dist = 0
-        return (dist**self.p).reshape(values.shape[:-1]), (delta * slope[:, None]).reshape(values.shape)
+        return (dist**self.p).reshape(values.shape[:-1]), (delta * slope).T.reshape(values.shape)
 
 
 def _modes(max_freq):
@@ -235,36 +217,42 @@ def minimize_over_test_fields(objective, max_freq, restarts, iterations, seed,
     """Projected descent of mean(objective(xi + phi)) over admissible fields.
 
     The objective maps Mandel rows ``(n, n, n, 6)`` to values ``(n, n, n)``
-    and gradients ``(n, n, n, 6)``.  Restart 0 starts from the zero field;
-    every restart only ever accepts decreasing steps, so the reported value
-    never exceeds the restart's initial one.  Returns (best value, best
-    field, trace).
+    and gradients ``(n, n, n, 6)``.  Every iterate lies in the band, so the
+    projected trial P(phi - s g) is phi - s P(g): the gradient is projected
+    and resampled once per accepted point (one FFT pair), and a rejected
+    step costs only an axpy on the coefficients and on the grid.  Restart 0
+    starts from the zero field; every restart only ever accepts decreasing
+    steps, so the reported value never exceeds the restart's initial one.
+    Returns (best value, best field, trace).
     """
     n = max(4 * max_freq, 16)
     band = _band(max_freq, n)
-    xis, index, _ = band
+    xis, index, proj = band
     offset = _sym_to_mandel(np.zeros((3, 3)) if xi_offset is None else np.asarray(xi_offset, dtype=float))
 
-    def evaluate(phi_values):
-        vals, grads = objective(offset + phi_values)
+    def evaluate(values):
+        vals, grads = objective(values)
         return float(vals.mean()), grads
 
     best_val, best_coeffs, trace = np.inf, None, []
     for r in range(restarts):
-        if r == 0:  # the zero field: no modes, so a best field from it has none
-            coeffs, phi_vals = np.zeros((0, 6), dtype=complex), np.zeros((n, n, n, 6))
+        if r == 0:  # the zero field: no modes until a step is accepted
+            coeffs, phi = np.zeros((0, 6), dtype=complex), np.zeros((n, n, n, 6))
         else:
-            init = _seeded_init(seed, r, max_freq, init_amplitude, period).coeffs
-            coeffs = _sym_to_mandel(np.stack([init[x] for x in map(tuple, xis.tolist())]))
-            phi_vals = _modes_to_grid(coeffs, index, n)
-        val, grads = evaluate(phi_vals)
-        step = 1.0
+            coeffs = _seeded_init(seed, r, xis, init_amplitude, proj)
+            phi = _modes_to_grid(coeffs, index, n)
+        point = offset + phi  # xi + phi at the cell centres
+        val, grads = evaluate(point)
+        step, down = 1.0, None
         for _ in range(iterations):
-            trial = _band_project(phi_vals - step * grads, band)
-            trial_vals = _modes_to_grid(trial, index, n)
-            tval, tgrads = evaluate(trial_vals)
+            if down is None:  # the current point's projected gradient, on the modes and the grid
+                down = _band_project(grads, band)
+                down_vals = _modes_to_grid(down, index, n)
+            trial = point - step * down_vals
+            tval, tgrads = evaluate(trial)
             if tval < val - 1e-14:
-                coeffs, phi_vals, val, grads = trial, trial_vals, tval, tgrads
+                coeffs = (coeffs if len(coeffs) else 0.0) - step * down
+                point, val, grads, down = trial, tval, tgrads, None
                 step *= 1.3
             else:
                 step *= 0.5
@@ -277,18 +265,22 @@ def minimize_over_test_fields(objective, max_freq, restarts, iterations, seed,
     return best_val, best_field, trace
 
 
-def _seeded_init(seed, restart, max_freq, amplitude, period):
-    """Nested random initializer: modes are drawn per-frequency from a hashed stream."""
-    coeffs = {}
-    rng_span = range(-max_freq, max_freq + 1)
-    for xi in sorted((a, b, c) for a in rng_span for b in rng_span for c in rng_span):
-        if xi <= (-xi[0], -xi[1], -xi[2]) or xi == (0, 0, 0):
-            continue
-        rng = np.random.default_rng([seed, restart, xi[0] + 64, xi[1] + 64, xi[2] + 64])
+def _seeded_init(seed, restart, xis, amplitude, proj):
+    """Half-band Mandel rows of a restart's divergence-free initial field.
+
+    Each Hermitian pair draws from its own hashed stream, keyed by the
+    lexicographically larger mode; the other mode is the conjugate.  The
+    band's ``proj`` matrices make the rows divergence-free.
+    """
+    drawn = []
+    for xi in map(tuple, xis.tolist()):
+        key = max(xi, tuple(-v for v in xi))
+        rng = np.random.default_rng([seed, restart, key[0] + 64, key[1] + 64, key[2] + 64])
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        coeffs[xi] = amplitude * 0.5 * (m + m.T)
-    f = TrigSymField(coeffs, period=period)
-    return project_div_free(f)
+        drawn.append(m if key == xi else m.conj())
+    drawn = np.stack(drawn)
+    rows = _sym_to_mandel(amplitude * 0.5 * (drawn + drawn.swapaxes(1, 2)))
+    return np.einsum("mij,mj->mi", proj, rows)
 
 
 def qsdqc_estimate(k: CompactSetDescriptor, xi, p, budget, seed=0) -> EnvelopeEstimate:

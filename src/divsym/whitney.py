@@ -203,16 +203,6 @@ class WhitneyCover:
             cell = cell * n + int(np.floor((x[d] % self.period) / h)) % n
         return self.cell_ids[self.cell_ptr[cell]:self.cell_ptr[cell + 1]]
 
-    def cubes_at(self, x):
-        """Indices of cubes whose open (dilated) cube contains ``x``."""
-        x = np.asarray(x, dtype=float)
-        cand = self.candidates(x)
-        if len(cand) == 0:
-            return []
-        d = np.abs(self.wrap(x[None, :] - self.centers[cand]))
-        hit = (d < self.sides[cand, None] / 2.0).all(axis=1)
-        return sorted(int(j) for j in cand[hit])
-
     def neighbor_pairs(self):
         """Cubes with intersecting open supports: ``(pairs, 2)`` int64 rows ``i < j``, sorted.
 

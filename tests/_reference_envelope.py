@@ -5,13 +5,84 @@ written before ``divsym.envelope`` switched to coefficient arrays: each
 iterate is a ``TrigSymField`` resampled by the direct mode sum
 ``eval_many``, band-projected mode by mode through a dict and re-validated
 by the constructor.  Kept apart from the code under test; same signatures
-and return values.  Slow (about 40 ms per iteration at max_freq 2).
+and return values.  Slow (about 40 ms per iteration at max_freq 2).  The
+initializer draws a dict field and projects it with ``project_div_free``.
+
+``_project_simplex_hull`` is the active-set nearest point of a polytope,
+one point at a time: the oracle for ``envelope._project_hull``.
 """
 
 import numpy as np
 
-from divsym.envelope import _seeded_init
 from divsym.fields import PreconditionError, TrigSymField, _cell_centers, project_div_free
+
+
+def _seeded_init(seed, restart, max_freq, amplitude, period):
+    """Nested random initializer: modes are drawn per-frequency from a hashed stream."""
+    coeffs = {}
+    rng_span = range(-max_freq, max_freq + 1)
+    for xi in sorted((a, b, c) for a in rng_span for b in rng_span for c in rng_span):
+        if xi <= (-xi[0], -xi[1], -xi[2]) or xi == (0, 0, 0):
+            continue
+        rng = np.random.default_rng([seed, restart, xi[0] + 64, xi[1] + 64, xi[2] + 64])
+        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        coeffs[xi] = amplitude * 0.5 * (m + m.T)
+    f = TrigSymField(coeffs, period=period)
+    return project_div_free(f)
+
+
+def _project_simplex_hull(vertices6, y6):
+    """Nearest point of conv(vertices) to y, by an active-set loop on the weights.
+
+    Solves min |V lam - y| over the probability simplex: repeatedly solve the
+    equality-constrained problem on the active support and prune negative
+    weights Lawson-Hanson style.
+    """
+    v = np.asarray(vertices6)
+    k = len(v)
+    start = int(np.argmin(np.linalg.norm(v - y6, axis=1)))
+    lam = np.zeros(k)
+    lam[start] = 1.0
+    support = {start}
+    for _ in range(8 * k + 16):
+        idx = sorted(support)
+        vs = v[idx]
+        g = vs @ vs.T
+        kkt = np.zeros((len(idx) + 1, len(idx) + 1))
+        kkt[:len(idx), :len(idx)] = 2.0 * g
+        kkt[:len(idx), -1] = 1.0
+        kkt[-1, :len(idx)] = 1.0
+        rhs = np.concatenate([2.0 * vs @ y6, [1.0]])
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        trial = np.zeros(k)
+        trial[idx] = sol[:len(idx)]
+        if (trial[idx] >= -1e-12).all():
+            lam = np.clip(trial, 0.0, None)
+            lam /= lam.sum()
+            # optimality: no outside vertex may offer a lower multiplier
+            grad = 2.0 * v @ (v.T @ lam - y6)
+            mu = float(np.min(grad[idx]))
+            outside = np.setdiff1d(np.arange(k), idx)
+            if len(outside) == 0 or grad[outside].min() >= mu - 1e-10 * (1 + abs(mu)):
+                return v.T @ lam
+            support.add(int(outside[np.argmin(grad[outside])]))
+        else:
+            # step from lam toward trial until the first weight hits zero
+            d = trial - lam
+            neg = [i for i in idx if trial[i] < 0 and d[i] < 0]
+            alpha = min(-lam[i] / d[i] for i in neg)
+            lam = lam + alpha * d
+            for i in list(support):
+                if lam[i] <= 1e-14:
+                    lam[i] = 0.0
+                    support.discard(i)
+            if not support:
+                support = {start}
+                lam[start] = 1.0
+    return v.T @ lam  # fallback: best found
 
 
 def _band_project(values, max_freq, n, period):

@@ -6,6 +6,9 @@ came only from ``whitney``'s array packs: each derivative of
 ``phi * S = eta_j``, one cube and one multi-index at a time.  The tests
 compare the packs (``whitney._phi_at``) with it.
 
+``cubes_at`` lists the cubes whose open support holds a point, without
+the margin ``whitney._phi_at`` keeps; the partition and the tests use it.
+
 ``PointwiseReference`` is the per-point path the package used before it
 ran the grid kernel's formula at one point: phi derivatives from
 ``pou_eval``, a dict from sorted cube triples to cache rows, and the
@@ -30,6 +33,17 @@ _COMP6 = {(0, 0): 0, (1, 1): 1, (2, 2): 2, (1, 2): 3, (2, 1): 3, (0, 2): 4, (2, 
 _FIRST = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 _SECOND = {(0, 0): (2, 0, 0), (1, 1): (0, 2, 0), (2, 2): (0, 0, 2),
            (1, 2): (0, 1, 1), (0, 2): (1, 0, 1), (0, 1): (1, 1, 0)}
+
+
+def cubes_at(cover: WhitneyCover, x):
+    """Indices of cubes whose open (dilated) cube contains ``x``."""
+    x = np.asarray(x, dtype=float)
+    cand = cover.candidates(x)
+    if len(cand) == 0:
+        return []
+    d = np.abs(cover.wrap(x[None, :] - cover.centers[cand]))
+    hit = (d < cover.sides[cand, None] / 2.0).all(axis=1)
+    return sorted(int(j) for j in cand[hit])
 
 
 @dataclass
@@ -77,7 +91,7 @@ def pou_eval(pou: PartitionOfUnity, j: int, x, order=(0, 0, 0)) -> float:
     so only bump derivatives enter and the result is exact to rounding.
     """
     order = _check_order(order)
-    active = pou.cover.cubes_at(x)
+    active = cubes_at(pou.cover, x)
     if j not in active:
         return 0.0
     betas = _multi_indices_upto(order)
@@ -150,7 +164,7 @@ class PointwiseReference:
         """
         ctx = self.ctx
         cover = ctx.cover
-        active = [c for c in cover.cubes_at(y)
+        active = [c for c in cubes_at(cover, y)
                   if (np.abs(cover.wrap(y - cover.centers[c])) < cover.sides[c] / 2.0 - SUPPORT_MARGIN).all()]
         packs = {}
         for c in active:

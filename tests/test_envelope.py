@@ -146,6 +146,15 @@ class TestEstimate:
                                                      iterations=40, seed=7, init_amplitude=0.5)
         assert val >= -1e-3 * 0.5**2
 
+    @pytest.mark.parametrize("xi, restarts", [(np.zeros((3, 3)), 4), (2.0 * np.eye(3) / np.sqrt(3), 1)])
+    def test_restart_zero_best_field_has_no_modes(self, xi, restarts):
+        # restart 0 is the zero field; at the ball's centre no value is below 0,
+        # and outside it the gradient is constant, so its projection vanishes:
+        # no step is accepted and the best field is restart 0's, with no modes
+        est = qsdqc_estimate(ball(1.0), xi, 2, dict(BUDGET, restarts=restarts), seed=1)
+        assert est.value == est.trace[0] == dist_p(ball(1.0), xi, 2)
+        assert est.best_field.coeffs == {}
+
     def test_budget_validation(self):
         with pytest.raises(Exception):
             qsdqc_estimate(ball(), np.eye(3), 2, {"max_freq": 0, "restarts": 0, "iterations": 0})
@@ -166,8 +175,13 @@ class TestMembership:
         a = np.diag([1.0, 1.0, -2.0])
         k = CompactSetDescriptor(kind="points", points=[a, -a])
         rep = hull_membership(k, np.zeros((3, 3)), 2, BUDGET, seed=3)
-        # exploratory: no asserted ground truth, only a well-formed record
-        assert rep["score"] >= 0.0 and isinstance(rep["member"], bool)
+        # A - (-A) = 2 diag(1, 1, -2) is nonsingular: no divergence-free
+        # laminate joins the two points, so 0 is not in the hull; the score
+        # never exceeds the zero field's value dist(0, K)^2 = |A|^2 = 6
+        bound = dist_p(k, np.zeros((3, 3)), 2)
+        assert bound == pytest.approx(6.0)
+        assert rep["member"] is False
+        assert 0.0 <= rep["score"] <= bound
 
     def test_frequency_nesting(self):
         rng = np.random.default_rng(6)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _reference_envelope as ref
-from divsym.envelope import (CompactSetDescriptor, DistanceObjective, _band, _band_project,
+from divsym import envelope
+from divsym.envelope import (CompactSetDescriptor, DistanceObjective, _band, _band_project, _project_hull,
                              minimize_over_test_fields, truncate_project_sequence)
 from divsym.fields import TrigSymField, _modes_to_grid, project_div_free, random_field
 
@@ -23,7 +24,7 @@ def rand_sym(rng, scale=1.0):
 def compact_set(kind, rng):
     if kind == "ball":
         return CompactSetDescriptor(kind="ball", center=rand_sym(rng, 0.5), radius=0.5 + rng.random())
-    # two points: the polytope objective projects point by point, so keep it small
+    # two polytope vertices, three points
     return CompactSetDescriptor(kind=kind, points=[rand_sym(rng) for _ in range(2 if kind == "polytope" else 3)])
 
 
@@ -36,12 +37,13 @@ def assert_fields_close(got, want):
     assert worst <= RTOL * max(1.0, want.max_coeff_norm())
 
 
-def assert_descents_agree(k, p, max_freq, restarts, iterations, seed, amplitude, xi):
-    objective = DistanceObjective(k, p)
+def assert_descents_agree(k, p, max_freq, restarts, iterations, seed, amplitude, xi, objective=None):
+    """Run both descents of dist^p(., K); ``objective`` (a wrapper of it) runs the one under test."""
     kwargs = dict(init_amplitude=amplitude, xi_offset=xi)
-    val, best, trace = minimize_over_test_fields(objective, max_freq, restarts, iterations, seed, **kwargs)
-    rval, rbest, rtrace = ref.minimize_over_test_fields(objective, max_freq, restarts, iterations, seed,
-                                                        **kwargs)
+    val, best, trace = minimize_over_test_fields(objective or DistanceObjective(k, p), max_freq, restarts,
+                                                 iterations, seed, **kwargs)
+    rval, rbest, rtrace = ref.minimize_over_test_fields(DistanceObjective(k, p), max_freq, restarts,
+                                                        iterations, seed, **kwargs)
     scale = max(1.0, np.abs(rtrace).max())
     np.testing.assert_allclose(trace, rtrace, rtol=0, atol=RTOL * scale)
     assert abs(val - rval) <= RTOL * scale
@@ -59,7 +61,7 @@ def test_descent_matches_reference(kind, p, max_freq, restarts, iterations, seed
 
 
 def test_descent_matches_reference_polytope():
-    # one fixed case: each polytope evaluation costs about a second on the 16^3 grid
+    # one fixed case: the reference resamples by the direct mode sum
     rng = np.random.default_rng(11)
     k = compact_set("polytope", rng)
     assert_descents_agree(k, 2, 1, 2, 1, 11, 0.3, rand_sym(rng))
@@ -72,6 +74,68 @@ def test_laminate_descent_accepts_steps():
     k = CompactSetDescriptor(kind="points", points=[a, b])
     trace = assert_descents_agree(k, 1, 1, 3, 15, 5, 0.01, 0.5 * (a + b))
     assert max(trace[1:]) < trace[0]
+
+
+class RecordingObjective(DistanceObjective):
+    """dist^p(., K) that records the mean value of every evaluation, in order."""
+
+    def __init__(self, k, p):
+        super().__init__(k, p)
+        self.means = []
+
+    def __call__(self, values):
+        vals, grads = super().__call__(values)
+        self.means.append(float(vals.mean()))
+        return vals, grads
+
+
+def accepted_steps(means, restarts, iterations):
+    """The accepted steps of a descent, replayed from its evaluations' means."""
+    means, accepted = iter(means), 0
+    for _ in range(restarts):
+        val, step = next(means), 1.0
+        for _ in range(iterations):
+            tval = next(means)
+            if tval < val - 1e-14:
+                val, step, accepted = tval, step * 1.3, accepted + 1
+            else:
+                step *= 0.5
+                if step < 1e-12:
+                    break
+    assert next(means, None) is None
+    return accepted
+
+
+def test_one_projection_per_accepted_point(monkeypatch):
+    # every iterate lies in the band, so a trial step needs no transform: the
+    # gradient is projected once per restart and once per accepted step
+    calls = []
+    project = envelope._band_project
+    monkeypatch.setattr(envelope, "_band_project", lambda values, band: calls.append(1) or project(values, band))
+    a, b = np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0])
+    k = CompactSetDescriptor(kind="points", points=[a, b])
+    objective = RecordingObjective(k, 1)
+    restarts, iterations = 3, 15
+    assert_descents_agree(k, 1, 1, restarts, iterations, 5, 0.01, 0.5 * (a + b), objective=objective)
+    accepted = accepted_steps(objective.means, restarts, iterations)
+    assert 0 < len(calls) <= accepted + restarts
+    assert len(calls) < len(objective.means) - restarts  # fewer than one per trial step
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**16), st.booleans())
+def test_project_hull_matches_active_set(vertices, seed, flat):
+    # points inside the polytope, on its edges, at its vertices and outside it
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((vertices, 6))
+    if flat:  # affinely dependent vertices
+        v[:, 3:] = 0.0
+    inside = rng.dirichlet(np.ones(vertices), size=4) @ v
+    i, j = rng.integers(vertices, size=(2, 4))
+    t = rng.random((4, 1))
+    ys = np.concatenate([inside, t * v[i] + (1 - t) * v[j], v, inside + rng.standard_normal((4, 6))])
+    want = np.stack([ref._project_simplex_hull(v, y) for y in ys])
+    np.testing.assert_allclose(_project_hull(v, ys), want, rtol=0, atol=1e-12 * max(1.0, np.abs(ys).max()))
 
 
 def test_truncate_project_sequence_matches_reference():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _reference_pointwise import PointwiseReference, pou_eval
+from _reference_pointwise import PointwiseReference, cubes_at, pou_eval
 from divsym.fields import TrigSymField, project_div_free, random_field
 from divsym.truncation import build_context, lambda_for_fraction, local_field, truncate
 from divsym.whitney import SUPPORT_MARGIN
@@ -31,7 +31,7 @@ def assert_close(got, ref):
 
 
 def active_cubes(cover, y):
-    return [k for k in cover.cubes_at(y)
+    return [k for k in cubes_at(cover, y)
             if (np.abs(cover.wrap(y - cover.centers[k])) < cover.sides[k] / 2.0 - SUPPORT_MARGIN).all()]
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _reference_pointwise import build_partition, pou_eval
+from _reference_pointwise import build_partition, cubes_at, pou_eval
 from divsym.fields import PreconditionError, TrigSymField, curl_curl_T, potential_inverse, random_field, project_div_free
 from divsym.maximal import ScalarGrid, bad_set, maximal_function
 from divsym.potential_trunc import (
@@ -116,7 +116,7 @@ class TestWmInfTruncate:
         for x in np.concatenate([chosen[:6] + rng.random((6, 3)), chosen[6:] + 0.5]) / 16:
             centers = vt.cover.centers
             ref = sum(pou_eval(pou, j, x) * (vt.patch_values[j] + vt.patch_grads[j] @ vt.cover.wrap(x - centers[j]))
-                      for j in vt.cover.cubes_at(x))
+                      for j in cubes_at(vt.cover, x))
             np.testing.assert_allclose(vt(x), ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
 
     def test_second_derivative_bounded(self):

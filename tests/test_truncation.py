@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from _reference_moments import _batched_moments
-from _reference_pointwise import PointwiseReference, build_partition, pou_eval
+from _reference_pointwise import PointwiseReference, build_partition, cubes_at, pou_eval
 from divsym.fields import (PreconditionError, TrigSymField, UnsupportedOrderError, project_div_free,
                            random_field)
 from divsym.flux import eval_A, rule_for_degree, triangle_moments
@@ -95,7 +95,7 @@ def _touch_matrix(cover):
 class TestLocalField:
     def test_symmetry_exact(self, ctx):
         for y in bad_points(ctx, 5, seed=2):
-            k = ctx.cover.cubes_at(y)[0]
+            k = cubes_at(ctx.cover, y)[0]
             val = local_field(ctx, k, y)
             assert np.array_equal(val, val.T)
 
@@ -130,7 +130,7 @@ class TestLocalField:
             tri_B=tri_b, tri_G=tri_g,
         )
         y = (np.array([5, 4, 4]) + np.array([0.45, 0.52, 0.5])) / n
-        active = cover.cubes_at(y)
+        active = cubes_at(cover, y)
         k = active[0]
         got = local_field(ctx, k, y)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _reference_pointwise import build_partition, pou_eval
+from _reference_pointwise import build_partition, cubes_at, pou_eval
 from divsym.fields import PreconditionError, UnsupportedOrderError, random_field
 from divsym.maximal import OpenSetMask, ScalarGrid, bad_set, maximal_function, sample_abs
 from divsym.whitney import (
@@ -192,14 +192,14 @@ class TestPartition:
     def test_outside_supports_zero(self):
         # a point far from the ball is in no cube
         x = np.array([0.03, 0.03, 0.03])
-        assert self.cover.cubes_at(x) == []
+        assert cubes_at(self.cover, x) == []
         assert len(_phi_at(self.cover, x)[0]) == 0
         assert phi_pack(self.cover, x, 0) == 0.0
 
     def test_single_cube_region(self):
         # wherever only one cube covers, its phi is exactly 1
         for x in interior_points(self.mask, 200, seed=3):
-            active = self.cover.cubes_at(x)
+            active = cubes_at(self.cover, x)
             if len(active) == 1:
                 assert phi_pack(self.cover, x, active[0]) == pytest.approx(1.0, abs=1e-14)
                 break
@@ -216,7 +216,7 @@ class TestPartition:
         pts = interior_points(self.mask, 5, seed=11)
         h = 1e-5
         for x in pts:
-            for j in self.cover.cubes_at(x):
+            for j in cubes_at(self.cover, x):
                 for d in range(3):
                     e = np.zeros(3)
                     e[d] = h
@@ -233,7 +233,7 @@ class TestPartition:
                 row = packs[_pack_slot(order)]
                 assert abs(row.sum()) < 1e-9 * max(1.0, np.abs(row).max())
             # third order lies beyond the packs: the reference partition
-            active = self.cover.cubes_at(x)
+            active = cubes_at(self.cover, x)
             for order in [(1, 1, 1), (0, 0, 3)]:
                 vals = [pou_eval(self.pou, j, x, order) for j in active]
                 assert abs(sum(vals)) < 1e-9 * max(1.0, max(abs(v) for v in vals))
@@ -260,7 +260,7 @@ class TestPartition:
         rng = np.random.default_rng(17)
         for _ in range(20):
             x = rng.random(3)
-            got = self.cover.cubes_at(x)
+            got = cubes_at(self.cover, x)
             oracle = []
             for j in range(len(self.cover)):
                 d = np.abs(self.cover.wrap(x - self.cover.centers[j]))
@@ -270,7 +270,7 @@ class TestPartition:
 
     def test_cubes_at_center(self):
         j = 0
-        assert j in self.cover.cubes_at(self.cover.centers[j])
+        assert j in cubes_at(self.cover, self.cover.centers[j])
 
 
 @settings(max_examples=6, deadline=None)
@@ -286,7 +286,7 @@ def test_packs_match_pou_eval(seed, n, fraction, pick):
     chosen = cells[rng.integers(0, len(cells), size=6)]
     for y in np.concatenate([chosen[:3] + rng.random((3, 3)), chosen[3:] + 0.5]) / n:
         active, _, packs = _phi_at(cover, y)
-        listed = cover.cubes_at(y)
+        listed = cubes_at(cover, y)
         assert len(active) >= 1 and set(active.tolist()) <= set(listed)
         ref = np.array([[pou_eval(pou, j, y, o) for o in PACK_ORDERS] for j in listed])
         got = np.zeros_like(ref)  # cubes within SUPPORT_MARGIN of their edge carry phi = 0

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import schemas
 from .envelope import CompactSetDescriptor, hull_membership
-from .fields import PreconditionError, field_from_dict, field_to_dict, random_field
+from .fields import UPPER_TRI_SLOT, PreconditionError, field_from_dict, field_to_dict, random_field
 from .maximal import write_grid
 from .potential_trunc import stability_comparison
 from .truncation import build_context, sample_truncation_norm, verify
@@ -68,7 +68,7 @@ def cmd_envelope(args):
     xi6 = [float(v) for v in args.xi.split(",")]
     if len(xi6) != 6:
         raise PreconditionError("--xi wants 6 comma-separated floats (upper triangle)")
-    xi = np.array(xi6)[[[0, 1, 2], [1, 3, 4], [2, 4, 5]]]
+    xi = np.array(xi6)[UPPER_TRI_SLOT]
     budget = {"max_freq": args.max_freq, "restarts": args.restarts, "iterations": args.iters}
     result = hull_membership(k, xi, args.p, budget, seed=args.seed)
     payload = {"K": k.to_json(), "xi": xi6, "p": args.p, "budget": budget, "result": result}

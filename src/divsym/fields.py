@@ -14,15 +14,24 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# order of the 6 independent entries of a symmetric matrix (row-major upper triangle)
-UPPER_TRI = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
 
-# packed order [11, 22, 33, 23, 13, 12] of the computed symmetric fields, and
-# SYM6_SLOT[a, b]: the packed slot of entry (a, b)
+def _slot_table(order):
+    """``table[a, b]``: the slot of entry (a, b) in ``order``; packed[table] is the 3x3 matrix."""
+    table = np.zeros((3, 3), dtype=np.int64)
+    r, c = np.array(order).T
+    table[r, c] = table[c, r] = np.arange(len(order))
+    return table
+
+
+# order of the 6 independent entries of a symmetric matrix (row-major upper
+# triangle) in the JSON field format and on the command line
+UPPER_TRI = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+UPPER_TRI_SLOT = _slot_table(UPPER_TRI)
+
+# packed order [11, 22, 33, 23, 13, 12] of the computed symmetric fields
 SYM6 = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
-SYM6_SLOT = np.zeros((3, 3), dtype=np.int64)
+SYM6_SLOT = _slot_table(SYM6)
 _r, _c = np.array(SYM6).T
-SYM6_SLOT[_r, _c] = SYM6_SLOT[_c, _r] = np.arange(6)
 
 
 class UnsupportedOrderError(ValueError):
@@ -400,9 +409,5 @@ def field_to_dict(f: TrigSymField) -> dict:
 def field_from_dict(data: dict) -> TrigSymField:
     coeffs = {}
     for mode in data["modes"]:
-        xi = _as_freq(mode["xi"])
-        c = np.zeros((3, 3), dtype=complex)
-        for (a, b), re, im in zip(UPPER_TRI, mode["re"], mode["im"]):
-            c[a, b] = c[b, a] = re + 1j * im
-        coeffs[xi] = c
+        coeffs[_as_freq(mode["xi"])] = (np.asarray(mode["re"]) + 1j * np.asarray(mode["im"]))[UPPER_TRI_SLOT]
     return TrigSymField(coeffs, period=float(data.get("period", 1.0)))

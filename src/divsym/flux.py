@@ -167,10 +167,24 @@ def _lattice_moments(w, anchors, offsets, weights, anchor_of, shape_of):
     return out[:, 0], out[:, 1:]
 
 
+def _moment_functions(b, g, y):
+    """A(alpha, beta)(y) as a 3x3 nested list of columns, one per triangle; the diagonal is 0.
+
+    ``b`` is (3, triangles), ``g`` (triangles, 3, 3) and ``y`` (3, triangles), each in its triangle's frame.
+    """
+    amat = [[0.0] * 3 for _ in range(3)]
+    for a in range(3):
+        for c in range(a + 1, 3):
+            val = y[c] * b[a] - g[:, a, c] - y[a] * b[c] + g[:, c, a]
+            amat[a][c] = val
+            amat[c][a] = -val
+    return amat
+
+
 def eval_A(m: TriangleMoments, y, alpha: int, beta: int) -> float:
     """The affine moment function at ``y`` (same frame as the cached triangle)."""
     y = np.asarray(y, dtype=float)
-    return float(y[beta] * m.B[alpha] - m.G[alpha, beta] - y[alpha] * m.B[beta] + m.G[beta, alpha])
+    return float(np.squeeze(_moment_functions(m.B[:, None], m.G[None], y[:, None])[alpha][beta]))
 
 
 def _tetra_defect(w, x_i, x_j, x_k, x_l, rule, extract):

@@ -67,9 +67,13 @@ class OpenSetMask:
 
     def contains(self, x):
         """Whether the flagged cells hold the point ``x`` (taken modulo the period)."""
-        h = self.h
-        idx = tuple(int(np.floor((float(v) % self.period) / h)) % self.n for v in np.asarray(x).ravel())
-        return bool(self.mask[idx])
+        return bool(self.mask[_cell_of(x, self.period, self.n)])
+
+
+def _cell_of(x, period, n):
+    """Index tuple of the cell of the n-grid on the torus that holds the point ``x``."""
+    h = period / n
+    return tuple(int(np.floor((float(v) % period) / h)) % n for v in np.asarray(x).ravel())
 
 
 def dyadic_radii(n, period=1.0):

@@ -24,7 +24,7 @@ import numpy as np
 from . import _kernels
 from .fields import SYM6, PreconditionError, TrigSymField, _sym6_sq, assert_div_free, potential_inverse
 from .flux import _lattice_moments
-from .maximal import OpenSetMask, ScalarGrid, bad_set, maximal_function
+from .maximal import OpenSetMask, ScalarGrid, _cell_of, bad_set, maximal_function
 from .truncation import _bad_grid_index, _spliced_norm, flag_bad_set, sym6_to_mat
 from .whitney import WhitneyCube, _phi_at, whitney_decompose
 
@@ -113,15 +113,7 @@ def _derivative_magnitude_grids(v: TrigSymField, n: int):
     levels = [[(0, 0, 0)], [tuple(eye[d]) for d in range(3)],
               [tuple(eye[d] + eye[e]) for d in range(3) for e in range(3)]]
     grids = {o: v.grid_components(n, SYM6, order=o) for orders in levels for o in orders}
-    out = []
-    for orders in levels:
-        sq = np.zeros((n, n, n))
-        for q, (a, b) in enumerate(SYM6):
-            mult = 1.0 if a == b else 2.0
-            for o in orders:
-                sq += mult * grids[o][..., q] ** 2
-        out.append(np.sqrt(sq))
-    return tuple(out)
+    return tuple(np.sqrt(sum(_sym6_sq(grids[o]) for o in orders)) for orders in levels)
 
 
 def w_m_inf_truncate(v: TrigSymField, lam: float, n: int) -> PotentialTruncation:
@@ -170,10 +162,8 @@ class PotentialFieldTruncation:
         npts = int(mask_m.sum())
         out = np.zeros((npts, 6))
         if vt.cover is not None:
-            spacks = np.zeros((npts, 10))
-            _kernels.accumulate_spacks(vt.cover.centers, vt.cover.sides, m, vt.period, idx, spacks)
             _kernels.accumulate_patch_curl(vt.cover.centers, vt.cover.sides, vt.patch_values,
-                                           vt.patch_grads, m, vt.period, idx, spacks, out)
+                                           vt.patch_grads, m, vt.period, idx, out)
         self._samples[m] = (idx, mask_m, out)
         return self._samples[m]
 
@@ -193,9 +183,7 @@ class PotentialFieldTruncation:
             return self.u(x)
         m = 2 * vt.n
         idx, mask_m, vals = self.sample_bad(m)
-        hm = self.period / m
-        cell = tuple(int(np.floor((float(q) % self.period) / hm)) % m for q in x)
-        p = idx[cell]
+        p = idx[_cell_of(x, self.period, m)]
         if p < 0:
             return self.u(x)
         return sym6_to_mat(vals[p])

@@ -11,15 +11,15 @@ partition-weighted sum of the local flux reconstructions on them.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field as dfield
-from math import comb
 
 import numpy as np
 
 from . import _kernels
-from .fields import SYM6, SYM6_SLOT, TWO_PI, PreconditionError, TrigSymField, _sym6_sq, assert_div_free
-from .flux import _triangle_moments, rule_for_degree
+from .fields import (SYM6, SYM6_SLOT, TWO_PI, PreconditionError, TrigSymField, _cell_centers, _sym6_sq,
+                     assert_div_free)
+from .flux import _moment_functions, _triangle_moments, rule_for_degree
 from .maximal import OpenSetMask, ScalarGrid, bad_set, maximal_function, sample_abs
-from .whitney import _pack_slot, _phi_at, _upsample, whitney_decompose
+from .whitney import _active_triples, _pack_slot, _phi_at, _upsample, whitney_decompose
 
 LAMBDA_EFF_FACTOR = 1.25
 BAD_MARGIN = 1e-9  # relative threshold slack: borderline cells count as bad
@@ -135,21 +135,16 @@ def build_context(w: TrigSymField, lam: float, n: int, degree: int = 10) -> Trun
 
 
 def _active(ctx, y):
-    """Active cubes at ``y``, their phi packs and the cached triples among them.
+    """The grid kernel's partition and triple lookup on a batch of one point.
 
-    The active cubes of ``whitney._phi_at`` pairwise intersect, so every
-    triple of them must be a row of ``ctx.triples``.  Returns
-    ``(active, packs, rows, yf)``: sorted cube indices, their (10, active)
-    phi packs, the rows of ``ctx.triples`` with all three cubes active, and
-    ``y`` unwrapped into each row's frame.
+    Returns ``(active, phi, rows, yf)``: sorted active cube indices, the
+    (10, rows) phi packs of vertex v of each active triple as ``phi[v]``,
+    the rows of ``ctx.triples``, and ``y`` unwrapped into each row's frame.
     """
-    active, _, packs = _phi_at(ctx.cover, y)
-    rows = np.flatnonzero(np.isin(ctx.triples, active).all(axis=1))
-    if len(rows) != comb(len(active), 3):
-        raise KeyError(f"{comb(len(active), 3) - len(rows)} triples of cubes {active.tolist()} "
-                       "missing from the moment cache")
-    anchor = ctx.tri_verts[rows, 0]
-    return active, packs, rows, anchor + ctx.cover.wrap(y - anchor)
+    active, off, packs = _phi_at(ctx.cover, y)
+    sub, rows = _active_triples(active, np.zeros_like(active), ctx.triples, len(ctx.cover))
+    phi = [np.take(packs, sub[:, v], axis=1) for v in range(3)]
+    return active, phi, rows, ctx.tri_verts[rows, 0] + off[sub[:, 0]]
 
 
 def _point_terms(ctx, y, weight):
@@ -158,9 +153,7 @@ def _point_terms(ctx, y, weight):
     ``weight(rows, phi)`` gives the per-vertex weights from the rows and the
     vertices' phi packs.
     """
-    active, packs, rows, yf = _active(ctx, y)
-    slot = np.searchsorted(active, ctx.triples[rows])
-    phi = [packs[:, slot[:, v]] for v in range(3)]
+    active, phi, rows, yf = _active(ctx, y)
     return active, _kernels._local_terms(phi, weight(rows, phi), ctx.tri_B[rows].T,
                                          ctx.tri_G[rows], yf.T).sum(axis=1)
 
@@ -232,12 +225,9 @@ def sample_bad_truncation(ctx: TruncationContext, m: int):
     npts = int(mask_m.sum())
     tvals = np.zeros((npts, 6))
     if ctx.cover is not None and npts:
-        spacks = np.zeros((npts, 10))
-        _kernels.accumulate_spacks(ctx.cover.centers, ctx.cover.sides, m, ctx.period,
-                                   bad_index, spacks)
         _kernels.accumulate_truncation(ctx.triples, ctx.tri_B, ctx.tri_G, ctx.tri_verts,
                                        ctx.cover.sides, m, ctx.period, bad_index,
-                                       spacks, tvals)
+                                       ctx.cover.centers, tvals)
     ctx._caches[key] = (bad_index, mask_m, tvals)
     return ctx._caches[key]
 
@@ -302,9 +292,7 @@ def weak_divergence_defect(ctx: TruncationContext, alpha: int, psi, m: int | Non
         term1 = _plane_wave_pairing(ctx.w, psi, alpha)
     else:
         term1 = 0.0
-        hm = ctx.period / m
-        ax = (np.arange(m) + 0.5) * hm
-        grid = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+        grid = _cell_centers(m, ctx.period).reshape(-1, 3)
         row = _w_on_grid(ctx, m)[..., SYM6_SLOT[alpha]]
         for d in range(3):
             term1 += float(row[..., d].ravel() @ psi.grad(grid)[:, d]) * h3
@@ -366,16 +354,14 @@ def summation_vanish_check(ctx: TruncationContext, a, b, c, mode, samples):
             skipped += 1
             continue
         used += 1
-        active, packs, rows, yf = _active(ctx, y)
-        slot = np.searchsorted(active, ctx.triples[rows])
-        da, db, dc = packs[sa], packs[sb], packs[sc]
+        _, phi, rows, yf = _active(ctx, y)
         if mode[0] == "B":
             val = ctx.tri_B[rows, mode[1]]
         else:
-            val = _kernels._amat(ctx.tri_B[rows].T, ctx.tri_G[rows], yf.T)[mode[1]][mode[2]]
+            val = _moment_functions(ctx.tri_B[rows].T, ctx.tri_G[rows], yf.T)[mode[1]][mode[2]]
         total = 0.0
         for pi, pj, pk, sg in _kernels._PERMS:
-            total += sg * float((da[slot[:, pk]] * db[slot[:, pj]] * dc[slot[:, pi]] * val).sum())
+            total += sg * float((phi[pk][sa] * phi[pj][sb] * phi[pi][sc] * val).sum())
         worst = max(worst, abs(total))
     return {"max_abs": worst, "used": used, "skipped": skipped}
 

@@ -16,8 +16,10 @@ cores tile the covered set, the normalizer is >= 1 there.
 The partition's derivatives up to second order live here and nowhere
 else: ``_eta_packs`` gives the bump derivatives and ``_phi_packs`` the
 quotient, as packs [v, dx, dy, dz, dxx, dyy, dzz, dyz, dxz, dxy] with the
-second derivatives in ``fields.SYM6`` order.  The grid kernels call them
-over (cube, grid point) pairs; ``_phi_at`` gives them at one point.
+second derivatives in ``fields.SYM6`` order.  ``_partition`` applies them
+once per active (cube, point) pair, for the grid kernels' cube boxes and
+for ``_phi_at``'s single point alike; ``_active_triples`` finds the
+cover's triples among each point's active cubes.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import SYM6, SYM6_SLOT, PreconditionError, UnsupportedOrderError, _check_order
-from .maximal import OpenSetMask
+from .maximal import OpenSetMask, _cell_of
 
 DILATION = 2.0        # dilated side over tile side; 9/8 leaves overlap too thin to sample
 BUMP_CORE = 1.0 / (2.0 * DILATION)   # |t| below this: b = 1; cores tile the covered set
@@ -120,21 +122,60 @@ def _pack_slot(order):
     return 1 + axes[0] if axes else 0
 
 
+def _partition(sides, cube, point, off):
+    """The partition over (cube, point) pairs: ``(cube, point, off, phi, s)``.
+
+    ``off`` holds each pair's offset ``x - center``, unwrapped.  A cube is
+    active at a point that lies more than ``SUPPORT_MARGIN`` inside its
+    support, the margin by which ``WhitneyCover.neighbor_pairs`` asks
+    supports to overlap, so the active cubes of one point pairwise
+    intersect.  The active pairs come back sorted by (point, cube) with
+    their (10, pairs) phi packs; ``s`` holds the bump sum S and its
+    derivatives, (10, points), each point's pairs added in cube order.
+    """
+    keep = (np.abs(off) < sides[cube, None] / 2.0 - SUPPORT_MARGIN).all(axis=1)
+    order = np.flatnonzero(keep)[np.lexsort((cube[keep], point[keep]))]
+    cube, point, off = cube[order], point[order], off[order]
+    eta = _eta_packs(off, 0.0, sides[cube])
+    s = np.stack([np.bincount(point, row) for row in eta])
+    return cube, point, off, _phi_packs(eta, np.take(s, point, axis=1)), s
+
+
 def _phi_at(cover, y):
     """The partition at one point: ``(active, off, packs)``.
 
-    Active cubes hold ``y`` more than ``SUPPORT_MARGIN`` inside their
-    support, the margin by which ``WhitneyCover.neighbor_pairs`` asks
-    supports to overlap, so they pairwise intersect.  ``active`` holds their
-    indices in increasing order, ``off`` the rows ``wrap(y - center)`` and
-    ``packs`` the (10, active) phi packs, normalised over the active cubes.
+    ``_partition`` over the cubes of the index cell holding ``y``:
+    ``active`` holds the active cubes in increasing order, ``off`` the rows
+    ``wrap(y - center)`` and ``packs`` their (10, active) phi packs.
     """
     cand = cover.candidates(y).astype(np.int64)
-    off = cover.wrap(y - cover.centers[cand])
-    keep = (np.abs(off) < cover.sides[cand, None] / 2.0 - SUPPORT_MARGIN).all(axis=1)
-    active, off = cand[keep], off[keep]
-    eta = _eta_packs(off, 0.0, cover.sides[active])
-    return active, off, _phi_packs(eta, eta.sum(axis=1, keepdims=True))
+    active, _, off, packs, _ = _partition(cover.sides, cand, np.zeros_like(cand),
+                                          cover.wrap(y - cover.centers[cand]))
+    return active, off, packs
+
+
+def _active_triples(cube, point, triples, nc):
+    """The 3-subsets of each point's active cubes: ``(sub, rows)``.
+
+    ``cube`` and ``point`` are pair rows sorted by (point, cube), as
+    ``_partition`` returns them, and ``triples`` the sorted rows of a cover
+    of ``nc`` cubes.  ``sub`` (nsub, 3) holds the pair indices of each
+    subset in increasing cube order, points in turn, and ``rows`` the
+    triple each subset is.  Active cubes pairwise intersect, so a subset
+    missing from the triples raises ``KeyError``.
+    """
+    end = np.searchsorted(point, point, side="right")
+    first, rank = _segments(end - np.arange(len(point)) - 1)
+    second = first + 1 + rank
+    pair, rank = _segments(end[second] - second - 1)
+    sub = np.stack([first[pair], second[pair], second[pair] + 1 + rank], axis=1)
+    keys, want = (np.ravel_multi_index(t.T, (nc,) * 3) for t in (triples, cube[sub]))
+    rows = np.searchsorted(keys, want)
+    miss = np.append(keys, -1)[rows] != want
+    if miss.any():
+        raise KeyError(f"{int(miss.sum())} triples of active cubes, first {cube[sub[miss][0]].tolist()}, "
+                       "missing from the moment cache")
+    return sub, rows
 
 
 @dataclass
@@ -197,10 +238,8 @@ class WhitneyCover:
         return (np.asarray(delta) + p / 2.0) % p - p / 2.0
 
     def candidates(self, x):
-        n, h = self.n, self.period / self.n
-        cell = 0
-        for d in range(3):
-            cell = cell * n + int(np.floor((x[d] % self.period) / h)) % n
+        i, j, k = _cell_of(x, self.period, self.n)
+        cell = (i * self.n + j) * self.n + k
         return self.cell_ids[self.cell_ptr[cell]:self.cell_ptr[cell + 1]]
 
     def neighbor_pairs(self):

@@ -2,7 +2,9 @@
 
 Straight per-point loops over every cube or triple and every grid point in
 its support, with their own bump evaluation, kept apart from the code under
-test.  Same signatures and fill-``out``-in-place semantics as the kernels.
+test.  Fill-``out``-in-place semantics as the kernels; where the kernels
+sum the S packs themselves (``whitney._partition``), the loops take them
+from ``accumulate_spacks`` as an argument.
 Slow (about 0.3 ms per pair); use on small grids only.
 
 Pack layout per point: [v, dx, dy, dz, dxx, dyy, dzz, dyz, dxz, dxy].

@@ -17,9 +17,9 @@ from divsym.truncation import _bad_grid_index, build_context, lambda_for_fractio
 # last few bits may differ.
 RTOL = 1e-12
 
-# A chunk far below the default for the cube kernels, so every example spans
-# many chunks and a cube's box at m = 2n (4^3 points for the smallest cubes)
-# forms its own.  The triple kernel shares the chunking and keeps the default.
+# A chunk far below the default, so every example spans many chunks: pair
+# chunks in the patch kernel, and in the truncation kernel subset chunks
+# over whole points, where a point with more than 50 subsets is its own.
 SMALL_CHUNK = 50
 
 # Smallest largest reference component a comparison must see.  At m = n
@@ -46,14 +46,21 @@ def assert_close(got, ref):
 
 
 def spacks_both(cover, m, bad_index, npts):
-    got, ref = np.zeros((npts, 10)), np.zeros((npts, 10))
-    with mock.patch.object(_kernels, "_CHUNK", SMALL_CHUNK):
-        _kernels.accumulate_spacks(cover.centers, cover.sides, m, cover.period, bad_index, got)
+    """The shared partition pass's S and phi packs against the loop reference; returns its S."""
+    cube, point, off, phi, s = _kernels._grid_partition(cover.centers, cover.sides, m,
+                                                        cover.period, bad_index)
+    ref = np.zeros((npts, 10))
     loops.accumulate_spacks(cover.centers, cover.sides, m, cover.period, bad_index, ref)
-    assert_close(got, ref)
+    assert_close(s.T, ref)
+    eta, ref_phi = np.zeros(10), np.zeros((len(cube), 10))
+    for q, (j, p) in enumerate(zip(cube, point)):
+        loops._eta_pack(*off[q], 0.0, 0.0, 0.0, cover.sides[j], eta)
+        loops._phi_pack(eta, ref[p], ref_phi[q])
+    assert_close(phi.T, ref_phi)
     return ref
 
 
+@mock.patch.object(_kernels, "_CHUNK", SMALL_CHUNK)
 @settings(max_examples=3, deadline=None)
 @given(CASES)
 def test_truncation_and_spacks_match_loops(case):
@@ -66,10 +73,10 @@ def test_truncation_and_spacks_match_loops(case):
     spacks = spacks_both(ctx.cover, m, bad_index, npts)
 
     args = (ctx.triples, ctx.tri_B, ctx.tri_G, ctx.tri_verts, ctx.cover.sides, m, ctx.period,
-            bad_index, spacks)
+            bad_index)
     got, ref = np.zeros((npts, 6)), np.zeros((npts, 6))
-    _kernels.accumulate_truncation(*args, got)
-    loops.accumulate_truncation(*args, ref)
+    _kernels.accumulate_truncation(*args, ctx.cover.centers, got)
+    loops.accumulate_truncation(*args, spacks, ref)
     assert_close(got, ref)
 
 

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _reference_pointwise import PointwiseReference, cubes_at, pou_eval
+from divsym import whitney
 from divsym.fields import TrigSymField, project_div_free, random_field
-from divsym.truncation import build_context, lambda_for_fraction, local_field, truncate
+from divsym.truncation import build_context, lambda_for_fraction, local_field, sample_bad_truncation, truncate
 from divsym.whitney import SUPPORT_MARGIN
 
 # Agreement bound, relative to max(1, largest reference component): the
@@ -79,3 +80,25 @@ def test_missing_triple_raises():
     if ctx.bad.contains(y):
         with pytest.raises(KeyError):
             truncate(cut)(y)
+    with pytest.raises(KeyError):
+        sample_bad_truncation(cut, 32)
+
+
+def test_partition_evaluated_once_per_pair(monkeypatch):
+    """One bump-pack column per active (cube, flagged point) pair of the m-grid.
+
+    Seed 3 at n = 16 with 8 % flagged (the truncate-n16 field): 10,192 pairs
+    at m = 32, where evaluating each triple's vertices again took 94,936.
+    """
+    w = random_field(3, 2, 1.0, divfree=True)
+    ctx = build_context(w, lambda_for_fraction(w, 16, 0.08), 16)
+    columns = []
+    eta_packs = whitney._eta_packs
+
+    def counted(x, center, side):
+        columns.append(len(x))
+        return eta_packs(x, center, side)
+
+    monkeypatch.setattr(whitney, "_eta_packs", counted)
+    sample_bad_truncation(ctx, 32)
+    assert sum(columns) == 10_192

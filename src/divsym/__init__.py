@@ -17,7 +17,7 @@ from .maximal import ScalarGrid, OpenSetMask, sample_abs, maximal_function, bad_
 from .whitney import WhitneyCube, WhitneyCover, whitney_decompose
 from .flux import QuadratureRule, TriangleMoments, normal, triangle_moments, eval_A, gauss_green_defect_B, gauss_green_defect_A
 from .truncation import TruncationContext, VerificationReport, build_context, local_field, truncate, weak_divergence_defect, summation_vanish_check, verify
-from .potential_trunc import PolyPatch, averaged_taylor, w_m_inf_truncate, afree_potential_truncate, stability_comparison
+from .potential_trunc import PolyPatch, averaged_taylor, potential_bad_set, w_m_inf_truncate, afree_potential_truncate, stability_comparison
 from .envelope import CompactSetDescriptor, EnvelopeEstimate, dist_p, qsdqc_estimate, hull_membership, truncate_project_sequence
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -2,8 +2,8 @@
 
 Every command is deterministic given its flags; hard precondition
 failures exit nonzero after printing a machine-readable error object.
-Reports are JSON, sampled grids use the flat binary layout of the grid
-module, and plot series go to CSV.
+Reports are JSON, and sampled grids use the flat binary layout of the grid
+module.
 """
 
 from __future__ import annotations

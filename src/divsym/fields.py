@@ -270,32 +270,6 @@ def project_div_free(f: TrigSymField) -> TrigSymField:
     return TrigSymField(out, period=f.period)
 
 
-def _curl_curl_coeff(c, xi, period):
-    d = 1j * (TWO_PI / period) * np.asarray(xi, dtype=float)
-
-    def w(a, b, cc, dd):
-        return d[a] * d[cc] * c[b, dd] + d[b] * d[dd] * c[a, cc] \
-            - d[a] * d[dd] * c[b, cc] - d[b] * d[cc] * c[a, dd]
-
-    # entry (r, s) of curl curl^T from the component table (0-based indices)
-    return np.array([
-        [w(1, 2, 1, 2), w(1, 2, 2, 0), w(1, 2, 0, 1)],
-        [w(2, 0, 1, 2), w(2, 0, 2, 0), w(2, 0, 0, 1)],
-        [w(0, 1, 1, 2), w(0, 1, 2, 0), w(0, 1, 0, 1)],
-    ])
-
-
-def curl_curl_T(v: TrigSymField) -> TrigSymField:
-    """Second-order operator ``curl curl^T`` applied mode-by-mode.
-
-    Its image is divergence-free for every input; on mean-zero fields it is
-    the potential operator whose kernel is the image of the symmetric
-    gradient.
-    """
-    out = {xi: _curl_curl_coeff(c, xi, v.period) for xi, c in v.coeffs.items()}
-    return TrigSymField(out, period=v.period)
-
-
 # Mandel weights of the SYM6 slots: the packed entries times these are an isometry
 _MANDEL = np.array([1.0, 1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0), np.sqrt(2.0)])
 
@@ -313,10 +287,44 @@ def _mandel_to_sym(v):
     return np.asarray(v)[..., SYM6_SLOT] * (1.0 / _MANDEL)[SYM6_SLOT]
 
 
+# entry (r, s) of curl curl^T is d_a d_c M_bd + d_b d_d M_ac - d_a d_d M_bc - d_b d_c M_ad,
+# where (a, b) and (c, d) are the rows r and s of this table
+_CURL_PAIRS = np.array([(1, 2), (2, 0), (0, 1)])
+
+
+def _curl_curl_symbols(xis, period):
+    """The (m, 6, 6) Mandel matrices of the curl curl^T symbol at the modes ``xis`` (m, 3).
+
+    Column j is the image of the j-th Mandel basis matrix, in Mandel form.
+    """
+    d = 1j * (TWO_PI / period) * np.asarray(xis, dtype=float)
+    basis = _mandel_to_sym(np.eye(6)).astype(complex).transpose(1, 2, 0)   # (3, 3, column)
+    (a, b), (c, e) = _CURL_PAIRS[_r].T, _CURL_PAIRS[_c].T                   # per SYM6 slot (r, s)
+    w = ((d[:, a] * d[:, c])[..., None] * basis[b, e] + (d[:, b] * d[:, e])[..., None] * basis[a, c]
+         - (d[:, a] * d[:, e])[..., None] * basis[b, c] - (d[:, b] * d[:, c])[..., None] * basis[a, e])
+    return w.real * _MANDEL[:, None]
+
+
+def _apply_symbols(symbols, xis, coeffs, period):
+    """The field with the coefficients ``symbols @ coeffs`` (in Mandel form) at the modes ``xis``."""
+    out = _mandel_to_sym((symbols @ _sym_to_mandel(coeffs)[..., None])[..., 0])
+    return TrigSymField(dict(zip(map(tuple, xis.tolist()), out)), period=period)
+
+
+def curl_curl_T(v: TrigSymField) -> TrigSymField:
+    """Second-order operator ``curl curl^T`` applied mode-by-mode.
+
+    Its image is divergence-free for every input; on mean-zero fields it is
+    the potential operator whose kernel is the image of the symmetric
+    gradient.
+    """
+    xis, cs = v.mode_arrays()
+    return _apply_symbols(_curl_curl_symbols(xis, v.period), xis, cs, v.period)
+
+
 def curl_curl_symbol_matrix(xi, period=1.0):
     """The 6x6 matrix of the curl curl^T symbol in the orthonormal Mandel basis."""
-    return np.stack([_sym_to_mandel(_curl_curl_coeff(_mandel_to_sym(e).astype(complex), xi, period).real)
-                     for e in np.eye(6)], axis=1)
+    return _curl_curl_symbols(np.reshape(xi, (1, 3)), period)[0]
 
 
 def div_symbol_matrix(xi, period=1.0):
@@ -339,27 +347,25 @@ def assert_div_free(f: TrigSymField, tol=1e-10, what="field"):
         raise PreconditionError(f"{what} is not divergence-free (defect {worst:.3e})")
 
 
-def potential_inverse(u: TrigSymField, rcond=1e-10) -> TrigSymField:
+def potential_inverse(u: TrigSymField, rcond=1e-10, what="potential_inverse input") -> TrigSymField:
     """Mode-wise pseudoinverse of curl curl^T on a mean-zero divergence-free field.
 
-    Singular values below ``rcond`` times the largest are treated as zero;
-    exactness of the symbol sequence guarantees the solution lies in the row
-    space, so the round trip ``curl_curl_T(potential_inverse(u)) == u`` holds
-    per mode.
+    Singular values below ``rcond`` times each mode's largest are treated as
+    zero; exactness of the symbol sequence guarantees the solution lies in
+    the row space, so the round trip ``curl_curl_T(potential_inverse(u)) == u``
+    holds per mode.  The symbols of all non-zero modes come from one array
+    pass and are inverted by one stacked ``pinv``.  ``what`` names the input
+    in the divergence error, which is checked before the mean.
     """
+    assert_div_free(u, tol=1e-10, what=what)
     scale = max(1.0, u.max_coeff_norm())
     mean = u.coeffs.get((0, 0, 0))
     if mean is not None and np.abs(mean).max() > 1e-12 * scale:
         raise PreconditionError("potential_inverse requires a mean-zero field")
-    assert_div_free(u, tol=1e-10, what="potential_inverse input")
-    out = {}
-    for xi, c in u.coeffs.items():
-        if xi == (0, 0, 0):
-            continue
-        s = curl_curl_symbol_matrix(xi, u.period)
-        pinv = np.linalg.pinv(s, rcond=rcond)
-        out[xi] = _mandel_to_sym(pinv @ _sym_to_mandel(c))
-    return TrigSymField(out, period=u.period)
+    xis, cs = u.mode_arrays()
+    keep = xis.any(axis=1)
+    symbols = _curl_curl_symbols(xis[keep], u.period)
+    return _apply_symbols(np.linalg.pinv(symbols, rcond=rcond), xis[keep], cs[keep], u.period)
 
 
 def random_field(seed, max_freq, amplitude, divfree=False, period=1.0) -> TrigSymField:

@@ -13,7 +13,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .fields import SYM6, PreconditionError, TrigSymField, _sym6_sq
 
@@ -133,6 +132,13 @@ def maximal_function(g: ScalarGrid, radii=None) -> ScalarGrid:
     return ScalarGrid(n=g.n, period=g.period, values=out)
 
 
+def _wrap_min3(a):
+    """Minimum over each cell's periodic 3x3x3 neighbourhood, one axis at a time."""
+    for ax in range(a.ndim):
+        a = np.minimum(np.minimum(np.roll(a, 1, ax), a), np.roll(a, -1, ax))
+    return a
+
+
 def _chebyshev_distance(mask, h, period):
     """Periodic Chebyshev distance (cell centers) to the unflagged cells."""
     n = mask.shape[0]
@@ -142,7 +148,7 @@ def _chebyshev_distance(mask, h, period):
         return np.full(mask.shape, period / 2.0)
     dist = np.where(mask, np.inf, 0.0)
     for _ in range(n // 2):
-        step = ndimage.minimum_filter(dist, size=3, mode="wrap") + 1.0
+        step = _wrap_min3(dist) + 1.0
         new = np.minimum(dist, step)
         if np.array_equal(new, dist):
             break

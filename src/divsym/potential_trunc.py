@@ -9,6 +9,11 @@ patchwise.  This keeps the field bounded and weakly solenoidal away from
 patch boundaries, but is only weakly stable: a high-frequency field far
 below the threshold can still be modified.
 
+``stability_comparison`` reads only the potential's bad set
+(``potential_bad_set``), the set where the truncation changes the field;
+``w_m_inf_truncate`` goes on to the cover and patches that the pointwise
+and grid evaluators need.
+
 Patches come from tensor-Gauss moments over each cube.  All cubes of one
 side share the same 64 node offsets from their centre, so one level is one
 shape of ``flux._lattice_moments``: one transfer table per level, one
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .fields import SYM6, PreconditionError, TrigSymField, _sym6_sq, assert_div_free, potential_inverse
+from .fields import SYM6, PreconditionError, TrigSymField, _sym6_sq, potential_inverse
 from .flux import _lattice_moments
 from .maximal import OpenSetMask, ScalarGrid, _cell_of, bad_set, maximal_function
 from .truncation import _bad_grid_index, _spliced_norm, flag_bad_set, sym6_to_mat
@@ -116,22 +121,30 @@ def _derivative_magnitude_grids(v: TrigSymField, n: int):
     return tuple(np.sqrt(sum(_sym6_sq(grids[o]) for o in orders)) for orders in levels)
 
 
-def w_m_inf_truncate(v: TrigSymField, lam: float, n: int) -> PotentialTruncation:
-    """Second-order uniform truncation of the potential by affine patches.
+def potential_bad_set(v: TrigSymField, lam: float, n: int):
+    """The potential's flagging stage: the level grid and its superlevel mask at ``lam``.
 
-    The bad set is the superlevel set of the sum of the centered maximal
-    functions of |v|, |grad v| and |grad^2 v| at level ``lam``.
+    The level is the sum of the centered maximal functions of |v|, |grad v|
+    and |grad^2 v| on the n-grid; the potential twin of
+    ``truncation.flag_bad_set``.
     """
     if lam <= 0:
         raise PreconditionError("lambda must be positive")
-    g0, g1, g2 = _derivative_magnitude_grids(v, n)
-    total = np.zeros_like(g0)
-    for g in (g0, g1, g2):
-        total += maximal_function(ScalarGrid(n=n, period=v.period, values=g)).values
+    total = sum(maximal_function(ScalarGrid(n=n, period=v.period, values=g)).values
+                for g in _derivative_magnitude_grids(v, n))
     level = ScalarGrid(n=n, period=v.period, values=total)
     mask = bad_set(level, lam)
     if mask.is_full():
         raise PreconditionError("potential bad set covers the whole torus; raise lambda")
+    return level, mask
+
+
+def w_m_inf_truncate(v: TrigSymField, lam: float, n: int) -> PotentialTruncation:
+    """Second-order uniform truncation of the potential by affine patches.
+
+    The bad set is ``potential_bad_set``'s; its Whitney cubes carry the patches.
+    """
+    level, mask = potential_bad_set(v, lam, n)
     cover = whitney_decompose(mask)
     values, grads = _cube_patches(v, cover.centers, cover.sides)
     return PotentialTruncation(v=v, lam=lam, n=n, level_grid=level, bad=mask, cover=cover or None,
@@ -191,10 +204,8 @@ class PotentialFieldTruncation:
 
 def afree_potential_truncate(u: TrigSymField, lam: float, n: int) -> PotentialFieldTruncation:
     """Potential truncation of a mean-zero divergence-free field."""
-    assert_div_free(u, what="afree_potential_truncate input")
-    v = potential_inverse(u)
-    vtrunc = w_m_inf_truncate(v, lam, n)
-    return PotentialFieldTruncation(u=u, vtrunc=vtrunc)
+    v = potential_inverse(u, what="afree_potential_truncate input")
+    return PotentialFieldTruncation(u=u, vtrunc=w_m_inf_truncate(v, lam, n))
 
 
 def stability_comparison(u: TrigSymField, lam: float, n: int = 32) -> dict:
@@ -202,12 +213,15 @@ def stability_comparison(u: TrigSymField, lam: float, n: int = 32) -> dict:
 
     A field bounded by the threshold leaves the geometric truncation
     inactive, while the potential route can still flag a positive-measure
-    set when the potential's second derivatives are large.
+    set when the potential's second derivatives are large.  A truncation
+    changes the field on its bad set only, so the comparison reads the two
+    masks (``flag_bad_set`` and ``potential_bad_set``) and builds no cover,
+    moments or patches.
     """
-    assert_div_free(u, what="stability_comparison input")
-    geometric = flag_bad_set(u, lam, n)[3]
-    pot = afree_potential_truncate(u, lam, n)
-    umax = float(np.sqrt(_sym6_sq(u.grid_components(n, SYM6))).max())
+    v = potential_inverse(u, what="stability_comparison input")
+    g, _, _, geometric = flag_bad_set(u, lam, n)
+    _, potential = potential_bad_set(v, lam, n)
+    umax = float(g.values.max())
     return {
         "lambda": lam,
         "grid_n": n,
@@ -215,8 +229,8 @@ def stability_comparison(u: TrigSymField, lam: float, n: int = 32) -> dict:
         "linf_of_u_over_lambda": umax / lam,
         "geometric": {"changed_measure": float(geometric.measure()),
                       "bad_fraction": float(geometric.mask.mean())},
-        "potential": {"changed_measure": float(pot.changed_measure()),
-                      "bad_fraction": float(pot.vtrunc.bad.mask.mean())},
+        "potential": {"changed_measure": float(potential.measure()),
+                      "bad_fraction": float(potential.mask.mean())},
     }
 
 

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import _reference_potential as refpot
 from divsym.fields import (
     PreconditionError,
     TrigSymField,
     UnsupportedOrderError,
     _cell_centers,
+    _curl_curl_symbols,
     _sym_to_mandel,
     curl_curl_T,
     curl_curl_symbol_matrix,
@@ -229,6 +231,54 @@ class TestPotentialInverse:
     def test_non_divfree_rejected(self):
         with pytest.raises(PreconditionError):
             potential_inverse(mean_zero(random_field(8, 1, 1.0)))
+
+
+# The batched symbols repeat the per-mode reference's products in its order, so
+# they must agree bit for bit; the stacked pinv and matmul may round otherwise,
+# so the coefficients agree to this bound relative to the largest one.
+POTENTIAL_RTOL = 1e-14
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 30), st.sampled_from([1, 2, 3]), st.sampled_from([1.0, 2.5]))
+@example(3, 2, 1.0)
+def test_potential_inverse_matches_per_mode_reference(seed, max_freq, period):
+    u = random_field(seed, max_freq, 1.0, divfree=True, period=period)
+    xis = u.mode_arrays()[0]
+    symbols = _curl_curl_symbols(xis, period)
+    want = np.stack([refpot.curl_curl_symbol_matrix(tuple(xi), period) for xi in xis])
+    assert symbols.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(curl_curl_symbol_matrix(tuple(xis[0]), period), want[0])
+    got, oracle = potential_inverse(u), refpot.potential_inverse(u)
+    assert list(got.coeffs) == list(oracle.coeffs)
+    scale = oracle.max_coeff_norm()
+    assert scale > 0
+    for xi, c in oracle.coeffs.items():
+        np.testing.assert_allclose(got.coeffs[xi], c, rtol=0, atol=POTENTIAL_RTOL * scale)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 30), st.sampled_from([1, 2, 3]), st.sampled_from([1.0, 2.5]))
+def test_curl_curl_T_matches_per_mode_reference(seed, max_freq, period):
+    v = random_field(seed, max_freq, 1.0, period=period)
+    got, want = curl_curl_T(v), refpot.curl_curl_T(v)
+    assert list(got.coeffs) == list(want.coeffs)
+    scale = want.max_coeff_norm()
+    for xi, c in want.coeffs.items():
+        np.testing.assert_allclose(got.coeffs[xi], c, rtol=0, atol=POTENTIAL_RTOL * scale)
+
+
+def test_potential_inverse_without_nonzero_modes():
+    for f in (TrigSymField({}), TrigSymField({(0, 0, 0): np.zeros((3, 3))})):
+        assert potential_inverse(f).coeffs == {} == refpot.potential_inverse(f).coeffs
+    assert _curl_curl_symbols(np.zeros((0, 3), dtype=np.int64), 1.0).shape == (0, 6, 6)
+
+
+def test_potential_inverse_preconditions_match_reference():
+    for f in (TrigSymField({(0, 0, 0): np.eye(3, dtype=complex)}), mean_zero(random_field(8, 1, 1.0))):
+        for inverse in (potential_inverse, refpot.potential_inverse):
+            with pytest.raises(PreconditionError):
+                inverse(f)
 
 
 class TestRandomField:

@@ -5,6 +5,8 @@ from divsym.fields import TrigSymField, _cell_centers, random_field
 from divsym.maximal import (
     ScalarGrid,
     _ball_kernel,
+    _chebyshev_distance,
+    _wrap_min3,
     bad_set,
     dyadic_radii,
     grid_to_csv,
@@ -124,6 +126,27 @@ class TestBadSet:
             delta = np.minimum(delta, n - delta)
             oracle = delta.max(axis=1).min() * h
             assert abs(got.distance[tuple(cell)] - oracle) < 1e-12
+
+    @pytest.mark.parametrize("n", [16, 20, 24, 32])
+    def test_wrap_minimum_matches_scipy(self, n):
+        # the numpy neighbourhood minimum is bitwise scipy's periodic minimum filter, on
+        # the distance iterates of masks flagging 5, 30 and 70 % and on random values
+        from scipy import ndimage
+
+        rng = np.random.default_rng(n)
+        for fraction in (0.05, 0.30, 0.70):
+            mask = rng.random((n, n, n)) < fraction
+            dist = np.where(mask, np.inf, 0.0)
+            for _ in range(3):
+                got = _wrap_min3(dist)
+                assert got.tobytes() == ndimage.minimum_filter(dist, size=3, mode="wrap").tobytes()
+                dist = np.minimum(dist, got + 1.0)
+            want = np.where(mask, np.inf, 0.0)
+            for _ in range(n // 2):
+                want = np.minimum(want, ndimage.minimum_filter(want, size=3, mode="wrap") + 1.0)
+            np.testing.assert_array_equal(_chebyshev_distance(mask, 1.0 / n, 1.0), want / n)
+        vals = rng.standard_normal((n, n, n))
+        assert _wrap_min3(vals).tobytes() == ndimage.minimum_filter(vals, size=3, mode="wrap").tobytes()
 
     def test_contains_wraps_points(self):
         n = 12

@@ -2,15 +2,26 @@ import numpy as np
 import pytest
 
 from _reference_pointwise import build_partition, cubes_at, pou_eval
-from divsym.fields import PreconditionError, TrigSymField, curl_curl_T, potential_inverse, random_field, project_div_free
+from divsym.fields import (
+    SYM6,
+    PreconditionError,
+    TrigSymField,
+    _sym6_sq,
+    curl_curl_T,
+    potential_inverse,
+    project_div_free,
+    random_field,
+)
 from divsym.maximal import ScalarGrid, bad_set, maximal_function
 from divsym.potential_trunc import (
     _derivative_magnitude_grids,
     afree_potential_truncate,
     averaged_taylor,
+    potential_bad_set,
     stability_comparison,
     w_m_inf_truncate,
 )
+from divsym.truncation import flag_bad_set, lambda_for_fraction
 from divsym.whitney import WhitneyCube, whitney_decompose
 
 
@@ -103,6 +114,23 @@ class TestWmInfTruncate:
         v = div_free(5, amplitude=50.0)
         with pytest.raises(PreconditionError):
             w_m_inf_truncate(v, 1e-6, 16)
+
+    def test_bad_set_preconditions(self):
+        v = div_free(5)
+        for lam in (0.0, -1.0):
+            with pytest.raises(PreconditionError, match="positive"):
+                potential_bad_set(v, lam, 16)
+        with pytest.raises(PreconditionError, match="whole torus"):
+            potential_bad_set(div_free(5, amplitude=50.0), 1e-6, 16)
+
+    def test_bad_set_is_the_truncation_mask(self):
+        v = potential_inverse(div_free(6))
+        level, mask = potential_bad_set(v, 40.0, 16)
+        vt = w_m_inf_truncate(v, 40.0, 16)
+        assert 0 < mask.mask.mean() < 1
+        np.testing.assert_array_equal(level.values, vt.level_grid.values)
+        np.testing.assert_array_equal(mask.mask, vt.bad.mask)
+        np.testing.assert_array_equal(mask.distance, vt.bad.distance)
 
     def test_call_matches_reference_partition(self):
         # v_lambda = sum_j phi_j * patch_j, with phi from the pou_eval reference,
@@ -223,3 +251,42 @@ class TestStabilityComparison:
 
         with pytest.raises(PreconditionError):
             strong_stability_witness(1.0, margin=1.5)
+
+
+def comparison_from_truncation(u, lam, n):
+    """The comparison dict read off the full potential truncation's mask."""
+    geometric = flag_bad_set(u, lam, n)[3]
+    potential = afree_potential_truncate(u, lam, n).vtrunc.bad
+    umax = float(np.sqrt(_sym6_sq(u.grid_components(n, SYM6))).max())
+    return {
+        "lambda": lam,
+        "grid_n": n,
+        "linf_u": umax,
+        "linf_of_u_over_lambda": umax / lam,
+        "geometric": {"changed_measure": float(geometric.measure()),
+                      "bad_fraction": float(geometric.mask.mean())},
+        "potential": {"changed_measure": float(potential.measure()),
+                      "bad_fraction": float(potential.mask.mean())},
+    }
+
+
+def outcome(call, *args):
+    """The result of ``call(*args)``, or the message of the ``PreconditionError`` it raises."""
+    try:
+        return call(*args)
+    except PreconditionError as err:
+        return str(err)
+
+
+# at 16 % of geometric cells the potential's bad set covers the whole torus on
+# these seeds: both routes must then raise the same error
+@pytest.mark.parametrize("fraction", [0.04, 0.08, 0.16])
+@pytest.mark.parametrize("n", [16, 24])
+@pytest.mark.parametrize("seed", [3, 7, 11])
+def test_comparison_equals_the_truncation_masks(seed, n, fraction):
+    u = random_field(seed, 2, 1.0, divfree=True)
+    lam = lambda_for_fraction(u, n, fraction)
+    want = outcome(comparison_from_truncation, u, lam, n)
+    if fraction < 0.1:
+        assert 0 < want["potential"]["bad_fraction"] < 1
+    assert outcome(stability_comparison, u, lam, n) == want

@@ -14,10 +14,10 @@ from .fields import (
     field_from_dict,
 )
 from .maximal import ScalarGrid, OpenSetMask, sample_abs, maximal_function, bad_set, zhang_bound_check
-from .whitney import WhitneyCube, WhitneyCover, whitney_decompose
-from .flux import QuadratureRule, TriangleMoments, normal, triangle_moments, eval_A, gauss_green_defect_B, gauss_green_defect_A
+from .whitney import WhitneyCover, whitney_decompose
+from .flux import QuadratureRule, gauss_green_defect_B, gauss_green_defect_A
 from .truncation import TruncationContext, VerificationReport, build_context, local_field, truncate, weak_divergence_defect, summation_vanish_check, verify
-from .potential_trunc import PolyPatch, averaged_taylor, potential_bad_set, w_m_inf_truncate, afree_potential_truncate, stability_comparison
-from .envelope import CompactSetDescriptor, EnvelopeEstimate, dist_p, qsdqc_estimate, hull_membership, truncate_project_sequence
+from .potential_trunc import potential_bad_set, stability_comparison
+from .envelope import CompactSetDescriptor, EnvelopeEstimate, dist_p, qsdqc_estimate, hull_membership
 
 __all__ = [name for name in dir() if not name.startswith("_")]

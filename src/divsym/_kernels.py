@@ -1,17 +1,16 @@
-"""Grid-evaluation kernels for the truncation assembly.
+"""Grid-evaluation kernel for the truncation assembly.
 
-Both kernels run ``whitney._partition`` once over the (cube, flagged
+The kernel runs ``whitney._partition`` once over the (cube, flagged
 point) pairs of the evaluation grid: each cube's box of grid points
 strictly inside its support, less the unflagged points (a ``bad_index``
-lookup).  The truncation kernel sums the local reconstruction formula
-``_local_terms`` over the 3-subsets of each point's active cubes
-(``whitney._active_triples``); the patch kernel sums curl curl^T of each
-pair's phi-weighted patch.  Formulas run over at most ``_CHUNK`` subsets
-or pairs at a time (a point with more subsets is a chunk of its own) and
-scatter into ``out`` with ``np.add.at``, which keeps the working set to a
-few tens of MB whatever the grid size.  The pointwise evaluator in
-``truncation`` takes the same steps at one point.  Packs follow
-``whitney``'s layout and packed symmetric outputs ``fields.SYM6``.
+lookup).  It sums the local reconstruction formula ``_local_terms`` over
+the 3-subsets of each point's active cubes (``whitney._active_triples``),
+at most ``_CHUNK`` subsets at a time (a point with more subsets is a
+chunk of its own), and scatters into ``out`` with ``np.add.at``, which
+keeps the working set to a few tens of MB whatever the grid size.  The
+pointwise evaluator in ``truncation`` takes the same steps at one point.
+Packs follow ``whitney``'s layout and packed symmetric outputs
+``fields.SYM6``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .whitney import _D2, _active_triples, _partition, _segments
 # stamp the kernel backend from it.
 HAVE_NUMBA = False
 
-_CHUNK = 100_000  # subsets or pairs per evaluation chunk
+_CHUNK = 100_000  # subsets per evaluation chunk
 
 # (i, j, k, sign) of the six permutations, and the cycles (alpha, beta, gamma)
 _PERMS = ((0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
@@ -117,33 +116,3 @@ def _local_terms(phi, weight, b, g, y):
             acc[al] += phik * dd
     return acc
 
-
-def accumulate_patch_curl(centers, sides, patch_c0, patch_grad, m, period, bad_index, out):
-    """Accumulate curl curl^T of sum_j phi_j * (affine patch_j) at flagged points.
-
-    ``patch_c0[j]`` is the 3x3 patch value at the cube center, ``patch_grad[j]``
-    its constant gradient (3x3x3, last axis the derivative direction).  Output
-    components ordered [11, 22, 33, 23, 13, 12].
-    """
-    cube, point, off, phi_all, _ = _grid_partition(centers, sides, m, period, bad_index)
-    comp = ((1, 2), (2, 0), (0, 1))  # row r of curl pairs derivative a with component b
-    for lo in range(0, len(cube), _CHUNK):
-        rng = slice(lo, lo + _CHUNK)
-        phi, grad, d = phi_all[:, rng], patch_grad[cube[rng]], off[rng]
-        pv = (patch_c0[cube[rng]] + grad[..., 0] * d[:, 0, None, None]
-              + grad[..., 1] * d[:, 1, None, None] + grad[..., 2] * d[:, 2, None, None])
-
-        def hess(a, b, pp, qq):
-            """Second derivative d_pp d_qq of phi * (patch entry a, b)."""
-            pp, qq = min(pp, qq), max(pp, qq)
-            return (phi[_D2[pp, qq]] * pv[:, a, b] + phi[1 + pp] * grad[:, a, b, qq]
-                    + phi[1 + qq] * grad[:, a, b, pp])
-
-        acc = np.empty((6, len(d)))
-        for r in range(3):
-            a, b = comp[r]
-            for sc in range(r, 3):
-                cc, dd = comp[sc]
-                val = hess(b, dd, a, cc) + hess(a, cc, b, dd) - hess(b, cc, a, dd) - hess(a, dd, b, cc)
-                acc[SYM6_SLOT[r, sc]] = val
-        np.add.at(out, point[rng], acc.T)

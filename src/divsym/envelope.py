@@ -315,22 +315,3 @@ def hull_membership(k: CompactSetDescriptor, xi, p, budget, seed=0, tol=None) ->
     return {"member": bool(est.value <= tol), "score": float(est.value), "tolerance": float(tol),
             "budget_limited": True}
 
-
-def truncate_project_sequence(u: TrigSymField, big_r: float, n: int | None = None) -> TrigSymField:
-    """Indicator-clamp at |u| > 2R, re-expand on the grid, recentre and project.
-
-    Frequencies at the grid Nyquist are dropped (they have no Hermitian
-    partner on an even grid); choose n above twice the bandwidth to make
-    the clamp-free round trip exact.  Modes below 1e-15 times the largest
-    clamped grid value are dropped.
-    """
-    if big_r <= 0:
-        raise PreconditionError("R must be positive")
-    if n is None:
-        n = max(2 * u.max_freq + 2, 16)
-    vals = _sym_to_mandel(u.grid_values(n))
-    vals = np.where((np.linalg.norm(vals, axis=-1) <= 2.0 * big_r)[..., None], vals, 0.0)
-    band = _band(n // 2 - 1, n)
-    coeffs = _band_project(vals, band)
-    keep = np.abs(coeffs).max(axis=1) >= 1e-15 * max(np.abs(vals).max(), 1.0)
-    return _band_field(band[0][keep], coeffs[keep], u.period)

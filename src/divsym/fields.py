@@ -322,11 +322,6 @@ def curl_curl_T(v: TrigSymField) -> TrigSymField:
     return _apply_symbols(_curl_curl_symbols(xis, v.period), xis, cs, v.period)
 
 
-def curl_curl_symbol_matrix(xi, period=1.0):
-    """The 6x6 matrix of the curl curl^T symbol in the orthonormal Mandel basis."""
-    return _curl_curl_symbols(np.reshape(xi, (1, 3)), period)[0]
-
-
 def div_symbol_matrix(xi, period=1.0):
     """The 3x6 divergence symbol (Mandel basis, without the factor ``i 2pi/L``)."""
     return np.stack([_mandel_to_sym(e) @ np.asarray(xi, dtype=float) for e in np.eye(6)], axis=1)

@@ -29,7 +29,7 @@ from math import factorial
 
 import numpy as np
 
-from .fields import TWO_PI, PreconditionError, TrigSymField, assert_div_free
+from .fields import TWO_PI, TrigSymField, assert_div_free
 
 DEGENERACY_TOL = 1e-12
 _CHUNK = 1 << 19  # complex entries per (rows, 4, modes) product block
@@ -77,12 +77,6 @@ def rule_for_degree(degree: int) -> QuadratureRule:
     return grundmann_moeller(max(0, degree // 2))
 
 
-def normal(x_i, x_j, x_k, tol=DEGENERACY_TOL):
-    """Area-weighted normal ``0.5 (x_i - x_j) x (x_k - x_j)``; zero if degenerate."""
-    verts = np.stack([np.asarray(v, dtype=float) for v in (x_i, x_j, x_k)])
-    return _normals(verts[None], tol)[0]
-
-
 def _normals(tri_verts, tol=DEGENERACY_TOL):
     """Area-weighted normals of (nt, 3, 3) triangles; zero rows where degenerate."""
     e_ij = tri_verts[:, 0] - tri_verts[:, 1]
@@ -95,32 +89,6 @@ def _normals(tri_verts, tol=DEGENERACY_TOL):
     ]).max(axis=0)
     nu[np.linalg.norm(nu, axis=1) < tol * edges**2] = 0.0
     return nu
-
-
-@dataclass
-class TriangleMoments:
-    """Cached flux vector and first moments of one triangle of centers."""
-
-    vertices: np.ndarray  # (3, 3) rows x_i, x_j, x_k in a common frame
-    nu: np.ndarray        # (3,)
-    B: np.ndarray         # (3,)
-    G: np.ndarray         # (3, 3)
-
-    @property
-    def degenerate(self):
-        return not self.nu.any()
-
-
-def triangle_moments(w: TrigSymField, x_i, x_j, x_k, rule: QuadratureRule) -> TriangleMoments:
-    """Flux vector B and moment matrix G of ``w`` over one triangle.
-
-    Degenerate simplices get all-zero data by convention.  Vertices are taken
-    verbatim (no wrapping): callers on the torus unwrap them into a common
-    frame first, and must evaluate ``A`` in the same frame.
-    """
-    verts = np.stack([np.asarray(v, dtype=float) for v in (x_i, x_j, x_k)])
-    nu, b, g = _triangle_moments(w, verts[:1], (verts - verts[0])[None], rule, [0], [0])
-    return TriangleMoments(vertices=verts, nu=nu[0], B=b[0], G=g[0])
 
 
 def _triangle_moments(w, anchors, shapes, rule, anchor_of, shape_of):
@@ -181,27 +149,28 @@ def _moment_functions(b, g, y):
     return amat
 
 
-def eval_A(m: TriangleMoments, y, alpha: int, beta: int) -> float:
-    """The affine moment function at ``y`` (same frame as the cached triangle)."""
-    y = np.asarray(y, dtype=float)
-    return float(np.squeeze(_moment_functions(m.B[:, None], m.G[None], y[:, None])[alpha][beta]))
+# the faces ijk, ljk, ilk, ijl of a tetrahedron ijkl: the closed-surface sum is face 0 minus the rest
+_FACES = np.array([(0, 1, 2), (3, 1, 2), (0, 3, 2), (0, 1, 3)])
 
 
-def _tetra_defect(w, x_i, x_j, x_k, x_l, rule, extract):
-    m_ijk = triangle_moments(w, x_i, x_j, x_k, rule)
-    m_ljk = triangle_moments(w, x_l, x_j, x_k, rule)
-    m_ilk = triangle_moments(w, x_i, x_l, x_k, rule)
-    m_ijl = triangle_moments(w, x_i, x_j, x_l, rule)
-    return extract(m_ijk) - extract(m_ljk) - extract(m_ilk) - extract(m_ijl)
+def _face_moments(w, x_i, x_j, x_k, x_l, rule):
+    """Fluxes B (3, faces) and first moments G (faces, 3, 3) of the four ``_FACES``."""
+    faces = np.array([x_i, x_j, x_k, x_l], dtype=float)[_FACES]
+    _, tri_b, tri_g = _triangle_moments(w, faces[:, 0], faces - faces[:, :1], rule,
+                                        np.arange(4), np.arange(4))
+    return tri_b.T, tri_g
 
 
 def gauss_green_defect_B(w: TrigSymField, x_i, x_j, x_k, x_l, alpha: int, rule: QuadratureRule) -> float:
     """Closed-surface flux combination over the tetrahedron; zero for exact moments."""
     assert_div_free(w, what="gauss_green_defect_B input")
-    return float(_tetra_defect(w, x_i, x_j, x_k, x_l, rule, lambda m: m.B[alpha]))
+    b = _face_moments(w, x_i, x_j, x_k, x_l, rule)[0][alpha]
+    return float(b[0] - b[1] - b[2] - b[3])
 
 
 def gauss_green_defect_A(w: TrigSymField, x_i, x_j, x_k, x_l, y, alpha: int, beta: int, rule: QuadratureRule) -> float:
     """Same four-term combination for the moment function evaluated at ``y``."""
     assert_div_free(w, what="gauss_green_defect_A input")
-    return float(_tetra_defect(w, x_i, x_j, x_k, x_l, rule, lambda m: eval_A(m, y, alpha, beta)))
+    b, g = _face_moments(w, x_i, x_j, x_k, x_l, rule)
+    a = np.broadcast_to(_moment_functions(b, g, np.asarray(y, dtype=float)[:, None])[alpha][beta], 4)
+    return float(a[0] - a[1] - a[2] - a[3])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SYM6, PreconditionError, TrigSymField, _sym6_sq
+from .fields import SYM6, TrigSymField, _sym6_sq
 
 
 @dataclass
@@ -205,12 +205,3 @@ def read_grid(path) -> ScalarGrid:
         data = np.frombuffer(fh.read(8 * n**3), dtype="<f8")
     return ScalarGrid(n=n, period=period, values=data.reshape((n, n, n), order="F").copy())
 
-
-def grid_to_csv(path, g: ScalarGrid):
-    with open(path, "w") as fh:
-        fh.write("x,y,z,value\n")
-        h = g.h
-        for iz in range(g.n):
-            for iy in range(g.n):
-                for ix in range(g.n):
-                    fh.write(f"{(ix + 0.5) * h},{(iy + 0.5) * h},{(iz + 0.5) * h},{g.values[ix, iy, iz]!r}\n")

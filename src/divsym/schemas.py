@@ -5,16 +5,8 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-try:
-    import jsonschema
-    from jsonschema import ValidationError
-
-    HAVE_JSONSCHEMA = True
-except ImportError:  # pragma: no cover
-    HAVE_JSONSCHEMA = False
-
-    class ValidationError(Exception):
-        """Stand-in so callers can name the error; never raised without jsonschema."""
+import jsonschema
+from jsonschema import ValidationError
 
 _cache = {}
 
@@ -27,7 +19,6 @@ def schema(name: str) -> dict:
 
 
 def validate(name: str, payload: dict):
-    """Validate a payload against a shipped schema (no-op without jsonschema)."""
-    if HAVE_JSONSCHEMA:
-        jsonschema.validate(payload, schema(name))
+    """Validate a payload against a shipped schema; raises ``ValidationError``."""
+    jsonschema.validate(payload, schema(name))
     return payload

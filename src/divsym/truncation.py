@@ -65,7 +65,7 @@ class TruncationContext:
     abs_grid: ScalarGrid
     maximal_grid: ScalarGrid
     bad: OpenSetMask
-    cover: object            # WhitneyCover or None when the bad set is empty; phi is whitney._phi_at
+    cover: object            # WhitneyCover (cube arrays) or None when the bad set is empty
     rule: object
     triples: np.ndarray      # (nt, 3) int32, sorted rows
     tri_verts: np.ndarray    # (nt, 3, 3) centers unwrapped into a per-triple frame

@@ -178,13 +178,6 @@ def _active_triples(cube, point, triples, nc):
     return sub, rows
 
 
-@dataclass
-class WhitneyCube:
-    center: np.ndarray   # (3,)
-    side: float          # dilated sidelength (support width)
-    level: int           # undilated side = 2^level * h
-
-
 def _segments(counts):
     """``(owner, rank)`` of every entry when segment i holds ``counts[i]`` entries in turn."""
     counts = np.asarray(counts, dtype=np.int64)
@@ -202,14 +195,12 @@ def _upsample(arr, r):
 class WhitneyCover:
     period: float
     n: int                      # resolution of the generating mask
-    cubes: list
+    centers: np.ndarray         # (nc, 3)
+    sides: np.ndarray           # (nc,) dilated sidelengths (support widths)
+    levels: np.ndarray          # (nc,) int64: undilated side = 2^level * h
     stats: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        nc = len(self.cubes)
-        self.centers = np.array([c.center for c in self.cubes]).reshape(nc, 3)
-        self.sides = np.array([c.side for c in self.cubes])
-        self.levels = np.array([c.level for c in self.cubes], dtype=np.int64)
         self._build_index()
         self.pairs = self.neighbor_pairs()
 
@@ -231,7 +222,7 @@ class WhitneyCover:
         np.cumsum(np.bincount(cells, minlength=n**3), out=self.cell_ptr[1:])
 
     def __len__(self):
-        return len(self.cubes)
+        return len(self.sides)
 
     def wrap(self, delta):
         p = self.period
@@ -249,7 +240,7 @@ class WhitneyCover:
         gap is below the half-sum of the sides by more than ``SUPPORT_MARGIN``
         on every axis.  The cover keeps the result as ``pairs``.
         """
-        nc = len(self.cubes)
+        nc = len(self)
         ptr, ids = self.cell_ptr, self.cell_ids.astype(np.int64)
         cell_end = np.repeat(ptr[1:], np.diff(ptr))
         entry, rank = _segments(cell_end - np.arange(len(ids)) - 1)
@@ -265,7 +256,7 @@ class WhitneyCover:
 
         Pair ``(i, j)`` joins the later rows ``(i, k)`` of ``pairs`` with ``(j, k)`` a pair.
         """
-        nc = len(self.cubes)
+        nc = len(self)
         first, second = self.pairs[:, 0], self.pairs[:, 1]
         keys = first * nc + second
         block_end = np.searchsorted(first, first, side="right")
@@ -274,18 +265,6 @@ class WhitneyCover:
         jk = j * nc + k
         hit = keys[np.minimum(np.searchsorted(keys, jk), len(keys) - 1)] == jk
         return np.stack([i[hit], j[hit], k[hit]], axis=1).astype(np.int32)
-
-    def to_json(self):
-        return [
-            {"center": [float(v) for v in c.center], "side": float(c.side), "level": int(c.level)}
-            for c in self.cubes
-        ]
-
-    def w2_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("index,side,level,dist,ratio\n")
-            for j, (dist, ratio) in enumerate(zip(self.stats["w2_dist"], self.stats["w2_ratio"])):
-                fh.write(f"{j},{self.sides[j]!r},{self.levels[j]},{dist!r},{ratio!r}\n")
 
 
 def _block_min(arr, s):
@@ -304,7 +283,8 @@ def whitney_decompose(mask: OpenSetMask) -> WhitneyCover:
     """
     n, h, period = mask.n, mask.h, mask.period
     if mask.is_empty():
-        return WhitneyCover(period=period, n=n, cubes=[], stats={"overlap": 0})
+        return WhitneyCover(period=period, n=n, centers=np.zeros((0, 3)), sides=np.zeros(0),
+                            levels=np.zeros(0, dtype=np.int64), stats={"overlap": 0})
     if mask.is_full():
         raise PreconditionError("bad set covers the whole torus: no complement to measure against")
     if n < 4:
@@ -319,7 +299,7 @@ def whitney_decompose(mask: OpenSetMask) -> WhitneyCover:
         dmin = _block_min(dist_cells, s)
         adm[k] = flagged & (s <= dmin + 1e-9)
 
-    cubes, dists, ratios = [], [], []
+    centers, cube_levels, dists = [], [], []
     paint = np.zeros_like(mask.mask)     # W1: the undilated blocks must repaint the mask exactly
     for k in levels:
         s = 1 << k
@@ -327,14 +307,17 @@ def whitney_decompose(mask: OpenSetMask) -> WhitneyCover:
         if k + 1 in adm:
             maximal &= ~_upsample(adm[k + 1], 2)
         paint |= _upsample(maximal, s)
+        centers.append((np.argwhere(maximal) + 0.5) * s * h)
+        cube_levels.append(np.full(len(centers[-1]), k, dtype=np.int64))
         # W2: center distance to the complement against the undilated side
         dists.append(_block_min(mask.distance, s)[maximal])
-        ratios.append(dists[-1] / (s * h))
-        side = DILATION * s * h
-        cubes += [WhitneyCube(center=c, side=side, level=k) for c in (np.argwhere(maximal) + 0.5) * s * h]
 
-    cover = WhitneyCover(period=period, n=n, cubes=cubes)
-    dists, ratios = np.concatenate(dists), np.concatenate(ratios)
+    cube_levels = np.concatenate(cube_levels)
+    tile = (1 << cube_levels) * h           # undilated sides
+    cover = WhitneyCover(period=period, n=n, centers=np.concatenate(centers), sides=DILATION * tile,
+                         levels=cube_levels)
+    dists = np.concatenate(dists)
+    ratios = dists / tile
     si, sj = cover.sides[cover.pairs.T]     # W4: side comparability over touching cubes
     cover.stats = {
         "w1_exact": bool((paint == mask.mask).all()),

@@ -232,71 +232,3 @@ def accumulate_truncation(triples, tri_b, tri_g, tri_verts, sides, m, period,
                             dd += 2.0 * (_d2(dj, be, be) * di[1 + ga] - _d2(dj, be, ga) * di[1 + be]) * a_albe
                             out[p, al] += phik * dd
 
-
-def accumulate_patch_curl(centers, sides, patch_c0, patch_grad, m, period, bad_index,
-                          spacks, out):
-    """Accumulate curl curl^T of sum_j phi_j * (affine patch_j) at flagged points.
-
-    ``patch_c0[j]`` is the 3x3 patch value at the cube center, ``patch_grad[j]``
-    its constant gradient (3x3x3, last axis the derivative direction).  Output
-    components ordered [11, 22, 33, 23, 13, 12].
-    """
-    hm = period / m
-    nc = centers.shape[0]
-    eta = np.zeros(10)
-    phi = np.zeros(10)
-    xmat = np.zeros((3, 3, 3, 3))  # second derivatives d2[p][q] of phi*patch, sym part
-    comp_r = (1, 2, 0)
-    comp_s = (2, 0, 1)
-
-    for j in range(nc):
-        s = sides[j]
-        half = 0.5 * s
-        lo0, hi0 = _axis_range(centers[j, 0], half, hm)
-        lo1, hi1 = _axis_range(centers[j, 1], half, hm)
-        lo2, hi2 = _axis_range(centers[j, 2], half, hm)
-        for i0 in range(lo0, hi0 + 1):
-            ii0 = ((i0 % m) + m) % m
-            x0 = (i0 + 0.5) * hm
-            for i1 in range(lo1, hi1 + 1):
-                ii1 = ((i1 % m) + m) % m
-                x1 = (i1 + 0.5) * hm
-                for i2 in range(lo2, hi2 + 1):
-                    p = bad_index[ii0, ii1, ((i2 % m) + m) % m]
-                    if p < 0:
-                        continue
-                    x2 = (i2 + 0.5) * hm
-                    _eta_pack(x0, x1, x2, centers[j, 0], centers[j, 1], centers[j, 2], s, eta)
-                    _phi_pack(eta, spacks[p], phi)
-                    # patch value at this point (affine around the cube center)
-                    d0 = x0 - centers[j, 0]
-                    d1 = x1 - centers[j, 1]
-                    d2v = x2 - centers[j, 2]
-                    for a in range(3):
-                        for b in range(3):
-                            pv = patch_c0[j, a, b] + patch_grad[j, a, b, 0] * d0 \
-                                + patch_grad[j, a, b, 1] * d1 + patch_grad[j, a, b, 2] * d2v
-                            for pp in range(3):
-                                for qq in range(pp, 3):
-                                    val = _d2(phi, pp, qq) * pv \
-                                        + phi[1 + pp] * patch_grad[j, a, b, qq] \
-                                        + phi[1 + qq] * patch_grad[j, a, b, pp]
-                                    xmat[a, b, pp, qq] = val
-                                    xmat[a, b, qq, pp] = val
-                    # curl curl^T of the product, entry (r, s)
-                    for r in range(3):
-                        a = comp_r[r]
-                        b = comp_s[r]
-                        for scol in range(r, 3):
-                            cc = comp_r[scol]
-                            dd = comp_s[scol]
-                            val = xmat[b, dd, a, cc] + xmat[a, cc, b, dd] \
-                                - xmat[b, cc, a, dd] - xmat[a, dd, b, cc]
-                            if r == scol:
-                                out[p, r] += val
-                            elif r == 0 and scol == 1:
-                                out[p, 5] += val
-                            elif r == 0 and scol == 2:
-                                out[p, 4] += val
-                            else:
-                                out[p, 3] += val

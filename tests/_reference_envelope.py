@@ -1,12 +1,12 @@
 """Dict/``eval_many`` reference for the spectral-array envelope descent.
 
-The projected descent and the clamp-and-project sequence as they were
-written before ``divsym.envelope`` switched to coefficient arrays: each
-iterate is a ``TrigSymField`` resampled by the direct mode sum
-``eval_many``, band-projected mode by mode through a dict and re-validated
-by the constructor.  Kept apart from the code under test; same signatures
-and return values.  Slow (about 40 ms per iteration at max_freq 2).  The
-initializer draws a dict field and projects it with ``project_div_free``.
+The projected descent as it was written before ``divsym.envelope``
+switched to coefficient arrays: each iterate is a ``TrigSymField``
+resampled by the direct mode sum ``eval_many``, band-projected mode by
+mode through a dict and re-validated by the constructor.  Kept apart
+from the code under test; same signatures and return values.  Slow
+(about 40 ms per iteration at max_freq 2).  The initializer draws a dict
+field and projects it with ``project_div_free``.
 
 ``_project_simplex_hull`` is the active-set nearest point of a polytope,
 one point at a time: the oracle for ``envelope._project_hull``.
@@ -14,7 +14,7 @@ one point at a time: the oracle for ``envelope._project_hull``.
 
 import numpy as np
 
-from divsym.fields import PreconditionError, TrigSymField, _cell_centers, project_div_free
+from divsym.fields import TrigSymField, _cell_centers, project_div_free
 
 
 def _seeded_init(seed, restart, max_freq, amplitude, period):
@@ -148,38 +148,3 @@ def minimize_over_test_fields(objective, max_freq, restarts, iterations, seed,
             best_val, best_field = val, phi
     return best_val, best_field, trace
 
-
-def truncate_project_sequence(u: TrigSymField, big_r: float, n: int | None = None) -> TrigSymField:
-    """Indicator-clamp at |u| > 2R, re-expand on the grid, recentre and project.
-
-    Frequencies at the grid Nyquist are dropped (they have no Hermitian
-    partner on an even grid); choose n above twice the bandwidth to make
-    the clamp-free round trip exact.
-    """
-    if big_r <= 0:
-        raise PreconditionError("R must be positive")
-    if n is None:
-        n = max(2 * u.max_freq + 2, 16)
-    vals = u.grid_values(n)
-    norms = np.sqrt(np.einsum("...ab,...ab->...", vals, vals))
-    vals = np.where((norms <= 2.0 * big_r)[..., None, None], vals, 0.0)
-    spec = np.empty((3, 3, n, n, n), dtype=complex)
-    for a in range(3):
-        for b in range(3):
-            spec[a, b] = np.fft.fftn(vals[..., a, b]) / n**3
-    coeffs = {}
-    half = n // 2
-    freqs = [f if f <= half else f - n for f in range(n)]
-    shift = {f: np.exp(-1j * np.pi * f / n) for f in freqs}
-    scale = max(np.abs(spec).max(), 1.0)
-    for i, fi in enumerate(freqs):
-        for j, fj in enumerate(freqs):
-            for l, fl in enumerate(freqs):
-                if (fi, fj, fl) == (0, 0, 0) or abs(fi) == half or abs(fj) == half or abs(fl) == half:
-                    continue
-                c = spec[:, :, i, j, l] * (shift[fi] * shift[fj] * shift[fl])
-                if np.abs(c).max() < 1e-15 * scale:
-                    continue
-                coeffs[(fi, fj, fl)] = 0.5 * (c + c.T)
-    f = TrigSymField(coeffs, period=u.period, tol=1e-8)
-    return project_div_free(f)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from divsym.cli import main
-from divsym.fields import divergence, field_from_dict
+from divsym.fields import divergence, field_from_dict, field_to_dict, random_field
 from divsym.maximal import read_grid
+from divsym.truncation import lambda_for_fraction
 from divsym import schemas
 
 
@@ -60,6 +61,18 @@ class TestTruncate:
         rep = json.loads(out.read_text())
         schemas.validate("report", rep)
         assert rep["eval_m"] == 32
+
+    def test_benchmark_field_figures(self, tmp_path):
+        # the n=16 benchmark input: random_field(3) at the lambda that flags 8 % of the cells
+        payload = field_to_dict(random_field(3, 2, 1.0, divfree=True))
+        field = tmp_path / "field.json"
+        field.write_text(json.dumps(payload))
+        lam = lambda_for_fraction(field_from_dict(payload), 16, 0.08)
+        out = tmp_path / "bench.json"
+        assert run(["truncate", "--field", field, "--lambda", lam, "--grid-n", 16, "--out", out]) == 0
+        rep = json.loads(out.read_text())
+        assert (rep["cover_size"], rep["triple_count"]) == (328, 3257)
+        assert rep["linf_ratio"] == pytest.approx(36.689869404712766, rel=1e-12, abs=0)
 
     def test_non_divfree_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -9,9 +9,8 @@ from divsym.envelope import (
     minimize_over_test_fields,
     nearest_point,
     qsdqc_estimate,
-    truncate_project_sequence,
 )
-from divsym.fields import TrigSymField, _sym_to_mandel, divergence, project_div_free, random_field
+from divsym.fields import _sym_to_mandel, divergence
 
 BUDGET = {"max_freq": 1, "restarts": 4, "iterations": 30}
 
@@ -200,35 +199,6 @@ class TestMembership:
             member_p = hull_membership(ball(1.0), xi, 1, BUDGET, seed=4)["member"]
             if member_q:
                 assert member_p
-
-
-class TestTruncateProject:
-    def test_small_field_round_trip(self):
-        u = project_div_free(random_field(5, 2, 0.1))
-        u.coeffs.pop((0, 0, 0), None)
-        u = TrigSymField(u.coeffs)
-        big_r = 100.0
-        v = truncate_project_sequence(u, big_r)
-        worst = max(np.abs(v.coeff(xi) - u.coeff(xi)).max() for xi in u.coeffs)
-        assert worst < 1e-10 * max(1.0, u.max_coeff_norm())
-
-    def test_zero(self):
-        assert truncate_project_sequence(TrigSymField({}), 1.0).max_coeff_norm() == 0.0
-
-    def test_general_field_divfree_and_bounded(self):
-        u = project_div_free(random_field(6, 2, 2.0))
-        u.coeffs.pop((0, 0, 0), None)
-        u = TrigSymField(u.coeffs)
-        vals = u.grid_values(24)
-        norms = np.sqrt(np.einsum("...ab,...ab->...", vals, vals))
-        big_r = float(np.quantile(norms, 0.6)) / 2
-        v = truncate_project_sequence(u, big_r, n=24)
-        assert divergence(v).max_coeff_norm() < 1e-12 * max(1.0, v.max_coeff_norm())
-        assert np.abs(v.coeff((0, 0, 0))).max() < 1e-12
-
-    def test_bad_radius(self):
-        with pytest.raises(Exception):
-            truncate_project_sequence(TrigSymField({}), 0.0)
 
 
 class TestDescriptor:

@@ -1,4 +1,4 @@
-"""The coefficient-array descent and clamp-and-project sequence against the dict reference."""
+"""The coefficient-array descent against the dict reference."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 import _reference_envelope as ref
 from divsym import envelope
 from divsym.envelope import (CompactSetDescriptor, DistanceObjective, _band, _band_project, _project_hull,
-                             minimize_over_test_fields, truncate_project_sequence)
-from divsym.fields import TrigSymField, _modes_to_grid, project_div_free, random_field
+                             minimize_over_test_fields)
+from divsym.fields import _modes_to_grid
 
 # Agreement bound, relative to the largest reference value.  Resampling by
 # inverse FFT instead of the direct mode sum, and projecting all modes at
@@ -136,19 +136,6 @@ def test_project_hull_matches_active_set(vertices, seed, flat):
     ys = np.concatenate([inside, t * v[i] + (1 - t) * v[j], v, inside + rng.standard_normal((4, 6))])
     want = np.stack([ref._project_simplex_hull(v, y) for y in ys])
     np.testing.assert_allclose(_project_hull(v, ys), want, rtol=0, atol=1e-12 * max(1.0, np.abs(ys).max()))
-
-
-def test_truncate_project_sequence_matches_reference():
-    u = project_div_free(random_field(6, 2, 2.0))
-    u.coeffs.pop((0, 0, 0), None)
-    u = TrigSymField(u.coeffs)
-    for n in (16, 24):
-        vals = u.grid_values(n)
-        norms = np.sqrt(np.einsum("...ab,...ab->...", vals, vals))
-        big_r = float(np.quantile(norms, 0.6)) / 2
-        assert (norms > 2 * big_r).any()  # the clamp is active
-        assert_fields_close(truncate_project_sequence(u, big_r, n=n),
-                            ref.truncate_project_sequence(u, big_r, n=n))
 
 
 def test_band_project_idempotent_and_real_only():

@@ -1,4 +1,4 @@
-"""The array kernels against the scalar-loop reference at every flagged point."""
+"""The array kernel against the scalar-loop reference at every flagged point."""
 
 from unittest import mock
 
@@ -7,19 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 import _loop_kernels as loops
 from divsym import _kernels
-from divsym.fields import TrigSymField, potential_inverse, project_div_free, random_field
-from divsym.maximal import ScalarGrid, maximal_function
-from divsym.potential_trunc import _derivative_magnitude_grids, afree_potential_truncate
+from divsym.fields import TrigSymField, project_div_free, random_field
 from divsym.truncation import _bad_grid_index, build_context, lambda_for_fraction
 
 # Agreement bound, relative to the largest reference component.  The array
-# kernels sum each point's pair contributions in another order, so only the
+# kernel sums each point's pair contributions in another order, so only the
 # last few bits may differ.
 RTOL = 1e-12
 
-# A chunk far below the default, so every example spans many chunks: pair
-# chunks in the patch kernel, and in the truncation kernel subset chunks
-# over whole points, where a point with more than 50 subsets is its own.
+# A chunk far below the default, so every example spans many chunks: subset
+# chunks over whole points, where a point with more than 50 subsets is its own.
 SMALL_CHUNK = 50
 
 # Smallest largest reference component a comparison must see.  At m = n
@@ -79,23 +76,3 @@ def test_truncation_and_spacks_match_loops(case):
     loops.accumulate_truncation(*args, spacks, ref)
     assert_close(got, ref)
 
-
-@mock.patch.object(_kernels, "_CHUNK", SMALL_CHUNK)
-@settings(max_examples=3, deadline=None)
-@given(CASES)
-def test_patch_curl_matches_loops(case):
-    seed, n, r, fraction = case
-    u = div_free(seed)
-    levels = [maximal_function(ScalarGrid(n=n, period=u.period, values=g)).values
-              for g in _derivative_magnitude_grids(potential_inverse(u), n)]
-    lam = float(np.quantile(sum(levels), 1.0 - fraction))
-    ut = afree_potential_truncate(u, lam, n)
-    m = r * n
-    bad_index, mask_m, got = ut.sample_bad(m)
-    vt = ut.vtrunc
-    spacks = spacks_both(vt.cover, m, bad_index, len(got))
-
-    ref = np.zeros_like(got)
-    loops.accumulate_patch_curl(vt.cover.centers, vt.cover.sides, vt.patch_values, vt.patch_grads,
-                                m, vt.period, bad_index, spacks, ref)
-    assert_close(got, ref)

@@ -9,7 +9,6 @@ from divsym.maximal import (
     _wrap_min3,
     bad_set,
     dyadic_radii,
-    grid_to_csv,
     maximal_function,
     read_grid,
     sample_abs,
@@ -219,14 +218,6 @@ class TestGridIO:
         # x fastest: consecutive entries walk the first index
         assert raw[1] == vals[1, 0, 0]
         assert raw[8] == vals[0, 1, 0]
-
-    def test_csv(self, tmp_path):
-        g = sample_abs(random_field(4, 1, 1.0), 8)
-        path = tmp_path / "grid.csv"
-        grid_to_csv(path, g)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x,y,z,value"
-        assert len(lines) == 8**3 + 1
 
 
 def numpy_fft_maximal(g):

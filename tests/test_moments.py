@@ -1,17 +1,17 @@
-"""Lattice-factored moments against the point-sum references, and guards on where they run."""
+"""Lattice-factored moments against the point-sum reference, and guards on where they run."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import _reference_moments as ref
-from divsym import potential_trunc, truncation, whitney
+from divsym import potential_trunc, whitney
 from divsym.fields import TrigSymField, potential_inverse, random_field
 from divsym.flux import _normals, rule_for_degree
-from divsym.maximal import ScalarGrid, bad_set, maximal_function
-from divsym.potential_trunc import _derivative_magnitude_grids, w_m_inf_truncate
+from divsym.maximal import ScalarGrid, bad_set
 from divsym.truncation import _triple_moments, build_context, flag_bad_set, lambda_for_fraction
-from divsym.whitney import WhitneyCube, whitney_decompose
+from divsym.whitney import whitney_decompose
+from test_potential import vt_level
 
 # Agreement bound, relative to the largest reference entry, fixed before the
 # first run.  The two sides sum the same node values in another order and
@@ -89,28 +89,8 @@ def test_off_lattice_centres_refused():
                         np.array([[0, 1, 2]], dtype=np.int32), rule_for_degree(10))
 
 
-def test_patches_match_per_cube_loop():
-    v = potential_inverse(random_field(3, 2, 1.0, divfree=True))
-    level = sum(maximal_function(ScalarGrid(n=16, period=1.0, values=g)).values
-                for g in _derivative_magnitude_grids(v, 16))
-    vt = w_m_inf_truncate(v, float(np.quantile(level, 0.5)), 16)
-    levels = vt.cover.levels
-    assert (levels == 0).any() and (levels == 1).any()
-    rows = np.flatnonzero((levels == 1) | (np.arange(len(levels)) % 7 == 0))
-    want = [ref.averaged_taylor(v, vt.cover.cubes[j]) for j in rows]
-    assert_close((vt.patch_values[rows], vt.patch_grads[rows]),
-                 (np.stack([p[0] for p in want]), np.stack([p[1] for p in want])))
-
-
-def test_averaged_taylor_is_a_batch_of_one():
-    v = potential_inverse(random_field(5, 2, 1.0, divfree=True))
-    cube = WhitneyCube(center=np.array([0.93, 0.02, 0.51]), side=0.125, level=1)
-    patch = potential_trunc.averaged_taylor(v, cube)
-    assert_close((patch.value, patch.grad), ref.averaged_taylor(v, cube))
-
-
 def test_no_point_sums(monkeypatch):
-    # the moments and patches come from mode tables, never from field values at nodes
+    # the moments come from mode tables, never from field values at nodes
     calls = []
     original = TrigSymField.eval_many
 
@@ -121,30 +101,27 @@ def test_no_point_sums(monkeypatch):
     monkeypatch.setattr(TrigSymField, "eval_many", counted)
     w = random_field(3, 2, 1.0, divfree=True)
     ctx = build_context(w, lambda_for_fraction(w, 16, 0.08), 16)
-    v = potential_inverse(w)
-    level = sum(maximal_function(ScalarGrid(n=16, period=1.0, values=g)).values
-                for g in _derivative_magnitude_grids(v, 16))
-    vt = w_m_inf_truncate(v, float(np.quantile(level, 0.5)), 16)
-    assert len(ctx.triples) and len(vt.cover)
+    assert len(ctx.triples)
     assert calls == []
 
 
 def test_compare_stops_at_the_mask(monkeypatch):
     # the comparison reads the two bad sets only: it builds no cover on either side
     covers = []
-    decompose = whitney.whitney_decompose
+    build = whitney.WhitneyCover.__post_init__
 
-    def counted(mask):
-        covers.append(mask)
-        return decompose(mask)
+    def counted(cover):
+        covers.append(cover)
+        build(cover)
 
-    monkeypatch.setattr(potential_trunc, "whitney_decompose", counted)
-    monkeypatch.setattr(truncation, "whitney_decompose", counted)
+    monkeypatch.setattr(whitney.WhitneyCover, "__post_init__", counted)
     w = random_field(3, 2, 1.0, divfree=True)
     lam = lambda_for_fraction(w, 16, 0.08)
     rep = potential_trunc.stability_comparison(w, lam, 16)
     assert covers == []
     mask = flag_bad_set(w, lam, 16)[3]
     assert rep["geometric"]["bad_fraction"] == float(mask.mask.mean())
-    potential = w_m_inf_truncate(potential_inverse(w), lam, 16).bad
+    potential = bad_set(ScalarGrid(n=16, period=1.0, values=vt_level(potential_inverse(w))), lam)
     assert rep["potential"]["bad_fraction"] == float(potential.mask.mean())
+    whitney_decompose(mask)   # the counter sees a cover that is built
+    assert len(covers) == 1

@@ -5,7 +5,7 @@ from _reference_moments import _batched_moments
 from _reference_pointwise import PointwiseReference, build_partition, cubes_at, pou_eval
 from divsym.fields import (PreconditionError, TrigSymField, UnsupportedOrderError, project_div_free,
                            random_field)
-from divsym.flux import eval_A, rule_for_degree, triangle_moments
+from divsym.flux import _moment_functions, _triangle_moments, rule_for_degree
 from divsym.maximal import ScalarGrid, bad_set
 from divsym.truncation import (
     PlaneWave,
@@ -138,17 +138,19 @@ class TestLocalField:
         def phi(j, order=(0, 0, 0)):
             return pou_eval(pou, j, y, order)
 
+        def moments(i, j, kk):
+            verts = np.array([cover.centers[0] + cover.wrap(cover.centers[t] - cover.centers[0])
+                              for t in (i, j, kk)])
+            _, b, g = _triangle_moments(w, verts[:1], (verts - verts[0])[None], rule, [0], [0])
+            return b, g
+
         def B(i, j, kk, alpha):
-            verts = [cover.centers[0] + cover.wrap(cover.centers[t] - cover.centers[0])
-                     for t in (i, j, kk)]
-            return triangle_moments(w, *verts, rule).B[alpha]
+            return moments(i, j, kk)[0][0, alpha]
 
         def A(i, j, kk, alpha, beta):
-            verts = [cover.centers[0] + cover.wrap(cover.centers[t] - cover.centers[0])
-                     for t in (i, j, kk)]
-            m = triangle_moments(w, *verts, rule)
+            b, g = moments(i, j, kk)
             yf = cover.centers[0] + cover.wrap(y - cover.centers[0])
-            return eval_A(m, yf, alpha, beta)
+            return float(np.squeeze(_moment_functions(b.T, g, yf[:, None])[alpha][beta]))
 
         d1 = {(j, d): phi(j, tuple(int(q == d) for q in range(3))) for j in active for d in range(3)}
         orders2 = {(0, 0): (2, 0, 0), (1, 1): (0, 2, 0), (2, 2): (0, 0, 2),

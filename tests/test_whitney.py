@@ -9,7 +9,6 @@ from divsym.whitney import (
     BUMP_CORE,
     BUMP_SUPP,
     DILATION,
-    WhitneyCover,
     _pack_slot,
     _phi_at,
     bump,
@@ -154,14 +153,6 @@ class TestDecompose:
         cover = whitney_decompose(mask)
         assert cover.stats["w4_ratio_max"] <= 8.0
 
-    def test_serialization(self, tmp_path):
-        cover = whitney_decompose(ball_mask(32, (0.5, 0.5, 0.5), 0.12))
-        data = cover.to_json()
-        assert len(data) == len(cover)
-        assert {"center", "side", "level"} <= set(data[0])
-        cover.w2_csv(tmp_path / "w2.csv")
-        assert (tmp_path / "w2.csv").read_text().startswith("index,side")
-
 
 def phi_pack(cover, x, j, order=(0, 0, 0)):
     """Derivative ``order`` of phi_j at ``x`` from the ``whitney`` packs; 0 where cube j is inactive."""
@@ -177,7 +168,8 @@ class TestPartition:
         self.pou = build_partition(self.cover)
 
     def test_empty_cover_rejected(self):
-        empty = WhitneyCover(period=1.0, n=16, cubes=[])
+        empty = whitney_decompose(bad_set(ScalarGrid(n=16, period=1.0, values=np.zeros((16, 16, 16))), 1.0))
+        assert len(empty) == 0
         with pytest.raises(PreconditionError):
             build_partition(empty)
 

@@ -6,6 +6,7 @@ from divsym.fields import (
     PreconditionError,
     TrigSymField,
     _sym6_sq,
+    curl_curl_T,
     potential_inverse,
     project_div_free,
     random_field,
@@ -62,6 +63,23 @@ class TestWmInfTruncate:
 
 
 class TestAfreeTruncate:
+    """The A-free route truncates u through its potential v = potential_inverse(u)."""
+
+    def test_empty_identity(self):
+        # an empty potential bad set: the route leaves v, hence u = curl curl^T v, as it is
+        u = div_free(6, max_freq=1, amplitude=0.01)
+        v = potential_inverse(u)
+        _, mask = potential_bad_set(v, 1e9, 16)
+        assert mask.is_empty()
+        x = np.array([0.4, 0.2, 0.9])
+        np.testing.assert_allclose(curl_curl_T(v)(x), u(x), rtol=0, atol=1e-12)
+
+    def test_zero(self):
+        v = potential_inverse(TrigSymField({}))
+        level, mask = potential_bad_set(v, 1.0, 16)
+        assert not level.values.any() and mask.is_empty()
+        assert not curl_curl_T(v)(np.array([0.1, 0.1, 0.1])).any()
+
     def test_non_divfree_rejected(self):
         with pytest.raises(PreconditionError, match="stability_comparison input"):
             stability_comparison(random_field(7, 1, 1.0), 1.0, 16)

@@ -1,5 +1,7 @@
 """Divergence-preserving truncation toolkit for symmetric fields on the 3-torus."""
 
+from types import ModuleType as _ModuleType
+
 from .fields import (
     TrigSymField,
     TrigVecField,
@@ -16,8 +18,9 @@ from .fields import (
 from .maximal import ScalarGrid, OpenSetMask, sample_abs, maximal_function, bad_set, zhang_bound_check
 from .whitney import WhitneyCover, whitney_decompose
 from .flux import QuadratureRule, gauss_green_defect_B, gauss_green_defect_A
-from .truncation import TruncationContext, VerificationReport, build_context, local_field, truncate, weak_divergence_defect, summation_vanish_check, verify
+from .truncation import TruncationContext, VerificationReport, build_context, local_field, truncate, divergence_defects, summation_vanish_check, verify
 from .potential_trunc import potential_bad_set, stability_comparison
 from .envelope import CompactSetDescriptor, EnvelopeEstimate, dist_p, qsdqc_estimate, hull_membership
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, obj in dict(globals()).items()
+           if not name.startswith("_") and not isinstance(obj, _ModuleType)]

@@ -104,10 +104,6 @@ class _ModeField:
     def frequencies(self):
         return list(self.coeffs)
 
-    @property
-    def max_freq(self):
-        return max((max(abs(v) for v in xi) for xi in self.coeffs), default=0)
-
     def max_coeff_norm(self):
         return max((np.linalg.norm(c) for c in self.coeffs.values()), default=0.0)
 
@@ -131,6 +127,9 @@ class _ModeField:
             if order[d]:
                 factor = factor * (1j * k * xis[:, d]) ** order[d]
         return factor
+
+    def __call__(self, x, order=(0, 0, 0)):
+        return self.eval_many(np.asarray(x, dtype=float).reshape(1, 3), order)[0]
 
     def eval_many(self, pts, order=(0, 0, 0)):
         """Evaluate the field (or a derivative) at an ``(m,3)`` array of points."""
@@ -158,12 +157,6 @@ class _ModeField:
         xis, cs = self.mode_arrays()
         sel = np.stack([cs[(slice(None),) + tuple(c)] for c in comps], axis=-1)
         return _modes_to_grid(sel * self._order_factor(order)[:, None], _fft_index(xis, n), n)
-
-    def grid_values(self, n, order=(0, 0, 0)):
-        """Values at the n^3 cell centers ``x = (idx + 1/2) * period / n``."""
-        comps = [np.unravel_index(i, self._shape) for i in range(int(np.prod(self._shape)))]
-        flat = self.grid_components(n, comps, order)
-        return flat.reshape((n, n, n) + self._shape)
 
 
 def _fft_index(xis, n):
@@ -226,17 +219,11 @@ class TrigSymField(_ModeField):
             raise ValueError(f"coefficient at {xi} is not symmetric (defect {asym:.2e})")
         return 0.5 * (c + c.T)
 
-    def __call__(self, x, order=(0, 0, 0)):
-        return self.eval_many(np.asarray(x, dtype=float).reshape(1, 3), order)[0]
-
 
 class TrigVecField(_ModeField):
     """Real vector-valued trigonometric polynomial on the torus."""
 
     _shape = (3,)
-
-    def __call__(self, x, order=(0, 0, 0)):
-        return self.eval_many(np.asarray(x, dtype=float).reshape(1, 3), order)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ dyadic Whitney cubes, build the normalized bump partition, and cache the
 triangle flux/moment data for every triple of pairwise-intersecting
 cubes.  The truncated field equals w off the flagged cells and the
 partition-weighted sum of the local flux reconstructions on them.
+
+``verify`` measures the weak divergence of the rows of T w against the
+battery of plane waves cos(2 pi xi . x / period + phase), one wave per row
+of ``BATTERY_XI`` and entry of ``BATTERY_PHASE``.
 """
 
 from __future__ import annotations
@@ -15,8 +19,7 @@ from dataclasses import asdict, dataclass, field as dfield
 import numpy as np
 
 from . import _kernels
-from .fields import (SYM6, SYM6_SLOT, TWO_PI, PreconditionError, TrigSymField, _cell_centers, _sym6_sq,
-                     assert_div_free)
+from .fields import SYM6, SYM6_SLOT, TWO_PI, PreconditionError, TrigSymField, _sym6_sq, assert_div_free
 from .flux import _moment_functions, _triangle_moments, rule_for_degree
 from .maximal import OpenSetMask, ScalarGrid, bad_set, maximal_function, sample_abs
 from .whitney import _active_triples, _pack_slot, _phi_at, _upsample, whitney_decompose
@@ -24,36 +27,14 @@ from .whitney import _active_triples, _pack_slot, _phi_at, _upsample, whitney_de
 LAMBDA_EFF_FACTOR = 1.25
 BAD_MARGIN = 1e-9  # relative threshold slack: borderline cells count as bad
 
+# the divergence test battery: three frequencies, each at four phases
+BATTERY_XI = np.repeat([(1, 0, 0), (1, 1, 0), (1, 1, 1)], 4, axis=0).astype(float)
+BATTERY_PHASE = np.tile([0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4], 3)
+
 
 def sym6_to_mat(v):
     """The symmetric 3x3 matrix of a vector packed in ``SYM6`` order."""
     return np.asarray(v, dtype=float)[SYM6_SLOT]
-
-
-class PlaneWave:
-    """Scalar test function cos(2 pi xi . x / period + phase)."""
-
-    def __init__(self, xi, phase=0.0, period=1.0):
-        self.xi = tuple(int(v) for v in xi)
-        self.phase = float(phase)
-        self.period = float(period)
-
-    def _arg(self, pts):
-        return TWO_PI / self.period * (np.atleast_2d(pts) @ np.asarray(self.xi, dtype=float)) + self.phase
-
-    def value(self, pts):
-        return np.cos(self._arg(pts))
-
-    def grad(self, pts):
-        k_xi = TWO_PI / self.period * np.asarray(self.xi, dtype=float)
-        return -np.sin(self._arg(pts))[:, None] * k_xi[None, :]
-
-
-def battery_psis(period=1.0):
-    """The fixed divergence test battery: three frequencies, four phases."""
-    freqs = [(1, 0, 0), (1, 1, 0), (1, 1, 1)]
-    phases = [0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4]
-    return [PlaneWave(xi, ph, period) for xi in freqs for ph in phases]
 
 
 @dataclass
@@ -62,8 +43,6 @@ class TruncationContext:
     lam: float
     lam_eff: float
     n: int
-    abs_grid: ScalarGrid
-    maximal_grid: ScalarGrid
     bad: OpenSetMask
     cover: object            # WhitneyCover (cube arrays) or None when the bad set is empty
     rule: object
@@ -117,7 +96,7 @@ def _triple_moments(w, cover, triples, rule):
 def build_context(w: TrigSymField, lam: float, n: int, degree: int = 10) -> TruncationContext:
     """Run the full pipeline and cache triangle moments for all cube triples."""
     assert_div_free(w, what="build_context input")
-    g, m, lam_eff, mask = flag_bad_set(w, lam, n)
+    _, _, lam_eff, mask = flag_bad_set(w, lam, n)
     rule = rule_for_degree(degree)
     cover, triples = None, np.zeros((0, 3), dtype=np.int32)
     tri_verts, tri_B, tri_G = np.zeros((0, 3, 3)), np.zeros((0, 3)), np.zeros((0, 3, 3))
@@ -126,7 +105,7 @@ def build_context(w: TrigSymField, lam: float, n: int, degree: int = 10) -> Trun
         triples = cover.triples()
         tri_verts, tri_B, tri_G = _triple_moments(w, cover, triples, rule)
     return TruncationContext(
-        w=w, lam=lam, lam_eff=lam_eff, n=n, abs_grid=g, maximal_grid=m, bad=mask, cover=cover,
+        w=w, lam=lam, lam_eff=lam_eff, n=n, bad=mask, cover=cover,
         rule=rule, triples=triples, tri_verts=tri_verts, tri_B=tri_B, tri_G=tri_G)
 
 
@@ -232,13 +211,6 @@ def sample_bad_truncation(ctx: TruncationContext, m: int):
     return ctx._caches[key]
 
 
-def _bad_points(ctx, m):
-    key = ("badpts", m)
-    if key not in ctx._caches:
-        ctx._caches[key] = (np.argwhere(sample_bad_truncation(ctx, m)[1]) + 0.5) * (ctx.period / m)
-    return ctx._caches[key]
-
-
 def _w_on_grid(ctx, m):
     """The packed components of w on the m-grid, (m, m, m, 6) in ``SYM6`` order."""
     key = ("w", m)
@@ -264,71 +236,32 @@ def sample_truncation_norm(ctx: TruncationContext, m: int) -> ScalarGrid:
 # weak divergence defects
 
 
-def _plane_wave_pairing(f: TrigSymField, psi: PlaneWave, alpha: int) -> float:
-    """Exact integral of f_alpha . grad(psi); equals the aliasing-free midpoint sum."""
+def _pairings(f: TrigSymField) -> np.ndarray:
+    """Exact integrals of f_alpha . grad(psi_q) over the battery; (12, 3).
+
+    They equal the aliasing-free midpoint sums on every grid.
+    """
     p = f.period
-    k = TWO_PI / p
-    xi = np.asarray(psi.xi, dtype=float)
-    c = f.coeffs.get(tuple(-int(v) for v in psi.xi))
-    if c is None:
-        return 0.0
-    total = 0.0
-    for d in range(3):
-        total += -k * xi[d] * np.imag(np.exp(1j * psi.phase) * p**3 * c[alpha, d])
-    return float(total)
+    zero = np.zeros((3, 3), dtype=complex)
+    c = np.stack([f.coeffs.get(tuple(-int(v) for v in xi), zero) for xi in BATTERY_XI])
+    c_xi = (c @ BATTERY_XI[..., None])[..., 0]
+    return -TWO_PI / p * np.imag(np.exp(1j * BATTERY_PHASE)[:, None] * p**3 * c_xi)
 
 
-def weak_divergence_defect(ctx: TruncationContext, alpha: int, psi, m: int | None = None) -> float:
-    """Midpoint quadrature of integral (T w)_alpha . grad(psi) at resolution m.
+def divergence_defects(ctx: TruncationContext, m: int | None = None) -> np.ndarray:
+    """Defects |integral (T w)_alpha . grad(psi_q)| for the battery at resolution m; (12, 3).
 
-    Splits into the trig part (exact by discrete orthogonality for plane
-    waves) plus the flagged-point correction (T - w) . grad(psi).
+    The trig part of w pairs exactly; the flagged points of the m-grid add
+    the midpoint sum of (T - w) . grad(psi_q).
     """
     m = 2 * ctx.n if m is None else m
     _, mask_m, tvals = sample_bad_truncation(ctx, m)
-    h3 = (ctx.period / m) ** 3
-
-    if isinstance(psi, PlaneWave):
-        term1 = _plane_wave_pairing(ctx.w, psi, alpha)
-    else:
-        term1 = 0.0
-        grid = _cell_centers(m, ctx.period).reshape(-1, 3)
-        row = _w_on_grid(ctx, m)[..., SYM6_SLOT[alpha]]
-        for d in range(3):
-            term1 += float(row[..., d].ravel() @ psi.grad(grid)[:, d]) * h3
-
-    if not mask_m.any():
-        return term1
-
-    pts = _bad_points(ctx, m)
-    g = psi.grad(pts)
-    t_row = tvals[:, SYM6_SLOT[alpha]]
-    w_row = _w_on_grid(ctx, m)[mask_m][:, SYM6_SLOT[alpha]]
-    term2 = float(((t_row - w_row) * g).sum()) * h3
-    return term1 + term2
-
-
-def divergence_battery(ctx: TruncationContext, m: int | None = None, psis=None) -> np.ndarray:
-    """Defects |integral (T w)_alpha . grad psi| for the whole battery; (npsi, 3)."""
-    psis = battery_psis(ctx.period) if psis is None else psis
-    out = np.zeros((len(psis), 3))
-    for p, psi in enumerate(psis):
-        for alpha in range(3):
-            out[p, alpha] = abs(weak_divergence_defect(ctx, alpha, psi, m))
-    return out
-
-
-def spiked_battery(ctx: TruncationContext, psis=None) -> np.ndarray:
-    """Same battery for the non-solenoidal control w + lam sin(2 pi x1) e1 x e1."""
-    psis = battery_psis(ctx.period) if psis is None else psis
-    c = np.zeros((3, 3), dtype=complex)
-    c[0, 0] = -0.5j * ctx.lam
-    spike = TrigSymField({(1, 0, 0): c}, period=ctx.period)
-    out = np.zeros((len(psis), 3))
-    for p, psi in enumerate(psis):
-        for alpha in range(3):
-            out[p, alpha] = abs(_plane_wave_pairing(spike, psi, alpha))
-    return out
+    h = ctx.period / m
+    k = TWO_PI / ctx.period
+    pts = (np.argwhere(mask_m) + 0.5) * h
+    grads = -np.sin(k * (pts @ BATTERY_XI.T) + BATTERY_PHASE)[..., None] * (k * BATTERY_XI)
+    diff = (tvals - _w_on_grid(ctx, m)[mask_m])[:, SYM6_SLOT]
+    return np.abs(_pairings(ctx.w) + np.einsum("pad,pqd->qa", diff, grads) * h**3)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +324,14 @@ class VerificationReport:
         return {_REPORT_KEYS.get(k, k): v for k, v in asdict(self).items()}
 
 
-def verify(ctx: TruncationContext, m: int | None = None, psis=None) -> VerificationReport:
-    """Measure every quantity of the truncation theorem on the m-grid."""
+def verify(ctx: TruncationContext, m: int | None = None) -> VerificationReport:
+    """Measure every quantity of the truncation theorem on the m-grid.
+
+    ``div_defects`` holds, per wave of ``BATTERY_XI`` x ``BATTERY_PHASE``,
+    the largest row defect of ``divergence_defects``; ``spiked_defect`` is
+    the largest battery pairing of the non-solenoidal control
+    lam sin(2 pi x1 / period) e1 x e1.
+    """
     m = 2 * ctx.n if m is None else m
     _, mask_m, tvals = sample_bad_truncation(ctx, m)
     h3 = (ctx.period / m) ** 3
@@ -412,9 +351,10 @@ def verify(ctx: TruncationContext, m: int | None = None, psis=None) -> Verificat
         stability_ratio = 0.0 if l1_distance == 0 else np.inf
         small_change_ratio = 0.0 if changed == 0 else np.inf
 
-    psis = battery_psis(ctx.period) if psis is None else psis
-    defects = divergence_battery(ctx, m, psis).max(axis=1)
-    spiked = float(spiked_battery(ctx, psis).max())
+    defects = divergence_defects(ctx, m).max(axis=1)
+    c = np.zeros((3, 3), dtype=complex)
+    c[0, 0] = -0.5j * ctx.lam
+    spiked = float(np.abs(_pairings(TrigSymField({(1, 0, 0): c}, period=ctx.period))).max())
 
     return VerificationReport(
         lam=ctx.lam, lam_eff=ctx.lam_eff, n=ctx.n, m=m,

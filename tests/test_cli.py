@@ -73,6 +73,9 @@ class TestTruncate:
         rep = json.loads(out.read_text())
         assert (rep["cover_size"], rep["triple_count"]) == (328, 3257)
         assert rep["linf_ratio"] == pytest.approx(36.689869404712766, rel=1e-12, abs=0)
+        assert rep["spiked_defect"] == pytest.approx(92.90021586597199, rel=1e-12, abs=0)
+        assert max(rep["div_defects"]) / rep["spiked_defect"] == pytest.approx(
+            0.18395094080893676, rel=1e-12, abs=0)
 
     def test_non_divfree_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

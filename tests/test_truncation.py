@@ -1,28 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _reference_divergence import battery_psis, divergence_battery, spiked_battery
 from _reference_moments import _batched_moments
 from _reference_pointwise import PointwiseReference, build_partition, cubes_at, pou_eval
-from divsym.fields import (PreconditionError, TrigSymField, UnsupportedOrderError, project_div_free,
-                           random_field)
+from divsym.fields import (SYM6, SYM6_SLOT, PreconditionError, TrigSymField, UnsupportedOrderError,
+                           _cell_centers, project_div_free, random_field)
 from divsym.flux import _moment_functions, _triangle_moments, rule_for_degree
 from divsym.maximal import ScalarGrid, bad_set
 from divsym.truncation import (
-    PlaneWave,
     TruncationContext,
-    battery_psis,
     build_context,
-    divergence_battery,
+    divergence_defects,
     lambda_for_fraction,
     local_field,
     sample_bad_truncation,
     sample_truncation_norm,
-    spiked_battery,
     summation_vanish_check,
     sym6_to_mat,
     truncate,
     verify,
-    weak_divergence_defect,
 )
 from divsym.whitney import _pack_slot, _phi_at, whitney_decompose
 from test_topology import triangles
@@ -125,7 +123,7 @@ class TestLocalField:
             tri_verts[0, v] = cover.centers[0] + cover.wrap(cover.centers[v] - cover.centers[0])
         tri_b, tri_g = _batched_moments(w, tri_verts, rule)
         ctx = TruncationContext(
-            w=w, lam=1.0, lam_eff=1.25, n=n, abs_grid=None, maximal_grid=None, bad=mask,
+            w=w, lam=1.0, lam_eff=1.25, n=n, bad=mask,
             cover=cover, rule=rule, triples=triples, tri_verts=tri_verts,
             tri_B=tri_b, tri_G=tri_g,
         )
@@ -272,55 +270,48 @@ class TestTruncate:
 
 
 class TestWeakDivergence:
-    def test_constant_psi_zero(self, ctx):
-        class Const:
-            def value(self, pts):
-                return np.ones(len(np.atleast_2d(pts)))
-
-            def grad(self, pts):
-                return np.zeros((len(np.atleast_2d(pts)), 3))
-
-        assert weak_divergence_defect(ctx, 0, Const()) == 0.0
-
     def test_empty_bad_set_exact(self):
         w = div_free(9)
         ctx = build_context(w, 1e9, 16)
-        for psi in battery_psis()[:4]:
-            d2 = abs(weak_divergence_defect(ctx, 0, psi, 32))
-            d4 = abs(weak_divergence_defect(ctx, 0, psi, 64))
-            assert d2 < 1e-12
-            assert d4 <= d2 + 1e-15
+        d2 = divergence_defects(ctx, 32)
+        d4 = divergence_defects(ctx, 64)
+        assert d2.max() < 1e-12
+        assert np.all(d4 <= d2 + 1e-15)
 
     def test_plane_wave_pairing_matches_grid_sum(self, ctx):
-        # the analytic trig part must equal the literal midpoint sum
-        psi = PlaneWave((1, 1, 0), 0.4)
+        # the exact trig pairing plus the flagged correction must equal the literal midpoint sum
         m = 2 * ctx.n
-        h3 = 1.0 / m**3
-
-        class NotAWave:
-            def __init__(self, inner):
-                self.inner = inner
-
-            def value(self, pts):
-                return self.inner.value(pts)
-
-            def grad(self, pts):
-                return self.inner.grad(pts)
-
-        direct = weak_divergence_defect(ctx, 1, NotAWave(psi), m)
-        fast = weak_divergence_defect(ctx, 1, psi, m)
-        assert abs(direct - fast) < 1e-9 * max(1.0, abs(direct))
+        _, mask_m, tvals = sample_bad_truncation(ctx, m)
+        comps = ctx.w.grid_components(m, SYM6)
+        comps[mask_m] = tvals
+        rows = comps.reshape(-1, 6)[:, SYM6_SLOT]
+        pts = _cell_centers(m, ctx.period).reshape(-1, 3)
+        direct = np.array([[(rows[:, a] * psi.grad(pts)).sum() / m**3 for a in range(3)]
+                           for psi in battery_psis()])
+        fast = divergence_defects(ctx, m)
+        assert np.abs(fast - np.abs(direct)).max() < 1e-9 * max(1.0, np.abs(direct).max())
 
     def test_refinement_shrinks(self, ctx):
-        psi = battery_psis()[0]
-        d2 = max(abs(weak_divergence_defect(ctx, a, psi, 2 * ctx.n)) for a in range(3))
-        d4 = max(abs(weak_divergence_defect(ctx, a, psi, 4 * ctx.n)) for a in range(3))
+        d2 = divergence_defects(ctx, 2 * ctx.n)[0].max()
+        d4 = divergence_defects(ctx, 4 * ctx.n)[0].max()
         assert d4 < d2
 
     def test_spiked_control_discriminates(self, ctx):
-        defects = divergence_battery(ctx, 2 * ctx.n).max()
-        spiked = spiked_battery(ctx).max()
-        assert spiked > np.pi * ctx.lam * 0.6
+        rep = verify(ctx)
+        assert rep.spiked_defect > np.pi * ctx.lam * 0.6
+        assert max(rep.div_defects) < rep.spiked_defect
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 30), st.integers(1, 16), st.sampled_from([16, 20, 24]), st.sampled_from([1, 2]))
+def test_battery_matches_per_wave_loop(seed, percent, n, ratio):
+    w = div_free(seed)
+    ctx = build_context(w, lambda_for_fraction(w, n, percent / 100), n)
+    m = ratio * n
+    oracle = divergence_battery(ctx, m)
+    got = divergence_defects(ctx, m)
+    assert np.abs(got - oracle).max() <= 1e-13 * max(1.0, oracle.max())
+    assert verify(ctx).spiked_defect == spiked_battery(ctx).max()
 
 
 class TestSummationVanish:

@@ -1,16 +1,16 @@
-"""Grid-evaluation kernel for the truncation assembly.
+"""Evaluation kernel for the truncation assembly.
 
-The kernel runs ``whitney._partition`` once over the (cube, flagged
-point) pairs of the evaluation grid: each cube's box of grid points
-strictly inside its support, less the unflagged points (a ``bad_index``
-lookup).  It sums the local reconstruction formula ``_local_terms`` over
-the 3-subsets of each point's active cubes (``whitney._active_triples``),
-at most ``_CHUNK`` subsets at a time (a point with more subsets is a
-chunk of its own), and scatters into ``out`` with ``np.add.at``, which
-keeps the working set to a few tens of MB whatever the grid size.  The
-pointwise evaluator in ``truncation`` takes the same steps at one point.
-Packs follow ``whitney``'s layout and packed symmetric outputs
-``fields.SYM6``.
+``_evaluate`` takes a batch of points: ``whitney._partition`` finds each
+point's active cubes through the cover's half-cell index
+(``WhitneyCover.candidates``) and their phi packs, and the local
+reconstruction formula ``_local_terms`` is summed over the 3-subsets of
+each point's active cubes (``whitney._active_triples``), at most
+``_CHUNK`` subsets at a time (a point with more subsets is a chunk of its
+own), and scattered into ``out`` with ``np.add.at``, which keeps the
+working set to a few tens of MB whatever the grid size.  The grid kernel
+``accumulate_truncation`` and the pointwise evaluators in ``truncation``
+all run it.  Packs follow ``whitney``'s layout and packed symmetric
+outputs ``fields.SYM6``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .fields import SYM6_SLOT
 from .flux import _moment_functions
-from .whitney import _D2, _active_triples, _partition, _segments
+from .whitney import _D2, _active_triples, _partition
 
 # The kernels are plain numpy; the constant stays because benchmark records
 # stamp the kernel backend from it.
@@ -31,26 +31,6 @@ _CHUNK = 100_000  # subsets per evaluation chunk
 _PERMS = ((0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
           (1, 0, 2, -1.0), (0, 2, 1, -1.0), (2, 1, 0, -1.0))
 _CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-
-
-def _grid_partition(centers, sides, m, period, bad_index):
-    """``whitney._partition`` at the flagged points ``(i + 1/2) hm`` of the m-grid.
-
-    Each cube's box holds the grid indices strictly inside its support,
-    unwrapped around its centre; points are looked up modulo m in
-    ``bad_index``, which numbers the flagged points and holds -1 elsewhere.
-    """
-    hm = period / m
-    half = 0.5 * sides[:, None]
-    ilo = np.floor((centers - half) / hm - 0.5).astype(np.int64) + 1
-    ext = np.maximum(np.ceil((centers + half) / hm - 0.5).astype(np.int64) - ilo, 0)
-    cube, rank = _segments(ext.prod(axis=1))
-    plane = ext[cube, 1] * ext[cube, 2]
-    idx = ilo[cube] + np.stack([rank // plane, rank % plane // ext[cube, 2], rank % ext[cube, 2]], axis=1)
-    point = bad_index[tuple((idx % m).T)]
-    keep = point >= 0
-    cube, idx = cube[keep], idx[keep]
-    return _partition(sides, cube, point[keep], (idx + 0.5) * hm - centers[cube])
 
 
 def _point_chunks(point, sizes):
@@ -66,24 +46,36 @@ def _point_chunks(point, sizes):
 
 
 def accumulate_truncation(triples, tri_b, tri_g, tri_verts, sides, m, period,
-                          bad_index, centers, out):
-    """Accumulate sum_k phi_k * wtilde^(k) over the active triples of every flagged point.
+                          bad_index, cover, out):
+    """Accumulate sum_k phi_k * wtilde^(k) at the flagged points ``(i + 1/2) period / m`` of the m-grid.
 
-    ``tri_verts[t]`` holds the three cube centers unwrapped into a common
-    frame around the first; ``tri_g`` is taken in that frame, so the moment
-    function is evaluated at the frame coordinates of each grid point.
-    ``centers`` are the cube centres.  Output components are ordered
-    [11, 22, 33, 23, 13, 12].
+    ``bad_index`` numbers the flagged points in row-major order (-1 elsewhere)
+    and ``out`` has a row for each.  ``tri_verts[t]`` holds the three cube
+    centers unwrapped into a common frame around the first; ``tri_g`` is
+    taken in that frame.  ``sides`` repeats ``cover.sides``.  Output
+    components are ordered [11, 22, 33, 23, 13, 12].
     """
-    cube, point, off, phi, _ = _grid_partition(centers, sides, m, period, bad_index)
-    count = np.bincount(point, minlength=len(out))
+    pts = (np.argwhere(bad_index >= 0) + 0.5) * (period / m)
+    _evaluate(cover, triples, tri_b, tri_g, tri_verts, pts, lambda rows, phi: [p[0] for p in phi], out)
+
+
+def _evaluate(cover, triples, tri_b, tri_g, tri_verts, pts, weight, out):
+    """Add ``_local_terms`` over the active triples of each point of ``pts`` (k, 3) into ``out`` (k, 6).
+
+    ``weight(rows, phi)`` gives the per-vertex weights of ``_local_terms``
+    from the triples' rows and their vertices' phi packs.  Returns the
+    active cubes, sorted by (point, cube).
+    """
+    cube, point, off, phi, _ = _partition(cover, pts)
+    count = np.bincount(point, minlength=len(pts))
     for rng in _point_chunks(point, count * (count - 1) * (count - 2) // 6):
-        sub, rows = _active_triples(cube[rng], point[rng], triples, len(sides))
+        sub, rows = _active_triples(cube[rng], point[rng], triples, len(cover))
         sub += rng.start
         ph = [np.take(phi, sub[:, v], axis=1) for v in range(3)]
         y = tri_verts[rows, 0] + off[sub[:, 0]]
-        acc = _local_terms(ph, [q[0] for q in ph], tri_b[rows].T, tri_g[rows], y.T)
+        acc = _local_terms(ph, weight(rows, ph), tri_b[rows].T, tri_g[rows], y.T)
         np.add.at(out, point[sub[:, 0]], acc.T)
+    return cube
 
 
 def _local_terms(phi, weight, b, g, y):

@@ -110,11 +110,11 @@ def build_context(w: TrigSymField, lam: float, n: int, degree: int = 10) -> Trun
 
 
 # ---------------------------------------------------------------------------
-# pointwise evaluation (the kernels' formula at one point)
+# pointwise evaluation (the kernel's driver on a batch of one point)
 
 
 def _active(ctx, y):
-    """The grid kernel's partition and triple lookup on a batch of one point.
+    """The kernel's partition and triple lookup on a batch of one point.
 
     Returns ``(active, phi, rows, yf)``: sorted active cube indices, the
     (10, rows) phi packs of vertex v of each active triple as ``phi[v]``,
@@ -127,14 +127,11 @@ def _active(ctx, y):
 
 
 def _point_terms(ctx, y, weight):
-    """``_kernels._local_terms`` at ``y``, summed over the active triples; (6,).
-
-    ``weight(rows, phi)`` gives the per-vertex weights from the rows and the
-    vertices' phi packs.
-    """
-    active, phi, rows, yf = _active(ctx, y)
-    return active, _kernels._local_terms(phi, weight(rows, phi), ctx.tri_B[rows].T,
-                                         ctx.tri_G[rows], yf.T).sum(axis=1)
+    """``_kernels._evaluate`` on a batch of one point: ``(active, terms)``, terms (6,)."""
+    acc = np.zeros((1, 6))
+    active = _kernels._evaluate(ctx.cover, ctx.triples, ctx.tri_B, ctx.tri_G, ctx.tri_verts, y[None],
+                                weight, acc)
+    return active, acc[0]
 
 
 def local_field(ctx: TruncationContext, k: int, y) -> np.ndarray:
@@ -206,7 +203,7 @@ def sample_bad_truncation(ctx: TruncationContext, m: int):
     if ctx.cover is not None and npts:
         _kernels.accumulate_truncation(ctx.triples, ctx.tri_B, ctx.tri_G, ctx.tri_verts,
                                        ctx.cover.sides, m, ctx.period, bad_index,
-                                       ctx.cover.centers, tvals)
+                                       ctx.cover, tvals)
     ctx._caches[key] = (bad_index, mask_m, tvals)
     return ctx._caches[key]
 

@@ -17,9 +17,15 @@ The partition's derivatives up to second order live here and nowhere
 else: ``_eta_packs`` gives the bump derivatives and ``_phi_packs`` the
 quotient, as packs [v, dx, dy, dz, dxx, dyy, dzz, dyz, dxz, dxy] with the
 second derivatives in ``fields.SYM6`` order.  ``_partition`` applies them
-once per active (cube, point) pair, for the grid kernels' cube boxes and
-for ``_phi_at``'s single point alike; ``_active_triples`` finds the
-cover's triples among each point's active cubes.
+once per active (cube, point) pair of a batch of points;
+``_active_triples`` finds the cover's triples among each point's active cubes.
+
+With ``DILATION = 2`` every support endpoint lies on the half-cell lattice
+(spacing h/2), so each open support is a box of whole half-cells.  The
+cover lists, per half-cell, the cubes whose support holds it; endpoints are
+rounded onto the lattice, so the lists are exact (an off-lattice cover is
+refused).  ``WhitneyCover.candidates`` is the only lookup from points to
+cubes; W3 is the longest list, and neighbours are cubes sharing a list.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import SYM6, SYM6_SLOT, PreconditionError, UnsupportedOrderError, _check_order
-from .maximal import OpenSetMask, _cell_of
+from .maximal import OpenSetMask
 
 DILATION = 2.0        # dilated side over tile side; 9/8 leaves overlap too thin to sample
 BUMP_CORE = 1.0 / (2.0 * DILATION)   # |t| below this: b = 1; cores tile the covered set
@@ -37,8 +43,8 @@ BUMP_SUPP = 0.5
 
 _TRANS = BUMP_SUPP - BUMP_CORE  # transition width in units of the dilated side
 
-# Supports closer than this to touching do not intersect: the bumps vanish
-# there to rounding, so such cubes are neither neighbours nor active at a point.
+# A point closer than this to a support's edge is outside it: the bump
+# vanishes there to rounding, so the cube is not active at the point.
 SUPPORT_MARGIN = 1e-12
 
 
@@ -122,35 +128,30 @@ def _pack_slot(order):
     return 1 + axes[0] if axes else 0
 
 
-def _partition(sides, cube, point, off):
-    """The partition over (cube, point) pairs: ``(cube, point, off, phi, s)``.
+def _partition(cover, x):
+    """The partition at the points ``x`` (k, 3): ``(cube, point, off, phi, s)``.
 
-    ``off`` holds each pair's offset ``x - center``, unwrapped.  A cube is
+    It runs over the (cube, point) rows that ``cover.candidates`` lists.
+    ``off`` holds each pair's offset ``wrap(x - center)``.  A cube is
     active at a point that lies more than ``SUPPORT_MARGIN`` inside its
-    support, the margin by which ``WhitneyCover.neighbor_pairs`` asks
-    supports to overlap, so the active cubes of one point pairwise
-    intersect.  The active pairs come back sorted by (point, cube) with
-    their (10, pairs) phi packs; ``s`` holds the bump sum S and its
-    derivatives, (10, points), each point's pairs added in cube order.
+    support; two such cubes overlap by at least h/2, so they share a list
+    of the index and the active cubes of one point pairwise intersect.
+    The active pairs come back sorted by (point, cube) with their
+    (10, pairs) phi packs; ``s`` holds the bump sum S and its derivatives,
+    (10, points), each point's pairs added in cube order.
     """
-    keep = (np.abs(off) < sides[cube, None] / 2.0 - SUPPORT_MARGIN).all(axis=1)
-    order = np.flatnonzero(keep)[np.lexsort((cube[keep], point[keep]))]
-    cube, point, off = cube[order], point[order], off[order]
-    eta = _eta_packs(off, 0.0, sides[cube])
-    s = np.stack([np.bincount(point, row) for row in eta])
+    cube, point = cover.candidates(x)
+    off = cover.wrap(x[point] - cover.centers[cube])
+    keep = (np.abs(off) < cover.sides[cube, None] / 2.0 - SUPPORT_MARGIN).all(axis=1)
+    cube, point, off = cube[keep], point[keep], off[keep]
+    eta = _eta_packs(off, 0.0, cover.sides[cube])
+    s = np.stack([np.bincount(point, row, minlength=len(x)) for row in eta])
     return cube, point, off, _phi_packs(eta, np.take(s, point, axis=1)), s
 
 
 def _phi_at(cover, y):
-    """The partition at one point: ``(active, off, packs)``.
-
-    ``_partition`` over the cubes of the index cell holding ``y``:
-    ``active`` holds the active cubes in increasing order, ``off`` the rows
-    ``wrap(y - center)`` and ``packs`` their (10, active) phi packs.
-    """
-    cand = cover.candidates(y).astype(np.int64)
-    active, _, off, packs, _ = _partition(cover.sides, cand, np.zeros_like(cand),
-                                          cover.wrap(y - cover.centers[cand]))
+    """``_partition`` on a batch of one point ``y``: the increasing active cubes, their offsets and packs."""
+    active, _, off, packs, _ = _partition(cover, np.reshape(np.asarray(y, dtype=float), (1, 3)))
     return active, off, packs
 
 
@@ -186,6 +187,15 @@ def _segments(counts):
     return owner, rank
 
 
+def _box_cells(lo, width, m):
+    """``(box, cell)``: the cells [lo, lo + width) of each box (k, 3), row-major, on the periodic m-grid."""
+    box, rank = _segments(width.prod(axis=1))
+    plane = width[box, 1] * width[box, 2]
+    off = np.stack([rank // plane, rank % plane // width[box, 2], rank % width[box, 2]], axis=1)
+    ijk = (lo[box] + off) % m
+    return box, (ijk[:, 0] * m + ijk[:, 1]) * m + ijk[:, 2]
+
+
 def _upsample(arr, r):
     """Each entry of a 3-D array repeated into an r x r x r block."""
     return np.repeat(np.repeat(np.repeat(arr, r, axis=0), r, axis=1), r, axis=2)
@@ -205,21 +215,22 @@ class WhitneyCover:
         self.pairs = self.neighbor_pairs()
 
     def _build_index(self):
-        """``cell_ids[cell_ptr[c]:cell_ptr[c + 1]]``: the cubes meeting cell c, increasing."""
-        n, h = self.n, self.period / self.n
+        """``cell_ids[cell_ptr[c]:cell_ptr[c + 1]]``: the cubes whose open support holds half-cell c.
+
+        Lists are increasing.  A support endpoint more than 1e-9 half-cells
+        off the lattice raises ``ValueError``.
+        """
+        m = 2 * self.n
         half = self.sides[:, None] / 2.0
-        lo = np.floor((self.centers - half) / h + 1e-12).astype(np.int64)
-        hi = np.ceil((self.centers + half) / h - 1e-12).astype(np.int64) - 1
-        span = hi - lo + 1                                   # cells per axis, (nc, 3)
-        cube, rank = _segments(span.prod(axis=1))
-        plane = span[cube, 1] * span[cube, 2]
-        off = np.stack([rank // plane, rank % plane // span[cube, 2], rank % span[cube, 2]], axis=1)
-        ijk = (lo[cube] + off) % n
-        cells = (ijk[:, 0] * n + ijk[:, 1]) * n + ijk[:, 2]
+        ends = np.stack([self.centers - half, self.centers + half]) / (self.period / m)
+        lattice = np.rint(ends)
+        if np.abs(ends - lattice).max(initial=0.0) > 1e-9:
+            raise ValueError("support endpoints are off the half-cell lattice")
+        cube, cells = _box_cells(lattice[0].astype(np.int64), (lattice[1] - lattice[0]).astype(np.int64), m)
         order = np.lexsort((cube, cells))
-        self.cell_ids = cube[order].astype(np.int32)
-        self.cell_ptr = np.zeros(n**3 + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cells, minlength=n**3), out=self.cell_ptr[1:])
+        self.cell_ids = cube[order]
+        self.cell_ptr = np.zeros(m**3 + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cells, minlength=m**3), out=self.cell_ptr[1:])
 
     def __len__(self):
         return len(self.sides)
@@ -229,27 +240,37 @@ class WhitneyCover:
         return (np.asarray(delta) + p / 2.0) % p - p / 2.0
 
     def candidates(self, x):
-        i, j, k = _cell_of(x, self.period, self.n)
-        cell = (i * self.n + j) * self.n + k
-        return self.cell_ids[self.cell_ptr[cell]:self.cell_ptr[cell + 1]]
+        """The index lists at the points ``x`` (k, 3): ``(cube, point)`` rows sorted by (point, cube).
+
+        A point within 1e-9 half-cells of a lattice line looks up the half-cells
+        on both sides of it, so a cube holding it only by rounding is listed too.
+        """
+        m = 2 * self.n
+        u = np.asarray(x, dtype=float) / (self.period / m)
+        near = np.abs(u - np.rint(u)) <= 1e-9
+        lo = np.where(near, np.rint(u) - 1, np.floor(u)).astype(np.int64)
+        point, cells = _box_cells(lo, near + 1, m)
+        start = self.cell_ptr[cells]
+        row, rank = _segments(self.cell_ptr[cells + 1] - start)
+        cube, point = self.cell_ids[start[row] + rank], point[row]
+        if len(cells) > len(u):                              # some point looked up several lists
+            keys = np.unique(point * len(self) + cube)
+            cube, point = keys % len(self), keys // len(self)
+        return cube, point
 
     def neighbor_pairs(self):
         """Cubes with intersecting open supports: ``(pairs, 2)`` int64 rows ``i < j``, sorted.
 
-        Cubes sharing a cell of the index intersect when their wrapped center
-        gap is below the half-sum of the sides by more than ``SUPPORT_MARGIN``
-        on every axis.  The cover keeps the result as ``pairs``.
+        Two such supports share a box of whole half-cells, so they are the
+        distinct pairs of cubes that share a list of the index.  The cover
+        keeps the result as ``pairs``.
         """
         nc = len(self)
-        ptr, ids = self.cell_ptr, self.cell_ids.astype(np.int64)
+        ptr, ids = self.cell_ptr, self.cell_ids
         cell_end = np.repeat(ptr[1:], np.diff(ptr))
         entry, rank = _segments(cell_end - np.arange(len(ids)) - 1)
-        i, j = ids[entry], ids[entry + 1 + rank]          # each entry with the later ones of its cell
-        keys = np.unique((i * nc + j)[i < j])
-        i, j = keys // nc, keys % nc
-        gap = np.abs(self.wrap(self.centers[i] - self.centers[j]))
-        touch = (gap < ((self.sides[i] + self.sides[j]) / 2.0 - SUPPORT_MARGIN)[:, None]).all(axis=1)
-        return np.stack([i[touch], j[touch]], axis=1)
+        keys = np.unique(ids[entry] * nc + ids[entry + 1 + rank])   # entry x later entries of its list
+        return np.stack([keys // nc, keys % nc], axis=1)
 
     def triples(self):
         """Pairwise-intersecting triples: ``(nt, 3)`` int32 rows ``i < j < k``, sorted.
@@ -316,37 +337,14 @@ def whitney_decompose(mask: OpenSetMask) -> WhitneyCover:
     tile = (1 << cube_levels) * h           # undilated sides
     cover = WhitneyCover(period=period, n=n, centers=np.concatenate(centers), sides=DILATION * tile,
                          levels=cube_levels)
-    dists = np.concatenate(dists)
-    ratios = dists / tile
+    ratios = np.concatenate(dists) / tile
     si, sj = cover.sides[cover.pairs.T]     # W4: side comparability over touching cubes
     cover.stats = {
         "w1_exact": bool((paint == mask.mask).all()),
-        "w2_dist": dists.tolist(),
-        "w2_ratio": ratios.tolist(),
         "w2_ratio_min": float(ratios.min()),
         "w2_ratio_max": float(ratios.max()),
-        "overlap": _max_overlap(cover),
+        "overlap": int(np.diff(cover.cell_ptr).max(initial=0)),   # W3: the longest list of the index
         "w4_ratio_max": float(np.max(np.maximum(si, sj) / np.minimum(si, sj), initial=1.0)),
     }
     return cover
 
-
-def _max_overlap(cover: WhitneyCover) -> int:
-    """W3: the largest number of open supports holding one point, exactly.
-
-    With ``DILATION = 2`` the support endpoints lie on the half-cell lattice
-    (cell centres among them), so the count is constant on each product of
-    open half-cell arcs.
-    """
-    m = 2 * cover.n
-    q = cover.period / m
-    lo = np.rint((cover.centers - cover.sides[:, None] / 2.0) / q).astype(np.int64)
-    width = np.rint(cover.sides / q).astype(np.int64)
-    # inside[d][j, a]: arc (a, a + 1) of axis d lies in cube j's support
-    inside = [(np.arange(m) - lo[:, d, None]) % m < width[:, None] for d in range(3)]
-    best = 0
-    for a in range(m):
-        sel = inside[0][:, a]
-        counts = inside[1][sel].T.astype(np.float64) @ inside[2][sel]
-        best = max(best, int(counts.max()))
-    return best

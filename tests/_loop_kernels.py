@@ -7,6 +7,10 @@ sum the S packs themselves (``whitney._partition``), the loops take them
 from ``accumulate_spacks`` as an argument.
 Slow (about 0.3 ms per pair); use on small grids only.
 
+``grid_partition`` is the per-cube box walk the kernel used before the
+cover's half-cell index: array code, the oracle for the pair rows that
+``whitney._partition`` finds through ``WhitneyCover.candidates``.
+
 Pack layout per point: [v, dx, dy, dz, dxx, dyy, dzz, dyz, dxz, dxy].
 """
 
@@ -14,7 +18,7 @@ import math
 
 import numpy as np
 
-from divsym.whitney import BUMP_CORE, BUMP_SUPP
+from divsym.whitney import BUMP_CORE, BUMP_SUPP, SUPPORT_MARGIN, _eta_packs, _phi_packs, _segments
 
 _TRANS = BUMP_SUPP - BUMP_CORE
 
@@ -34,6 +38,33 @@ def _bump012(t):
     if t < 0.0:
         b1 = -b1
     return b0, b1, b2
+
+
+def grid_partition(centers, sides, m, period, bad_index):
+    """The partition at the flagged points ``(i + 1/2) hm`` of the m-grid: ``(cube, point, off, phi, s)``.
+
+    Each cube's box holds the grid indices strictly inside its support,
+    unwrapped around its centre; points are looked up modulo m in
+    ``bad_index``, which numbers the flagged points and holds -1 elsewhere.
+    Pairs within ``SUPPORT_MARGIN`` of the support's edge are dropped and
+    the rest sorted by (point, cube), as ``whitney._partition`` returns them.
+    """
+    hm = period / m
+    half = 0.5 * sides[:, None]
+    ilo = np.floor((centers - half) / hm - 0.5).astype(np.int64) + 1
+    ext = np.maximum(np.ceil((centers + half) / hm - 0.5).astype(np.int64) - ilo, 0)
+    cube, rank = _segments(ext.prod(axis=1))
+    plane = ext[cube, 1] * ext[cube, 2]
+    idx = ilo[cube] + np.stack([rank // plane, rank % plane // ext[cube, 2], rank % ext[cube, 2]], axis=1)
+    point = bad_index[tuple((idx % m).T)]
+    keep = point >= 0
+    cube, point, off = cube[keep], point[keep], (idx[keep] + 0.5) * hm - centers[cube[keep]]
+    keep = (np.abs(off) < sides[cube, None] / 2.0 - SUPPORT_MARGIN).all(axis=1)
+    order = np.flatnonzero(keep)[np.lexsort((cube[keep], point[keep]))]
+    cube, point, off = cube[order], point[order], off[order]
+    eta = _eta_packs(off, 0.0, sides[cube])
+    s = np.stack([np.bincount(point, row, minlength=int((bad_index >= 0).sum())) for row in eta])
+    return cube, point, off, _phi_packs(eta, np.take(s, point, axis=1)), s
 
 
 def _axis_range(center, half, hm):

@@ -38,7 +38,7 @@ _SECOND = {(0, 0): (2, 0, 0), (1, 1): (0, 2, 0), (2, 2): (0, 0, 2),
 def cubes_at(cover: WhitneyCover, x):
     """Indices of cubes whose open (dilated) cube contains ``x``."""
     x = np.asarray(x, dtype=float)
-    cand = cover.candidates(x)
+    cand, _ = cover.candidates(x[None])
     if len(cand) == 0:
         return []
     d = np.abs(cover.wrap(x[None, :] - cover.centers[cand]))
@@ -160,7 +160,8 @@ class PointwiseReference:
         """Value, gradient and Hessian of each active phi at ``y`` via pou_eval.
 
         Active cubes hold ``y`` more than ``SUPPORT_MARGIN`` inside their
-        support, as ``neighbor_pairs`` demands, so all their triples are cached.
+        support, as in ``whitney._partition``; they pairwise overlap, so all
+        their triples are cached.
         """
         ctx = self.ctx
         cover = ctx.cover

@@ -38,3 +38,25 @@ def test_public_surface():
     import divsym
 
     assert sorted(divsym.__all__) == PUBLIC
+
+
+def test_tracer_bindings_present():
+    """The benchmark tracer wraps names by lookup; a renamed one raises ``KeyError`` on install."""
+    import importlib.util
+    import inspect
+
+    import divsym.cli  # noqa: F401  (the tracer wraps ``cli._dump_json``)
+    from divsym import _kernels
+
+    path = SRC.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    public = sorted(name for name, obj in vars(_kernels).items() if inspect.isfunction(obj)
+                    and obj.__module__ == _kernels.__name__ and not name.startswith("_"))
+    assert public == ["accumulate_truncation"]

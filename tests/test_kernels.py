@@ -9,6 +9,7 @@ import _loop_kernels as loops
 from divsym import _kernels
 from divsym.fields import TrigSymField, project_div_free, random_field
 from divsym.truncation import _bad_grid_index, build_context, lambda_for_fraction
+from divsym.whitney import _partition
 
 # Agreement bound, relative to the largest reference component.  The array
 # kernel sums each point's pair contributions in another order, so only the
@@ -44,8 +45,8 @@ def assert_close(got, ref):
 
 def spacks_both(cover, m, bad_index, npts):
     """The shared partition pass's S and phi packs against the loop reference; returns its S."""
-    cube, point, off, phi, s = _kernels._grid_partition(cover.centers, cover.sides, m,
-                                                        cover.period, bad_index)
+    pts = (np.argwhere(bad_index >= 0) + 0.5) * (cover.period / m)
+    cube, point, off, phi, s = _partition(cover, pts)
     ref = np.zeros((npts, 10))
     loops.accumulate_spacks(cover.centers, cover.sides, m, cover.period, bad_index, ref)
     assert_close(s.T, ref)
@@ -72,7 +73,7 @@ def test_truncation_and_spacks_match_loops(case):
     args = (ctx.triples, ctx.tri_B, ctx.tri_G, ctx.tri_verts, ctx.cover.sides, m, ctx.period,
             bad_index)
     got, ref = np.zeros((npts, 6)), np.zeros((npts, 6))
-    _kernels.accumulate_truncation(*args, ctx.cover.centers, got)
+    _kernels.accumulate_truncation(*args, ctx.cover, got)
     loops.accumulate_truncation(*args, spacks, ref)
     assert_close(got, ref)
 

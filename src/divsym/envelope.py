@@ -303,15 +303,14 @@ def qsdqc_estimate(k: CompactSetDescriptor, xi, p, budget, seed=0) -> EnvelopeEs
     return EnvelopeEstimate(xi=xi, p=float(p), value=val, best_field=best, trace=trace)
 
 
-def hull_membership(k: CompactSetDescriptor, xi, p, budget, seed=0, tol=None) -> dict:
+def hull_membership(k: CompactSetDescriptor, xi, p, budget, seed=0) -> dict:
     """One-sided hull test: membership when the envelope estimate is tiny.
 
     'member' is reliable (the estimate is an upper bound); 'non-member'
     only says no descent was found within the supplied budget.
     """
     est = qsdqc_estimate(k, xi, p, budget, seed)
-    if tol is None:
-        tol = 1e-4 * max(k.diameter(), 1e-12) ** p
+    tol = 1e-4 * max(k.diameter(), 1e-12) ** p
     return {"member": bool(est.value <= tol), "score": float(est.value), "tolerance": float(tol),
             "budget_limited": True}
 

@@ -65,14 +65,9 @@ class OpenSetMask:
         return bool(self.mask.all())
 
     def contains(self, x):
-        """Whether the flagged cells hold the point ``x`` (taken modulo the period)."""
-        return bool(self.mask[_cell_of(x, self.period, self.n)])
-
-
-def _cell_of(x, period, n):
-    """Index tuple of the cell of the n-grid on the torus that holds the point ``x``."""
-    h = period / n
-    return tuple(int(np.floor((float(v) % period) / h)) % n for v in np.asarray(x).ravel())
+        """Whether the flagged cells hold the points ``x`` (..., 3), taken modulo the period; bools (...)."""
+        cell = np.floor((np.asarray(x, dtype=float) % self.period) / self.h).astype(np.int64) % self.n
+        return self.mask[cell[..., 0], cell[..., 1], cell[..., 2]]
 
 
 def dyadic_radii(n, period=1.0):

@@ -9,6 +9,7 @@ import jsonschema
 from jsonschema import ValidationError
 
 _cache = {}
+_validators = {}  # schema name -> validator, its schema checked once when built
 
 
 def schema(name: str) -> dict:
@@ -20,5 +21,11 @@ def schema(name: str) -> dict:
 
 def validate(name: str, payload: dict):
     """Validate a payload against a shipped schema; raises ``ValidationError``."""
-    jsonschema.validate(payload, schema(name))
+    if name not in _validators:
+        cls = jsonschema.validators.validator_for(schema(name))
+        cls.check_schema(schema(name))
+        _validators[name] = cls(schema(name))
+    error = jsonschema.exceptions.best_match(_validators[name].iter_errors(payload))
+    if error is not None:
+        raise error
     return payload

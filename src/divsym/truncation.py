@@ -22,7 +22,7 @@ from . import _kernels
 from .fields import SYM6, SYM6_SLOT, TWO_PI, PreconditionError, TrigSymField, _sym6_sq, assert_div_free
 from .flux import _moment_functions, _triangle_moments, rule_for_degree
 from .maximal import OpenSetMask, ScalarGrid, bad_set, maximal_function, sample_abs
-from .whitney import _active_triples, _pack_slot, _phi_at, _upsample, whitney_decompose
+from .whitney import _active_triples, _pack_slot, _partition, _upsample, whitney_decompose
 
 LAMBDA_EFF_FACTOR = 1.25
 BAD_MARGIN = 1e-9  # relative threshold slack: borderline cells count as bad
@@ -33,8 +33,8 @@ BATTERY_PHASE = np.tile([0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4], 3)
 
 
 def sym6_to_mat(v):
-    """The symmetric 3x3 matrix of a vector packed in ``SYM6`` order."""
-    return np.asarray(v, dtype=float)[SYM6_SLOT]
+    """The symmetric 3x3 matrices (..., 3, 3) of vectors (..., 6) packed in ``SYM6`` order."""
+    return np.asarray(v, dtype=float)[..., SYM6_SLOT]
 
 
 @dataclass
@@ -70,7 +70,7 @@ def flag_bad_set(w: TrigSymField, lam: float, n: int):
     g = sample_abs(w, n)
     m = maximal_function(g)
     lam_eff = LAMBDA_EFF_FACTOR * lam
-    mask = bad_set(m, lam_eff * (1.0 - BAD_MARGIN)) if m.values.max() > 0 else bad_set(m, lam_eff)
+    mask = bad_set(m, lam_eff * (1.0 - BAD_MARGIN))
     if mask.is_full():
         raise PreconditionError("bad set covers the whole torus; raise lambda")
     return g, m, lam_eff, mask
@@ -110,28 +110,7 @@ def build_context(w: TrigSymField, lam: float, n: int, degree: int = 10) -> Trun
 
 
 # ---------------------------------------------------------------------------
-# pointwise evaluation (the kernel's driver on a batch of one point)
-
-
-def _active(ctx, y):
-    """The kernel's partition and triple lookup on a batch of one point.
-
-    Returns ``(active, phi, rows, yf)``: sorted active cube indices, the
-    (10, rows) phi packs of vertex v of each active triple as ``phi[v]``,
-    the rows of ``ctx.triples``, and ``y`` unwrapped into each row's frame.
-    """
-    active, off, packs = _phi_at(ctx.cover, y)
-    sub, rows = _active_triples(active, np.zeros_like(active), ctx.triples, len(ctx.cover))
-    phi = [np.take(packs, sub[:, v], axis=1) for v in range(3)]
-    return active, phi, rows, ctx.tri_verts[rows, 0] + off[sub[:, 0]]
-
-
-def _point_terms(ctx, y, weight):
-    """``_kernels._evaluate`` on a batch of one point: ``(active, terms)``, terms (6,)."""
-    acc = np.zeros((1, 6))
-    active = _kernels._evaluate(ctx.cover, ctx.triples, ctx.tri_B, ctx.tri_G, ctx.tri_verts, y[None],
-                                weight, acc)
-    return active, acc[0]
+# pointwise evaluation (the kernel's driver on a batch of points)
 
 
 def local_field(ctx: TruncationContext, k: int, y) -> np.ndarray:
@@ -139,11 +118,13 @@ def local_field(ctx: TruncationContext, k: int, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if ctx.cover is None:
         raise PreconditionError("context has an empty cover")
-    active, acc = _point_terms(
-        ctx, y, lambda rows, phi: [(ctx.triples[rows, v] == k).astype(float) for v in range(3)])
+    acc = np.zeros((1, 6))
+    active = _kernels._evaluate(
+        ctx.cover, ctx.triples, ctx.tri_B, ctx.tri_G, ctx.tri_verts, y[None],
+        lambda rows, phi: [(ctx.triples[rows, v] == k).astype(float) for v in range(3)], acc)
     if k not in active:
         raise PreconditionError(f"point {y} is outside cube {k}")
-    return sym6_to_mat(acc)
+    return sym6_to_mat(acc[0])
 
 
 class TruncationEvaluator:
@@ -153,12 +134,21 @@ class TruncationEvaluator:
         self.ctx = ctx
 
     def __call__(self, x):
+        """The truncated field at the points ``x`` (..., 3): symmetric matrices (..., 3, 3).
+
+        w at every point, with the kernel's values at the flagged ones.
+        """
         ctx = self.ctx
         x = np.asarray(x, dtype=float)
-        if ctx.cover is None or not ctx.bad.contains(x):
-            return ctx.w(x)
-        _, acc = _point_terms(ctx, x, lambda rows, phi: [p[0] for p in phi])
-        return sym6_to_mat(acc)
+        pts = x.reshape(-1, 3)
+        vals = ctx.w.eval_many(pts)
+        if ctx.cover is not None:
+            bad = ctx.bad.contains(pts)
+            acc = np.zeros((int(bad.sum()), 6))
+            _kernels._evaluate(ctx.cover, ctx.triples, ctx.tri_B, ctx.tri_G, ctx.tri_verts, pts[bad],
+                               lambda rows, phi: [p[0] for p in phi], acc)
+            vals[bad] = sym6_to_mat(acc)
+        return vals.reshape(x.shape[:-1] + (3, 3))
 
 
 def truncate(ctx: TruncationContext) -> TruncationEvaluator:
@@ -216,17 +206,12 @@ def _w_on_grid(ctx, m):
     return ctx._caches[key]
 
 
-def _spliced_norm(comps, mask, vals):
-    """Frobenius norm grid of packed ``comps`` with the packed ``vals`` in place at ``mask``."""
-    sq = _sym6_sq(comps)
-    sq[mask] = _sym6_sq(vals)
-    return np.sqrt(sq)
-
-
 def sample_truncation_norm(ctx: TruncationContext, m: int) -> ScalarGrid:
     """Frobenius norm of the truncated field on the m-grid."""
     _, mask_m, tvals = sample_bad_truncation(ctx, m)
-    return ScalarGrid(n=m, period=ctx.period, values=_spliced_norm(_w_on_grid(ctx, m), mask_m, tvals))
+    sq = _sym6_sq(_w_on_grid(ctx, m))
+    sq[mask_m] = _sym6_sq(tvals)
+    return ScalarGrid(n=m, period=ctx.period, values=np.sqrt(sq))
 
 
 # ---------------------------------------------------------------------------
@@ -274,26 +259,22 @@ def summation_vanish_check(ctx: TruncationContext, a, b, c, mode, samples):
     outside the bad set are skipped (counted in the returned report).
     """
     sa, sb, sc = (_pack_slot(o) for o in (a, b, c))
+    pts = np.asarray(list(samples), dtype=float).reshape(-1, 3)
     if ctx.cover is None:
-        return {"max_abs": 0.0, "used": 0, "skipped": len(list(samples))}
-    worst = 0.0
-    used = skipped = 0
-    for y in samples:
-        y = np.asarray(y, dtype=float)
-        if not ctx.bad.contains(y):
-            skipped += 1
-            continue
-        used += 1
-        _, phi, rows, yf = _active(ctx, y)
-        if mode[0] == "B":
-            val = ctx.tri_B[rows, mode[1]]
-        else:
-            val = _moment_functions(ctx.tri_B[rows].T, ctx.tri_G[rows], yf.T)[mode[1]][mode[2]]
-        total = 0.0
-        for pi, pj, pk, sg in _kernels._PERMS:
-            total += sg * float((phi[pk][sa] * phi[pj][sb] * phi[pi][sc] * val).sum())
-        worst = max(worst, abs(total))
-    return {"max_abs": worst, "used": used, "skipped": skipped}
+        return {"max_abs": 0.0, "used": 0, "skipped": len(pts)}
+    used = pts[ctx.bad.contains(pts)]
+    cube, point, off, phi, _ = _partition(ctx.cover, used)
+    sub, rows = _active_triples(cube, point, ctx.triples, len(ctx.cover))
+    if mode[0] == "B":
+        val = ctx.tri_B[rows, mode[1]]
+    else:
+        yf = ctx.tri_verts[rows, 0] + off[sub[:, 0]]
+        val = _moment_functions(ctx.tri_B[rows].T, ctx.tri_G[rows], yf.T)[mode[1]][mode[2]]
+    ph = [np.take(phi, sub[:, v], axis=1) for v in range(3)]
+    total = sum(sg * (ph[pk][sa] * ph[pj][sb] * ph[pi][sc] * val) for pi, pj, pk, sg in _kernels._PERMS)
+    sums = np.bincount(point[sub[:, 0]], total, minlength=len(used))
+    return {"max_abs": float(np.abs(sums).max(initial=0.0)), "used": len(used),
+            "skipped": len(pts) - len(used)}
 
 
 _REPORT_KEYS = {"lam": "lambda", "lam_eff": "lambda_effective", "n": "grid_n", "m": "eval_m"}
@@ -335,7 +316,7 @@ def verify(ctx: TruncationContext, m: int | None = None) -> VerificationReport:
 
     wcomps = _w_on_grid(ctx, m)
     norm_w = np.sqrt(_sym6_sq(wcomps))
-    linf_ratio = _spliced_norm(wcomps, mask_m, tvals).max() / ctx.lam
+    linf_ratio = sample_truncation_norm(ctx, m).values.max() / ctx.lam
 
     l1_distance = float(np.sqrt(_sym6_sq(tvals - wcomps[mask_m])).sum()) * h3
     tail = float(norm_w[norm_w > ctx.lam / 2].sum()) * h3

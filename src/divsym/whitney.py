@@ -149,12 +149,6 @@ def _partition(cover, x):
     return cube, point, off, _phi_packs(eta, np.take(s, point, axis=1)), s
 
 
-def _phi_at(cover, y):
-    """``_partition`` on a batch of one point ``y``: the increasing active cubes, their offsets and packs."""
-    active, _, off, packs, _ = _partition(cover, np.reshape(np.asarray(y, dtype=float), (1, 3)))
-    return active, off, packs
-
-
 def _active_triples(cube, point, triples, nc):
     """The 3-subsets of each point's active cubes: ``(sub, rows)``.
 

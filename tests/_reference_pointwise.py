@@ -4,10 +4,15 @@
 came only from ``whitney``'s array packs: each derivative of
 ``phi_j = eta_j / sum eta`` to total order 3 by the Leibniz recursion on
 ``phi * S = eta_j``, one cube and one multi-index at a time.  The tests
-compare the packs (``whitney._phi_at``) with it.
+compare the packs (``phi_at``, ``whitney._partition`` at one point) with it.
 
 ``cubes_at`` lists the cubes whose open support holds a point, without
-the margin ``whitney._phi_at`` keeps; the partition and the tests use it.
+the margin ``whitney._partition`` keeps; the partition and the tests use it.
+
+``summation_vanish_loop`` is ``truncation.summation_vanish_check`` as it
+ran before it took its samples as one batch: one point at a time, each
+permutation's terms summed over the point's triples before the six are
+added.
 
 ``PointwiseReference`` is the per-point path the package used before it
 ran the grid kernel's formula at one point: phi derivatives from
@@ -23,9 +28,11 @@ from math import comb
 
 import numpy as np
 
+from divsym._kernels import _PERMS
 from divsym.fields import PreconditionError, _check_order
+from divsym.flux import _moment_functions
 from divsym.truncation import sym6_to_mat
-from divsym.whitney import SUPPORT_MARGIN, WhitneyCover, bump
+from divsym.whitney import SUPPORT_MARGIN, WhitneyCover, _active_triples, _pack_slot, _partition, bump
 
 CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 _COMP6 = {(0, 0): 0, (1, 1): 1, (2, 2): 2, (1, 2): 3, (2, 1): 3, (0, 2): 4, (2, 0): 4, (0, 1): 5, (1, 0): 5}
@@ -44,6 +51,39 @@ def cubes_at(cover: WhitneyCover, x):
     d = np.abs(cover.wrap(x[None, :] - cover.centers[cand]))
     hit = (d < cover.sides[cand, None] / 2.0).all(axis=1)
     return sorted(int(j) for j in cand[hit])
+
+
+def phi_at(cover: WhitneyCover, y):
+    """``whitney._partition`` at one point ``y``: the increasing active cubes, their offsets and packs."""
+    active, _, off, packs, _ = _partition(cover, np.asarray(y, dtype=float).reshape(1, 3))
+    return active, off, packs
+
+
+def summation_vanish_loop(ctx, a, b, c, mode, samples):
+    """The summation check one sample at a time: ``(totals, scales, skipped)``.
+
+    ``totals`` holds each used sample's sum and ``scales`` the sum of the
+    absolute values of its terms, the size its rounding scales with.
+    """
+    sa, sb, sc = (_pack_slot(o) for o in (a, b, c))
+    totals, scales, skipped = [], [], 0
+    for y in samples:
+        y = np.asarray(y, dtype=float)
+        if not ctx.bad.contains(y):
+            skipped += 1
+            continue
+        active, off, packs = phi_at(ctx.cover, y)
+        sub, rows = _active_triples(active, np.zeros_like(active), ctx.triples, len(ctx.cover))
+        phi = [np.take(packs, sub[:, v], axis=1) for v in range(3)]
+        if mode[0] == "B":
+            val = ctx.tri_B[rows, mode[1]]
+        else:
+            yf = ctx.tri_verts[rows, 0] + off[sub[:, 0]]
+            val = _moment_functions(ctx.tri_B[rows].T, ctx.tri_G[rows], yf.T)[mode[1]][mode[2]]
+        terms = [sg * (phi[pk][sa] * phi[pj][sb] * phi[pi][sc] * val) for pi, pj, pk, sg in _PERMS]
+        totals.append(sum(float(t.sum()) for t in terms))
+        scales.append(sum(float(np.abs(t).sum()) for t in terms))
+    return np.array(totals), np.array(scales), skipped
 
 
 @dataclass

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from _reference_pointwise import PointwiseReference, cubes_at, pou_eval
 from divsym import whitney
 from divsym.fields import TrigSymField, project_div_free, random_field
-from divsym.truncation import build_context, lambda_for_fraction, local_field, sample_bad_truncation, truncate
+from divsym.truncation import (build_context, lambda_for_fraction, local_field, sample_bad_truncation, sym6_to_mat,
+                               truncate)
 from divsym.whitney import SUPPORT_MARGIN
 
 # Agreement bound, relative to max(1, largest reference component): the
@@ -60,6 +61,45 @@ def test_evaluator_matches_reference(case, pick):
             for k in active:
                 assert np.array_equal(locals_[k], locals_[k].T)
                 assert_close(locals_[k], ref.local_field(k, y))
+
+
+def cell_of(x, period, n):
+    """The cell of the n-grid that holds the point ``x``, one coordinate at a time."""
+    h = period / n
+    return tuple(int(np.floor((float(v) % period) / h)) % n for v in x)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 30), st.integers(1, 30), st.sampled_from([16, 20, 24]), st.integers(0, 2**16),
+       st.integers(1, 24), st.booleans())
+def test_batched_evaluator_matches_points(seed, percent, n, pick, k, stacked):
+    w = div_free(seed)
+    ctx = build_context(w, lambda_for_fraction(w, n, percent / 100), n)
+    ev = truncate(ctx)
+    rng = np.random.default_rng(pick)
+    cells = np.argwhere(ctx.bad.mask)
+    h = ctx.period / n
+    # flagged points, and uniform ones shifted by whole periods; a (k, 3) or (2, k, 3) batch
+    shape = (2, k) if stacked else (k,)
+    size = int(np.prod(shape))
+    flagged = (cells[rng.integers(0, len(cells), size=size)] + rng.random((size, 3))) * h
+    uniform = (rng.random((size, 3)) + rng.integers(-2, 3, size=(size, 3))) * ctx.period
+    pts = np.where(rng.random((size, 1)) < 0.5, flagged, uniform)
+    got = ev(pts.reshape(shape + (3,)))
+    bad = ctx.bad.contains(pts.reshape(shape + (3,)))
+    assert got.shape == shape + (3, 3) and bad.shape == shape
+    got, bad = got.reshape(-1, 3, 3), bad.ravel()
+    assert bad.tolist() == [bool(ctx.bad.mask[cell_of(x, ctx.period, n)]) for x in pts]
+    for x, val in zip(pts[bad], got[bad]):
+        assert np.array_equal(val, ev(x))
+    assert np.array_equal(got[~bad], w.eval_many(pts)[~bad])
+    # flagged centres of the m-grid against the grid kernel
+    m = 2 * n
+    bad_index, mask_m, tvals = sample_bad_truncation(ctx, m)
+    centres = np.argwhere(mask_m)[rng.integers(0, int(mask_m.sum()), size=size)]
+    vals = ev(((centres + 0.5) * (ctx.period / m)).reshape(shape + (3,)))
+    want = sym6_to_mat(tvals[bad_index[tuple(centres.T)]]).reshape(shape + (3, 3))
+    np.testing.assert_allclose(vals, want, rtol=0, atol=1e-12 * max(1.0, np.abs(tvals).max()))
 
 
 def test_missing_triple_raises():

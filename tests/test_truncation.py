@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from _reference_divergence import battery_psis, divergence_battery, spiked_battery
 from _reference_moments import _batched_moments
-from _reference_pointwise import PointwiseReference, build_partition, cubes_at, pou_eval
+from _reference_pointwise import (PointwiseReference, build_partition, cubes_at, phi_at, pou_eval,
+                                  summation_vanish_loop)
 from divsym.fields import (SYM6, SYM6_SLOT, PreconditionError, TrigSymField, UnsupportedOrderError,
                            _cell_centers, project_div_free, random_field)
 from divsym.flux import _moment_functions, _triangle_moments, rule_for_degree
@@ -22,7 +23,7 @@ from divsym.truncation import (
     truncate,
     verify,
 )
-from divsym.whitney import _pack_slot, _phi_at, whitney_decompose
+from divsym.whitney import _pack_slot, whitney_decompose
 from test_topology import triangles
 
 
@@ -318,7 +319,7 @@ class TestSummationVanish:
     def test_constant_moment_factorizes(self, ctx):
         # with the moment replaced by 1 the sum factorizes into derivative sums
         y = bad_points(ctx, 1, seed=9)[0]
-        _, _, packs = _phi_at(ctx.cover, y)
+        _, _, packs = phi_at(ctx.cover, y)
         for order in ((1, 0, 0), (0, 1, 0)):
             row = packs[_pack_slot(order)]
             assert abs(row.sum()) ** 3 < 1e-20 * max(1.0, np.abs(row).max() ** 3)
@@ -342,6 +343,23 @@ class TestSummationVanish:
         rep = summation_vanish_check(ctx, (1, 0, 0), (1, 0, 0), (1, 0, 0), ("A", 0, 1), samples)
         assert rep["used"] >= 1
         assert np.isfinite(rep["max_abs"])
+
+    @pytest.mark.parametrize("orders, mode", [
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1)), ("B", 0)),
+        (((1, 0, 0), (1, 0, 0), (1, 0, 0)), ("A", 0, 1)),
+        (((1, 1, 0), (0, 0, 2), (0, 0, 0)), ("A", 2, 2)),
+    ])
+    def test_batch_matches_per_sample_loop(self, ctx, orders, mode):
+        # flagged points and uniform ones, some off the bad set
+        samples = np.concatenate([bad_points(ctx, 40, seed=14), np.random.default_rng(15).random((20, 3))])
+        totals, scales, skipped = summation_vanish_loop(ctx, *orders, mode, samples)
+        rep = summation_vanish_check(ctx, *orders, mode, samples)
+        assert (rep["used"], rep["skipped"]) == (len(totals), skipped)
+        assert abs(rep["max_abs"] - np.abs(totals).max()) <= 1e-14 * scales.max()
+        used = [y for y in samples if ctx.bad.contains(y)]
+        for y, total, scale in zip(used, totals, scales):
+            one = summation_vanish_check(ctx, *orders, mode, [y])["max_abs"]
+            assert abs(one - abs(total)) <= 1e-14 * scale
 
     def test_order_cap(self, ctx):
         # the phi packs stop at second derivatives

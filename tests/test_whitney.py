@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _reference_pointwise import build_partition, cubes_at, pou_eval
+from _reference_pointwise import build_partition, cubes_at, phi_at, pou_eval
 from divsym.fields import PreconditionError, UnsupportedOrderError, random_field
 from divsym.maximal import OpenSetMask, ScalarGrid, bad_set, maximal_function, sample_abs
 from divsym.whitney import (
@@ -10,7 +10,6 @@ from divsym.whitney import (
     BUMP_SUPP,
     DILATION,
     _pack_slot,
-    _phi_at,
     bump,
     whitney_decompose,
 )
@@ -156,7 +155,7 @@ class TestDecompose:
 
 def phi_pack(cover, x, j, order=(0, 0, 0)):
     """Derivative ``order`` of phi_j at ``x`` from the ``whitney`` packs; 0 where cube j is inactive."""
-    active, _, packs = _phi_at(cover, np.asarray(x, dtype=float))
+    active, _, packs = phi_at(cover, np.asarray(x, dtype=float))
     hit = np.flatnonzero(active == j)
     return float(packs[_pack_slot(order), hit[0]]) if len(hit) else 0.0
 
@@ -178,14 +177,14 @@ class TestPartition:
 
     def test_partition_of_unity_on_bad_set(self):
         for x in interior_points(self.mask, 60):
-            _, _, packs = _phi_at(self.cover, x)
+            _, _, packs = phi_at(self.cover, x)
             assert abs(packs[0].sum() - 1.0) < 1e-12
 
     def test_outside_supports_zero(self):
         # a point far from the ball is in no cube
         x = np.array([0.03, 0.03, 0.03])
         assert cubes_at(self.cover, x) == []
-        assert len(_phi_at(self.cover, x)[0]) == 0
+        assert len(phi_at(self.cover, x)[0]) == 0
         assert phi_pack(self.cover, x, 0) == 0.0
 
     def test_single_cube_region(self):
@@ -220,7 +219,7 @@ class TestPartition:
     def test_derivative_sums_vanish(self):
         # differentiating the constant 1: every derivative sum is 0 on the set
         for x in interior_points(self.mask, 25, seed=5):
-            _, _, packs = _phi_at(self.cover, x)
+            _, _, packs = phi_at(self.cover, x)
             for order in [(1, 0, 0), (0, 1, 0), (2, 0, 0), (1, 1, 0)]:
                 row = packs[_pack_slot(order)]
                 assert abs(row.sum()) < 1e-9 * max(1.0, np.abs(row).max())
@@ -277,7 +276,7 @@ def test_packs_match_pou_eval(seed, n, fraction, pick):
     cells = np.argwhere(mask.mask)
     chosen = cells[rng.integers(0, len(cells), size=6)]
     for y in np.concatenate([chosen[:3] + rng.random((3, 3)), chosen[3:] + 0.5]) / n:
-        active, _, packs = _phi_at(cover, y)
+        active, _, packs = phi_at(cover, y)
         listed = cubes_at(cover, y)
         assert len(active) >= 1 and set(active.tolist()) <= set(listed)
         ref = np.array([[pou_eval(pou, j, y, o) for o in PACK_ORDERS] for j in listed])

@@ -8,16 +8,19 @@ a coefficient array over the half band: the non-zero modes with xi_z >= 0,
 one of each Hermitian pair except in the plane xi_z = 0.  Since it lies in
 the band, the band projection P of a trial step is P(phi - s g) =
 phi - s P(g).  So the gradient is projected once per accepted point: one
-forward real FFT, one 6x6 matrix per mode for c -> Q c Q, and one inverse
-real FFT to resample P(g) at the n^3 cell centres.  A rejected step costs
-only an axpy on the coefficients and on the grid.  The FFT pair is the one
-in ``fields``.  Estimates are upper bounds of the restricted-frequency
-envelope; membership in a hull is therefore one-sided.
+forward band DFT, one 6x6 matrix per mode for c -> Q c Q, and one inverse
+band DFT to resample P(g) at the n^3 cell centres.  A rejected step costs
+only an axpy on the coefficients and on the grid.  Estimates are upper
+bounds of the restricted-frequency envelope; membership in a hull is
+therefore one-sided.
 
-The forward transform is a real FFT, which refuses complex input; the half
-band holds one mode of each pair except in the plane xi_z = 0, where the
-real FFT of real data pairs them; the inverse transform and the field
-constructor supply the mirrors.
+The band DFT is separable and touches only the (2F+1)^2 (F+1) frequencies
+of the half band: three small matmuls each way instead of a full FFT of
+the grid, and no FFT module to load.  The z axis is the real end of both
+transforms: the forward one refuses complex input, and the inverse one
+adds the mirror of every mode off the plane xi_z = 0 (the plane holds both
+modes of its pairs).  The resampled grids are component-major, so the
+objective reads its rows without a copy.
 """
 
 from __future__ import annotations
@@ -27,8 +30,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .fields import (PreconditionError, TrigSymField, _fft_index, _grid_to_modes, _mandel_to_sym,
-                     _modes_to_grid, _sym_to_mandel)
+from .fields import PreconditionError, TrigSymField, _mandel_to_sym, _sym_to_mandel
 
 
 @dataclass
@@ -173,16 +175,69 @@ def _modes(max_freq):
 
 
 def _band(max_freq, n):
-    """The half band: the non-zero modes with ``xi_z >= 0``, in sorted order, their
-    half-spectrum index on the n-grid and the 6x6 Mandel matrices of c -> Q c Q,
-    Q = I - xi^ xi^T.
+    """The half band on the n-grid: its modes, its separable DFT and its projectors.
+
+    The modes are the non-zero ``xi`` of max-norm <= F = max_freq with
+    ``xi_z >= 0``, in sorted order.  The DFT holds, for ``f = -F..F``, the
+    waves ``e^{-i f x} / n`` and ``e^{i f x}`` at the n cell centres of an
+    axis, each (2F+1, n); for the real ends of the z axis (``f = 0..F``)
+    the rows [cos; -sin] / n and [w cos; -w sin], where w = 2 for f > 0
+    adds each mode's mirror; and the rows of the modes in the flattened
+    (2F+1, 2F+1, F+1) spectrum.  The projectors are the 6x6 Mandel
+    matrices of c -> Q c Q, Q = I - xi^ xi^T.
     """
     xis = _modes(max_freq)
     xis = xis[(xis[:, 2] >= 0) & xis.any(axis=1)]
     unit = xis / np.linalg.norm(xis, axis=1, keepdims=True)
     q = (np.eye(3) - unit[:, :, None] * unit[:, None, :])[:, None]
     proj = _sym_to_mandel(q @ _mandel_to_sym(np.eye(6)) @ q).swapaxes(1, 2)
-    return xis, _fft_index(xis, n), proj
+    freqs = np.arange(-max_freq, max_freq + 1)
+    angle = np.pi / n * (np.outer(freqs, 2 * np.arange(n) + 1) % (2 * n))  # f x at the cell centres
+    waves = np.exp(1j * angle)
+    cos, sin = np.cos(angle[max_freq:]), np.sin(angle[max_freq:])
+    weight = np.where(freqs[max_freq:] > 0, 2.0, 1.0)[:, None]
+    rows = np.ravel_multi_index((xis + [max_freq, max_freq, 0]).T, (len(freqs), len(freqs), max_freq + 1))
+    dft = (waves.conj() / n, waves, np.concatenate([cos, -sin]) / n,
+           np.concatenate([weight * cos, -weight * sin]), rows)
+    return xis, dft, proj
+
+
+def _band_modes(values, band):
+    """Half-band coefficients ``(m, 6)`` of real cell-centre rows ``(n, n, n, 6)`` in any layout.
+
+    Each of the three matmuls contracts the last grid axis and puts its
+    frequency axis first: (c, x, y, z) -> (fz, c, x, y) -> (fy, fz, c, x)
+    -> (fx, fy, fz, c).  A component-major grid is read in place.
+    """
+    forward, _, forward_z, _, rows = band[1]
+    if np.iscomplexobj(values):
+        raise TypeError("the band transform takes real grid values")
+    n, half = forward.shape[1], len(forward_z) // 2
+    sums = forward_z @ np.moveaxis(values, -1, 0).reshape(-1, n).T
+    spec = np.empty((half, sums.shape[1]), dtype=complex)
+    spec.real, spec.imag = sums[:half], sums[half:]
+    for _ in range(2):
+        spec = forward @ spec.reshape(-1, n).T
+    return spec.reshape(-1, 6)[rows]
+
+
+def _band_grid(coeffs, band):
+    """Real rows ``(n, n, n, 6)`` at the cell centres of half-band coefficients ``(m, 6)``.
+
+    The stages of ``_band_modes`` in reverse, the z axis last.  The result
+    is a view over a component-major ``(6, n, n, n)`` buffer, the layout
+    ``DistanceObjective`` works in.
+    """
+    _, inverse, _, inverse_z, rows = band[1]
+    width, n = inverse.shape
+    half = len(inverse_z) // 2
+    spec = np.zeros((width * width * half, 6), dtype=complex)
+    spec[rows] = coeffs
+    for _ in range(2):
+        spec = spec.reshape(width, -1).T @ inverse
+    spec = spec.reshape(half, -1)
+    values = np.concatenate([spec.real, spec.imag]).T @ inverse_z
+    return np.moveaxis(values.reshape(6, n, n, n), 0, -1)
 
 
 def _band_project(values, band):
@@ -190,8 +245,7 @@ def _band_project(values, band):
 
     The part is band-limited and mean-zero by construction of the band.
     """
-    _, index, proj = band
-    return np.einsum("mij,mj->mi", proj, _grid_to_modes(values, index))
+    return np.einsum("mij,mj->mi", band[2], _band_modes(values, band))
 
 
 def _band_field(xis, coeffs, period):
@@ -217,9 +271,10 @@ def minimize_over_test_fields(objective, max_freq, restarts, iterations, seed,
     """Projected descent of mean(objective(xi + phi)) over admissible fields.
 
     The objective maps Mandel rows ``(n, n, n, 6)`` to values ``(n, n, n)``
-    and gradients ``(n, n, n, 6)``.  Every iterate lies in the band, so the
-    projected trial P(phi - s g) is phi - s P(g): the gradient is projected
-    and resampled once per accepted point (one FFT pair), and a rejected
+    and gradients ``(n, n, n, 6)``; the grids it receives are component-major
+    views.  Every iterate lies in the band, so the projected trial
+    P(phi - s g) is phi - s P(g): the gradient is projected and resampled
+    once per accepted point (one band DFT pair), and a rejected
     step costs only an axpy on the coefficients and on the grid.  Restart 0
     starts from the zero field; every restart only ever accepts decreasing
     steps, so the reported value never exceeds the restart's initial one.
@@ -227,7 +282,7 @@ def minimize_over_test_fields(objective, max_freq, restarts, iterations, seed,
     """
     n = max(4 * max_freq, 16)
     band = _band(max_freq, n)
-    xis, index, proj = band
+    xis, _, proj = band
     offset = _sym_to_mandel(np.zeros((3, 3)) if xi_offset is None else np.asarray(xi_offset, dtype=float))
 
     def evaluate(values):
@@ -237,17 +292,17 @@ def minimize_over_test_fields(objective, max_freq, restarts, iterations, seed,
     best_val, best_coeffs, trace = np.inf, None, []
     for r in range(restarts):
         if r == 0:  # the zero field: no modes until a step is accepted
-            coeffs, phi = np.zeros((0, 6), dtype=complex), np.zeros((n, n, n, 6))
+            coeffs, phi = np.zeros((0, 6), dtype=complex), np.moveaxis(np.zeros((6, n, n, n)), 0, -1)
         else:
             coeffs = _seeded_init(seed, r, xis, init_amplitude, proj)
-            phi = _modes_to_grid(coeffs, index, n)
+            phi = _band_grid(coeffs, band)
         point = offset + phi  # xi + phi at the cell centres
         val, grads = evaluate(point)
         step, down = 1.0, None
         for _ in range(iterations):
             if down is None:  # the current point's projected gradient, on the modes and the grid
                 down = _band_project(grads, band)
-                down_vals = _modes_to_grid(down, index, n)
+                down_vals = _band_grid(down, band)
             trial = point - step * down_vals
             tval, tgrads = evaluate(trial)
             if tval < val - 1e-14:

@@ -184,17 +184,6 @@ def _modes_to_grid(coeffs, index, n):
     return fft.irfftn(spec, s=(n, n, n), axes=(0, 1, 2), norm="forward")
 
 
-def _grid_to_modes(values, index):
-    """Coefficients ``(len(keep), ...)`` of real cell-centre values ``(n, n, n, ...)``.
-
-    Inverts ``_modes_to_grid`` on the index's kept modes.
-    """
-    from scipy import fft
-
-    _, idx, phase = index
-    return (fft.rfftn(values, axes=(0, 1, 2), norm="forward")[idx].T * phase.conj()).T
-
-
 def _cell_centers(n, period):
     ax = (np.arange(n) + 0.5) * (period / n)
     return np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)

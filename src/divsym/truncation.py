@@ -80,6 +80,8 @@ def _triple_moments(w, cover, triples, rule):
     """Vertices unwrapped next to the anchor cube's centre (nt, 3, 3), fluxes and first moments.
 
     Triples whose vertex offsets round to the same multiples of h/2 share one shape.
+    Each row of nine multiples is one integer, its digits in base ``span``
+    from the first entry down, so the codes sort as the rows do.
     """
     anchors = cover.centers[triples[:, 0], None]
     off = cover.wrap(cover.centers[triples] - anchors)
@@ -87,9 +89,16 @@ def _triple_moments(w, cover, triples, rule):
     keys = np.rint(off / unit)
     if len(keys) and np.abs(off / unit - keys).max() > 1e-9:
         raise ValueError("cube centres are off the half-cell lattice")
-    shapes, shape_of = np.unique(keys.reshape(-1, 9), axis=0, return_inverse=True)
-    _, tri_b, tri_g = _triangle_moments(w, cover.centers, shapes.reshape(-1, 3, 3) * unit, rule,
-                                        triples[:, 0], shape_of.ravel())
+    keys = keys.reshape(-1, 9)
+    digits = keys.astype(np.int64)
+    low = digits.min(initial=0)
+    span = int(digits.max(initial=0) - low) + 1
+    if span**9 >= 2**63:
+        raise ValueError("shape offsets span too many half cells to encode")
+    codes = (digits - low) @ span ** np.arange(8, -1, -1, dtype=np.int64)
+    _, first, shape_of = np.unique(codes, return_index=True, return_inverse=True)
+    _, tri_b, tri_g = _triangle_moments(w, cover.centers, keys[first].reshape(-1, 3, 3) * unit, rule,
+                                        triples[:, 0], shape_of)
     return anchors + off, tri_b, tri_g
 
 
@@ -207,11 +216,14 @@ def _w_on_grid(ctx, m):
 
 
 def sample_truncation_norm(ctx: TruncationContext, m: int) -> ScalarGrid:
-    """Frobenius norm of the truncated field on the m-grid."""
-    _, mask_m, tvals = sample_bad_truncation(ctx, m)
-    sq = _sym6_sq(_w_on_grid(ctx, m))
-    sq[mask_m] = _sym6_sq(tvals)
-    return ScalarGrid(n=m, period=ctx.period, values=np.sqrt(sq))
+    """Frobenius norm of the truncated field on the m-grid, sampled once per context and m."""
+    key = ("norm", m)
+    if key not in ctx._caches:
+        _, mask_m, tvals = sample_bad_truncation(ctx, m)
+        sq = _sym6_sq(_w_on_grid(ctx, m))
+        sq[mask_m] = _sym6_sq(tvals)
+        ctx._caches[key] = ScalarGrid(n=m, period=ctx.period, values=np.sqrt(sq))
+    return ctx._caches[key]
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,24 @@ field and projects it with ``project_div_free``.
 
 ``_project_simplex_hull`` is the active-set nearest point of a polytope,
 one point at a time: the oracle for ``envelope._project_hull``.
+``_grid_to_modes`` is the forward real FFT the descent used before its
+band DFT: the oracle for ``envelope._band_modes``.
 """
 
 import numpy as np
+from scipy import fft
 
 from divsym.fields import TrigSymField, _cell_centers, project_div_free
+
+
+def _grid_to_modes(values, index):
+    """Coefficients ``(len(keep), ...)`` of real cell-centre values ``(n, n, n, ...)``.
+
+    ``index`` is ``fields._fft_index``; inverts ``fields._modes_to_grid`` on
+    the index's kept modes.
+    """
+    _, idx, phase = index
+    return (fft.rfftn(values, axes=(0, 1, 2), norm="forward")[idx].T * phase.conj()).T
 
 
 def _seeded_init(seed, restart, max_freq, amplitude, period):

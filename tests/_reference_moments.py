@@ -2,11 +2,13 @@
 
 ``_batched_moments`` is the triangle moment routine that
 ``flux._lattice_moments`` replaced, kept as the oracle it is tested against.
+``_row_unique_triple_moments`` is ``truncation._triple_moments`` as it keyed
+triangle shapes before the integer codes: ``np.unique`` over whole rows.
 """
 
 import numpy as np
 
-from divsym.flux import _normals
+from divsym.flux import _normals, _triangle_moments
 
 
 def _batched_moments(w, tri_verts, rule):
@@ -28,3 +30,14 @@ def _batched_moments(w, tri_verts, rule):
     tri_g = np.einsum("q,tqb,tqa->tab", rule.weights, pts.reshape(nt, q, 3), flux)
     return tri_b, tri_g
 
+
+
+def _row_unique_triple_moments(w, cover, triples, rule):
+    """Unwrapped vertices (nt, 3, 3), fluxes and first moments; shapes keyed by row-unique."""
+    anchors = cover.centers[triples[:, 0], None]
+    off = cover.wrap(cover.centers[triples] - anchors)
+    unit = cover.period / (2 * cover.n)
+    shapes, shape_of = np.unique(np.rint(off / unit).reshape(-1, 9), axis=0, return_inverse=True)
+    _, tri_b, tri_g = _triangle_moments(w, cover.centers, shapes.reshape(-1, 3, 3) * unit, rule,
+                                        triples[:, 0], shape_of.ravel())
+    return anchors + off, tri_b, tri_g

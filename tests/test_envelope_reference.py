@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 import _reference_envelope as ref
 from divsym import envelope
-from divsym.envelope import (CompactSetDescriptor, DistanceObjective, _band, _band_project, _project_hull,
-                             minimize_over_test_fields)
-from divsym.fields import _modes_to_grid
+from divsym.envelope import (CompactSetDescriptor, DistanceObjective, _band, _band_grid, _band_modes,
+                             _band_project, _project_hull, minimize_over_test_fields)
+from divsym.fields import _fft_index, _modes_to_grid
 
 # Agreement bound, relative to the largest reference value.  Resampling by
-# inverse FFT instead of the direct mode sum, and projecting all modes at
+# the inverse band DFT instead of the direct mode sum, and projecting all modes at
 # once, changes only the rounding of each iterate.
 RTOL = 1e-10
 
@@ -146,7 +146,48 @@ def test_band_project_idempotent_and_real_only():
     values = rng.standard_normal((16, 16, 16, 6))
     coeffs = _band_project(values, band)
     assert coeffs.shape == (74, 6)
-    again = _band_project(_modes_to_grid(coeffs, band[1], 16), band)
+    again = _band_project(_band_grid(coeffs, band), band)
     np.testing.assert_allclose(again, coeffs, rtol=0, atol=1e-12 * np.abs(coeffs).max())
     with pytest.raises(TypeError):
         _band_project(values + 1e-3j * rng.standard_normal(values.shape), band)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**16), st.booleans())
+def test_band_dft_matches_fft(max_freq, seed, component_major):
+    # the separable band DFT against the real FFT pair: forward on random real
+    # grids in either layout, inverse on projected coefficients
+    rng = np.random.default_rng(seed)
+    n = max(4 * max_freq, 16)
+    band = _band(max_freq, n)
+    index = _fft_index(band[0], n)
+    values = rng.standard_normal((6, n, n, n) if component_major else (n, n, n, 6))
+    if component_major:
+        values = np.moveaxis(values, 0, -1)
+    want = ref._grid_to_modes(values, index)
+    np.testing.assert_allclose(_band_modes(values, band), want, rtol=0, atol=1e-14 * np.abs(want).max())
+    coeffs = _band_project(values, band)
+    want = _modes_to_grid(coeffs, index, n)
+    np.testing.assert_allclose(_band_grid(coeffs, band), want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+
+class LayoutObjective(DistanceObjective):
+    """dist^p(., K) that records whether each grid it is given is component-major."""
+
+    def __init__(self, k, p):
+        super().__init__(k, p)
+        self.component_major = []
+
+    def __call__(self, values):
+        self.component_major.append(np.moveaxis(values, -1, 0).flags.c_contiguous)
+        return super().__call__(values)
+
+
+def test_objective_receives_component_major_grids():
+    # the zero field, the seeded restarts and every trial step keep the layout
+    # of the inverse band DFT, so the objective's row transpose copies nothing
+    a, b = np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0])
+    objective = LayoutObjective(CompactSetDescriptor(kind="points", points=[a, b]), 1)
+    minimize_over_test_fields(objective, 2, 3, 10, 5, init_amplitude=0.01, xi_offset=0.5 * (a + b))
+    assert len(objective.component_major) > 3
+    assert all(objective.component_major)

@@ -1,9 +1,11 @@
-"""Import cost guard: the package and its command line load no scipy module.
+"""Import cost guard: the package, its command line and the envelope command load no scipy module.
 
 scipy is imported on first use (the FFT in ``fields`` and ``maximal``), so
-commands that never transform and the import itself stay free of its cost.
+commands that never transform a whole grid and the import itself stay free
+of its cost.  The envelope descent has its own band DFT.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -12,13 +14,27 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_package_import_loads_no_scipy():
-    code = ("import sys\n"
-            "import divsym, divsym.cli\n"
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+def loaded_scipy(code):
+    """The scipy modules loaded after running ``code`` in a fresh interpreter."""
+    code += "\nimport sys\nprint(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_package_import_loads_no_scipy():
+    assert loaded_scipy("import divsym, divsym.cli") == "[]"
+
+
+def test_envelope_command_loads_no_scipy(tmp_path):
+    # a laminate query at the default budget: every restart resamples and
+    # projects through the band DFT
+    kset, out = tmp_path / "K.json", tmp_path / "envelope.json"
+    kset.write_text(json.dumps({"kind": "points", "points": [[[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+                                                             [[0, 0, 0], [0, 1, 0], [0, 0, 0]]]}))
+    argv = ["envelope", "--set", str(kset), "--xi", "0.5,0,0,0.5,0,0", "--p", "1", "--seed", "3", "--out", str(out)]
+    assert loaded_scipy(f"from divsym.cli import main\nassert main({argv!r}) == 0") == "[]"
+    assert json.loads(out.read_text())["result"]["score"] >= 0.0
 
 
 # The package's public names; a new export shows up here in review.

@@ -1,5 +1,7 @@
 """Lattice-factored moments against the point-sum reference, and guards on where they run."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,6 +89,29 @@ def test_off_lattice_centres_refused():
     with pytest.raises(ValueError, match="lattice"):
         _triple_moments(random_field(1, 1, 1.0, divfree=True), cover,
                         np.array([[0, 1, 2]], dtype=np.int32), rule_for_degree(10))
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_shape_codes_match_row_unique(n):
+    # one integer per shape row picks the same shapes in the same order as
+    # np.unique over the rows, so every output is bit-identical
+    w = random_field(3, 2, 1.0, divfree=True)
+    cover = whitney_decompose(flag_bad_set(w, lambda_for_fraction(w, n, 0.08), n)[3])
+    triples, rule = cover.triples(), rule_for_degree(10)
+    got = _triple_moments(w, cover, triples, rule)
+    want = ref._row_unique_triple_moments(w, cover, triples, rule)
+    for g, v in zip(got, want):
+        assert g.shape == v.shape and np.array_equal(g, v)
+
+
+def test_shape_code_overflow_refused():
+    # offsets of -64 and +63 half cells give a span of 128 and 128**9 = 2**63
+    n = 64
+    cover = SimpleNamespace(n=n, period=1.0, centers=np.array([[0.25, 0.25, 0.25], [0.75, 0.25, 0.25],
+                                                               [0.25 + 63 / 128, 0.25, 0.25]]))
+    cover.wrap = lambda delta: (np.asarray(delta) + 0.5) % 1.0 - 0.5
+    with pytest.raises(ValueError, match="encode"):
+        _triple_moments(random_field(1, 1, 1.0, divfree=True), cover, np.array([[0, 1, 2]]), rule_for_degree(10))
 
 
 def test_no_point_sums(monkeypatch):

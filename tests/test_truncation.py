@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from _reference_divergence import battery_psis, divergence_battery, spiked_batte
 from _reference_moments import _batched_moments
 from _reference_pointwise import (PointwiseReference, build_partition, cubes_at, phi_at, pou_eval,
                                   summation_vanish_loop)
+from divsym import truncation
 from divsym.fields import (SYM6, SYM6_SLOT, PreconditionError, TrigSymField, UnsupportedOrderError,
                            _cell_centers, project_div_free, random_field)
 from divsym.flux import _moment_functions, _triangle_moments, rule_for_degree
@@ -268,6 +271,17 @@ class TestTruncate:
             cell = rng.integers(0, m, size=3)
             x = (cell + 0.5) / m
             assert abs(g.values[tuple(cell)] - np.linalg.norm(ev(x))) < 1e-8 * max(1.0, g.values.max())
+
+
+    def test_norm_grid_sampled_once(self, ctx, monkeypatch):
+        # verify and the truncate command's grid file read the same m = 2n sample
+        fresh = dataclasses.replace(ctx, _caches={})
+        made = []
+        monkeypatch.setattr(truncation, "ScalarGrid", lambda **kw: made.append(1) or ScalarGrid(**kw))
+        report = verify(fresh)
+        g = sample_truncation_norm(fresh, 2 * ctx.n)
+        assert len(made) == 1 and sample_truncation_norm(fresh, 2 * ctx.n) is g
+        assert report.linf_ratio == g.values.max() / ctx.lam
 
 
 class TestWeakDivergence:

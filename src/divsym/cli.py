@@ -30,8 +30,14 @@ def _dump_json(path, payload):
 
 
 def _load_field(path):
+    """The field of a JSON file; a payload that does not parse raises the ``field`` schema's error."""
     with open(path) as fh:
-        return field_from_dict(json.load(fh))
+        payload = json.load(fh)
+    try:
+        return field_from_dict(payload)
+    except (KeyError, TypeError, IndexError):
+        schemas.validate("field", payload)  # names the missing key or the wrong type
+        raise
 
 
 def cmd_gen_field(args):

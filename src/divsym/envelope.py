@@ -14,9 +14,9 @@ only an axpy on the coefficients and on the grid.  Estimates are upper
 bounds of the restricted-frequency envelope; membership in a hull is
 therefore one-sided.
 
-The band DFT is separable and touches only the (2F+1)^2 (F+1) frequencies
-of the half band: three small matmuls each way instead of a full FFT of
-the grid, and no FFT module to load.  The z axis is the real end of both
+The band DFT is the separable one that samples every field in ``fields``
+(``_band_dft``): three small matmuls each way over the (2F+1)^2 (F+1)
+frequencies of the half band.  The z axis is the real end of both
 transforms: the forward one refuses complex input, and the inverse one
 adds the mirror of every mode off the plane xi_z = 0 (the plane holds both
 modes of its pairs).  The resampled grids are component-major, so the
@@ -30,7 +30,8 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .fields import PreconditionError, TrigSymField, _mandel_to_sym, _sym_to_mandel
+from .fields import (PreconditionError, TrigSymField, _band_dft, _band_grid, _band_modes, _band_rows,
+                     _mandel_to_sym, _sym_to_mandel)
 
 
 @dataclass
@@ -69,12 +70,18 @@ class CompactSetDescriptor:
 
     @classmethod
     def from_json(cls, data):
+        """The descriptor of a JSON object; ``ValueError`` names a missing key or a wrong type."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a set descriptor is a JSON object, not {type(data).__name__}")
         kind = data.get("kind")
-        if kind == "ball":
-            return cls(kind="ball", center=np.asarray(data["center"]), radius=float(data["radius"]))
-        if kind in ("points", "polytope"):
+        if kind not in ("ball", "points", "polytope"):
+            raise ValueError(f"unknown set kind {kind!r}")
+        try:
+            if kind == "ball":
+                return cls(kind="ball", center=np.asarray(data["center"]), radius=float(data["radius"]))
             return cls(kind=kind, points=[np.asarray(p) for p in data["points"]])
-        raise ValueError(f"unknown set kind {kind!r}")
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"set descriptor of kind {kind!r} lacks or mistypes {exc}") from None
 
 
 def _project_hull(vertices, y):
@@ -105,27 +112,10 @@ def _project_hull(vertices, y):
     return best
 
 
-def nearest_point(k: CompactSetDescriptor, xi):
-    """The (deterministically tie-broken) nearest point of K to xi."""
-    y6 = _sym_to_mandel(np.asarray(xi, dtype=float))
-    if k.kind == "ball":
-        c6 = k.rows[0]
-        d = np.linalg.norm(y6 - c6)
-        if d <= k.radius:
-            return np.asarray(xi, dtype=float)
-        return _mandel_to_sym(c6 + (y6 - c6) * (k.radius / d))
-    if k.kind == "points":
-        return k.points[int(np.argmin(np.linalg.norm(k.rows - y6, axis=1)))]
-    return _mandel_to_sym(_project_hull(k.rows, y6[None])[0])
-
-
 def dist_p(k: CompactSetDescriptor, xi, p: float) -> float:
     """Frobenius distance from xi to K, raised to the power p."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    y6 = _sym_to_mandel(np.asarray(xi, dtype=float))
-    n6 = _sym_to_mandel(nearest_point(k, xi))
-    return float(np.linalg.norm(y6 - n6) ** p)
+    vals, _ = DistanceObjective(k, p)(_sym_to_mandel(np.asarray(xi, dtype=float))[None])
+    return float(vals[0])
 
 
 class DistanceObjective:
@@ -175,69 +165,19 @@ def _modes(max_freq):
 
 
 def _band(max_freq, n):
-    """The half band on the n-grid: its modes, its separable DFT and its projectors.
+    """The half band on the n-grid: its modes, its separable DFT, their rows in it, and its projectors.
 
     The modes are the non-zero ``xi`` of max-norm <= F = max_freq with
-    ``xi_z >= 0``, in sorted order.  The DFT holds, for ``f = -F..F``, the
-    waves ``e^{-i f x} / n`` and ``e^{i f x}`` at the n cell centres of an
-    axis, each (2F+1, n); for the real ends of the z axis (``f = 0..F``)
-    the rows [cos; -sin] / n and [w cos; -w sin], where w = 2 for f > 0
-    adds each mode's mirror; and the rows of the modes in the flattened
-    (2F+1, 2F+1, F+1) spectrum.  The projectors are the 6x6 Mandel
-    matrices of c -> Q c Q, Q = I - xi^ xi^T.
+    ``xi_z >= 0``, in sorted order; ``fields._band_dft`` and
+    ``fields._band_rows`` give the DFT and the rows.  The projectors are the
+    6x6 Mandel matrices of c -> Q c Q, Q = I - xi^ xi^T.
     """
     xis = _modes(max_freq)
     xis = xis[(xis[:, 2] >= 0) & xis.any(axis=1)]
     unit = xis / np.linalg.norm(xis, axis=1, keepdims=True)
     q = (np.eye(3) - unit[:, :, None] * unit[:, None, :])[:, None]
     proj = _sym_to_mandel(q @ _mandel_to_sym(np.eye(6)) @ q).swapaxes(1, 2)
-    freqs = np.arange(-max_freq, max_freq + 1)
-    angle = np.pi / n * (np.outer(freqs, 2 * np.arange(n) + 1) % (2 * n))  # f x at the cell centres
-    waves = np.exp(1j * angle)
-    cos, sin = np.cos(angle[max_freq:]), np.sin(angle[max_freq:])
-    weight = np.where(freqs[max_freq:] > 0, 2.0, 1.0)[:, None]
-    rows = np.ravel_multi_index((xis + [max_freq, max_freq, 0]).T, (len(freqs), len(freqs), max_freq + 1))
-    dft = (waves.conj() / n, waves, np.concatenate([cos, -sin]) / n,
-           np.concatenate([weight * cos, -weight * sin]), rows)
-    return xis, dft, proj
-
-
-def _band_modes(values, band):
-    """Half-band coefficients ``(m, 6)`` of real cell-centre rows ``(n, n, n, 6)`` in any layout.
-
-    Each of the three matmuls contracts the last grid axis and puts its
-    frequency axis first: (c, x, y, z) -> (fz, c, x, y) -> (fy, fz, c, x)
-    -> (fx, fy, fz, c).  A component-major grid is read in place.
-    """
-    forward, _, forward_z, _, rows = band[1]
-    if np.iscomplexobj(values):
-        raise TypeError("the band transform takes real grid values")
-    n, half = forward.shape[1], len(forward_z) // 2
-    sums = forward_z @ np.moveaxis(values, -1, 0).reshape(-1, n).T
-    spec = np.empty((half, sums.shape[1]), dtype=complex)
-    spec.real, spec.imag = sums[:half], sums[half:]
-    for _ in range(2):
-        spec = forward @ spec.reshape(-1, n).T
-    return spec.reshape(-1, 6)[rows]
-
-
-def _band_grid(coeffs, band):
-    """Real rows ``(n, n, n, 6)`` at the cell centres of half-band coefficients ``(m, 6)``.
-
-    The stages of ``_band_modes`` in reverse, the z axis last.  The result
-    is a view over a component-major ``(6, n, n, n)`` buffer, the layout
-    ``DistanceObjective`` works in.
-    """
-    _, inverse, _, inverse_z, rows = band[1]
-    width, n = inverse.shape
-    half = len(inverse_z) // 2
-    spec = np.zeros((width * width * half, 6), dtype=complex)
-    spec[rows] = coeffs
-    for _ in range(2):
-        spec = spec.reshape(width, -1).T @ inverse
-    spec = spec.reshape(half, -1)
-    values = np.concatenate([spec.real, spec.imag]).T @ inverse_z
-    return np.moveaxis(values.reshape(6, n, n, n), 0, -1)
+    return xis, _band_dft(max_freq, n), _band_rows(xis, max_freq), proj
 
 
 def _band_project(values, band):
@@ -245,7 +185,8 @@ def _band_project(values, band):
 
     The part is band-limited and mean-zero by construction of the band.
     """
-    return np.einsum("mij,mj->mi", band[2], _band_modes(values, band))
+    _, dft, rows, proj = band
+    return np.einsum("mij,mj->mi", proj, _band_modes(values, dft, rows))
 
 
 def _band_field(xis, coeffs, period):
@@ -282,7 +223,7 @@ def minimize_over_test_fields(objective, max_freq, restarts, iterations, seed,
     """
     n = max(4 * max_freq, 16)
     band = _band(max_freq, n)
-    xis, _, proj = band
+    xis, dft, rows, proj = band
     offset = _sym_to_mandel(np.zeros((3, 3)) if xi_offset is None else np.asarray(xi_offset, dtype=float))
 
     def evaluate(values):
@@ -295,14 +236,14 @@ def minimize_over_test_fields(objective, max_freq, restarts, iterations, seed,
             coeffs, phi = np.zeros((0, 6), dtype=complex), np.moveaxis(np.zeros((6, n, n, n)), 0, -1)
         else:
             coeffs = _seeded_init(seed, r, xis, init_amplitude, proj)
-            phi = _band_grid(coeffs, band)
+            phi = _band_grid(coeffs, dft, rows)
         point = offset + phi  # xi + phi at the cell centres
         val, grads = evaluate(point)
         step, down = 1.0, None
         for _ in range(iterations):
             if down is None:  # the current point's projected gradient, on the modes and the grid
                 down = _band_project(grads, band)
-                down_vals = _band_grid(down, band)
+                down_vals = _band_grid(down, dft, rows)
             trial = point - step * down_vals
             tval, tgrads = evaluate(trial)
             if tval < val - 1e-14:

@@ -5,7 +5,8 @@ matrices, with the Hermitian pair ``coeff(-xi) == conj(coeff(xi))`` kept
 explicitly so every field is real valued.  All differential operators act
 mode-by-mode through their Fourier symbols, which makes derivatives,
 divergence-free projection and the second-order potential operator exact
-up to rounding.
+up to rounding.  Grids are sampled by a separable DFT restricted to the
+band of the modes (``_band_dft``): three small matmuls, no FFT.
 """
 
 from __future__ import annotations
@@ -150,38 +151,90 @@ class _ModeField:
         """Selected components at the n^3 cell centers; returns (n, n, n, len(comps)).
 
         ``comps`` is a list of index tuples into the per-mode value shape.
-        One inverse real FFT, exact for trig polynomials at every n: modes
-        that alias on the grid add into the same bin.
+        The values are Re sum w c e^{i xi x} over the field's half band (its
+        modes with xi_z >= 0, weight w = 2 off the plane xi_z = 0).  Each
+        axis frequency f folds to f - m n in [-n//2, n - 1 - n//2], since
+        e^{i m n x} = (-1)^m at the cell centres; a mode folded below the
+        plane is swapped for its mirror, which keeps the real part, and
+        coinciding modes add up.  The separable band DFT of the folded modes,
+        of max-norm <= n//2, is then exact at every n, aliased n included.
+        The result is a view over a component-major buffer.
         """
         order = _check_order(order)
         xis, cs = self.mode_arrays()
-        sel = np.stack([cs[(slice(None),) + tuple(c)] for c in comps], axis=-1)
-        return _modes_to_grid(sel * self._order_factor(order)[:, None], _fft_index(xis, n), n)
+        half = xis[:, 2] >= 0
+        xis, weight = xis[half], np.where(xis[half, 2] > 0, 2.0, 1.0)
+        vals = np.stack([cs[(half,) + tuple(c)] for c in comps], axis=-1) * self._order_factor(order)[half, None]
+        folded = (xis + n // 2) % n - n // 2
+        weight *= (-1.0) ** ((xis - folded) // n).sum(axis=1)
+        below = folded[:, 2] < 0
+        folded[below], vals[below] = -folded[below], vals[below].conj()
+        vals *= (weight * np.where(folded[:, 2] > 0, 0.5, 1.0))[:, None]  # _band_grid adds the mirrors
+        max_freq = int(np.abs(folded).max(initial=0))
+        rows, slot = np.unique(_band_rows(folded, max_freq), return_inverse=True)
+        coeffs = np.zeros((len(rows), len(comps)), dtype=complex)
+        np.add.at(coeffs, slot.ravel(), vals)
+        return _band_grid(coeffs, _band_dft(max_freq, n), rows)
 
 
-def _fft_index(xis, n):
-    """Half-spectrum index of the modes ``(m, 3)`` on the n-grid.
+def _band_dft(max_freq, n):
+    """The separable DFT of the half band of max-norm <= F = max_freq on the n-grid.
 
-    Returns the rows of the modes whose folded ``xi_z mod n <= n/2`` (the
-    bins ``irfftn`` reads; the mirror of every other mode is among them),
-    their bins, and the phases of the half-cell shift.
+    For ``f = -F..F``, the waves ``e^{-i f x} / n`` and ``e^{i f x}`` at the
+    n cell centres of an axis, each (2F+1, n); for the real ends of the z
+    axis (``f = 0..F``), the rows [cos; -sin] / n and [w cos; -w sin], where
+    w = 2 for f > 0 adds each mode's mirror.
     """
-    keep = np.flatnonzero(xis[:, 2] % n <= n // 2)
-    return keep, tuple((xis[keep] % n).T), np.exp(1j * np.pi * xis[keep].sum(axis=1) / n)
+    freqs = np.arange(-max_freq, max_freq + 1)
+    angle = np.pi / n * (np.outer(freqs, 2 * np.arange(n) + 1) % (2 * n))  # f x at the cell centres
+    waves = np.exp(1j * angle)
+    cos, sin = np.cos(angle[max_freq:]), np.sin(angle[max_freq:])
+    weight = np.where(freqs[max_freq:] > 0, 2.0, 1.0)[:, None]
+    return (waves.conj() / n, waves, np.concatenate([cos, -sin]) / n,
+            np.concatenate([weight * cos, -weight * sin]))
 
 
-def _modes_to_grid(coeffs, index, n):
-    """Real values ``(n, n, n, ...)`` at the cell centres ``(idx + 1/2) h`` of modes ``(m, ...)``.
+def _band_rows(xis, max_freq):
+    """Rows of the half-band modes ``xis`` (m, 3) in the flattened (2F+1, 2F+1, F+1) spectrum."""
+    width = 2 * max_freq + 1
+    return np.ravel_multi_index((xis + [max_freq, max_freq, 0]).T, (width, width, max_freq + 1))
 
-    Exact for any Hermitian-paired mode set, aliased modes included: every
-    kept mode adds into its bin of the half spectrum.
+
+def _band_modes(values, dft, rows):
+    """Half-band coefficients ``(m, c)`` of real cell-centre values ``(n, n, n, c)`` in any layout.
+
+    Each of the three matmuls contracts the last grid axis and puts its
+    frequency axis first: (c, x, y, z) -> (fz, c, x, y) -> (fy, fz, c, x)
+    -> (fx, fy, fz, c).  A component-major grid is read in place.
     """
-    from scipy import fft  # faster than numpy.fft here; imported on first use, not with the package
+    forward, _, forward_z, _ = dft
+    if np.iscomplexobj(values):
+        raise TypeError("the band transform takes real grid values")
+    n, half = forward.shape[1], len(forward_z) // 2
+    sums = forward_z @ np.moveaxis(values, -1, 0).reshape(-1, n).T
+    spec = np.empty((half, sums.shape[1]), dtype=complex)
+    spec.real, spec.imag = sums[:half], sums[half:]
+    for _ in range(2):
+        spec = forward @ spec.reshape(-1, n).T
+    return spec.reshape(-1, values.shape[-1])[rows]
 
-    keep, idx, phase = index
-    spec = np.zeros((n, n, n // 2 + 1) + coeffs.shape[1:], dtype=complex)
-    np.add.at(spec, idx, (coeffs[keep].T * phase).T)
-    return fft.irfftn(spec, s=(n, n, n), axes=(0, 1, 2), norm="forward")
+
+def _band_grid(coeffs, dft, rows):
+    """Real values ``(n, n, n, c)`` at the cell centres of half-band coefficients ``(m, c)``.
+
+    The stages of ``_band_modes`` in reverse, the z axis last.  The result
+    is a view over a component-major ``(c, n, n, n)`` buffer.
+    """
+    _, inverse, _, inverse_z = dft
+    (width, n), c = inverse.shape, coeffs.shape[1]
+    half = len(inverse_z) // 2
+    spec = np.zeros((width * width * half, c), dtype=complex)
+    spec[rows] = coeffs
+    for _ in range(2):
+        spec = spec.reshape(width, -1).T @ inverse
+    spec = spec.reshape(half, -1)
+    values = np.concatenate([spec.real, spec.imag]).T @ inverse_z
+    return np.moveaxis(values.reshape(c, n, n, n), 0, -1)
 
 
 def _cell_centers(n, period):

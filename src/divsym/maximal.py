@@ -112,15 +112,13 @@ def maximal_function(g: ScalarGrid, radii=None) -> ScalarGrid:
         raise ValueError(f"smallest radius {radii[0]} is below the grid spacing {h}")
     if radii[-1] > g.period / 2 + 1e-12:
         raise ValueError("radii must stay within half the period")
-    from scipy import fft  # the FFT module of fields, imported on first use as there
-
-    spec = fft.rfftn(g.values)
+    spec = np.fft.rfftn(g.values)
     out = np.full_like(g.values, -np.inf)
     shape = g.values.shape
     for r in radii:
         kernel = _ball_kernel(g.n, h, r)
         count = int(kernel.sum())
-        avg = fft.irfftn(spec * fft.rfftn(kernel), s=shape, axes=(0, 1, 2)) / count
+        avg = np.fft.irfftn(spec * np.fft.rfftn(kernel), s=shape, axes=(0, 1, 2)) / count
         np.maximum(out, avg, out=out)
     # the r=h ball is the cell itself; guard rounding so domination is exact
     np.maximum(out, g.values, out=out)

@@ -10,8 +10,9 @@ field and projects it with ``project_div_free``.
 
 ``_project_simplex_hull`` is the active-set nearest point of a polytope,
 one point at a time: the oracle for ``envelope._project_hull``.
-``_grid_to_modes`` is the forward real FFT the descent used before its
-band DFT: the oracle for ``envelope._band_modes``.
+``_fft_index``, ``_modes_to_grid`` and ``_grid_to_modes`` are the real
+FFT pair that sampled fields and ran the descent before the separable band
+DFT: the oracle for ``fields._band_grid`` and ``fields._band_modes``.
 """
 
 import numpy as np
@@ -20,11 +21,34 @@ from scipy import fft
 from divsym.fields import TrigSymField, _cell_centers, project_div_free
 
 
+def _fft_index(xis, n):
+    """Half-spectrum index of the modes ``(m, 3)`` on the n-grid.
+
+    Returns the rows of the modes whose folded ``xi_z mod n <= n/2`` (the
+    bins ``irfftn`` reads; the mirror of every other mode is among them),
+    their bins, and the phases of the half-cell shift.
+    """
+    keep = np.flatnonzero(xis[:, 2] % n <= n // 2)
+    return keep, tuple((xis[keep] % n).T), np.exp(1j * np.pi * xis[keep].sum(axis=1) / n)
+
+
+def _modes_to_grid(coeffs, index, n):
+    """Real values ``(n, n, n, ...)`` at the cell centres ``(idx + 1/2) h`` of modes ``(m, ...)``.
+
+    Exact for any Hermitian-paired mode set, aliased modes included: every
+    kept mode adds into its bin of the half spectrum.
+    """
+    keep, idx, phase = index
+    spec = np.zeros((n, n, n // 2 + 1) + coeffs.shape[1:], dtype=complex)
+    np.add.at(spec, idx, (coeffs[keep].T * phase).T)
+    return fft.irfftn(spec, s=(n, n, n), axes=(0, 1, 2), norm="forward")
+
+
 def _grid_to_modes(values, index):
     """Coefficients ``(len(keep), ...)`` of real cell-centre values ``(n, n, n, ...)``.
 
-    ``index`` is ``fields._fft_index``; inverts ``fields._modes_to_grid`` on
-    the index's kept modes.
+    ``index`` is ``_fft_index``; inverts ``_modes_to_grid`` on the index's
+    kept modes.
     """
     _, idx, phase = index
     return (fft.rfftn(values, axes=(0, 1, 2), norm="forward")[idx].T * phase.conj()).T

@@ -108,6 +108,20 @@ class TestTruncate:
         assert "error" in json.loads(capsys.readouterr().out)
 
 
+MODE = {"xi": [1, 0, 0], "re": [0.0] * 6}  # no "im"
+
+
+@pytest.mark.parametrize("command", ["truncate", "compare"])
+@pytest.mark.parametrize("payload", [{"period": 1.0}, {"period": 1.0, "modes": [MODE]}, [MODE]],
+                         ids=["no-modes", "mode-without-im", "list"])
+def test_malformed_field_file_exits_with_error_object(command, payload, tmp_path, capsys):
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps(payload))
+    code = run([command, "--field", field, "--lambda", 1.0, "--grid-n", 16, "--out", tmp_path / "r.json"])
+    assert code == 2
+    assert "error" in json.loads(capsys.readouterr().out)
+
+
 class TestCompare:
     def test_report(self, field_file, tmp_path):
         out = tmp_path / "cmp.json"
@@ -136,6 +150,16 @@ class TestEnvelope:
         code = run(["envelope", "--set", kfile, "--xi", "0,0,0,0,0,0", "--p", 2,
                     "--out", tmp_path / "e.json"])
         assert code == 2
+
+    @pytest.mark.parametrize("payload", [{"kind": "points"}, {"kind": "ball", "radius": 1}, [{"kind": "ball"}],
+                                         {"kind": "ball", "center": np.eye(3).tolist(), "radius": None}],
+                             ids=["points-without-points", "ball-without-center", "list", "null-radius"])
+    def test_incomplete_set_exits_with_error_object(self, payload, tmp_path, capsys):
+        kfile = tmp_path / "k.json"
+        kfile.write_text(json.dumps(payload))
+        code = run(["envelope", "--set", kfile, "--xi", "0,0,0,0,0,0", "--p", 2, "--out", tmp_path / "e.json"])
+        assert code == 2
+        assert "error" in json.loads(capsys.readouterr().out)
 
     def test_bad_xi(self, tmp_path, capsys):
         kfile = tmp_path / "k.json"

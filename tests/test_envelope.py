@@ -7,7 +7,6 @@ from divsym.envelope import (
     dist_p,
     hull_membership,
     minimize_over_test_fields,
-    nearest_point,
     qsdqc_estimate,
 )
 from divsym.fields import _sym_to_mandel, divergence
@@ -218,7 +217,8 @@ class TestDescriptor:
             CompactSetDescriptor(kind="points", points=[])
 
     def test_nearest_point_tie_deterministic(self):
+        # at a tie the first point is the nearest one: the gradient points away from it
         pts = [np.diag([1.0, 0, 0]), np.diag([-1.0, 0, 0])]
         k = CompactSetDescriptor(kind="points", points=pts)
-        got = nearest_point(k, np.zeros((3, 3)))
-        np.testing.assert_array_equal(got, pts[0])
+        _, grad = DistanceObjective(k, 2)(np.zeros((3, 3)))
+        np.testing.assert_array_equal(grad, -2.0 * pts[0])

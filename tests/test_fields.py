@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import _reference_potential as refpot
+from divsym import fields
 from divsym.fields import (
     PreconditionError,
     TrigSymField,
@@ -103,6 +104,31 @@ def test_grid_components_match_direct_sum(n, max_freq, order, vector, seed):
     got = f.grid_components(n, comps, order)
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_grid_components_without_modes_or_frequencies(n):
+    # max_freq 0: the empty field and a constant-only field against the direct mode sum
+    c = np.arange(9.0).reshape(3, 3)
+    comps = [np.unravel_index(i, (3, 3)) for i in range(9)]
+    for f in (TrigSymField({}), TrigSymField({(0, 0, 0): c + c.T})):
+        np.testing.assert_array_equal(f.grid_components(n, comps), direct_grid(f, n, (0, 0, 0)))
+
+
+@pytest.mark.parametrize("n", [5, 8])
+@pytest.mark.parametrize("order", [(0, 0, 0), (1, 0, 2)])
+def test_grid_components_fold_frequencies_beyond_the_grid(n, order, monkeypatch):
+    # modes far past n, one folding onto the Nyquist frequency of z and one onto
+    # another mode's frequency; the band DFT never exceeds max-norm n//2
+    c = np.array([[1.0, 0.5j, 0.0], [0.5j, -2.0, 1.0], [0.0, 1.0, 0.25 + 1j]])
+    f = TrigSymField({(3 * n + 1, 0, 0): c, (1, -2, 5 * n + n // 2): 2 * c.T, (1 - n, 2 * n - 2, n + 5): c.real,
+                      (1, -2, 5): 3j * c, (0, 0, 0): c.real + c.real.T})
+    seen, band_dft = [], fields._band_dft
+    monkeypatch.setattr(fields, "_band_dft", lambda max_freq, m: seen.append(max_freq) or band_dft(max_freq, m))
+    comps = [np.unravel_index(i, (3, 3)) for i in range(9)]
+    ref = direct_grid(f, n, order)
+    assert np.abs(f.grid_components(n, comps, order) - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert seen and max(seen) <= n // 2
 
 
 def test_mandel_keeps_batch_axes():

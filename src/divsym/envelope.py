@@ -144,12 +144,7 @@ class DistanceObjective:
         elif self.k.kind == "points":  # nearest: the first largest y.r - |r|^2/2
             scores = rows @ y
             scores -= 0.5 * np.einsum("ij,ij->i", rows, rows)[:, None]
-            top, first = scores[0], np.zeros(y.shape[1], dtype=np.intp)
-            for j in range(1, len(rows)):
-                better = scores[j] > top
-                top = np.where(better, scores[j], top)
-                first[better] = j
-            delta = y - np.take(rows.T, first, axis=1)
+            delta = y - np.take(rows.T, np.argmax(scores, axis=0), axis=1)
         else:
             delta = y - _project_hull(rows, y.T).T
         norm = np.sqrt(np.einsum("ij,ij->j", delta, delta))

@@ -44,10 +44,11 @@ class PreconditionError(ValueError):
 
 
 def _as_freq(xi):
-    xi = tuple(int(v) for v in xi)
-    if len(xi) != 3:
-        raise ValueError(f"frequency must be a 3-vector, got {xi}")
-    return xi
+    """``xi`` as a tuple of three ints; a wrong length or a non-integral entry raises ``ValueError``."""
+    freq = tuple(int(v) for v in xi)
+    if len(freq) != 3 or freq != tuple(xi):
+        raise ValueError(f"frequency must be three integers, got {list(xi)}")
+    return freq
 
 
 def _neg(xi):
@@ -320,6 +321,8 @@ def _mandel_to_sym(v):
 # where (a, b) and (c, d) are the rows r and s of this table
 _CURL_PAIRS = np.array([(1, 2), (2, 0), (0, 1)])
 
+PINV_RCOND = 1e-10  # relative singular-value cutoff of the curl curl^T pseudo-inverse
+
 
 def _curl_curl_symbols(xis, period):
     """The (m, 6, 6) Mandel matrices of the curl curl^T symbol at the modes ``xis`` (m, 3).
@@ -371,10 +374,10 @@ def assert_div_free(f: TrigSymField, tol=1e-10, what="field"):
         raise PreconditionError(f"{what} is not divergence-free (defect {worst:.3e})")
 
 
-def potential_inverse(u: TrigSymField, rcond=1e-10, what="potential_inverse input") -> TrigSymField:
+def potential_inverse(u: TrigSymField, what="potential_inverse input") -> TrigSymField:
     """Mode-wise pseudoinverse of curl curl^T on a mean-zero divergence-free field.
 
-    Singular values below ``rcond`` times each mode's largest are treated as
+    Singular values below ``PINV_RCOND`` times each mode's largest are treated as
     zero; exactness of the symbol sequence guarantees the solution lies in
     the row space, so the round trip ``curl_curl_T(potential_inverse(u)) == u``
     holds per mode.  The symbols of all non-zero modes come from one array
@@ -389,7 +392,7 @@ def potential_inverse(u: TrigSymField, rcond=1e-10, what="potential_inverse inpu
     xis, cs = u.mode_arrays()
     keep = xis.any(axis=1)
     symbols = _curl_curl_symbols(xis[keep], u.period)
-    return _apply_symbols(np.linalg.pinv(symbols, rcond=rcond), xis[keep], cs[keep], u.period)
+    return _apply_symbols(np.linalg.pinv(symbols, rcond=PINV_RCOND), xis[keep], cs[keep], u.period)
 
 
 def random_field(seed, max_freq, amplitude, divfree=False, period=1.0) -> TrigSymField:
@@ -440,4 +443,4 @@ def field_from_dict(data: dict) -> TrigSymField:
     coeffs = {}
     for mode in data["modes"]:
         coeffs[_as_freq(mode["xi"])] = (np.asarray(mode["re"]) + 1j * np.asarray(mode["im"]))[UPPER_TRI_SLOT]
-    return TrigSymField(coeffs, period=float(data.get("period", 1.0)))
+    return TrigSymField(coeffs, period=float(data["period"]))

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .fields import SYM6, SYM6_SLOT, TWO_PI, PreconditionError, TrigSymField, _sym6_sq, assert_div_free
-from .flux import _moment_functions, _triangle_moments, rule_for_degree
+from .flux import _moment_functions, _triangle_moments, triangle_rule
 from .maximal import OpenSetMask, ScalarGrid, bad_set, maximal_function, sample_abs
 from .whitney import _active_triples, _pack_slot, _partition, _upsample, whitney_decompose
 
@@ -45,7 +45,7 @@ class TruncationContext:
     n: int
     bad: OpenSetMask
     cover: object            # WhitneyCover (cube arrays) or None when the bad set is empty
-    rule: object
+    rule: object             # the triangle rule of the moments, ``flux.triangle_rule``'s pick
     triples: np.ndarray      # (nt, 3) int32, sorted rows
     tri_verts: np.ndarray    # (nt, 3, 3) centers unwrapped into a per-triple frame
     tri_B: np.ndarray        # (nt, 3)
@@ -76,8 +76,8 @@ def flag_bad_set(w: TrigSymField, lam: float, n: int):
     return g, m, lam_eff, mask
 
 
-def _triple_moments(w, cover, triples, rule):
-    """Vertices unwrapped next to the anchor cube's centre (nt, 3, 3), fluxes and first moments.
+def _triple_moments(w, cover, triples):
+    """Vertices unwrapped next to the anchor cube's centre (nt, 3, 3), fluxes, first moments, rule.
 
     Triples whose vertex offsets round to the same multiples of h/2 share one shape.
     Each row of nine multiples is one integer, its digits in base ``span``
@@ -97,22 +97,24 @@ def _triple_moments(w, cover, triples, rule):
         raise ValueError("shape offsets span too many half cells to encode")
     codes = (digits - low) @ span ** np.arange(8, -1, -1, dtype=np.int64)
     _, first, shape_of = np.unique(codes, return_index=True, return_inverse=True)
-    _, tri_b, tri_g = _triangle_moments(w, cover.centers, keys[first].reshape(-1, 3, 3) * unit, rule,
-                                        triples[:, 0], shape_of)
-    return anchors + off, tri_b, tri_g
+    shapes = keys[first].reshape(-1, 3, 3) * unit
+    rule = triangle_rule(w, shapes)
+    _, tri_b, tri_g = _triangle_moments(w, cover.centers, shapes, rule, triples[:, 0], shape_of)
+    return anchors + off, tri_b, tri_g, rule
 
 
-def build_context(w: TrigSymField, lam: float, n: int, degree: int = 10) -> TruncationContext:
+def build_context(w: TrigSymField, lam: float, n: int) -> TruncationContext:
     """Run the full pipeline and cache triangle moments for all cube triples."""
     assert_div_free(w, what="build_context input")
     _, _, lam_eff, mask = flag_bad_set(w, lam, n)
-    rule = rule_for_degree(degree)
     cover, triples = None, np.zeros((0, 3), dtype=np.int32)
     tri_verts, tri_B, tri_G = np.zeros((0, 3, 3)), np.zeros((0, 3)), np.zeros((0, 3, 3))
-    if not mask.is_empty():
+    if mask.is_empty():
+        rule = triangle_rule(w, tri_verts)
+    else:
         cover = whitney_decompose(mask)
         triples = cover.triples()
-        tri_verts, tri_B, tri_G = _triple_moments(w, cover, triples, rule)
+        tri_verts, tri_B, tri_G, rule = _triple_moments(w, cover, triples)
     return TruncationContext(
         w=w, lam=lam, lam_eff=lam_eff, n=n, bad=mask, cover=cover,
         rule=rule, triples=triples, tri_verts=tri_verts, tri_B=tri_B, tri_G=tri_G)

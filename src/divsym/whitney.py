@@ -69,22 +69,18 @@ def _smootherstep(s, order):
 
 
 def bump(t, order=0):
-    """The 1-D bump b (or derivative b^(k), k <= 3) at ``t``; vectorized."""
-    scalar = np.ndim(t) == 0
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    u = np.abs(t)
-    inside = u <= BUMP_CORE
-    outside = u >= BUMP_SUPP
-    trans = ~inside & ~outside
-    out = np.zeros_like(t)
-    s = (u[trans] - BUMP_CORE) / _TRANS
+    """The 1-D bump b = 1 - S(s) (or derivative b^(k), k <= 3) at ``t``; vectorized.
+
+    s = (|t| - BUMP_CORE) / _TRANS clipped to [0, 1]: S(0) = 0, S(1) = 1 and every
+    derivative of S vanishes at both ends, exactly, so core and outside need no masks.
+    """
+    t = np.asarray(t, dtype=float)
+    s = np.clip((np.abs(t) - BUMP_CORE) / _TRANS, 0.0, 1.0)
     if order == 0:
-        out[inside] = 1.0
-        out[trans] = 1.0 - _smootherstep(s, 0)
+        out = 1.0 - _smootherstep(s, 0)
     else:
-        sign = np.where(t[trans] < 0, (-1.0) ** order, 1.0)
-        out[trans] = -_smootherstep(s, order) / _TRANS**order * sign
-    return float(out[0]) if scalar else out
+        out = -_smootherstep(s, order) / _TRANS**order * np.where(t < 0, (-1.0) ** order, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 # pack slot of the second derivative d^2 / dx_d dx_e

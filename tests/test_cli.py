@@ -109,11 +109,13 @@ class TestTruncate:
 
 
 MODE = {"xi": [1, 0, 0], "re": [0.0] * 6}  # no "im"
+WHOLE = dict(MODE, im=[0.0] * 6)
 
 
 @pytest.mark.parametrize("command", ["truncate", "compare"])
-@pytest.mark.parametrize("payload", [{"period": 1.0}, {"period": 1.0, "modes": [MODE]}, [MODE]],
-                         ids=["no-modes", "mode-without-im", "list"])
+@pytest.mark.parametrize("payload", [{"period": 1.0}, {"period": 1.0, "modes": [MODE]}, [MODE], {"modes": [WHOLE]},
+                                     {"period": 1.0, "modes": [dict(WHOLE, xi=[1.5, 0, 0])]}],
+                         ids=["no-modes", "mode-without-im", "list", "no-period", "fractional-xi"])
 def test_malformed_field_file_exits_with_error_object(command, payload, tmp_path, capsys):
     field = tmp_path / "field.json"
     field.write_text(json.dumps(payload))

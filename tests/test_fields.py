@@ -342,3 +342,14 @@ class TestSerialization:
         for xi in seen:
             neg = tuple(-v for v in xi)
             assert neg == xi or neg not in seen
+
+    def test_strict_period_and_integer_frequencies(self):
+        # a file states its period, and a frequency entry is an integer in value
+        mode = {"xi": [1, 0, 0], "re": [0.5] + [0.0] * 5, "im": [0.0] * 6}
+        with pytest.raises(KeyError):
+            field_from_dict({"modes": [mode]})
+        with pytest.raises(ValueError, match="integers"):
+            field_from_dict({"period": 1.0, "modes": [dict(mode, xi=[1.5, 0, 0])]})
+        for xi in ([2.0, 0, 0], np.array([2, 0, 0], dtype=np.int64)):
+            f = field_from_dict({"period": 2.0, "modes": [dict(mode, xi=xi)]})
+            assert set(f.coeffs) == {(2, 0, 0), (-2, 0, 0)} and f.period == 2.0

@@ -67,19 +67,26 @@ def test_public_surface():
     assert sorted(divsym.__all__) == PUBLIC
 
 
-def test_tracer_bindings_present():
-    """The benchmark tracer wraps names by lookup; a renamed one raises ``KeyError`` on install."""
+def bench_tracer():
+    """A fresh ``Tracer`` of ``bench/tracing.py``, not installed."""
     import importlib.util
-    import inspect
 
     import divsym.cli  # noqa: F401  (the tracer wraps ``cli._dump_json``)
-    from divsym import _kernels
 
     path = SRC.parent / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("_bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    tracer = tracing.Tracer()
+    return tracing.Tracer()
+
+
+def test_tracer_bindings_present():
+    """The benchmark tracer wraps names by lookup; a renamed one raises ``KeyError`` on install."""
+    import inspect
+
+    from divsym import _kernels
+
+    tracer = bench_tracer()
     try:
         tracer.install()
     finally:
@@ -87,3 +94,16 @@ def test_tracer_bindings_present():
     public = sorted(name for name, obj in vars(_kernels).items() if inspect.isfunction(obj)
                     and obj.__module__ == _kernels.__name__ and not name.startswith("_"))
     assert public == ["accumulate_truncation"]
+
+
+def test_tracer_counts_moment_nodes():
+    """The tracer's ``moment_nodes`` reads ``ctx.rule``: the triples times the nodes of the rule used."""
+    from divsym import random_field, truncation
+
+    w = random_field(3, 2, 1.0, divfree=True)
+    lam = truncation.lambda_for_fraction(w, 16, 0.08)
+    with bench_tracer() as tracer:
+        with tracer.root("build"):
+            ctx = truncation.build_context(w, lam, 16)
+    assert len(ctx.triples) and len(ctx.rule.weights) == 64
+    assert tracer.root_counts[0]["moment_nodes"] == len(ctx.triples) * len(ctx.rule.weights)

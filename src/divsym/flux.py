@@ -18,15 +18,28 @@ seed-3 field at n = 16).  The rule is not symmetric under vertex
 permutations and need not be: the moments are computed once per sorted
 triple, and ``_kernels._PERMS`` gives the other orderings their signs.
 
-Every quadrature node is an anchor ``a`` plus an offset ``delta`` of a
-shared shape, so each mode factors as e^{ik xi.a} e^{ik xi.delta}:
-``_lattice_moments`` contracts one transfer row per shape (node sums of
-e^{ik xi.delta} and delta e^{ik xi.delta}) times one phase row per anchor
-with the coefficients, and never evaluates the field at a node.  Whitney
-cube centres lie on the half-cell lattice, so a triangle's shape key, its
-vertex offsets from the anchor cube in units of h/2, is exact after
-rounding; ``truncation._triple_moments`` refuses a larger residue rather
-than merge two shapes.
+Every quadrature node of a triangle is its anchor ``a`` plus
+``s v1 + t v2``, where v1, v2 are the second and third vertices of its
+shape (the first is 0), so each mode factors as
+e^{2 pi i xi.a / L} e^{2 pi i (s xi.v1 + t xi.v2) / L} on the period L,
+and ``_triangle_moments`` never evaluates the field at a node:
+
+- a (shape, mode) pair enters only through its phase pair
+  (xi.v1, xi.v2), with the shapes given in multiples of ``unit``; the
+  table holds the node sums of e^{ic(s a + t b)} [1, s, t],
+  c = 2 pi unit / L, once per distinct pair (a, b), and the first moments
+  follow as v1 I_s + v2 I_t.  Whitney cube centres lie on the half-cell
+  lattice, so ``truncation._triple_moments`` passes shapes in units of
+  h/2, exact small integers (it refuses a larger residue rather than
+  merge two shapes), and the pairs deduplicate exactly at any n: 97
+  distinct pairs serve 105 shapes x 62 modes of the seed-3 field at
+  n = 16;
+- the phase rows cos, sin of 2 pi xi.a / L are built for the cubes that
+  anchor a triangle only;
+- triangles are taken shape by shape: the coefficients folded with the
+  shape's normal, c(xi) nu, and with its table rows make one real
+  (2 modes x 12) matrix, and one GEMM with the anchors' phase rows gives
+  B and the offset part of G, to which B a^T is added.
 """
 
 from __future__ import annotations
@@ -38,7 +51,6 @@ import numpy as np
 from .fields import TWO_PI, TrigSymField, assert_div_free
 
 DEGENERACY_TOL = 1e-12
-_CHUNK = 1 << 19  # complex entries per (rows, 4, modes) product block
 
 
 @dataclass
@@ -86,47 +98,40 @@ def _normals(tri_verts):
     return nu
 
 
-def _triangle_moments(w, anchors, shapes, rule, anchor_of, shape_of):
+def _triangle_moments(w, anchors, shapes, rule, anchor_of, shape_of, unit=1.0):
     """Normals (nt, 3), fluxes B (nt, 3) and first moments G (nt, 3, 3) of triangles.
 
-    Triangle t has vertices ``anchors[anchor_of[t]] + shapes[shape_of[t]]``.
+    Triangle t has vertices ``anchors[anchor_of[t]] + unit * shapes[shape_of[t]]``, and
+    the first vertex of every shape is 0.
     """
-    nu = _normals(shapes)[shape_of]
-    m0, m1 = _lattice_moments(w, anchors, np.einsum("qk,skd->sqd", rule.points, shapes),
-                              rule.weights, anchor_of, shape_of)
-    tri_b = np.einsum("tab,tb->ta", m0, nu)
-    tri_g = tri_b[:, :, None] * anchors[anchor_of][:, None, :] + np.einsum("tdab,tb->tad", m1, nu)
-    return nu, tri_b, tri_g
-
-
-def _lattice_moments(w, anchors, offsets, weights, anchor_of, shape_of):
-    """Weighted moments of ``w`` over the nodes ``anchors[anchor_of[r]] + offsets[shape_of[r]]``.
-
-    Returns ``m0[r] = sum_q weights_q w(node_q)``, (nr, 3, 3), and
-    ``m1[r, d] = sum_q weights_q offsets_qd w(node_q)``, (nr, 3, 3, 3), from
-    one transfer table per shape, one phase row per anchor and chunks of
-    ``(rows, modes) @ (modes, 9)`` contractions, never a per-node field value.
-    """
-    nr, (xis, cs) = len(anchor_of), w.mode_arrays()
+    shapes, shape_of = np.asarray(shapes, dtype=float), np.asarray(shape_of)
+    nu, (xis, cs) = _normals(shapes * unit), w.mode_arrays()
     # modes pair as c(-xi) = conj c(xi), and both give one real part: keep one of each pair, doubled
     key = xis @ (2 * np.abs(xis).max(initial=0) + 1) ** np.arange(2, -1, -1)
     xis, cs = xis[key >= 0], cs[key >= 0] * (1.0 + (key[key >= 0] > 0))[:, None, None]
-    out = np.zeros((nr, 4, 3, 3))
-    if len(xis) and nr:
-        k, nm = TWO_PI / w.period, len(xis)
-        transfer = np.empty((len(offsets), 4, nm), dtype=complex)
-        step = max(1, _CHUNK // (offsets.shape[1] * nm))
-        for s in range(0, len(offsets), step):
-            off = offsets[s:s + step]
-            moment = weights * np.concatenate([np.ones(off.shape[:2] + (1,)), off], axis=2).swapaxes(1, 2)
-            transfer[s:s + step] = moment @ np.exp(1j * k * (off @ xis.T))   # (s, 4, q) @ (s, q, modes)
-        phase = np.exp(1j * k * (anchors @ xis.T))                          # (na, modes)
-        coeffs = cs.reshape(nm, 9)
-        step = max(1, _CHUNK // (4 * nm))
-        for r in range(0, nr, step):
-            rows = phase[anchor_of[r:r + step], None, :] * transfer[shape_of[r:r + step]]
-            out[r:r + step] = (rows @ coeffs).real.reshape(-1, 4, 3, 3)
-    return out[:, 0], out[:, 1:]
+    out = np.zeros((len(shape_of), 3, 4))   # row alpha: B_alpha, then G_alpha
+    if len(xis) and len(shape_of):
+        c, s, t = TWO_PI / w.period, rule.points[:, 1], rule.points[:, 2]
+        ab = shapes[:, 1:] @ xis.T                                      # (shapes, 2, modes)
+        pairs, pair_of = np.unique(ab[:, 0] + 1j * ab[:, 1], return_inverse=True)
+        table = np.exp(1j * c * unit * (np.outer(pairs.real, s) + np.outer(pairs.imag, t)))
+        table = table @ (rule.weights[:, None] * np.stack([np.ones_like(s), s, t], axis=1))   # (pairs, 3)
+        used, anchor_row = np.unique(anchor_of, return_inverse=True)
+        anchors = anchors[used]
+        phase = 1j * c * (anchors @ xis.T)
+        phase = np.exp(phase, out=phase).view(float)                    # (anchors, modes x [cos, sin])
+        order = np.argsort(shape_of, kind="stable")
+        bounds = np.searchsorted(shape_of[order], np.arange(len(shapes) + 1))
+        for k in np.flatnonzero(np.diff(bounds)):
+            rows = order[bounds[k]:bounds[k + 1]]
+            tab = table[pair_of.reshape(len(shapes), -1)[k]]             # (modes, 3): I, I_s, I_t
+            moment = np.concatenate([tab[:, :1], tab[:, 1:] @ shapes[k, 1:] * unit], axis=1)
+            fold = (cs @ nu[k])[:, :, None] * moment[:, None]           # (modes, alpha, 4)
+            block = phase[anchor_row[rows]] @ np.stack([fold.real, -fold.imag], axis=1).reshape(-1, 12)
+            block = block.reshape(-1, 3, 4)
+            block[:, :, 1:] += block[:, :, :1] * anchors[anchor_row[rows], None]
+            out[rows] = block
+    return nu[shape_of], out[:, :, 0], out[:, :, 1:]
 
 
 def _moment_functions(b, g, y):

@@ -97,9 +97,9 @@ def _triple_moments(w, cover, triples):
         raise ValueError("shape offsets span too many half cells to encode")
     codes = (digits - low) @ span ** np.arange(8, -1, -1, dtype=np.int64)
     _, first, shape_of = np.unique(codes, return_index=True, return_inverse=True)
-    shapes = keys[first].reshape(-1, 3, 3) * unit
-    rule = triangle_rule(w, shapes)
-    _, tri_b, tri_g = _triangle_moments(w, cover.centers, shapes, rule, triples[:, 0], shape_of)
+    shapes = keys[first].reshape(-1, 3, 3)
+    rule = triangle_rule(w, shapes * unit)
+    _, tri_b, tri_g = _triangle_moments(w, cover.centers, shapes, rule, triples[:, 0], shape_of, unit)
     return anchors + off, tri_b, tri_g, rule
 
 

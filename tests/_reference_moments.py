@@ -1,7 +1,8 @@
 """Point-sum reference for the lattice-factored moments: every node evaluated by ``eval_many``.
 
-``_batched_moments`` is the triangle moment routine that
-``flux._lattice_moments`` replaced, kept as the oracle it is tested against.
+``_batched_moments`` is the triangle moment routine that the lattice
+factoring of ``flux._triangle_moments`` replaced, kept as the oracle it is
+tested against.
 ``_row_unique_triple_moments`` is ``truncation._triple_moments`` as it keyed
 triangle shapes before the integer codes: ``np.unique`` over whole rows.
 """
@@ -38,6 +39,6 @@ def _row_unique_triple_moments(w, cover, triples, rule):
     off = cover.wrap(cover.centers[triples] - anchors)
     unit = cover.period / (2 * cover.n)
     shapes, shape_of = np.unique(np.rint(off / unit).reshape(-1, 9), axis=0, return_inverse=True)
-    _, tri_b, tri_g = _triangle_moments(w, cover.centers, shapes.reshape(-1, 3, 3) * unit, rule,
-                                        triples[:, 0], shape_of.ravel())
+    _, tri_b, tri_g = _triangle_moments(w, cover.centers, shapes.reshape(-1, 3, 3), rule,
+                                        triples[:, 0], shape_of.ravel(), unit)
     return anchors + off, tri_b, tri_g

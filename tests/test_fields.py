@@ -13,6 +13,7 @@ from divsym.fields import (
     _cell_centers,
     _curl_curl_symbols,
     _sym_to_mandel,
+    assert_div_free,
     curl_curl_T,
     div_symbol_matrix,
     divergence,
@@ -149,6 +150,17 @@ class TestDivergence:
     def test_projection_kills_divergence(self):
         f = project_div_free(random_field(5, 3, 2.0))
         assert divergence(f).max_coeff_norm() < 1e-12 * max(1.0, f.max_coeff_norm())
+
+    def test_one_solenoidal_defect_refused_with_its_size(self):
+        # one mode with M xi != 0 in a divergence-free field: the check refuses it and
+        # reports the largest divergence coefficient
+        f = random_field(5, 2, 1.0, divfree=True, period=2.0)
+        assert_div_free(f)
+        c = f.coeffs[(1, 2, 0)] + np.diag([0.0, 0.3j, 0.0])
+        g = TrigSymField({**f.coeffs, (1, 2, 0): c, (-1, -2, 0): c.conj()}, period=2.0)
+        with pytest.raises(PreconditionError, match="input is not divergence-free") as err:
+            assert_div_free(g, what="input")
+        assert f"(defect {divergence(g).max_coeff_norm():.3e})" in str(err.value)
 
 
 class TestProjection:

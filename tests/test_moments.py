@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _reference_moments as ref
-from divsym import potential_trunc, whitney
+from divsym import flux, potential_trunc, whitney
 from divsym.fields import TrigSymField, potential_inverse, random_field
 from divsym.flux import _collapsed_rule, _normals
 from divsym.maximal import ScalarGrid, bad_set
@@ -43,10 +43,8 @@ def compare_triples(w, cover, triples):
     return tri_verts
 
 
-@settings(max_examples=8, deadline=None)
-@given(st.integers(0, 30), st.sampled_from([16, 20, 24]), st.floats(0.01, 0.30), st.integers(0, 2**16))
-def test_triangle_moments_match_point_sums(seed, n, fraction, pick):
-    w = random_field(seed, 2, 1.0, divfree=True)
+def compare_sampled(w, n, fraction, pick, sample=SAMPLE, cap=CAP):
+    """Point sums on random triples plus every wrapping and degenerate one (capped)."""
     cover = whitney_decompose(flag_bad_set(w, lambda_for_fraction(w, n, fraction), n)[3])
     triples = cover.triples()
     if not len(triples):
@@ -54,10 +52,35 @@ def test_triangle_moments_match_point_sums(seed, n, fraction, pick):
     anchors = cover.centers[triples[:, 0]]
     verts = anchors[:, None] + cover.wrap(cover.centers[triples] - anchors[:, None])
     rng = np.random.default_rng(pick)
-    special = [np.flatnonzero(wrapping(cover, triples, verts))[:CAP],
-               np.flatnonzero(~_normals(verts).any(axis=1))[:CAP]]
-    rows = np.concatenate([rng.integers(0, len(triples), SAMPLE)] + special)
+    special = [np.flatnonzero(wrapping(cover, triples, verts))[:cap],
+               np.flatnonzero(~_normals(verts).any(axis=1))[:cap]]
+    rows = np.concatenate([rng.integers(0, len(triples), sample)] + special)
     compare_triples(w, cover, triples[rows])
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 30), st.sampled_from([16, 20, 24]), st.floats(0.01, 0.30), st.integers(0, 2**16))
+def test_triangle_moments_match_point_sums(seed, n, fraction, pick):
+    compare_sampled(random_field(seed, 2, 1.0, divfree=True), n, fraction, pick)
+
+
+@pytest.mark.parametrize("max_freq, n", [(2, 24), (4, 24), (8, 16)])
+def test_point_sums_off_dyadic_grids_and_at_high_frequency(max_freq, n):
+    # h/2 = 1/48 is not a binary fraction at n = 24, and at F = 4 and 8 the
+    # phase pairs (xi.v1, xi.v2) spread over far more values than at F = 2
+    compare_sampled(random_field(3, max_freq, 1.0, divfree=True), n, 0.08, n, sample=40, cap=20)
+
+
+def test_permuted_triples_permute_the_moments():
+    w = random_field(3, 2, 1.0, divfree=True)
+    cover = whitney_decompose(flag_bad_set(w, lambda_for_fraction(w, 16, 0.08), 16)[3])
+    triples = cover.triples()
+    perm = np.random.default_rng(1).permutation(len(triples))
+    *want, rule = _triple_moments(w, cover, triples)
+    *got, permuted_rule = _triple_moments(w, cover, triples[perm])
+    assert np.array_equal(permuted_rule.weights, rule.weights)
+    for g, v in zip(got, want, strict=True):
+        assert np.array_equal(g, v[perm])
 
 
 def test_wrapping_and_degenerate_triples():
@@ -147,6 +170,43 @@ def test_no_point_sums(monkeypatch):
     ctx = build_context(w, lambda_for_fraction(w, 16, 0.08), 16)
     assert len(ctx.triples)
     assert calls == []
+
+
+def phase_pairs(ctx):
+    """Distinct (xi.v1, xi.v2), in half cells, over the shapes of ``ctx`` and one mode of each +-xi."""
+    unit = ctx.period / (2 * ctx.n)
+    offsets = np.rint((ctx.tri_verts[:, 1:] - ctx.tri_verts[:, :1]) / unit).astype(np.int64)
+    shapes = np.unique(offsets.reshape(-1, 6), axis=0).reshape(-1, 2, 3)
+    xis = np.array([xi for xi in ctx.w.coeffs if xi >= (0, 0, 0)])
+    return len(np.unique((shapes @ xis.T).transpose(0, 2, 1).reshape(-1, 2), axis=0))
+
+
+@pytest.mark.parametrize("n, pairs", [(16, 97), (32, 634)])
+def test_phase_pair_count(n, pairs):
+    # 105 shapes x 62 modes share 97 phase pairs at n = 16, 1,756 x 62 share 634 at n = 32
+    w = random_field(3, 2, 1.0, divfree=True)
+    assert phase_pairs(build_context(w, lambda_for_fraction(w, n, 0.08), n)) == pairs
+
+
+def test_one_exponential_per_phase_pair_node_and_anchor_mode(monkeypatch):
+    # the moments' exponentials: one per (distinct phase pair, node) and one per
+    # (anchor cube, mode); one per (shape, mode, node) would be 105 x 62 x 64 here
+    sizes = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x, **kwargs):
+            sizes.append(np.size(x))
+            return np.exp(x, **kwargs)
+
+    monkeypatch.setattr(flux, "np", CountingNumpy())
+    w = random_field(3, 2, 1.0, divfree=True)
+    ctx = build_context(w, lambda_for_fraction(w, 16, 0.08), 16)
+    modes = sum(xi >= (0, 0, 0) for xi in w.coeffs)
+    anchors = len(np.unique(ctx.triples[:, 0]))
+    assert 0 < sum(sizes) <= phase_pairs(ctx) * len(ctx.rule.weights) + anchors * modes
 
 
 def test_compare_stops_at_the_mask(monkeypatch):

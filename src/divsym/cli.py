@@ -72,8 +72,8 @@ def cmd_envelope(args):
     with open(args.set) as fh:
         k = CompactSetDescriptor.from_json(json.load(fh))
     xi6 = [float(v) for v in args.xi.split(",")]
-    if len(xi6) != 6:
-        raise PreconditionError("--xi wants 6 comma-separated floats (upper triangle)")
+    if len(xi6) != 6 or not np.isfinite(xi6).all():
+        raise PreconditionError("--xi wants 6 comma-separated finite floats (upper triangle)")
     xi = np.array(xi6)[UPPER_TRI_SLOT]
     budget = {"max_freq": args.max_freq, "restarts": args.restarts, "iterations": args.iters}
     result = hull_membership(k, xi, args.p, budget, seed=args.seed)

@@ -14,6 +14,14 @@ only an axpy on the coefficients and on the grid.  Estimates are upper
 bounds of the restricted-frequency envelope; membership in a hull is
 therefore one-sided.
 
+The objective is pointwise: each cell's value and gradient depend on that
+cell's matrix alone.  So restart 0, the zero field, is one evaluation: on
+the constant grid xi the gradient is constant, its band projection is zero,
+and no step could move it.  The nearest point of a finite set is the first
+one of largest y.r - |r|^2/2, picked by a running comparison over the
+points (the first largest, as ``argmax`` picks it).  Sets and exponents
+must be finite.
+
 The band DFT is the separable one that samples every field in ``fields``
 (``_band_dft``): three small matmuls each way over the (2F+1)^2 (F+1)
 frequencies of the half band.  The z axis is the real end of both
@@ -45,8 +53,8 @@ class CompactSetDescriptor:
 
     def __post_init__(self):
         if self.kind == "ball":
-            if self.radius <= 0:
-                raise ValueError("ball radius must be positive")
+            if not (np.isfinite(self.radius) and self.radius > 0):
+                raise ValueError(f"ball radius must be finite and positive, not {self.radius}")
             self.center = np.asarray(self.center, dtype=float).reshape(3, 3)
         elif self.kind in ("points", "polytope"):
             if not self.points:
@@ -54,8 +62,11 @@ class CompactSetDescriptor:
             self.points = [np.asarray(p, dtype=float).reshape(3, 3) for p in self.points]
         else:
             raise ValueError(f"unknown set kind {self.kind!r}")
-        # Mandel rows of the points (of the centre for a ball), computed once
+        # Mandel rows of the points (of the centre for a ball) and their |r|^2/2, computed once
         self.rows = _sym_to_mandel(self.center[None] if self.kind == "ball" else np.stack(self.points))
+        if not np.isfinite(self.rows).all():
+            raise ValueError("ball centre must be finite" if self.kind == "ball" else "set points must be finite")
+        self.half_sq = 0.5 * np.einsum("ij,ij->i", self.rows, self.rows)
 
     def diameter(self):
         if self.kind == "ball":
@@ -122,8 +133,8 @@ class DistanceObjective:
     """Pointwise value/gradient of dist^p(., K) for batched Mandel rows."""
 
     def __init__(self, k: CompactSetDescriptor, p: float):
-        if p < 1:
-            raise ValueError("p must be >= 1")
+        if not (np.isfinite(p) and p >= 1):
+            raise ValueError(f"p must be finite and >= 1, not {p}")
         self.k = k
         self.p = float(p)
 
@@ -132,7 +143,10 @@ class DistanceObjective:
 
         Matrices (..., 3, 3) are converted to rows on entry and the
         gradients back to matrices on exit.  The work runs on the rows
-        transposed to component-major (6, N).
+        transposed to component-major (6, N).  The nearest of a point set
+        is the first point of largest score y.r - |r|^2/2, as ``argmax``
+        picks it; a running comparison over the few points keeps the
+        reduction off the strided axis of the (k, N) scores.
         """
         values = np.asarray(values)
         if values.shape[-1] == 3:
@@ -141,16 +155,24 @@ class DistanceObjective:
         y, rows = np.ascontiguousarray(values.reshape(-1, 6).T), self.k.rows
         if self.k.kind == "ball":
             delta = y - rows[0][:, None]
-        elif self.k.kind == "points":  # nearest: the first largest y.r - |r|^2/2
+        elif self.k.kind == "points":
             scores = rows @ y
-            scores -= 0.5 * np.einsum("ij,ij->i", rows, rows)[:, None]
-            delta = y - np.take(rows.T, np.argmax(scores, axis=0), axis=1)
+            scores -= self.k.half_sq[:, None]
+            best, nearest = scores[0], np.zeros(y.shape[1], dtype=np.intp)
+            for i in range(1, len(rows)):
+                take = scores[i] > best  # strict: a tie keeps the earlier point
+                nearest[take] = i
+                np.maximum(best, scores[i], out=best)
+            delta = np.take(rows.T, nearest, axis=1)
+            np.subtract(y, delta, out=delta)
         else:
             delta = y - _project_hull(rows, y.T).T
         norm = np.sqrt(np.einsum("ij,ij->j", delta, delta))
         dist = np.maximum(norm - self.k.radius, 0.0)  # the radius of a point set is 0
-        slope = self.p * dist ** (self.p - 1.0) / np.where(dist > 0, norm, np.inf)  # 0 where dist = 0
-        return (dist**self.p).reshape(values.shape[:-1]), (delta * slope).T.reshape(values.shape)
+        slope = np.where(dist > 0, norm, np.inf)  # the slope is 0 where dist = 0
+        np.divide(self.p * dist ** (self.p - 1.0), slope, out=slope)
+        delta *= slope
+        return (dist**self.p).reshape(values.shape[:-1]), delta.T.reshape(values.shape)
 
 
 def _modes(max_freq):
@@ -206,15 +228,23 @@ def minimize_over_test_fields(objective, max_freq, restarts, iterations, seed,
                               period=1.0, init_amplitude=0.1, xi_offset=None):
     """Projected descent of mean(objective(xi + phi)) over admissible fields.
 
-    The objective maps Mandel rows ``(n, n, n, 6)`` to values ``(n, n, n)``
-    and gradients ``(n, n, n, 6)``; the grids it receives are component-major
-    views.  Every iterate lies in the band, so the projected trial
-    P(phi - s g) is phi - s P(g): the gradient is projected and resampled
-    once per accepted point (one band DFT pair), and a rejected
-    step costs only an axpy on the coefficients and on the grid.  Restart 0
-    starts from the zero field; every restart only ever accepts decreasing
-    steps, so the reported value never exceeds the restart's initial one.
-    Returns (best value, best field, trace).
+    The objective is pointwise: it maps Mandel rows ``(n, n, n, 6)`` to
+    values ``(n, n, n)`` and gradients ``(n, n, n, 6)`` row by row.  The
+    grids it receives are component-major views.  Every iterate lies in
+    the band, so the projected trial P(phi - s g) is phi - s P(g): the
+    gradient is projected and resampled once per accepted point (one band
+    DFT pair), and a rejected step costs only an axpy on the coefficients
+    and on the grid.
+
+    Restart 0 is the zero field, and it is one evaluation.  On the constant
+    grid xi a pointwise objective's gradient is constant too, and the band
+    holds only non-zero modes, so P(g) = 0 in exact arithmetic.  Every
+    trial point would be the start point, no step could be accepted, and
+    the restart's value is its first one: the grid mean of objective(xi),
+    which opens the trace.  (Trying the steps anyway can only accept
+    rounding noise in P(g).)  Every other restart only ever accepts
+    decreasing steps, so the reported value never exceeds the restart's
+    initial one.  Returns (best value, best field, trace).
     """
     n = max(4 * max_freq, 16)
     band = _band(max_freq, n)
@@ -223,26 +253,27 @@ def minimize_over_test_fields(objective, max_freq, restarts, iterations, seed,
 
     def evaluate(values):
         vals, grads = objective(values)
-        return float(vals.mean()), grads
+        return float(np.add.reduce(vals, axis=None) / vals.size), grads  # the arithmetic of vals.mean()
 
     best_val, best_coeffs, trace = np.inf, None, []
     for r in range(restarts):
-        if r == 0:  # the zero field: no modes until a step is accepted
-            coeffs, phi = np.zeros((0, 6), dtype=complex), np.moveaxis(np.zeros((6, n, n, n)), 0, -1)
+        if r == 0:  # the zero field: one evaluation, and no step to try
+            coeffs, tries = np.zeros((0, 6), dtype=complex), 0
+            point = offset + np.moveaxis(np.zeros((6, n, n, n)), 0, -1)
         else:
-            coeffs = _seeded_init(seed, r, xis, init_amplitude, proj)
-            phi = _band_grid(coeffs, dft, rows)
-        point = offset + phi  # xi + phi at the cell centres
+            coeffs, tries = _seeded_init(seed, r, xis, init_amplitude, proj), iterations
+            point = offset + _band_grid(coeffs, dft, rows)  # xi + phi at the cell centres
         val, grads = evaluate(point)
         step, down = 1.0, None
-        for _ in range(iterations):
+        for _ in range(tries):
             if down is None:  # the current point's projected gradient, on the modes and the grid
                 down = _band_project(grads, band)
                 down_vals = _band_grid(down, dft, rows)
-            trial = point - step * down_vals
+            trial = down_vals * -step  # point - step * P(g), bit for bit, with one temporary
+            trial += point
             tval, tgrads = evaluate(trial)
             if tval < val - 1e-14:
-                coeffs = (coeffs if len(coeffs) else 0.0) - step * down
+                coeffs = coeffs - step * down
                 point, val, grads, down = trial, tval, tgrads, None
                 step *= 1.3
             else:
@@ -267,7 +298,8 @@ def _seeded_init(seed, restart, xis, amplitude, proj):
     for xi in map(tuple, xis.tolist()):
         key = max(xi, tuple(-v for v in xi))
         rng = np.random.default_rng([seed, restart, key[0] + 64, key[1] + 64, key[2] + 64])
-        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        re, im = rng.standard_normal((2, 3, 3))  # the same numbers as two (3, 3) draws
+        m = re + 1j * im
         drawn.append(m if key == xi else m.conj())
     drawn = np.stack(drawn)
     rows = _sym_to_mandel(amplitude * 0.5 * (drawn + drawn.swapaxes(1, 2)))

@@ -170,3 +170,23 @@ class TestEnvelope:
         code = run(["envelope", "--set", kfile, "--xi", "1,2", "--p", 2,
                     "--out", tmp_path / "e.json"])
         assert code == 2
+
+    @pytest.mark.parametrize("payload, xi, p", [
+        ({"kind": "points", "points": [np.diag([np.nan, 0, 0]).tolist(), np.eye(3).tolist()]}, "0,0,0,0,0,0", "2"),
+        ({"kind": "ball", "center": np.diag([0, np.inf, 0]).tolist(), "radius": 1.0}, "0,0,0,0,0,0", "2"),
+        ({"kind": "ball", "center": np.zeros((3, 3)).tolist(), "radius": np.nan}, "0,0,0,0,0,0", "2"),
+        ({"kind": "ball", "center": np.zeros((3, 3)).tolist(), "radius": np.inf}, "0,0,0,0,0,0", "2"),
+        ({"kind": "points", "points": [np.eye(3).tolist()]}, "nan,0,0,0,0,0", "2"),
+        ({"kind": "points", "points": [np.eye(3).tolist()]}, "0,0,0,0,0,-inf", "2"),
+        ({"kind": "points", "points": [np.eye(3).tolist()]}, "0,0,0,0,0,0", "nan"),
+        ({"kind": "points", "points": [np.eye(3).tolist()]}, "0,0,0,0,0,0", "inf"),
+    ], ids=["nan-point", "inf-centre", "nan-radius", "inf-radius", "nan-xi", "inf-xi", "nan-p", "inf-p"])
+    def test_non_finite_input_exits_with_error_object(self, payload, xi, p, tmp_path, capsys):
+        # json writes nan and inf as NaN and Infinity, which it also reads
+        kfile, out = tmp_path / "k.json", tmp_path / "e.json"
+        kfile.write_text(json.dumps(payload))
+        code = run(["envelope", "--set", kfile, "--xi", xi, "--p", p, "--max-freq", 1, "--restarts", 1,
+                    "--iters", 2, "--out", out])
+        assert code == 2
+        assert "error" in json.loads(capsys.readouterr().out)
+        assert not out.exists()

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from divsym import envelope
 from divsym.envelope import (
     CompactSetDescriptor,
     DistanceObjective,
@@ -9,9 +11,14 @@ from divsym.envelope import (
     minimize_over_test_fields,
     qsdqc_estimate,
 )
-from divsym.fields import _sym_to_mandel, divergence
+from divsym.fields import _mandel_to_sym, _sym_to_mandel, divergence
 
 BUDGET = {"max_freq": 1, "restarts": 4, "iterations": 30}
+DEFAULT_BUDGET = {"max_freq": 2, "restarts": 10, "iterations": 60}  # the CLI's
+
+# a rank-one pair and its midpoint, as in the benchmark's laminate query
+LAMINATE = [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0])]
+LAMINATE_XI = np.diag([0.5, 0.5, 0.0])
 
 
 def ball(radius=1.0, center=None):
@@ -85,6 +92,11 @@ class TestDistP:
         with pytest.raises(ValueError):
             dist_p(ball(), np.eye(3), 0.5)
 
+    @pytest.mark.parametrize("p", [np.nan, np.inf])
+    def test_non_finite_p_rejected(self, p):
+        with pytest.raises(ValueError):
+            dist_p(ball(), np.eye(3), p)
+
 
 @pytest.mark.parametrize("kind", ["ball", "points", "polytope"])
 def test_objective_keeps_batch_axes(kind):
@@ -103,6 +115,63 @@ def test_objective_keeps_batch_axes(kind):
     row_vals, row_grads = objective(_sym_to_mandel(grid))
     np.testing.assert_array_equal(row_vals, vals)
     np.testing.assert_allclose(row_grads, _sym_to_mandel(grads), rtol=0, atol=1e-14 * np.abs(row_grads).max())
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """The names of the objective calls and band projections made, in order."""
+    calls = []
+    call, project = DistanceObjective.__call__, envelope._band_project
+
+    def counted_call(self, values):
+        calls.append("objective")
+        return call(self, values)
+
+    def counted_project(values, band):
+        calls.append("project")
+        return project(values, band)
+
+    monkeypatch.setattr(DistanceObjective, "__call__", counted_call)
+    monkeypatch.setattr(envelope, "_band_project", counted_project)
+    return calls
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def nearest_point_reference(rows, p, ys):
+    """dist^p to the point set ``rows`` and its gradient at the rows ``ys``, nearest by ``np.argmax``."""
+    y = np.ascontiguousarray(ys.T)
+    scores = rows @ y
+    scores -= 0.5 * np.einsum("ij,ij->i", rows, rows)[:, None]
+    delta = y - np.take(rows.T, np.argmax(scores, axis=0), axis=1)
+    norm = np.sqrt(np.einsum("ij,ij->j", delta, delta))
+    dist = np.maximum(norm - 0.0, 0.0)
+    slope = p * dist ** (p - 1.0) / np.where(dist > 0, norm, np.inf)
+    return dist**p, (delta * slope).T
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**16), st.sampled_from([1, 2, 4]), st.booleans())
+def test_nearest_point_matches_argmax(k, seed, p, diagonal):
+    # small integer points (diagonal ones make every score exact), some of them
+    # repeated; y at midpoints of pairs and at the points ties two scores or more,
+    # and the first largest must win as it does under argmax, bit for bit
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-2, 3, size=(k, 6)).astype(float)
+    if diagonal:
+        rows[:, 3:] = 0.0
+    rows[rng.integers(k, size=k // 2)] = rows[rng.integers(k, size=k // 2)]
+    i, j = rng.integers(k, size=(2, 64))
+    ys = np.concatenate([0.5 * (rows[i] + rows[j]), rows, 0.5 * rng.integers(-4, 5, size=(32, 6)),
+                         rng.standard_normal((32, 6))])
+    objective = DistanceObjective(CompactSetDescriptor(kind="points", points=list(_mandel_to_sym(rows))), p)
+    vals, grads = objective(ys)
+    want_vals, want_grads = nearest_point_reference(objective.k.rows, p, ys)
+    assert_bitwise(vals, want_vals)
+    assert_bitwise(grads, want_grads)
 
 
 class TestEstimate:
@@ -153,9 +222,35 @@ class TestEstimate:
         assert est.value == est.trace[0] == dist_p(ball(1.0), xi, 2)
         assert est.best_field.coeffs == {}
 
+    def test_restart_zero_is_one_evaluation(self, counted):
+        # the zero field's gradient is constant, so its band projection vanishes:
+        # restart 0 is one objective call and projects nothing, and its value is
+        # the grid mean of dist^p(xi, K), which is dist^p(xi, K) up to rounding
+        k = CompactSetDescriptor(kind="points", points=LAMINATE)
+        grid = np.broadcast_to(_sym_to_mandel(LAMINATE_XI), (16, 16, 16, 6))
+        for p in (1, 4):
+            want = float(DistanceObjective(k, p)(grid)[0].mean())
+            counted.clear()
+            val, best, trace = minimize_over_test_fields(DistanceObjective(k, p), 2, 1, 60, 3,
+                                                         xi_offset=LAMINATE_XI)
+            assert counted == ["objective"] and best.coeffs == {}
+            assert val == trace[0] == want
+            assert trace[0] == pytest.approx(dist_p(k, LAMINATE_XI, p), rel=1e-15, abs=0)
+
     def test_budget_validation(self):
         with pytest.raises(Exception):
             qsdqc_estimate(ball(), np.eye(3), 2, {"max_freq": 0, "restarts": 0, "iterations": 0})
+
+
+@pytest.mark.parametrize("seed, p, score", [(3, 1, 0.20890286296248578), (3, 4, 0.006565673053474353),
+                                            (7, 1, 0.2106603811936268), (7, 4, 0.016261850653250764)])
+def test_laminate_hull_scores_pinned(seed, p, score, counted):
+    # the laminate query at the CLI's budget: restart 0 is one evaluation and
+    # each of the nine seeded restarts tries every step, 1 + 9 * (1 + 60) calls
+    rep = hull_membership(CompactSetDescriptor(kind="points", points=LAMINATE), LAMINATE_XI, p, DEFAULT_BUDGET,
+                          seed=seed)
+    assert rep["score"] == pytest.approx(score, rel=1e-12, abs=0)
+    assert counted.count("objective") == 550
 
 
 class TestMembership:

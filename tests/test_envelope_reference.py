@@ -92,9 +92,9 @@ class RecordingObjective(DistanceObjective):
 def accepted_steps(means, restarts, iterations):
     """The accepted steps of a descent, replayed from its evaluations' means."""
     means, accepted = iter(means), 0
-    for _ in range(restarts):
+    for r in range(restarts):
         val, step = next(means), 1.0
-        for _ in range(iterations):
+        for _ in range(iterations if r else 0):  # restart 0, the zero field, is one evaluation
             tval = next(means)
             if tval < val - 1e-14:
                 val, step, accepted = tval, step * 1.3, accepted + 1
@@ -108,7 +108,7 @@ def accepted_steps(means, restarts, iterations):
 
 def test_one_projection_per_accepted_point(monkeypatch):
     # every iterate lies in the band, so a trial step needs no transform: the
-    # gradient is projected once per restart and once per accepted step
+    # gradient is projected once per seeded restart and once per accepted step
     calls = []
     project = envelope._band_project
     monkeypatch.setattr(envelope, "_band_project", lambda values, band: calls.append(1) or project(values, band))

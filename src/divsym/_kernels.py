@@ -4,9 +4,10 @@
 point's active cubes through the cover's half-cell index
 (``WhitneyCover.candidates``) and their phi packs, and the local
 reconstruction formula ``_local_terms`` is summed over the 3-subsets of
-each point's active cubes (``whitney._active_triples``), at most
-``_CHUNK`` subsets at a time (a point with more subsets is a chunk of its
-own), and scattered into ``out`` with ``np.add.at``, which keeps the
+each point's active cubes (``whitney._active_triples``), through the
+flux B and G - G^T of the triple, edge circulations by Stokes (``flux``),
+at most ``_CHUNK`` subsets at a time (a point with more subsets is a chunk
+of its own), and scattered into ``out`` with ``np.add.at``, which keeps the
 working set to a few tens of MB whatever the grid size.  The grid kernel
 ``accumulate_truncation`` and the pointwise evaluators in ``truncation``
 all run it.  Packs follow ``whitney``'s layout and packed symmetric
@@ -51,9 +52,9 @@ def accumulate_truncation(triples, tri_b, tri_g, tri_verts, sides, m, period,
 
     ``bad_index`` numbers the flagged points in row-major order (-1 elsewhere)
     and ``out`` has a row for each.  ``tri_verts[t]`` holds the three cube
-    centers unwrapped into a common frame around the first; ``tri_g`` is
-    taken in that frame.  ``sides`` repeats ``cover.sides``.  Output
-    components are ordered [11, 22, 33, 23, 13, 12].
+    centers unwrapped into a common frame around the first; ``tri_g`` holds
+    G - G^T at ``flux.PAIRS``, taken in that frame.  ``sides`` repeats
+    ``cover.sides``.  Output components are ordered [11, 22, 33, 23, 13, 12].
     """
     pts = (np.argwhere(bad_index >= 0) + 0.5) * (period / m)
     _evaluate(cover, triples, tri_b, tri_g, tri_verts, pts, lambda rows, phi: [p[0] for p in phi], out)

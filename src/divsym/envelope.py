@@ -15,12 +15,12 @@ bounds of the restricted-frequency envelope; membership in a hull is
 therefore one-sided.
 
 The objective is pointwise: each cell's value and gradient depend on that
-cell's matrix alone.  So restart 0, the zero field, is one evaluation: on
-the constant grid xi the gradient is constant, its band projection is zero,
-and no step could move it.  The nearest point of a finite set is the first
-one of largest y.r - |r|^2/2, picked by a running comparison over the
-points (the first largest, as ``argmax`` picks it).  Sets and exponents
-must be finite.
+cell's matrix alone.  So restart 0, the zero field, is one evaluation, of
+xi as a single row: on the constant grid xi the gradient is constant, its
+band projection is zero, and no step could move it.  The nearest point of
+a finite set is the first one of largest y.r - |r|^2/2, picked by a
+running comparison over the points (the first largest, as ``argmax``
+picks it).  Sets and exponents must be finite.
 
 The band DFT is the separable one that samples every field in ``fields``
 (``_band_dft``): three small matmuls each way over the (2F+1)^2 (F+1)
@@ -240,7 +240,8 @@ def minimize_over_test_fields(objective, max_freq, restarts, iterations, seed,
     grid xi a pointwise objective's gradient is constant too, and the band
     holds only non-zero modes, so P(g) = 0 in exact arithmetic.  Every
     trial point would be the start point, no step could be accepted, and
-    the restart's value is its first one: the grid mean of objective(xi),
+    the restart's value is its first one: objective(xi), evaluated on xi
+    as one row (the grid mean of n^3 equal values is not always the value),
     which opens the trace.  (Trying the steps anyway can only accept
     rounding noise in P(g).)  Every other restart only ever accepts
     decreasing steps, so the reported value never exceeds the restart's
@@ -257,9 +258,8 @@ def minimize_over_test_fields(objective, max_freq, restarts, iterations, seed,
 
     best_val, best_coeffs, trace = np.inf, None, []
     for r in range(restarts):
-        if r == 0:  # the zero field: one evaluation, and no step to try
-            coeffs, tries = np.zeros((0, 6), dtype=complex), 0
-            point = offset + np.moveaxis(np.zeros((6, n, n, n)), 0, -1)
+        if r == 0:  # the zero field: xi as one row of the pointwise objective, and no step to try
+            coeffs, tries, point = np.zeros((0, 6), dtype=complex), 0, offset[None]
         else:
             coeffs, tries = _seeded_init(seed, r, xis, init_amplitude, proj), iterations
             point = offset + _band_grid(coeffs, dft, rows)  # xi + phi at the cell centres

@@ -45,8 +45,11 @@ class PreconditionError(ValueError):
 
 def _as_freq(xi):
     """``xi`` as a tuple of three ints; a wrong length or a non-integral entry raises ``ValueError``."""
-    freq = tuple(int(v) for v in xi)
-    if len(freq) != 3 or freq != tuple(xi):
+    try:
+        freq = tuple(int(v) for v in xi)
+    except OverflowError:  # int() of an infinite entry
+        freq = None
+    if freq is None or len(freq) != 3 or freq != tuple(xi):
         raise ValueError(f"frequency must be three integers, got {list(xi)}")
     return freq
 
@@ -70,8 +73,8 @@ class _ModeField:
     _shape: tuple  # value shape per mode, set by subclass
 
     def __init__(self, coeffs, period=1.0, tol=1e-10):
-        if period <= 0:
-            raise ValueError("period must be positive")
+        if not (np.isfinite(period) and period > 0):
+            raise ValueError(f"period must be positive and finite, not {period}")
         self.period = float(period)
         cleaned = {}
         for xi, c in coeffs.items():
@@ -79,6 +82,8 @@ class _ModeField:
             c = np.asarray(c, dtype=complex)
             if c.shape != self._shape:
                 raise ValueError(f"coefficient for {xi} has shape {c.shape}")
+            if not np.isfinite(c).all():
+                raise ValueError(f"coefficient for {xi} is not finite")
             cleaned[xi] = self._validate(xi, c, tol)
         # enforce closure under negation: coeff(-xi) = conj(coeff(xi))
         scale = max((np.abs(c).max() for c in cleaned.values()), default=0.0)
@@ -441,5 +446,6 @@ def field_to_dict(f: TrigSymField) -> dict:
 def field_from_dict(data: dict) -> TrigSymField:
     coeffs = {}
     for mode in data["modes"]:
-        coeffs[_as_freq(mode["xi"])] = (np.asarray(mode["re"]) + 1j * np.asarray(mode["im"]))[UPPER_TRI_SLOT]
+        with np.errstate(invalid="ignore"):  # 1j * inf warns; the constructor refuses what it makes
+            coeffs[_as_freq(mode["xi"])] = (np.asarray(mode["re"]) + 1j * np.asarray(mode["im"]))[UPPER_TRI_SLOT]
     return TrigSymField(coeffs, period=float(data["period"]))

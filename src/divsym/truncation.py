@@ -3,9 +3,16 @@
 Pipeline: sample |w| on a grid, form the centered maximal function, flag
 the superlevel set at an effective threshold 1.25 * lambda, cover it with
 dyadic Whitney cubes, build the normalized bump partition, and cache the
-triangle flux/moment data for every triple of pairwise-intersecting
-cubes.  The truncated field equals w off the flagged cells and the
-partition-weighted sum of the local flux reconstructions on them.
+flux B and the antisymmetric first moment G - G^T of the triangle of cube
+centres of every triple of pairwise-intersecting cubes.  The truncated
+field equals w off the flagged cells and the partition-weighted sum of the
+local flux reconstructions on them.
+
+The moments need no quadrature.  Off its zero mode each row of w is
+curl psi_alpha, psi_alpha^ = i xi x c_alpha / (k |xi|^2), so by Stokes B and
+G - G^T are closed-form circulations of psi and of x_b psi_a - x_a psi_b -
+rho_ab along the triangle's sides (``flux``), taken once per cover pair;
+the zero mode c0 adds c0 nu and a centroid term.
 
 ``verify`` measures the weak divergence of the rows of T w against the
 battery of plane waves cos(2 pi xi . x / period + phase), one wave per row
@@ -20,7 +27,7 @@ import numpy as np
 
 from . import _kernels
 from .fields import SYM6, SYM6_SLOT, TWO_PI, PreconditionError, TrigSymField, _sym6_sq, assert_div_free
-from .flux import _moment_functions, _triangle_moments, triangle_rule
+from .flux import _AL, _BE, CENTROID, _edge_moments, _moment_functions
 from .maximal import OpenSetMask, ScalarGrid, bad_set, maximal_function, sample_abs
 from .whitney import _active_triples, _pack_slot, _partition, _upsample, whitney_decompose
 
@@ -45,11 +52,11 @@ class TruncationContext:
     n: int
     bad: OpenSetMask
     cover: object            # WhitneyCover (cube arrays) or None when the bad set is empty
-    rule: object             # the triangle rule of the moments, ``flux.triangle_rule``'s pick
+    rule: object             # ``flux.CENTROID``, the one-node rule of the zero mode's centroid term
     triples: np.ndarray      # (nt, 3) int32, sorted rows
-    tri_verts: np.ndarray    # (nt, 3, 3) centers unwrapped into a per-triple frame
-    tri_B: np.ndarray        # (nt, 3)
-    tri_G: np.ndarray        # (nt, 3, 3)
+    tri_verts: np.ndarray    # (nt, 3, 3) centers unwrapped into a per-triple frame around the first
+    tri_B: np.ndarray        # (nt, 3) fluxes -(e01 + e12 - e02), plus c0 nu
+    tri_G: np.ndarray        # (nt, 3) G - G^T at ``flux.PAIRS``, in the frame: -(f01 + f12 - f02) + centroid term
     _caches: dict = dfield(default_factory=dict)
 
     @property
@@ -77,30 +84,49 @@ def flag_bad_set(w: TrigSymField, lam: float, n: int):
 
 
 def _triple_moments(w, cover, triples):
-    """Vertices unwrapped next to the anchor cube's centre (nt, 3, 3), fluxes, first moments, rule.
+    """Vertices unwrapped next to the anchor cube's centre (nt, 3, 3), fluxes B (nt, 3) and G - G^T (nt, 3).
 
-    Triples whose vertex offsets round to the same multiples of h/2 share one shape.
-    Each row of nine multiples is one integer, its digits in base ``span``
-    from the first entry down, so the codes sort as the rows do.
+    Each side of a sorted triple is a row of ``cover.pairs``, whose
+    circulations ``flux._edge_moments`` gives once, from the first cube's
+    centre along the wrapped offset in half cells.  The triple's frame puts
+    its sides 01 and 02 on those segments and side 12 a lattice vector a
+    from its pair's, which adds a_b e_a - a_a e_b to f.  A side missing
+    from the pairs raises ``KeyError``; centres off the half-cell lattice,
+    or a side 12 that the frame wraps apart from its pair, ``ValueError``.
     """
-    anchors = cover.centers[triples[:, 0], None]
-    off = cover.wrap(cover.centers[triples] - anchors)
-    unit = cover.period / (2 * cover.n)
-    keys = np.rint(off / unit)
-    if len(keys) and np.abs(off / unit - keys).max() > 1e-9:
+    pairs, unit = cover.pairs, cover.period / (2 * cover.n)
+    start, off = cover.centers[pairs[:, 0]], cover.wrap(cover.centers[pairs[:, 1]] - cover.centers[pairs[:, 0]])
+    offsets = np.rint(off / unit)
+    if len(offsets) and np.abs(off / unit - offsets).max() > 1e-9:
         raise ValueError("cube centres are off the half-cell lattice")
-    keys = keys.reshape(-1, 9)
-    digits = keys.astype(np.int64)
-    low = digits.min(initial=0)
-    span = int(digits.max(initial=0) - low) + 1
-    if span**9 >= 2**63:
-        raise ValueError("shape offsets span too many half cells to encode")
-    codes = (digits - low) @ span ** np.arange(8, -1, -1, dtype=np.int64)
-    _, first, shape_of = np.unique(codes, return_index=True, return_inverse=True)
-    shapes = keys[first].reshape(-1, 3, 3)
-    rule = triangle_rule(w, shapes * unit)
-    _, tri_b, tri_g = _triangle_moments(w, cover.centers, shapes, rule, triples[:, 0], shape_of, unit)
-    return anchors + off, tri_b, tri_g, rule
+    offsets = offsets.astype(np.int64)
+    nc, t = len(cover.centers), triples.astype(np.int64)
+    keys, want = pairs[:, 0] * nc + pairs[:, 1], t[:, [0, 0, 1]] * nc + t[:, [1, 2, 2]]
+    side = np.searchsorted(keys, want)
+    miss = np.append(keys, -1)[side] != want
+    if miss.any():
+        raise KeyError(f"{int(miss.any(axis=1).sum())} triples with a side missing from the cover's pairs")
+    s01, s02, s12 = side.T
+    if (offsets[s02] - offsets[s01] != offsets[s12]).any():
+        raise ValueError("a triple's frame wraps its side 12 apart from the pair's offset")
+    tri_verts = np.stack([cover.centers[triples[:, 0]], start[s01] + off[s01], start[s02] + off[s02]], axis=1)
+    edges, sides = np.zeros((len(pairs), 6)), np.flatnonzero(np.bincount(side.ravel(), minlength=len(pairs)))
+    edges[sides] = _edge_moments(w, cover.centers, pairs[sides, 0], offsets[sides], unit)
+    tri = edges[s02] - edges[s01]
+    tri -= edges[s12]
+    tri_b, tri_g = tri[:, :3], tri[:, 3:]
+    lattice = np.rint((start + off - cover.centers[pairs[:, 1]]) / cover.period) * cover.period
+    wraps = np.flatnonzero(lattice.any(axis=1)[s01])
+    a, e12 = lattice[s01[wraps]], edges[s12[wraps]]
+    tri_g[wraps] -= a[:, _BE] * e12[:, _AL] - a[:, _AL] * e12[:, _BE]
+    c0 = w.coeffs.get((0, 0, 0))
+    if c0 is not None:
+        nu = -0.5 * unit**2 * np.cross(offsets[s01], offsets[s02])     # exact zeros on collinear triples
+        b0 = nu @ c0.real.T
+        centroid = np.einsum("q,qv,tvd->td", CENTROID.weights, CENTROID.points, tri_verts)
+        tri_b += b0
+        tri_g += centroid[:, _BE] * b0[:, _AL] - centroid[:, _AL] * b0[:, _BE]
+    return tri_verts, tri_b, tri_g
 
 
 def build_context(w: TrigSymField, lam: float, n: int) -> TruncationContext:
@@ -108,16 +134,14 @@ def build_context(w: TrigSymField, lam: float, n: int) -> TruncationContext:
     assert_div_free(w, what="build_context input")
     _, _, lam_eff, mask = flag_bad_set(w, lam, n)
     cover, triples = None, np.zeros((0, 3), dtype=np.int32)
-    tri_verts, tri_B, tri_G = np.zeros((0, 3, 3)), np.zeros((0, 3)), np.zeros((0, 3, 3))
-    if mask.is_empty():
-        rule = triangle_rule(w, tri_verts)
-    else:
+    tri_verts, tri_B, tri_G = np.zeros((0, 3, 3)), np.zeros((0, 3)), np.zeros((0, 3))
+    if not mask.is_empty():
         cover = whitney_decompose(mask)
         triples = cover.triples()
-        tri_verts, tri_B, tri_G, rule = _triple_moments(w, cover, triples)
+        tri_verts, tri_B, tri_G = _triple_moments(w, cover, triples)
     return TruncationContext(
         w=w, lam=lam, lam_eff=lam_eff, n=n, bad=mask, cover=cover,
-        rule=rule, triples=triples, tri_verts=tri_verts, tri_B=tri_B, tri_G=tri_G)
+        rule=CENTROID, triples=triples, tri_verts=tri_verts, tri_B=tri_B, tri_G=tri_G)
 
 
 # ---------------------------------------------------------------------------

@@ -160,8 +160,9 @@ def accumulate_truncation(triples, tri_b, tri_g, tri_verts, sides, m, period,
     """Accumulate sum_k phi_k * wtilde^(k) over all cached triangles.
 
     ``tri_verts[t]`` holds the three cube centers unwrapped into a common
-    frame; ``tri_g`` is taken in that frame, so the moment function is
-    evaluated at the frame coordinates of each grid point.  Output
+    frame; ``tri_g`` holds G - G^T at (0, 1), (0, 2) and (1, 2), taken in
+    that frame, so the moment function is evaluated at the frame coordinates
+    of each grid point.  Output
     components are ordered [11, 22, 33, 23, 13, 12].
     """
     hm = period / m
@@ -228,7 +229,7 @@ def accumulate_truncation(triples, tri_b, tri_g, tri_verts, sides, m, period,
                     ya = (x0, x1, x2)
                     for a in range(3):
                         for b in range(a + 1, 3):
-                            val = ya[b] * tri_b[t, a] - tri_g[t, a, b] - ya[a] * tri_b[t, b] + tri_g[t, b, a]
+                            val = ya[b] * tri_b[t, a] - ya[a] * tri_b[t, b] - tri_g[t, a + b - 1]
                             amat[a, b] = val
                             amat[b, a] = -val
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from divsym._kernels import _PERMS
 from divsym.fields import PreconditionError, _check_order
-from divsym.flux import _moment_functions
+from divsym.flux import PAIRS, _moment_functions
 from divsym.truncation import sym6_to_mat
 from divsym.whitney import SUPPORT_MARGIN, WhitneyCover, _active_triples, _pack_slot, _partition, bump
 
@@ -233,8 +233,8 @@ class PointwiseReference:
                 amat = np.zeros((3, 3))
                 for a in range(3):
                     for bb in range(a + 1, 3):
-                        val = sign * (yf[bb] * ctx.tri_B[row, a] - ctx.tri_G[row, a, bb]
-                                      - yf[a] * ctx.tri_B[row, bb] + ctx.tri_G[row, bb, a])
+                        val = sign * (yf[bb] * ctx.tri_B[row, a] - yf[a] * ctx.tri_B[row, bb]
+                                      - ctx.tri_G[row, PAIRS.index((a, bb))])
                         amat[a, bb] = val
                         amat[bb, a] = -val
                 _, dj, d2j = packs[j]

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,30 @@ def test_malformed_field_file_exits_with_error_object(command, payload, tmp_path
     code = run([command, "--field", field, "--lambda", 1.0, "--grid-n", 16, "--out", tmp_path / "r.json"])
     assert code == 2
     assert "error" in json.loads(capsys.readouterr().out)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command", ["truncate", "compare"])
+@pytest.mark.parametrize("payload, names", [
+    ({"period": NAN, "modes": [WHOLE]}, "period"),
+    ({"period": INF, "modes": [WHOLE]}, "period"),
+    ({"period": 1.0, "modes": [dict(WHOLE, re=[NAN] + [0.0] * 5)]}, "(1, 0, 0)"),
+    ({"period": 1.0, "modes": [dict(WHOLE, im=[0.0, 0.0, INF, 0.0, 0.0, 0.0])]}, "(1, 0, 0)"),
+    ({"period": 1.0, "modes": [dict(WHOLE, xi=[INF, 0, 0])]}, "[inf, 0, 0]"),
+], ids=["nan-period", "inf-period", "nan-coefficient", "inf-coefficient", "inf-xi"])
+def test_non_finite_field_file_refused_at_load(command, payload, names, tmp_path, capsys):
+    # json writes nan and inf as NaN and Infinity, which it also reads; the field's
+    # constructor names the bad period or mode, before any grid is sampled
+    field, out = tmp_path / "field.json", tmp_path / "r.json"
+    field.write_text(json.dumps(payload))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([command, "--field", field, "--lambda", 1.0, "--grid-n", 16, "--out", out])
+    assert code == 2 and not out.exists()
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ValueError" and names in err["message"]
 
 
 class TestCompare:

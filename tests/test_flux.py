@@ -1,17 +1,11 @@
 import numpy as np
 import pytest
 
+from _reference_moments import (_collapsed_rule, _normals, _triangle_moments, antisym, gauss_green_defect_A,
+                                gauss_green_defect_B, triangle_rule)
 from _reference_pointwise import permutation_sign
 from divsym.fields import PreconditionError, TrigSymField, project_div_free, random_field
-from divsym.flux import (
-    _collapsed_rule,
-    _moment_functions,
-    _normals,
-    _triangle_moments,
-    gauss_green_defect_A,
-    gauss_green_defect_B,
-    triangle_rule,
-)
+from divsym.flux import _moment_functions, _segment_integrals
 
 
 def div_free(seed, max_freq=2, amplitude=1.0):
@@ -38,7 +32,7 @@ def moments(w, tri, rule=None):
 def moment_function(b, g, y, alpha, beta):
     """A(alpha, beta)(y) of one triangle's B and G."""
     y = np.asarray(y, dtype=float)
-    return float(np.squeeze(_moment_functions(b[:, None], g[None], y[:, None])[alpha][beta]))
+    return float(np.squeeze(_moment_functions(b[:, None], antisym(g[None]), y[:, None])[alpha][beta]))
 
 
 def random_tetra(rng, scale=0.12):
@@ -57,6 +51,22 @@ def mode_averages(tri, rule, xi):
     wave = rule.weights * np.exp(2j * np.pi * (pts @ xi))
     diameter = max(np.linalg.norm(tri[i] - tri[j]) for i in range(3) for j in range(i))
     return np.append(wave.sum(), wave @ (pts - tri[0]) / diameter)
+
+
+class TestSegmentIntegrals:
+    def test_match_gauss_legendre(self):
+        # E0 and E1 on both sides of the series switch at theta = 0.2, at 0 and up to
+        # 60, against a 64-node Gauss-Legendre rule on [0, 1], whose sums of 64
+        # rounded terms are good to about 1e-15
+        x, wx = np.polynomial.legendre.leggauss(64)
+        s, ws = (x + 1.0) / 2.0, wx / 2.0
+        theta = np.concatenate([[0.0, 1e-9, 0.0123, 0.19999, 0.2, 0.20001, 0.5, 1.0, 3.0, 10.0, 60.0],
+                                -np.geomspace(1e-6, 40.0, 9)])
+        e0, e1 = _segment_integrals(theta)
+        wave = np.exp(1j * np.outer(theta, s)) * ws
+        np.testing.assert_allclose(e0, wave.sum(axis=1), rtol=0, atol=2e-15)
+        np.testing.assert_allclose(e1, wave @ s, rtol=0, atol=2e-15)
+        assert e0[0] == 1.0 and e1[0] == 0.5
 
 
 class TestQuadrature:

@@ -54,7 +54,7 @@ PUBLIC = [
     "QuadratureRule", "ScalarGrid", "TrigSymField", "TrigVecField", "TruncationContext",
     "UnsupportedOrderError", "VerificationReport", "WhitneyCover", "bad_set", "build_context",
     "curl_curl_T", "dist_p", "divergence", "divergence_defects", "field_from_dict", "field_to_dict",
-    "gauss_green_defect_A", "gauss_green_defect_B", "hull_membership", "local_field",
+    "hull_membership", "local_field",
     "maximal_function", "potential_bad_set", "potential_inverse", "project_div_free",
     "qsdqc_estimate", "random_field", "sample_abs", "stability_comparison",
     "summation_vanish_check", "truncate", "verify", "whitney_decompose", "zhang_bound_check",
@@ -97,7 +97,10 @@ def test_tracer_bindings_present():
 
 
 def test_tracer_counts_moment_nodes():
-    """The tracer's ``moment_nodes`` reads ``ctx.rule``: the triples times the nodes of the rule used."""
+    """The tracer's ``moment_nodes`` reads ``ctx.rule``: the triples times the nodes of the rule used.
+
+    The moments are edge circulations; the rule is the zero mode's one-node centroid.
+    """
     from divsym import random_field, truncation
 
     w = random_field(3, 2, 1.0, divfree=True)
@@ -105,5 +108,30 @@ def test_tracer_counts_moment_nodes():
     with bench_tracer() as tracer:
         with tracer.root("build"):
             ctx = truncation.build_context(w, lam, 16)
-    assert len(ctx.triples) and len(ctx.rule.weights) == 64
+    assert len(ctx.triples) and len(ctx.rule.weights) == 1
     assert tracer.root_counts[0]["moment_nodes"] == len(ctx.triples) * len(ctx.rule.weights)
+
+
+def test_tracer_counts_a_truncate_command(tmp_path):
+    """Every observer on the ``truncate`` path runs under ``cli.main`` and counts the benchmark's n=16 input.
+
+    The kernel's observer reads ``accumulate_truncation``'s first eight
+    positional arguments, so a changed signature shows here.
+    """
+    from divsym import cli, field_to_dict, random_field, truncation
+    from divsym.flux import CENTROID
+
+    payload = field_to_dict(random_field(3, 2, 1.0, divfree=True))
+    field, out = tmp_path / "field.json", tmp_path / "report.json"
+    field.write_text(json.dumps(payload))
+    lam = truncation.lambda_for_fraction(cli.field_from_dict(payload), 16, 0.08)
+    with bench_tracer() as tracer:
+        with tracer.root("truncate"):
+            assert cli.main(["truncate", "--field", str(field), "--lambda", repr(lam), "--grid-n", "16",
+                             "--out", str(out)]) == 0
+    counts = tracer.root_counts[0]
+    assert (counts["triples"], counts["flagged_points"]) == (3257, 2624)
+    assert counts["moment_nodes"] == counts["triples"] * len(CENTROID.weights)
+    assert counts["pairs"] > 0 and counts["triples_visited"] == 3257 and counts["triples_active"] > 0
+    assert counts["bad_cells"] > 0
+    assert [c["cubes"] for c in counts["_covers"]] == [328]

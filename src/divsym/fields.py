@@ -292,17 +292,16 @@ def project_div_free(f: TrigSymField) -> TrigSymField:
     ``M -> Q M Q`` with ``Q = I - n n^T``, which is idempotent and kills the
     divergence symbol exactly.
     """
-    out = {}
-    eye = np.eye(3)
-    for xi, c in f.coeffs.items():
-        if xi == (0, 0, 0):
-            out[xi] = c.copy()
-            continue
-        nvec = np.asarray(xi, dtype=float)
-        nvec = nvec / np.linalg.norm(nvec)
-        q = eye - np.outer(nvec, nvec)
-        out[xi] = q @ c @ q
+    out = {xi: c.copy() if xi == (0, 0, 0) else _project_mode(xi, c) for xi, c in f.coeffs.items()}
     return TrigSymField(out, period=f.period)
+
+
+def _project_mode(xi, c):
+    """``Q c Q`` with ``Q = I - n n^T``, n = xi / |xi|, for a non-zero frequency ``xi``."""
+    nvec = np.asarray(xi, dtype=float)
+    nvec = nvec / np.linalg.norm(nvec)
+    q = np.eye(3) - np.outer(nvec, nvec)
+    return q @ c @ q
 
 
 # Mandel weights of the SYM6 slots: the packed entries times these are an isometry
@@ -400,7 +399,11 @@ def potential_inverse(u: TrigSymField, what="potential_inverse input") -> TrigSy
 
 
 def random_field(seed, max_freq, amplitude, divfree=False, period=1.0) -> TrigSymField:
-    """Reproducible random field with modes on ``max-norm(xi) <= max_freq``."""
+    """Reproducible random field with modes on ``max-norm(xi) <= max_freq``.
+
+    With ``divfree`` each mode is projected as it is drawn and the zero mode
+    dropped: the coefficients of ``project_div_free``, bit for bit.
+    """
     if max_freq < 1:
         raise ValueError("max_freq must be >= 1")
     if amplitude < 0:
@@ -414,13 +417,12 @@ def random_field(seed, max_freq, amplitude, divfree=False, period=1.0) -> TrigSy
         if xi < _neg(xi):
             continue  # one draw per Hermitian pair
         m = rng.standard_normal((3, 3)) + (0.0 if xi == (0, 0, 0) else 1j) * rng.standard_normal((3, 3))
-        coeffs[xi] = amplitude * 0.5 * (m + m.T)
-    f = TrigSymField(coeffs, period=period)
-    if divfree:
-        f = project_div_free(f)
-        f.coeffs.pop((0, 0, 0), None)
-        f = TrigSymField(f.coeffs, period=period)
-    return f
+        c = amplitude * 0.5 * (m + m.T)
+        if not divfree:
+            coeffs[xi] = c
+        elif xi != (0, 0, 0):  # the field projected keeps the partner's projection and mirrors it
+            coeffs[_neg(xi)] = _project_mode(_neg(xi), c.conj())
+    return TrigSymField(coeffs, period=period)
 
 
 # ---------------------------------------------------------------------------

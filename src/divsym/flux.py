@@ -21,22 +21,24 @@ R_ab being divergence-free mode by mode.  So G_ab - G_ba = -(f01 + f12 - f02),
 f_ij the circulation of x_b psi_a - x_a psi_b - rho_ab.  On the segment
 x0 -> x0 + d, with theta = k xi.d, E0 = integral of e^{i theta s} ds =
 (e^{i theta} - 1) / (i theta) and E1 = integral of s e^{i theta s} ds over
-[0, 1]:
+[0, 1], and with x measured from x0:
 
     e_a  = Re sum e^{ik xi.x0} E0 psi_a^.d,
-    f_ab = x0_b e_a - x0_a e_b + Re sum e^{ik xi.x0} [E1 (d_b psi_a^ - d_a psi_b^).d - E0 rho_ab^.d].
+    f_ab = Re sum e^{ik xi.x0} [E1 (d_b psi_a^ - d_a psi_b^).d - E0 rho_ab^.d].
 
-Moving x0 by a lattice vector a keeps e and adds a_b e_a - a_a e_b to f.
-The zero mode c0 has no potential: it adds c0 nu to B and
-centroid_b (c0 nu)_a - centroid_a (c0 nu)_b to G - G^T, the one-node
-``CENTROID`` rule being exact on the linear integrand.  G - G^T is kept
-as its three entries (a, b) of ``PAIRS``.
+Measuring x from p instead adds (x0 - p)_b e_a - (x0 - p)_a e_b to f.
+The zero mode c0 is no curl of a periodic field, but about a point it has
+the potentials c0_a x x / 2 and, c0 being symmetric,
+(x_b c0_a x x - x_a c0_b x x) / 3, whose curls are c0_a and
+x_b c0_a - x_a c0_b; ``_zero_mode_moments`` gives their circulations.
+G - G^T is kept as its three entries (a, b) of ``PAIRS``.  ``CENTROID``,
+the one-node centroid rule, is read only by the benchmark's tracer.
 
 ``_edge_moments`` takes the segments offset by offset (the offsets are
 integer multiples of a unit): for each offset the folded coefficients of
 its modes make one real (2 modes x 6) matrix, and one GEMM with the
-phase rows cos, sin of k xi.x0 of its start points gives e and the
-offset part of f.  No field value is evaluated at any point.
+phase rows cos, sin of k xi.x0 of its start points gives e and f.  No
+field value is evaluated at any point.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class QuadratureRule:
             raise ValueError("quadrature weights must sum to 1")
 
 
-# the zero mode's rule: exact for the linear integrand x_b (c0 nu)_a
+# the one-node centroid rule
 CENTROID = QuadratureRule(points=np.full((1, 3), 1.0 / 3.0), weights=np.ones(1))
 
 
@@ -90,7 +92,8 @@ def _edge_moments(w, starts, start_of, offsets, unit):
     """Circulations (ne, 6) of segments under the non-zero modes: e in columns 0-2, f (``PAIRS`` order) in 3-5.
 
     Segment s runs from ``starts[start_of[s]]`` to that point plus
-    ``unit * offsets[s]``, ``offsets`` being integer (ne, 3).
+    ``unit * offsets[s]``, ``offsets`` being integer (ne, 3); its f is
+    taken about its start.
     """
     xis, cs = w.mode_arrays()
     # the modes xi and -xi give one real part: keep one of each pair, doubled; drop the zero mode
@@ -117,9 +120,19 @@ def _edge_moments(w, starts, start_of, offsets, unit):
         pd = psi @ d                                                     # (modes, alpha)
         coeff = np.concatenate([e0 * pd, e1 * (d[_BE] * pd[:, _AL] - d[_AL] * pd[:, _BE]) - e0 * (rho @ d)], axis=1)
         out[rows] = phase[start_row[rows]] @ np.stack([coeff.real, -coeff.imag], axis=1).reshape(-1, 6)
-    x0 = starts[start_of]
-    out[:, 3:] += x0[:, _BE] * out[:, _AL] - x0[:, _AL] * out[:, _BE]
     return out
+
+
+def _zero_mode_moments(c0, x0, x1):
+    """The zero mode's e and f (``PAIRS`` order), (ne, 3) each, along the segments ``x0`` -> ``x1`` (ne, 3).
+
+    ``c0`` is the symmetric zero mode and x is measured from the origin:
+    on the segment c0_a . (x x d) = c0_a . (x0 x x1) is constant, so
+    e_a = c0_a . (x0 x x1) / 2 and f_ab = 2/3 (m_b e_a - m_a e_b), m the midpoint.
+    """
+    e = 0.5 * np.cross(x0, x1) @ c0.real
+    mid = 0.5 * (x0 + x1)
+    return e, (2.0 / 3.0) * (mid[:, _BE] * e[:, _AL] - mid[:, _AL] * e[:, _BE])
 
 
 def _moment_functions(b, g, y):

@@ -2,17 +2,24 @@
 
 Pipeline: sample |w| on a grid, form the centered maximal function, flag
 the superlevel set at an effective threshold 1.25 * lambda, cover it with
-dyadic Whitney cubes, build the normalized bump partition, and cache the
-flux B and the antisymmetric first moment G - G^T of the triangle of cube
-centres of every triple of pairwise-intersecting cubes.  The truncated
-field equals w off the flagged cells and the partition-weighted sum of the
-local flux reconstructions on them.
+dyadic Whitney cubes, build the normalized bump partition, and cache six
+edge moments per pair of intersecting cubes.  The truncated field equals w
+off the flagged cells and the partition-weighted sum of the local flux
+reconstructions on them.
 
-The moments need no quadrature.  Off its zero mode each row of w is
+The reconstruction of cube k sums, over the triangles of cube centres
+with k as a vertex, the triangle's flux B and antisymmetric first moment
+G - G^T against partition derivatives.  Off its zero mode each row of w is
 curl psi_alpha, psi_alpha^ = i xi x c_alpha / (k |xi|^2), so by Stokes B and
-G - G^T are closed-form circulations of psi and of x_b psi_a - x_a psi_b -
-rho_ab along the triangle's sides (``flux``), taken once per cover pair;
-the zero mode c0 adds c0 nu and a centroid term.
+G - G^T are sums of closed-form circulations e and f of psi and of
+x_b psi_a - x_a psi_b - rho_ab along the triangle's sides (``flux``).
+Summing the third cube out with sum phi = 1 and its vanishing derivative
+sums makes T w a sum over pairs of active cubes of their edge terms, in
+which the partition weights cancel (``_kernels``): each cube's local
+reconstruction is T w itself.  The zero mode c0 enters through its
+potentials about the evaluated point, c0_a x x / 2 and
+(x_b c0_a x x - x_a c0_b x x) / 3, whose curls are c0_a and
+x_b c0_a - x_a c0_b for symmetric c0.
 
 ``verify`` measures the weak divergence of the rows of T w against the
 battery of plane waves cos(2 pi xi . x / period + phase), one wave per row
@@ -27,9 +34,9 @@ import numpy as np
 
 from . import _kernels
 from .fields import SYM6, SYM6_SLOT, TWO_PI, PreconditionError, TrigSymField, _sym6_sq, assert_div_free
-from .flux import _AL, _BE, CENTROID, _edge_moments, _moment_functions
+from .flux import CENTROID, _edge_moments
 from .maximal import OpenSetMask, ScalarGrid, bad_set, maximal_function, sample_abs
-from .whitney import _active_triples, _pack_slot, _partition, _upsample, whitney_decompose
+from .whitney import _partition, _upsample, whitney_decompose
 
 LAMBDA_EFF_FACTOR = 1.25
 BAD_MARGIN = 1e-9  # relative threshold slack: borderline cells count as bad
@@ -52,11 +59,11 @@ class TruncationContext:
     n: int
     bad: OpenSetMask
     cover: object            # WhitneyCover (cube arrays) or None when the bad set is empty
-    rule: object             # ``flux.CENTROID``, the one-node rule of the zero mode's centroid term
-    triples: np.ndarray      # (nt, 3) int32, sorted rows
-    tri_verts: np.ndarray    # (nt, 3, 3) centers unwrapped into a per-triple frame around the first
-    tri_B: np.ndarray        # (nt, 3) fluxes -(e01 + e12 - e02), plus c0 nu
-    tri_G: np.ndarray        # (nt, 3) G - G^T at ``flux.PAIRS``, in the frame: -(f01 + f12 - f02) + centroid term
+    rule: object             # ``flux.CENTROID``; the kernel reads no rule, the benchmark's tracer does
+    triples: np.ndarray      # (nt, 3) int32, sorted rows: the report's ``triple_count`` and the tracer's
+    tri_verts: np.ndarray    # (nt, 3, 3) centers unwrapped around the first; read by the tracer only
+    pairs: np.ndarray        # (np, 2) the cover's sorted pairs i < j, the keys of ``pair_M``
+    pair_M: np.ndarray       # (np, 6) e and f (``flux.PAIRS``) of w's non-zero modes from centre i to j, f about i
     _caches: dict = dfield(default_factory=dict)
 
     @property
@@ -83,83 +90,63 @@ def flag_bad_set(w: TrigSymField, lam: float, n: int):
     return g, m, lam_eff, mask
 
 
-def _triple_moments(w, cover, triples):
-    """Vertices unwrapped next to the anchor cube's centre (nt, 3, 3), fluxes B (nt, 3) and G - G^T (nt, 3).
+def _pair_moments(w, cover):
+    """The circulations (np, 6) of ``_edge_moments`` along each row (i, j) of ``cover.pairs``.
 
-    Each side of a sorted triple is a row of ``cover.pairs``, whose
-    circulations ``flux._edge_moments`` gives once, from the first cube's
-    centre along the wrapped offset in half cells.  The triple's frame puts
-    its sides 01 and 02 on those segments and side 12 a lattice vector a
-    from its pair's, which adds a_b e_a - a_a e_b to f.  A side missing
-    from the pairs raises ``KeyError``; centres off the half-cell lattice,
-    or a side 12 that the frame wraps apart from its pair, ``ValueError``.
+    Each segment runs from centre i along the wrapped offset to centre j,
+    in half cells; centres off the half-cell lattice raise ``ValueError``.
     """
-    pairs, unit = cover.pairs, cover.period / (2 * cover.n)
-    start, off = cover.centers[pairs[:, 0]], cover.wrap(cover.centers[pairs[:, 1]] - cover.centers[pairs[:, 0]])
-    offsets = np.rint(off / unit)
-    if len(offsets) and np.abs(off / unit - offsets).max() > 1e-9:
+    unit = cover.period / (2 * cover.n)
+    off = cover.wrap(np.diff(cover.centers[cover.pairs], axis=1)[:, 0]) / unit
+    offsets = np.rint(off)
+    if np.abs(off - offsets).max(initial=0.0) > 1e-9:
         raise ValueError("cube centres are off the half-cell lattice")
-    offsets = offsets.astype(np.int64)
-    nc, t = len(cover.centers), triples.astype(np.int64)
-    keys, want = pairs[:, 0] * nc + pairs[:, 1], t[:, [0, 0, 1]] * nc + t[:, [1, 2, 2]]
-    side = np.searchsorted(keys, want)
-    miss = np.append(keys, -1)[side] != want
-    if miss.any():
-        raise KeyError(f"{int(miss.any(axis=1).sum())} triples with a side missing from the cover's pairs")
-    s01, s02, s12 = side.T
-    if (offsets[s02] - offsets[s01] != offsets[s12]).any():
-        raise ValueError("a triple's frame wraps its side 12 apart from the pair's offset")
-    tri_verts = np.stack([cover.centers[triples[:, 0]], start[s01] + off[s01], start[s02] + off[s02]], axis=1)
-    edges, sides = np.zeros((len(pairs), 6)), np.flatnonzero(np.bincount(side.ravel(), minlength=len(pairs)))
-    edges[sides] = _edge_moments(w, cover.centers, pairs[sides, 0], offsets[sides], unit)
-    tri = edges[s02] - edges[s01]
-    tri -= edges[s12]
-    tri_b, tri_g = tri[:, :3], tri[:, 3:]
-    lattice = np.rint((start + off - cover.centers[pairs[:, 1]]) / cover.period) * cover.period
-    wraps = np.flatnonzero(lattice.any(axis=1)[s01])
-    a, e12 = lattice[s01[wraps]], edges[s12[wraps]]
-    tri_g[wraps] -= a[:, _BE] * e12[:, _AL] - a[:, _AL] * e12[:, _BE]
-    c0 = w.coeffs.get((0, 0, 0))
-    if c0 is not None:
-        nu = -0.5 * unit**2 * np.cross(offsets[s01], offsets[s02])     # exact zeros on collinear triples
-        b0 = nu @ c0.real.T
-        centroid = np.einsum("q,qv,tvd->td", CENTROID.weights, CENTROID.points, tri_verts)
-        tri_b += b0
-        tri_g += centroid[:, _BE] * b0[:, _AL] - centroid[:, _AL] * b0[:, _BE]
-    return tri_verts, tri_b, tri_g
+    return _edge_moments(w, cover.centers, cover.pairs[:, 0], offsets.astype(np.int64), unit)
 
 
 def build_context(w: TrigSymField, lam: float, n: int) -> TruncationContext:
-    """Run the full pipeline and cache triangle moments for all cube triples."""
+    """Run the full pipeline and cache the edge moments of all cube pairs."""
     assert_div_free(w, what="build_context input")
     _, _, lam_eff, mask = flag_bad_set(w, lam, n)
-    cover, triples = None, np.zeros((0, 3), dtype=np.int32)
-    tri_verts, tri_B, tri_G = np.zeros((0, 3, 3)), np.zeros((0, 3)), np.zeros((0, 3))
+    cover, triples, tri_verts = None, np.zeros((0, 3), dtype=np.int32), np.zeros((0, 3, 3))
+    pairs, pair_m = np.zeros((0, 2), dtype=np.int64), np.zeros((0, 6))
     if not mask.is_empty():
         cover = whitney_decompose(mask)
         triples = cover.triples()
-        tri_verts, tri_B, tri_G = _triple_moments(w, cover, triples)
+        anchor = cover.centers[triples[:, 0]]
+        tri_verts = np.stack([anchor] + [anchor + cover.wrap(cover.centers[triples[:, v]] - anchor) for v in (1, 2)],
+                             axis=1)
+        pairs, pair_m = cover.pairs, _pair_moments(w, cover)
     return TruncationContext(
         w=w, lam=lam, lam_eff=lam_eff, n=n, bad=mask, cover=cover,
-        rule=CENTROID, triples=triples, tri_verts=tri_verts, tri_B=tri_B, tri_G=tri_G)
+        rule=CENTROID, triples=triples, tri_verts=tri_verts, pairs=pairs, pair_M=pair_m)
 
 
 # ---------------------------------------------------------------------------
 # pointwise evaluation (the kernel's driver on a batch of points)
 
 
+def _pair_sum(ctx, pts):
+    """The kernel's values (k, 6) at the points ``pts`` (k, 3)."""
+    acc = np.zeros((len(pts), 6))
+    _kernels._evaluate(ctx.cover, ctx.pairs, ctx.pair_M, ctx.w.coeffs.get((0, 0, 0)), pts, acc)
+    return acc
+
+
 def local_field(ctx: TruncationContext, k: int, y) -> np.ndarray:
-    """The local reconstruction wtilde^(k) at ``y`` (must lie in cube k)."""
+    """The local reconstruction wtilde^(k) at ``y`` (must lie in cube k).
+
+    It is T w(y) for every cube k active at y: wtilde^(k) sums the triple
+    formula with phi_k's slot weighted by 1 and the others by 0, weights
+    that sum to 1 over the active cubes, and any such weights drop out of
+    the pair sum (``_kernels``), as the partition does in T w.
+    """
     y = np.asarray(y, dtype=float)
     if ctx.cover is None:
         raise PreconditionError("context has an empty cover")
-    acc = np.zeros((1, 6))
-    active = _kernels._evaluate(
-        ctx.cover, ctx.triples, ctx.tri_B, ctx.tri_G, ctx.tri_verts, y[None],
-        lambda rows, phi: [(ctx.triples[rows, v] == k).astype(float) for v in range(3)], acc)
-    if k not in active:
+    if k not in _partition(ctx.cover, y[None])[0]:
         raise PreconditionError(f"point {y} is outside cube {k}")
-    return sym6_to_mat(acc[0])
+    return sym6_to_mat(_pair_sum(ctx, y[None])[0])
 
 
 class TruncationEvaluator:
@@ -179,10 +166,7 @@ class TruncationEvaluator:
         vals = ctx.w.eval_many(pts)
         if ctx.cover is not None:
             bad = ctx.bad.contains(pts)
-            acc = np.zeros((int(bad.sum()), 6))
-            _kernels._evaluate(ctx.cover, ctx.triples, ctx.tri_B, ctx.tri_G, ctx.tri_verts, pts[bad],
-                               lambda rows, phi: [p[0] for p in phi], acc)
-            vals[bad] = sym6_to_mat(acc)
+            vals[bad] = sym6_to_mat(_pair_sum(ctx, pts[bad]))
         return vals.reshape(x.shape[:-1] + (3, 3))
 
 
@@ -226,9 +210,9 @@ def sample_bad_truncation(ctx: TruncationContext, m: int):
     npts = int(mask_m.sum())
     tvals = np.zeros((npts, 6))
     if ctx.cover is not None and npts:
-        _kernels.accumulate_truncation(ctx.triples, ctx.tri_B, ctx.tri_G, ctx.tri_verts,
+        _kernels.accumulate_truncation(ctx.triples, ctx.pairs, ctx.pair_M, ctx.tri_verts,
                                        ctx.cover.sides, m, ctx.period, bad_index,
-                                       ctx.cover, tvals)
+                                       ctx.cover, tvals, ctx.w.coeffs.get((0, 0, 0)))
     ctx._caches[key] = (bad_index, mask_m, tvals)
     return ctx._caches[key]
 
@@ -285,34 +269,7 @@ def divergence_defects(ctx: TruncationContext, m: int | None = None) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# identity checks and the verification report
-
-
-def summation_vanish_check(ctx: TruncationContext, a, b, c, mode, samples):
-    """Max over samples of the triple partition-derivative sums against B or A.
-
-    ``mode`` is ``("B", alpha)`` or ``("A", alpha, beta)``; ``a`` weights
-    phi_k, ``b`` weights phi_j, ``c`` weights phi_i, each a derivative
-    multi-index of total order <= 2 (the phi packs' range).  Samples
-    outside the bad set are skipped (counted in the returned report).
-    """
-    sa, sb, sc = (_pack_slot(o) for o in (a, b, c))
-    pts = np.asarray(list(samples), dtype=float).reshape(-1, 3)
-    if ctx.cover is None:
-        return {"max_abs": 0.0, "used": 0, "skipped": len(pts)}
-    used = pts[ctx.bad.contains(pts)]
-    cube, point, off, phi, _ = _partition(ctx.cover, used)
-    sub, rows = _active_triples(cube, point, ctx.triples, len(ctx.cover))
-    if mode[0] == "B":
-        val = ctx.tri_B[rows, mode[1]]
-    else:
-        yf = ctx.tri_verts[rows, 0] + off[sub[:, 0]]
-        val = _moment_functions(ctx.tri_B[rows].T, ctx.tri_G[rows], yf.T)[mode[1]][mode[2]]
-    ph = [np.take(phi, sub[:, v], axis=1) for v in range(3)]
-    total = sum(sg * (ph[pk][sa] * ph[pj][sb] * ph[pi][sc] * val) for pi, pj, pk, sg in _kernels._PERMS)
-    sums = np.bincount(point[sub[:, 0]], total, minlength=len(used))
-    return {"max_abs": float(np.abs(sums).max(initial=0.0)), "used": len(used),
-            "skipped": len(pts) - len(used)}
+# the verification report
 
 
 _REPORT_KEYS = {"lam": "lambda", "lam_eff": "lambda_effective", "n": "grid_n", "m": "eval_m"}

@@ -18,7 +18,7 @@ else: ``_eta_packs`` gives the bump derivatives and ``_phi_packs`` the
 quotient, as packs [v, dx, dy, dz, dxx, dyy, dzz, dyz, dxz, dxy] with the
 second derivatives in ``fields.SYM6`` order.  ``_partition`` applies them
 once per active (cube, point) pair of a batch of points;
-``_active_triples`` finds the cover's triples among each point's active cubes.
+``_active_pairs`` finds the cover's pairs among each point's active cubes.
 
 With ``DILATION = 2`` every support endpoint lies on the half-cell lattice
 (spacing h/2), so each open support is a box of whole half-cells.  The
@@ -145,28 +145,26 @@ def _partition(cover, x):
     return cube, point, off, _phi_packs(eta, np.take(s, point, axis=1)), s
 
 
-def _active_triples(cube, point, triples, nc):
-    """The 3-subsets of each point's active cubes: ``(sub, rows)``.
+def _active_pairs(cube, point, pairs, nc):
+    """The 2-subsets of each point's active cubes: ``(first, second, rows)``.
 
     ``cube`` and ``point`` are pair rows sorted by (point, cube), as
-    ``_partition`` returns them, and ``triples`` the sorted rows of a cover
-    of ``nc`` cubes.  ``sub`` (nsub, 3) holds the pair indices of each
-    subset in increasing cube order, points in turn, and ``rows`` the
-    triple each subset is.  Active cubes pairwise intersect, so a subset
-    missing from the triples raises ``KeyError``.
+    ``_partition`` returns them, and ``pairs`` the sorted cube pairs of a
+    cover of ``nc`` cubes.  ``first`` and ``second`` index the rows of each
+    subset in increasing cube order, points in turn, and ``rows`` the pair
+    each subset is.  Active cubes pairwise intersect, so a subset missing
+    from ``pairs`` raises ``KeyError``.
     """
     end = np.searchsorted(point, point, side="right")
     first, rank = _segments(end - np.arange(len(point)) - 1)
     second = first + 1 + rank
-    pair, rank = _segments(end[second] - second - 1)
-    sub = np.stack([first[pair], second[pair], second[pair] + 1 + rank], axis=1)
-    keys, want = (np.ravel_multi_index(t.T, (nc,) * 3) for t in (triples, cube[sub]))
+    keys, want = pairs[:, 0] * nc + pairs[:, 1], cube[first] * nc + cube[second]
     rows = np.searchsorted(keys, want)
     miss = np.append(keys, -1)[rows] != want
     if miss.any():
-        raise KeyError(f"{int(miss.sum())} triples of active cubes, first {cube[sub[miss][0]].tolist()}, "
-                       "missing from the moment cache")
-    return sub, rows
+        raise KeyError(f"{int(miss.sum())} pairs of active cubes, first "
+                       f"{cube[[first[miss][0], second[miss][0]]].tolist()}, missing from the moment cache")
+    return first, second, rows
 
 
 def _segments(counts):

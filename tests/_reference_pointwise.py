@@ -9,15 +9,16 @@ compare the packs (``phi_at``, ``whitney._partition`` at one point) with it.
 ``cubes_at`` lists the cubes whose open support holds a point, without
 the margin ``whitney._partition`` keeps; the partition and the tests use it.
 
-``summation_vanish_loop`` is ``truncation.summation_vanish_check`` as it
-ran before it took its samples as one batch: one point at a time, each
+``summation_vanish_loop`` is ``_subset_kernel.summation_vanish_check`` as
+it ran before it took its samples as one batch: one point at a time, each
 permutation's terms summed over the point's triples before the six are
 added.
 
 ``PointwiseReference`` is the per-point path the package used before it
 ran the grid kernel's formula at one point: phi derivatives from
-``pou_eval``, a dict from sorted cube triples to cache rows, and the
-permutation sign of each ordered triple applied to the cached B and A.
+``pou_eval``, a dict from sorted cube triples to rows of the triple
+moments (``_subset_kernel.subset_moments``), and the permutation sign of
+each ordered triple applied to their B and A.
 The tests compare ``truncation.TruncationEvaluator`` and
 ``truncation.local_field`` with it.  About 0.1 s per point on the n = 24
 test fixture.
@@ -28,11 +29,11 @@ from math import comb
 
 import numpy as np
 
-from divsym._kernels import _PERMS
+from _subset_kernel import PERMS, active_triples, subset_moments
 from divsym.fields import PreconditionError, _check_order
 from divsym.flux import PAIRS, _moment_functions
 from divsym.truncation import sym6_to_mat
-from divsym.whitney import SUPPORT_MARGIN, WhitneyCover, _active_triples, _pack_slot, _partition, bump
+from divsym.whitney import SUPPORT_MARGIN, WhitneyCover, _pack_slot, _partition, bump
 
 CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 _COMP6 = {(0, 0): 0, (1, 1): 1, (2, 2): 2, (1, 2): 3, (2, 1): 3, (0, 2): 4, (2, 0): 4, (0, 1): 5, (1, 0): 5}
@@ -66,6 +67,7 @@ def summation_vanish_loop(ctx, a, b, c, mode, samples):
     absolute values of its terms, the size its rounding scales with.
     """
     sa, sb, sc = (_pack_slot(o) for o in (a, b, c))
+    tri_b, tri_g = subset_moments(ctx)
     totals, scales, skipped = [], [], 0
     for y in samples:
         y = np.asarray(y, dtype=float)
@@ -73,14 +75,14 @@ def summation_vanish_loop(ctx, a, b, c, mode, samples):
             skipped += 1
             continue
         active, off, packs = phi_at(ctx.cover, y)
-        sub, rows = _active_triples(active, np.zeros_like(active), ctx.triples, len(ctx.cover))
+        sub, rows = active_triples(active, np.zeros_like(active), ctx.triples, len(ctx.cover))
         phi = [np.take(packs, sub[:, v], axis=1) for v in range(3)]
         if mode[0] == "B":
-            val = ctx.tri_B[rows, mode[1]]
+            val = tri_b[rows, mode[1]]
         else:
             yf = ctx.tri_verts[rows, 0] + off[sub[:, 0]]
-            val = _moment_functions(ctx.tri_B[rows].T, ctx.tri_G[rows], yf.T)[mode[1]][mode[2]]
-        terms = [sg * (phi[pk][sa] * phi[pj][sb] * phi[pi][sc] * val) for pi, pj, pk, sg in _PERMS]
+            val = _moment_functions(tri_b[rows].T, tri_g[rows], yf.T)[mode[1]][mode[2]]
+        terms = [sg * (phi[pk][sa] * phi[pj][sb] * phi[pi][sc] * val) for pi, pj, pk, sg in PERMS]
         totals.append(sum(float(t.sum()) for t in terms))
         scales.append(sum(float(np.abs(t).sum()) for t in terms))
     return np.array(totals), np.array(scales), skipped
@@ -221,6 +223,7 @@ class PointwiseReference:
     def accumulate_local(self, k, y, packs, active, weight=1.0):
         """Contribution phi-weighted local field of cube k at y (packed sym6)."""
         ctx = self.ctx
+        tri_b, tri_g = subset_moments(ctx)
         out = np.zeros(6)
         for i in active:
             for j in active:
@@ -228,13 +231,13 @@ class PointwiseReference:
                 if mom is None:
                     continue
                 row, sign = mom
-                b = sign * ctx.tri_B[row]
+                b = sign * tri_b[row]
                 yf = self.frame_point(row, y)
                 amat = np.zeros((3, 3))
                 for a in range(3):
                     for bb in range(a + 1, 3):
-                        val = sign * (yf[bb] * ctx.tri_B[row, a] - yf[a] * ctx.tri_B[row, bb]
-                                      - ctx.tri_G[row, PAIRS.index((a, bb))])
+                        val = sign * (yf[bb] * tri_b[row, a] - yf[a] * tri_b[row, bb]
+                                      - tri_g[row, PAIRS.index((a, bb))])
                         amat[a, bb] = val
                         amat[bb, a] = -val
                 _, dj, d2j = packs[j]

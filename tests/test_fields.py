@@ -163,6 +163,24 @@ class TestDivergence:
         assert f"(defect {divergence(g).max_coeff_norm():.3e})" in str(err.value)
 
 
+def three_step_divfree(seed, max_freq, period=1.0):
+    """``random_field(divfree=True)`` as it was built: draw, ``project_div_free``, drop the zero mode, rebuild."""
+    f = project_div_free(random_field(seed, max_freq, 1.0, period=period))
+    f.coeffs.pop((0, 0, 0), None)
+    return TrigSymField(f.coeffs, period=period)
+
+
+@pytest.mark.parametrize("max_freq", [2, 8])
+def test_divfree_draw_matches_three_step_route(max_freq):
+    # one construction, with each mode projected as drawn, gives the same bits
+    for seed in range(10):
+        got, want = random_field(seed, max_freq, 1.0, divfree=True), three_step_divfree(seed, max_freq)
+        assert list(got.coeffs) == list(want.coeffs)
+        assert all(got.coeffs[xi].tobytes() == c.tobytes() for xi, c in want.coeffs.items())
+    got, want = random_field(4, 2, 1.0, divfree=True, period=2.0), three_step_divfree(4, 2, period=2.0)
+    assert got.period == 2.0 and all(got.coeffs[xi].tobytes() == c.tobytes() for xi, c in want.coeffs.items())
+
+
 class TestProjection:
     def test_idempotent(self):
         f = random_field(2, 2, 1.0)

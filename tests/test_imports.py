@@ -57,7 +57,7 @@ PUBLIC = [
     "hull_membership", "local_field",
     "maximal_function", "potential_bad_set", "potential_inverse", "project_div_free",
     "qsdqc_estimate", "random_field", "sample_abs", "stability_comparison",
-    "summation_vanish_check", "truncate", "verify", "whitney_decompose", "zhang_bound_check",
+    "truncate", "verify", "whitney_decompose", "zhang_bound_check",
 ]
 
 

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _reference_moments as ref
+from _subset_kernel import triple_moments
 from divsym import flux, potential_trunc, whitney
 from divsym.fields import TrigSymField, potential_inverse, random_field
 from divsym.maximal import ScalarGrid, bad_set
-from divsym.truncation import _triple_moments, build_context, flag_bad_set, lambda_for_fraction
+from divsym.truncation import _pair_moments, build_context, flag_bad_set, lambda_for_fraction
 from divsym.whitney import whitney_decompose
 from test_potential import vt_level
 
@@ -51,7 +52,7 @@ def compare_oracle(w, cover, pick=None):
     Every triple, or with ``pick`` a random sample plus every wrapping and every collinear one.
     """
     triples = cover.triples()
-    tri_verts, tri_b, tri_g = _triple_moments(w, cover, triples)
+    tri_verts, tri_b, tri_g = triple_moments(w, cover, triples)
     rows = np.arange(len(triples))
     if pick is not None:
         wrapping, collinear = special(cover, triples, tri_verts)
@@ -77,7 +78,7 @@ def test_edge_moments_match_triangle_oracle(seed, fraction, n, max_freq, pick):
 
 @functools.cache
 def seed3(max_freq):
-    """The seed-3 field at ``max_freq``, drawn once (35,937 modes take seconds at F = 16)."""
+    """The seed-3 field at ``max_freq``, drawn once (35,937 modes take about a second at F = 16)."""
     return random_field(3, max_freq, 1.0, divfree=True)
 
 
@@ -160,7 +161,7 @@ def test_point_sums_off_dyadic_grids_and_at_high_frequency(max_freq, n):
     w = random_field(3, max_freq, 1.0, divfree=True)
     cover = cover_of(w, n, 0.08)
     triples = cover.triples()
-    tri_verts, tri_b, tri_g = _triple_moments(w, cover, triples)
+    tri_verts, tri_b, tri_g = triple_moments(w, cover, triples)
     rows = np.random.default_rng(n).integers(0, len(triples), 40)
     want_b, want_g = ref._batched_moments(w, tri_verts[rows], ref.triangle_rule(w, tri_verts[rows]))
     assert_close((tri_b[rows], tri_g[rows]), (want_b, ref.antisym(want_g)))
@@ -171,8 +172,8 @@ def test_permuted_triples_permute_the_moments():
     cover = cover_of(w, 16, 0.08)
     triples = cover.triples()
     perm = np.random.default_rng(1).permutation(len(triples))
-    want = _triple_moments(w, cover, triples)
-    got = _triple_moments(w, cover, triples[perm])
+    want = triple_moments(w, cover, triples)
+    got = triple_moments(w, cover, triples[perm])
     for g, v in zip(got, want, strict=True):
         assert np.array_equal(g, v[perm])
 
@@ -200,7 +201,7 @@ def test_off_lattice_centres_refused():
     cover = whitney_decompose(bad_set(ScalarGrid(n=n, period=1.0, values=vals), 0.5))
     cover.centers[1] += 1e-4
     with pytest.raises(ValueError, match="lattice"):
-        _triple_moments(random_field(1, 1, 1.0, divfree=True), cover, np.array([[0, 1, 2]], dtype=np.int32))
+        _pair_moments(random_field(1, 1, 1.0, divfree=True), cover)
 
 
 def test_triple_with_a_side_off_the_pairs_refused():
@@ -211,7 +212,7 @@ def test_triple_with_a_side_off_the_pairs_refused():
     cover = whitney_decompose(bad_set(ScalarGrid(n=n, period=1.0, values=vals), 0.5))
     assert cover.pairs.tolist() == [[0, 1], [1, 2]]
     with pytest.raises(KeyError, match="pairs"):
-        _triple_moments(random_field(1, 1, 1.0, divfree=True), cover, np.array([[0, 1, 2]], dtype=np.int32))
+        triple_moments(random_field(1, 1, 1.0, divfree=True), cover, np.array([[0, 1, 2]], dtype=np.int32))
 
 
 def test_triple_wrapped_apart_refused():
@@ -221,7 +222,7 @@ def test_triple_wrapped_apart_refused():
                             pairs=np.array([[0, 1], [0, 2], [1, 2]]))
     cover.wrap = lambda delta: (np.asarray(delta) + 0.5) % 1.0 - 0.5
     with pytest.raises(ValueError, match="wraps"):
-        _triple_moments(random_field(1, 1, 1.0, divfree=True), cover, np.array([[0, 1, 2]], dtype=np.int32))
+        triple_moments(random_field(1, 1, 1.0, divfree=True), cover, np.array([[0, 1, 2]], dtype=np.int32))
 
 
 def test_no_point_sums(monkeypatch):
@@ -284,3 +285,11 @@ def test_compare_stops_at_the_mask(monkeypatch):
     assert rep["potential"]["bad_fraction"] == float(potential.mask.mean())
     whitney_decompose(mask)   # the counter sees a cover that is built
     assert len(covers) == 1
+
+
+def test_context_frames_match_the_oracle():
+    # the context keeps the triples' frames for the benchmark's tracer, without their moments
+    w = random_field(3, 2, 1.0, divfree=True)
+    ctx = build_context(w, lambda_for_fraction(w, 16, 0.08), 16)
+    assert ctx.pairs is ctx.cover.pairs
+    assert np.array_equal(ctx.tri_verts, triple_moments(w, ctx.cover, ctx.triples)[0])

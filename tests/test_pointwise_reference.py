@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _reference_pointwise import PointwiseReference, cubes_at, pou_eval
+from _subset_kernel import subset_local_field
 from divsym import whitney
 from divsym.fields import TrigSymField, project_div_free, random_field
 from divsym.truncation import (build_context, lambda_for_fraction, local_field, sample_bad_truncation, sym6_to_mat,
@@ -15,7 +16,7 @@ from divsym.whitney import SUPPORT_MARGIN
 
 # Agreement bound, relative to max(1, largest reference component): the
 # kernel formula takes phi derivatives from the packed quotient instead of
-# the Leibniz recursion and sums the triples in another order.
+# the Leibniz recursion and sums pairs where the reference sums triples.
 RTOL = 1e-10
 
 # seed, n (20 is not dyadic), bad fraction; build_context dominates the cost
@@ -102,26 +103,48 @@ def test_batched_evaluator_matches_points(seed, percent, n, pick, k, stacked):
     np.testing.assert_allclose(vals, want, rtol=0, atol=1e-12 * max(1.0, np.abs(tvals).max()))
 
 
-def test_missing_triple_raises():
+def test_missing_pair_raises():
     w = div_free(3)
     ctx = build_context(w, lambda_for_fraction(w, 16, 0.03), 16)
-    row = len(ctx.triples) // 2
-    verts = ctx.tri_verts[row]
-    half = 0.5 * ctx.cover.sides[ctx.triples[row]][:, None]
-    # axis-parallel boxes that pairwise intersect share a point
-    y = 0.5 * ((verts - half).max(axis=0) + (verts + half).min(axis=0)) % ctx.period
-    k = int(ctx.triples[row, 0])
-    local_field(ctx, k, y)
-    cut = dataclasses.replace(
-        ctx, triples=np.delete(ctx.triples, row, axis=0), tri_verts=np.delete(ctx.tri_verts, row, axis=0),
-        tri_B=np.delete(ctx.tri_B, row, axis=0), tri_G=np.delete(ctx.tri_G, row, axis=0), _caches={})
+    # a flagged point inside both supports of a pair: the centre of the boxes' overlap
+    for row, (i, j) in enumerate(ctx.pairs):
+        verts = ctx.cover.centers[i] + ctx.cover.wrap(ctx.cover.centers[[i, j]] - ctx.cover.centers[i])
+        half = 0.5 * ctx.cover.sides[[i, j]][:, None]
+        y = 0.5 * ((verts - half).max(axis=0) + (verts + half).min(axis=0)) % ctx.period
+        if ctx.bad.contains(y):
+            break
+    else:
+        pytest.fail("no pair overlaps at a flagged point")
+    local_field(ctx, int(i), y)
+    cut = dataclasses.replace(ctx, pairs=np.delete(ctx.pairs, row, axis=0),
+                              pair_M=np.delete(ctx.pair_M, row, axis=0), _caches={})
     with pytest.raises(KeyError):
-        local_field(cut, k, y)
-    if ctx.bad.contains(y):
-        with pytest.raises(KeyError):
-            truncate(cut)(y)
+        local_field(cut, int(i), y)
+    with pytest.raises(KeyError):
+        truncate(cut)(y)
     with pytest.raises(KeyError):
         sample_bad_truncation(cut, 32)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 30), st.integers(1, 16), st.sampled_from([16, 20, 24]), st.integers(0, 2**16))
+def test_local_field_is_the_truncation(seed, percent, n, pick):
+    # wtilde^(k)(y) weights the orderings with k in their k slot by 1: weights that sum
+    # to 1 over the active cubes, so they drop out as the partition does
+    w = div_free(seed)
+    ctx = build_context(w, lambda_for_fraction(w, n, percent / 100), n)
+    rng = np.random.default_rng(pick)
+    cells = np.argwhere(ctx.bad.mask)
+    pts = (cells[rng.integers(0, len(cells), size=5)] + rng.random((5, 3))) * (ctx.period / n)
+    vals = truncate(ctx)(pts)
+    scale = max(1.0, np.abs(vals).max())
+    for y, val in zip(pts, vals):
+        active = active_cubes(ctx.cover, y)
+        assert len(active) >= 1
+        for k in active:
+            np.testing.assert_allclose(local_field(ctx, k, y), val, rtol=0, atol=1e-12 * scale)
+        k = active[rng.integers(0, len(active))]
+        np.testing.assert_allclose(subset_local_field(ctx, k, y), val, rtol=0, atol=1e-12 * scale)
 
 
 def test_partition_evaluated_once_per_pair(monkeypatch):

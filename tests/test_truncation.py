@@ -8,6 +8,7 @@ from _reference_divergence import battery_psis, divergence_battery, spiked_batte
 from _reference_moments import _batched_moments, _triangle_moments, antisym, triangle_rule
 from _reference_pointwise import (PointwiseReference, build_partition, cubes_at, phi_at, pou_eval,
                                   summation_vanish_loop)
+from _subset_kernel import summation_vanish_check
 from divsym import truncation
 from divsym.fields import (SYM6, SYM6_SLOT, PreconditionError, TrigSymField, UnsupportedOrderError,
                            _cell_centers, project_div_free, random_field)
@@ -15,13 +16,13 @@ from divsym.flux import _moment_functions
 from divsym.maximal import ScalarGrid, bad_set
 from divsym.truncation import (
     TruncationContext,
+    _pair_moments,
     build_context,
     divergence_defects,
     lambda_for_fraction,
     local_field,
     sample_bad_truncation,
     sample_truncation_norm,
-    summation_vanish_check,
     sym6_to_mat,
     truncate,
     verify,
@@ -109,7 +110,8 @@ class TestLocalField:
     def test_transcription_oracle(self):
         # independent straight-line evaluation of the two component formulas,
         # with every flux/moment integral done by direct quadrature (no cache,
-        # no sign bookkeeping), on a hand-placed three-cube cover
+        # no sign bookkeeping), on a hand-placed three-cube cover; the package
+        # side runs the pair kernel on its edge moments
         n = 16
         vals = np.zeros((n, n, n))
         for cell in [(4, 4, 4), (5, 4, 4), (5, 5, 4)]:
@@ -125,11 +127,11 @@ class TestLocalField:
         for v in (1, 2):
             tri_verts[0, v] = cover.centers[0] + cover.wrap(cover.centers[v] - cover.centers[0])
         rule = triangle_rule(w, tri_verts)
-        tri_b, tri_g = _batched_moments(w, tri_verts, rule)
+        assert cover.pairs.tolist() == [[0, 1], [0, 2], [1, 2]]
         ctx = TruncationContext(
             w=w, lam=1.0, lam_eff=1.25, n=n, bad=mask,
             cover=cover, rule=rule, triples=triples, tri_verts=tri_verts,
-            tri_B=tri_b, tri_G=antisym(tri_g),
+            pairs=cover.pairs, pair_M=_pair_moments(w, cover),
         )
         y = (np.array([5, 4, 4]) + np.array([0.45, 0.52, 0.5])) / n
         active = cubes_at(cover, y)

@@ -34,11 +34,11 @@ x_b c0_a - x_a c0_b; ``_zero_mode_moments`` gives their circulations.
 G - G^T is kept as its three entries (a, b) of ``PAIRS``.  ``CENTROID``,
 the one-node centroid rule, is read only by the benchmark's tracer.
 
-``_edge_moments`` takes the segments offset by offset (the offsets are
-integer multiples of a unit): for each offset the folded coefficients of
-its modes make one real (2 modes x 6) matrix, and one GEMM with the
-phase rows cos, sin of k xi.x0 of its start points gives e and f.  No
-field value is evaluated at any point.
+``_edge_moments`` groups the segments by offset (the offsets are integer
+multiples of a unit): the folded coefficients of each distinct offset's
+modes make one real (2 modes x 6) matrix, all built in one batch, and one
+GEMM per offset with the phase rows cos, sin of k xi.x0 of its start
+points gives e and f.  No field value is evaluated at any point.
 """
 
 from __future__ import annotations
@@ -108,18 +108,23 @@ def _edge_moments(w, starts, start_of, offsets, unit):
     eye = np.eye(3)
     r = np.cross(eye[_BE], psi[:, _AL]) - np.cross(eye[_AL], psi[:, _BE])  # R_ab, divergence-free
     rho = np.cross(xis[:, None], r) * inv                                 # (modes, pair, 3)
+    low = offsets.min(initial=0)
+    span = int(offsets.max(initial=0) - low) + 1
+    _, first, group = np.unique((offsets - low) @ span ** np.arange(2, -1, -1), return_index=True,
+                                return_inverse=True)
+    # every distinct offset's (2 modes x 6) real matrix at once
+    d = offsets[first] * unit                                           # (offsets, 3)
+    e0, e1 = (v[..., None] for v in _segment_integrals(k * unit * (offsets[first] @ xis.T)))
+    pd = np.tensordot(d, psi, axes=(1, 2))                              # (offsets, modes, alpha)
+    coeff = np.concatenate([e0 * pd, e1 * (d[:, None, _BE] * pd[..., _AL] - d[:, None, _AL] * pd[..., _BE])
+                            - e0 * np.tensordot(d, rho, axes=(1, 2))], axis=2)
+    mats = np.stack([coeff.real, -coeff.imag], axis=2).reshape(len(first), -1, 6)
+    # one GEMM per offset with the phase rows cos, sin of k xi.x0 of its segments' starts
     used, start_row = np.unique(start_of, return_inverse=True)
     phase = 1j * k * (starts[used] @ xis.T)
     phase = np.exp(phase, out=phase).view(float)                        # (starts, modes x [cos, sin])
-    low = offsets.min(initial=0)
-    span = int(offsets.max(initial=0) - low) + 1
-    _, group = np.unique((offsets - low) @ span ** np.arange(2, -1, -1), return_inverse=True)
-    for rows in np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1]):
-        d = offsets[rows[0]] * unit
-        e0, e1 = (v[:, None] for v in _segment_integrals(k * unit * (xis @ offsets[rows[0]])))
-        pd = psi @ d                                                     # (modes, alpha)
-        coeff = np.concatenate([e0 * pd, e1 * (d[_BE] * pd[:, _AL] - d[_AL] * pd[:, _BE]) - e0 * (rho @ d)], axis=1)
-        out[rows] = phase[start_row[rows]] @ np.stack([coeff.real, -coeff.imag], axis=1).reshape(-1, 6)
+    for g, rows in enumerate(np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])):
+        out[rows] = phase[start_row[rows]] @ mats[g]
     return out
 
 

@@ -225,12 +225,20 @@ def _w_on_grid(ctx, m):
     return ctx._caches[key]
 
 
+def _w_sq_on_grid(ctx, m):
+    """The squared Frobenius norms of w on the m-grid, (m, m, m)."""
+    key = ("w_sq", m)
+    if key not in ctx._caches:
+        ctx._caches[key] = _sym6_sq(_w_on_grid(ctx, m))
+    return ctx._caches[key]
+
+
 def sample_truncation_norm(ctx: TruncationContext, m: int) -> ScalarGrid:
     """Frobenius norm of the truncated field on the m-grid, sampled once per context and m."""
     key = ("norm", m)
     if key not in ctx._caches:
         _, mask_m, tvals = sample_bad_truncation(ctx, m)
-        sq = _sym6_sq(_w_on_grid(ctx, m))
+        sq = _w_sq_on_grid(ctx, m).copy()
         sq[mask_m] = _sym6_sq(tvals)
         ctx._caches[key] = ScalarGrid(n=m, period=ctx.period, values=np.sqrt(sq))
     return ctx._caches[key]
@@ -263,9 +271,10 @@ def divergence_defects(ctx: TruncationContext, m: int | None = None) -> np.ndarr
     h = ctx.period / m
     k = TWO_PI / ctx.period
     pts = (np.argwhere(mask_m) + 0.5) * h
-    grads = -np.sin(k * (pts @ BATTERY_XI.T) + BATTERY_PHASE)[..., None] * (k * BATTERY_XI)
+    sines = np.sin(k * (pts @ BATTERY_XI.T) + BATTERY_PHASE)                # grad psi_q = -sines[:, q] k xi_q
     diff = (tvals - _w_on_grid(ctx, m)[mask_m])[:, SYM6_SLOT]
-    return np.abs(_pairings(ctx.w) + np.einsum("pad,pqd->qa", diff, grads) * h**3)
+    moments = (sines.T @ diff.reshape(len(diff), 9)).reshape(-1, 3, 3)     # (waves, alpha, 3)
+    return np.abs(_pairings(ctx.w) - (moments @ (k * BATTERY_XI)[..., None])[..., 0] * h**3)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +319,7 @@ def verify(ctx: TruncationContext, m: int | None = None) -> VerificationReport:
     h3 = (ctx.period / m) ** 3
 
     wcomps = _w_on_grid(ctx, m)
-    norm_w = np.sqrt(_sym6_sq(wcomps))
+    norm_w = np.sqrt(_w_sq_on_grid(ctx, m))
     linf_ratio = sample_truncation_norm(ctx, m).values.max() / ctx.lam
 
     l1_distance = float(np.sqrt(_sym6_sq(tvals - wcomps[mask_m])).sum()) * h3

@@ -14,9 +14,10 @@ partition is the normalized family ``phi_j = eta_j / sum eta``; since the
 cores tile the covered set, the normalizer is >= 1 there.
 
 The partition's derivatives up to second order live here and nowhere
-else: ``_eta_packs`` gives the bump derivatives and ``_phi_packs`` the
-quotient, as packs [v, dx, dy, dz, dxx, dyy, dzz, dyz, dxz, dxy] with the
-second derivatives in ``fields.SYM6`` order.  ``_partition`` applies them
+else: ``_bumps`` gives b, b' and b'' in one pass per axis, ``_eta_packs``
+their products and ``_phi_packs`` the quotient, as packs
+[v, dx, dy, dz, dxx, dyy, dzz, dyz, dxz, dxy] with the second derivatives
+in ``fields.SYM6`` order.  ``_partition`` applies them
 once per active (cube, point) pair of a batch of points;
 ``_active_pairs`` finds the cover's pairs among each point's active cubes.
 
@@ -48,38 +49,36 @@ _TRANS = BUMP_SUPP - BUMP_CORE  # transition width in units of the dilated side
 SUPPORT_MARGIN = 1e-12
 
 
-def _smootherstep(s, order):
-    """Derivative ``order`` (<= 3) of S(s) = s^5 (126 - 420 s + 540 s^2 - 315 s^3 + 70 s^4).
+def _bumps(t):
+    """The 1-D bump b = 1 - S(s) and its derivatives b', b'' at ``t``, from one clipped s; vectorized.
 
-    S rises from 0 to 1 on [0, 1] with four vanishing derivatives at both
-    ends.  The derivatives are kept in factored form: next to the support
-    edge s = 1 they vanish to high order, and an expanded polynomial would
-    leave rounding noise of up to 1e-11 there instead.
-    """
-    r = 1.0 - s
-    if order == 0:
-        return s**5 * (126.0 + s * (-420.0 + s * (540.0 + s * (-315.0 + s * 70.0))))
-    if order == 1:
-        return 630.0 * s**4 * r**4
-    if order == 2:
-        return 2520.0 * s**3 * r**3 * (1.0 - 2.0 * s)
-    if order == 3:
-        return 2520.0 * s**2 * r**2 * (3.0 + s * (-14.0 + s * 14.0))
-    raise UnsupportedOrderError(f"bump derivative order {order} exceeds 3")
-
-
-def bump(t, order=0):
-    """The 1-D bump b = 1 - S(s) (or derivative b^(k), k <= 3) at ``t``; vectorized.
-
-    s = (|t| - BUMP_CORE) / _TRANS clipped to [0, 1]: S(0) = 0, S(1) = 1 and every
-    derivative of S vanishes at both ends, exactly, so core and outside need no masks.
+    S(s) = s^5 (126 - 420 s + 540 s^2 - 315 s^3 + 70 s^4) rises from 0 to 1
+    on [0, 1] with four vanishing derivatives at both ends, and
+    s = (|t| - BUMP_CORE) / _TRANS is clipped to [0, 1], so core and outside
+    need no masks.  S' = 630 u^4 and S'' = 2520 u^3 (1 - 2 s) share
+    u = s (1 - s).  This factored form vanishes to high order next to the
+    support edge s = 1, where an expanded polynomial would leave rounding
+    noise of up to 1e-11.
     """
     t = np.asarray(t, dtype=float)
     s = np.clip((np.abs(t) - BUMP_CORE) / _TRANS, 0.0, 1.0)
-    if order == 0:
-        out = 1.0 - _smootherstep(s, 0)
+    u = s * (1.0 - s)
+    u3 = u * u * u
+    s2 = s * s
+    b = 1.0 - s2 * s2 * s * (126.0 + s * (-420.0 + s * (540.0 + s * (-315.0 + s * 70.0))))
+    return b, np.copysign(630.0 / _TRANS * u3 * u, -t), (-2520.0 / _TRANS**2 * u3) * (1.0 - 2.0 * s)
+
+
+def bump(t, order=0):
+    """The 1-D bump b (or derivative b^(k), k <= 3) at ``t``; vectorized.  Orders up to 2 are ``_bumps``'."""
+    t = np.asarray(t, dtype=float)
+    if order == 3:   # b''' = -sign(t) S'''(s) / _TRANS^3, S''' = 2520 u^2 (3 - 14 s + 14 s^2)
+        s = np.clip((np.abs(t) - BUMP_CORE) / _TRANS, 0.0, 1.0)
+        out = -2520.0 / _TRANS**3 * (s * (1.0 - s)) ** 2 * (3.0 + s * (-14.0 + s * 14.0)) * np.where(t < 0, -1.0, 1.0)
+    elif order in (0, 1, 2):
+        out = _bumps(t)[order]
     else:
-        out = -_smootherstep(s, order) / _TRANS**order * np.where(t < 0, (-1.0) ** order, 1.0)
+        raise UnsupportedOrderError(f"bump derivative order {order} exceeds 3")
     return float(out) if out.ndim == 0 else out
 
 
@@ -89,16 +88,15 @@ _D2 = 4 + SYM6_SLOT
 
 def _eta_packs(x, center, side):
     """Bump derivative packs of the cubes (center, side) at x, one column per pair."""
-    t = (x - center) / side[:, None]
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = [
-        [bump(t[:, d], k) for k in range(3)] for d in range(3)]
-    s2 = side * side
-    return np.stack([
-        a0 * b0 * c0,
-        a1 * b0 * c0 / side, a0 * b1 * c0 / side, a0 * b0 * c1 / side,
-        a2 * b0 * c0 / s2, a0 * b2 * c0 / s2, a0 * b0 * c2 / s2,
-        a0 * b1 * c1 / s2, a1 * b0 * c1 / s2, a1 * b1 * c0 / s2,
-    ])
+    inv = 1.0 / side
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (_bumps(t) for t in ((x - center) * inv[:, None]).T)
+    a1, b1, c1, inv2 = a1 * inv, b1 * inv, c1 * inv, inv * inv
+    bc, ac, ab = b0 * c0, a0 * c0, a0 * b0
+    out = np.empty((10, len(side)))
+    for row, (u, v) in enumerate(((a0, bc), (a1, bc), (b1, ac), (c1, ab), (a2 * inv2, bc), (b2 * inv2, ac),
+                                  (c2 * inv2, ab), (a0, b1 * c1), (b0, a1 * c1), (c0, a1 * b1))):
+        np.multiply(u, v, out=out[row])
+    return out
 
 
 def _phi_packs(eta, spk):
@@ -137,30 +135,31 @@ def _partition(cover, x):
     (10, points), each point's pairs added in cube order.
     """
     cube, point = cover.candidates(x)
-    off = cover.wrap(x[point] - cover.centers[cube])
-    keep = (np.abs(off) < cover.sides[cube, None] / 2.0 - SUPPORT_MARGIN).all(axis=1)
-    cube, point, off = cube[keep], point[keep], off[keep]
-    eta = _eta_packs(off, 0.0, cover.sides[cube])
+    off, side = cover.wrap(x[point] - cover.centers[cube]), cover.sides[cube]
+    keep = (np.abs(off) < side[:, None] / 2.0 - SUPPORT_MARGIN).all(axis=1)
+    cube, point, off, side = cube[keep], point[keep], off[keep], side[keep]
+    eta = _eta_packs(off, 0.0, side)
     s = np.stack([np.bincount(point, row, minlength=len(x)) for row in eta])
     return cube, point, off, _phi_packs(eta, np.take(s, point, axis=1)), s
 
 
-def _active_pairs(cube, point, pairs, nc):
+def _active_pairs(cube, point, keys, nc):
     """The 2-subsets of each point's active cubes: ``(first, second, rows)``.
 
     ``cube`` and ``point`` are pair rows sorted by (point, cube), as
-    ``_partition`` returns them, and ``pairs`` the sorted cube pairs of a
-    cover of ``nc`` cubes.  ``first`` and ``second`` index the rows of each
-    subset in increasing cube order, points in turn, and ``rows`` the pair
-    each subset is.  Active cubes pairwise intersect, so a subset missing
-    from ``pairs`` raises ``KeyError``.
+    ``_partition`` returns them; ``keys`` holds the sorted keys i * nc + j
+    of the cube pairs i < j of a cover of ``nc`` cubes, then nc^2.
+    ``first`` and ``second`` index the rows of each subset in increasing
+    cube order, points in turn, and ``rows`` the pair each subset is.
+    Active cubes pairwise intersect, so a subset missing from ``keys``
+    raises ``KeyError``.
     """
     end = np.searchsorted(point, point, side="right")
     first, rank = _segments(end - np.arange(len(point)) - 1)
     second = first + 1 + rank
-    keys, want = pairs[:, 0] * nc + pairs[:, 1], cube[first] * nc + cube[second]
+    want = cube[first] * nc + cube[second]
     rows = np.searchsorted(keys, want)
-    miss = np.append(keys, -1)[rows] != want
+    miss = keys[rows] != want
     if miss.any():
         raise KeyError(f"{int(miss.sum())} pairs of active cubes, first "
                        f"{cube[[first[miss][0], second[miss][0]]].tolist()}, missing from the moment cache")
@@ -206,7 +205,9 @@ class WhitneyCover:
         """``cell_ids[cell_ptr[c]:cell_ptr[c + 1]]``: the cubes whose open support holds half-cell c.
 
         Lists are increasing.  A support endpoint more than 1e-9 half-cells
-        off the lattice raises ``ValueError``.
+        off the lattice raises ``ValueError``.  Cubes of one level share a
+        box width, so the boxes of each width expand in one broadcast; one
+        sort of the keys cell * nc + cube orders the lists.
         """
         m = 2 * self.n
         half = self.sides[:, None] / 2.0
@@ -214,18 +215,32 @@ class WhitneyCover:
         lattice = np.rint(ends)
         if np.abs(ends - lattice).max(initial=0.0) > 1e-9:
             raise ValueError("support endpoints are off the half-cell lattice")
-        cube, cells = _box_cells(lattice[0].astype(np.int64), (lattice[1] - lattice[0]).astype(np.int64), m)
-        order = np.lexsort((cube, cells))
-        self.cell_ids = cube[order]
+        lo, width, nc = lattice[0].astype(np.int64), (lattice[1] - lattice[0]).astype(np.int64), len(self)
+        keys = [np.zeros(0, dtype=np.int64)]
+        for w in np.unique(width, axis=0):
+            box = np.flatnonzero((width == w).all(axis=1))
+            i, j, k = ((lo[box, d, None] + np.arange(w[d])) % m for d in range(3))
+            cells = (i[:, :, None, None] * m + j[:, None, :, None]) * m + k[:, None, None, :]
+            keys.append((cells * nc + box[:, None, None, None]).ravel())
+        keys = np.sort(np.concatenate(keys))
+        self.cell_ids = keys % nc
         self.cell_ptr = np.zeros(m**3 + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cells, minlength=m**3), out=self.cell_ptr[1:])
+        np.cumsum(np.bincount(keys // nc, minlength=m**3), out=self.cell_ptr[1:])
 
     def __len__(self):
         return len(self.sides)
 
     def wrap(self, delta):
+        """``delta`` minus the nearest multiple of the period p: the offset in [-p/2, p/2].
+
+        It is ``delta`` itself, exactly, for |delta| < p/2, and the bounds
+        hold exactly when p is a power of two (else to rounding).  Ties
+        round to even, so +-p/2 both occur; no offset the kernel reads gets
+        there, since an active one is below side/2 <= p/4.
+        """
         p = self.period
-        return (np.asarray(delta) + p / 2.0) % p - p / 2.0
+        delta = np.asarray(delta, dtype=float)
+        return delta - p * np.rint(delta / p)
 
     def candidates(self, x):
         """The index lists at the points ``x`` (k, 3): ``(cube, point)`` rows sorted by (point, cube).
@@ -257,7 +272,8 @@ class WhitneyCover:
         ptr, ids = self.cell_ptr, self.cell_ids
         cell_end = np.repeat(ptr[1:], np.diff(ptr))
         entry, rank = _segments(cell_end - np.arange(len(ids)) - 1)
-        keys = np.unique(ids[entry] * nc + ids[entry + 1 + rank])   # entry x later entries of its list
+        keys = np.sort(ids[entry] * nc + ids[entry + 1 + rank])     # entry x later entries of its list
+        keys = keys[np.diff(keys, prepend=-1) != 0]                 # a sort beats np.unique's hashing
         return np.stack([keys // nc, keys % nc], axis=1)
 
     def triples(self):

@@ -18,7 +18,9 @@ lives here as the reference the closed forms are tested against:
 - ``_batched_moments``: the same integrals with every node evaluated by
   ``eval_many``, the check on the factoring;
 - ``gauss_green_defect_A`` and ``_B``: the closed-surface combinations
-  over a tetrahedron's four faces, zero for exact moments.
+  over a tetrahedron's four faces, zero for exact moments;
+- ``edge_moments_loop``: ``flux._edge_moments`` offset by offset, each
+  offset's (2 modes x 6) matrix built on its own, the check on the batch.
 
 G comes back as the full (nt, 3, 3) first moment; ``antisym`` gives the
 three entries of G - G^T in ``flux.PAIRS`` order that the kernel reads.
@@ -27,7 +29,7 @@ three entries of G - G^T in ``flux.PAIRS`` order that the kernel reads.
 import numpy as np
 
 from divsym.fields import TWO_PI, TrigSymField, assert_div_free
-from divsym.flux import PAIRS, QuadratureRule, _moment_functions
+from divsym.flux import _AL, _BE, PAIRS, QuadratureRule, _moment_functions, _segment_integrals
 
 DEGENERACY_TOL = 1e-12
 
@@ -168,3 +170,32 @@ def gauss_green_defect_A(w: TrigSymField, x_i, x_j, x_k, x_l, y, alpha: int, bet
     b, g = _face_moments(w, x_i, x_j, x_k, x_l)
     a = np.broadcast_to(_moment_functions(b, antisym(g), np.asarray(y, dtype=float)[:, None])[alpha][beta], 4)
     return float(a[0] - a[1] - a[2] - a[3])
+
+
+def edge_moments_loop(w, starts, start_of, offsets, unit):
+    """``flux._edge_moments`` with one matrix and one GEMM per distinct offset, built in turn."""
+    xis, cs = w.mode_arrays()
+    key = xis @ (2 * np.abs(xis).max(initial=0) + 1) ** np.arange(2, -1, -1)
+    xis, cs = xis[key > 0], 2.0 * cs[key > 0]
+    out = np.zeros((len(start_of), 6))
+    if not len(xis) or not len(start_of):
+        return out
+    k = TWO_PI / w.period
+    inv = 1j / (k * (xis * xis).sum(axis=1))[:, None, None]
+    psi = np.cross(xis[:, None], cs) * inv
+    eye = np.eye(3)
+    r = np.cross(eye[_BE], psi[:, _AL]) - np.cross(eye[_AL], psi[:, _BE])
+    rho = np.cross(xis[:, None], r) * inv
+    used, start_row = np.unique(start_of, return_inverse=True)
+    phase = 1j * k * (starts[used] @ xis.T)
+    phase = np.exp(phase, out=phase).view(float)
+    low = offsets.min(initial=0)
+    span = int(offsets.max(initial=0) - low) + 1
+    _, group = np.unique((offsets - low) @ span ** np.arange(2, -1, -1), return_inverse=True)
+    for rows in np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1]):
+        d = offsets[rows[0]] * unit
+        e0, e1 = (v[:, None] for v in _segment_integrals(k * unit * (xis @ offsets[rows[0]])))
+        pd = psi @ d
+        coeff = np.concatenate([e0 * pd, e1 * (d[_BE] * pd[:, _AL] - d[_AL] * pd[:, _BE]) - e0 * (rho @ d)], axis=1)
+        out[rows] = phase[start_row[rows]] @ np.stack([coeff.real, -coeff.imag], axis=1).reshape(-1, 6)
+    return out

@@ -265,6 +265,20 @@ def test_one_exponential_per_start_mode_and_offset_mode(monkeypatch):
     assert 0 < sum(sizes) <= (starts + groups) * modes
 
 
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 30), st.sampled_from([16, 24, 32]), st.sampled_from([0.04, 0.08, 0.16]), st.sampled_from([2, 4]))
+def test_batched_edge_moments_match_per_offset_loop(seed, n, fraction, max_freq):
+    # every distinct offset's matrix comes from one batch; the loop builds them offset by offset
+    w = random_field(seed, max_freq, 1.0, divfree=True)
+    cover = cover_of(w, n, fraction)
+    unit = cover.period / (2 * cover.n)
+    offsets = np.rint(cover.wrap(np.diff(cover.centers[cover.pairs], axis=1)[:, 0]) / unit).astype(np.int64)
+    args = (w, cover.centers, cover.pairs[:, 0], offsets, unit)
+    want = ref.edge_moments_loop(*args)
+    assert np.abs(want).max() > 1e-6
+    np.testing.assert_allclose(flux._edge_moments(*args), want, rtol=0, atol=1e-15 * np.abs(want).max())
+
+
 def test_compare_stops_at_the_mask(monkeypatch):
     # the comparison reads the two bad sets only: it builds no cover on either side
     covers = []

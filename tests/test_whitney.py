@@ -5,14 +5,19 @@ from hypothesis import given, settings, strategies as st
 from _reference_pointwise import build_partition, cubes_at, phi_at, pou_eval
 from divsym.fields import PreconditionError, UnsupportedOrderError, random_field
 from divsym.maximal import OpenSetMask, ScalarGrid, bad_set, maximal_function, sample_abs
+from _loop_kernels import _bump012
 from divsym.whitney import (
     BUMP_CORE,
     BUMP_SUPP,
     DILATION,
+    _bumps,
     _pack_slot,
     bump,
     whitney_decompose,
 )
+
+# t where the bump's pieces meet, and beyond its support
+BUMP_EDGES = [0.0, BUMP_CORE, -BUMP_CORE, BUMP_SUPP, -BUMP_SUPP, 0.75, -3.0]
 
 # the derivative multi-index of each phi pack slot
 PACK_ORDERS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 0), (0, 0, 2),
@@ -92,6 +97,20 @@ class TestBump:
         ts = np.linspace(0.0, 0.6, 13)
         np.testing.assert_array_equal(bump(ts), bump(-ts))
         np.testing.assert_array_equal(bump(ts, 1), -bump(-ts, 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(-1.0, 1.0, allow_nan=False), max_size=40))
+    def test_one_pass_matches_bump_and_the_power_form(self, draws):
+        # _bumps gives b, b', b'' from one clipped s: bitwise bump's orders 0-2, and
+        # the scalar power form of the loop reference up to rounding (exactly at the edges)
+        ts = np.array(draws + BUMP_EDGES)
+        got = _bumps(ts)
+        for k in range(3):
+            assert np.array_equal(got[k], bump(ts, k))
+        want = np.array([_bump012(t) for t in ts]).T
+        for k in range(3):   # largest |b|, |b'|, |b''|: 1, 9.84, 150
+            np.testing.assert_allclose(got[k], want[k], rtol=0, atol=4e-15 * (1.0, 9.84, 150.0)[k])
+        np.testing.assert_array_equal(np.stack(got)[:, len(draws):], want[:, len(draws):])
 
 
 class TestDecompose:

@@ -4,10 +4,8 @@ from types import ModuleType as _ModuleType
 
 from .fields import (
     TrigSymField,
-    TrigVecField,
     PreconditionError,
     UnsupportedOrderError,
-    divergence,
     project_div_free,
     curl_curl_T,
     potential_inverse,

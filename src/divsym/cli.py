@@ -9,6 +9,7 @@ module.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -83,6 +84,7 @@ def cmd_envelope(args):
     return 0
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser():
     ap = argparse.ArgumentParser(prog="divsym", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)

@@ -1,15 +1,20 @@
 """Symmetric matrix fields on the 3-torus as trigonometric polynomials.
 
-Fields are stored mode-wise: a map from integer frequencies to complex 3x3
-matrices, with the Hermitian pair ``coeff(-xi) == conj(coeff(xi))`` kept
-explicitly so every field is real valued.  All differential operators act
-mode-by-mode through their Fourier symbols, which makes derivatives,
-divergence-free projection and the second-order potential operator exact
-up to rounding.  Grids are sampled by a separable DFT restricted to the
-band of the modes (``_band_dft``): three small matmuls, no FFT.
+A field is stored as two arrays sorted by frequency: the integer modes
+``xis`` (m, 3) and their complex symmetric 3x3 coefficients ``cs``, with
+the Hermitian pair ``coeff(-xi) == conj(coeff(xi))`` kept explicitly so
+every field is real valued.  The constructor checks and closes all modes
+in one stacked pass (frequency keys, shape, finiteness, symmetry,
+Hermitian partners).  All differential operators act mode-by-mode through
+their Fourier symbols, which makes derivatives, divergence-free projection
+and the second-order potential operator exact up to rounding.  Grids are
+sampled by a separable DFT restricted to the band of the modes
+(``_band_dft``): three small matmuls, no FFT.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -28,6 +33,7 @@ def _slot_table(order):
 # triangle) in the JSON field format and on the command line
 UPPER_TRI = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
 UPPER_TRI_SLOT = _slot_table(UPPER_TRI)
+_ur, _uc = np.array(UPPER_TRI).T
 
 # packed order [11, 22, 33, 23, 13, 12] of the computed symmetric fields
 SYM6 = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
@@ -67,68 +73,33 @@ def _check_order(order):
     return order
 
 
-class _ModeField:
-    """Shared machinery for mode-indexed fields (matrix or vector valued)."""
-
-    _shape: tuple  # value shape per mode, set by subclass
+class TrigSymField:
+    """Real, symmetric-matrix-valued trigonometric polynomial on the torus."""
 
     def __init__(self, coeffs, period=1.0, tol=1e-10):
         if not (np.isfinite(period) and period > 0):
             raise ValueError(f"period must be positive and finite, not {period}")
         self.period = float(period)
-        cleaned = {}
-        for xi, c in coeffs.items():
-            xi = _as_freq(xi)
-            c = np.asarray(c, dtype=complex)
-            if c.shape != self._shape:
-                raise ValueError(f"coefficient for {xi} has shape {c.shape}")
-            if not np.isfinite(c).all():
-                raise ValueError(f"coefficient for {xi} is not finite")
-            cleaned[xi] = self._validate(xi, c, tol)
-        # enforce closure under negation: coeff(-xi) = conj(coeff(xi))
-        scale = max((np.abs(c).max() for c in cleaned.values()), default=0.0)
-        for xi in list(cleaned):
-            mirror = _neg(xi)
-            if mirror in cleaned:
-                if np.abs(cleaned[mirror] - cleaned[xi].conj()).max() > tol * max(1.0, scale):
-                    raise ValueError(f"coefficients at {xi}/{mirror} are not Hermitian partners")
-                cleaned[mirror] = cleaned[xi].conj() if xi <= mirror else cleaned[mirror]
-            else:
-                cleaned[mirror] = cleaned[xi].conj()
-        if (0, 0, 0) in cleaned:
-            cleaned[(0, 0, 0)] = cleaned[(0, 0, 0)].real.astype(complex)
-        self.coeffs = {xi: cleaned[xi] for xi in sorted(cleaned)}
-        self._arrays = None
+        self._xis, self._cs = _hermitian_closure(*_checked_modes(coeffs, tol), tol)
 
-    def _validate(self, xi, c, tol):
-        return c
+    @functools.cached_property
+    def coeffs(self):  # {frequency tuple: its row of the coefficient array}, sorted
+        return dict(zip(map(tuple, self._xis.tolist()), self._cs))
 
     def coeff(self, xi):
         """Coefficient at frequency ``xi`` (zero if the mode is absent)."""
-        return self.coeffs.get(_as_freq(xi), np.zeros(self._shape, dtype=complex)).copy()
-
-    @property
-    def frequencies(self):
-        return list(self.coeffs)
+        return self.coeffs.get(_as_freq(xi), np.zeros((3, 3), dtype=complex)).copy()
 
     def max_coeff_norm(self):
-        return max((np.linalg.norm(c) for c in self.coeffs.values()), default=0.0)
+        return max((np.linalg.norm(c) for c in self._cs), default=0.0)
 
     def mode_arrays(self):
-        """All modes as ``(xis (m,3) int64, coeffs (m,)+shape complex)``."""
-        if self._arrays is None:
-            if self.coeffs:
-                xis = np.array(list(self.coeffs), dtype=np.int64)
-                cs = np.stack([self.coeffs[tuple(x)] for x in xis])
-            else:
-                xis = np.zeros((0, 3), dtype=np.int64)
-                cs = np.zeros((0,) + self._shape, dtype=complex)
-            self._arrays = (xis, cs)
-        return self._arrays
+        """All modes as ``(xis (m,3) int64, coeffs (m,3,3) complex)``, sorted by frequency."""
+        return self._xis, self._cs
 
     def _order_factor(self, order):
         """Per-mode symbol ``prod_d (i k xi_d)^order_d`` of the derivative ``order``."""
-        xis, k = self.mode_arrays()[0], TWO_PI / self.period
+        xis, k = self._xis, TWO_PI / self.period
         factor = np.ones(len(xis), dtype=complex)
         for d in range(3):
             if order[d]:
@@ -142,21 +113,13 @@ class _ModeField:
         """Evaluate the field (or a derivative) at an ``(m,3)`` array of points."""
         order = _check_order(order)
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        xis, cs = self.mode_arrays()
-        out_shape = (len(pts),) + self._shape
-        if len(xis) == 0:
-            return np.zeros(out_shape)
-        k = TWO_PI / self.period
-        factor = self._order_factor(order)
-        phases = np.exp(1j * k * (pts @ xis.T))  # (p, m)
-        weighted = cs * factor.reshape((-1,) + (1,) * len(self._shape))
-        vals = np.tensordot(phases, weighted, axes=(1, 0))
-        return vals.real
+        phases = np.exp(1j * (TWO_PI / self.period) * (pts @ self._xis.T))  # (p, m)
+        weighted = self._cs * self._order_factor(order)[:, None, None]
+        return np.tensordot(phases, weighted, axes=(1, 0)).real
 
-    def grid_components(self, n, comps, order=(0, 0, 0)):
-        """Selected components at the n^3 cell centers; returns (n, n, n, len(comps)).
+    def grid_components(self, n, order=(0, 0, 0)):
+        """The ``SYM6`` components at the n^3 cell centers; returns (n, n, n, 6).
 
-        ``comps`` is a list of index tuples into the per-mode value shape.
         The values are Re sum w c e^{i xi x} over the field's half band (its
         modes with xi_z >= 0, weight w = 2 off the plane xi_z = 0).  Each
         axis frequency f folds to f - m n in [-n//2, n - 1 - n//2], since
@@ -167,10 +130,9 @@ class _ModeField:
         The result is a view over a component-major buffer.
         """
         order = _check_order(order)
-        xis, cs = self.mode_arrays()
-        half = xis[:, 2] >= 0
-        xis, weight = xis[half], np.where(xis[half, 2] > 0, 2.0, 1.0)
-        vals = np.stack([cs[(half,) + tuple(c)] for c in comps], axis=-1) * self._order_factor(order)[half, None]
+        half = self._xis[:, 2] >= 0
+        xis, weight = self._xis[half], np.where(self._xis[half, 2] > 0, 2.0, 1.0)
+        vals = self._cs[half][:, _r, _c] * self._order_factor(order)[half, None]
         folded = (xis + n // 2) % n - n // 2
         weight *= (-1.0) ** ((xis - folded) // n).sum(axis=1)
         below = folded[:, 2] < 0
@@ -178,9 +140,82 @@ class _ModeField:
         vals *= (weight * np.where(folded[:, 2] > 0, 0.5, 1.0))[:, None]  # _band_grid adds the mirrors
         max_freq = int(np.abs(folded).max(initial=0))
         rows, slot = np.unique(_band_rows(folded, max_freq), return_inverse=True)
-        coeffs = np.zeros((len(rows), len(comps)), dtype=complex)
+        coeffs = np.zeros((len(rows), len(SYM6)), dtype=complex)
         np.add.at(coeffs, slot.ravel(), vals)
         return _band_grid(coeffs, _band_dft(max_freq, n), rows)
+
+
+# bench/tracing.py wraps TrigSymField.eval_many and .grid_components through this name
+_ModeField = TrigSymField
+
+
+def _checked_modes(coeffs, tol):
+    """The modes of ``coeffs`` in input order: (xis (m,3) int64, symmetrised cs (m,3,3) complex).
+
+    Each check runs on all modes at once; the first offending mode in input
+    order raises the error of its first failed check: key, shape (keys or
+    values that do not stack convert one by one), finiteness, symmetry.
+    """
+    keys, values = list(coeffs), list(coeffs.values())
+    try:
+        xis, cs = np.array(keys), np.asarray(values, dtype=complex)
+    except (ValueError, TypeError, OverflowError):
+        xis = cs = None
+    if xis is None or xis.dtype != np.int64 or xis.shape != (len(keys), 3) or cs.shape != (len(keys), 3, 3):
+        converted = {}
+        for xi, c in zip(keys, values):
+            try:
+                xi, c = _as_freq(xi), np.asarray(c, dtype=complex)
+                if c.shape != (3, 3):
+                    raise ValueError(f"coefficient for {xi} has shape {c.shape}")
+            except (ValueError, TypeError):
+                _checked_modes(converted, tol)  # an earlier mode's value error comes first
+                raise
+            converted[xi] = c
+        xis = np.array(list(converted), dtype=np.int64).reshape(-1, 3)
+        cs = np.array(list(converted.values()), dtype=complex).reshape(-1, 3, 3)
+    with np.errstate(invalid="ignore"):  # inf - inf in a mode refused as not finite
+        finite = np.isfinite(cs).all(axis=(1, 2))
+        asym = np.abs(cs - cs.transpose(0, 2, 1)).max(axis=(1, 2))
+        bad = np.flatnonzero(~finite | (asym > tol * np.maximum(1.0, np.abs(cs).max(axis=(1, 2)))))
+    if len(bad):
+        i, xi = bad[0], tuple(xis[bad[0]].tolist())
+        if not finite[i]:
+            raise ValueError(f"coefficient for {xi} is not finite")
+        raise ValueError(f"coefficient at {xi} is not symmetric (defect {asym[i]:.2e})")
+    return xis, 0.5 * (cs + cs.transpose(0, 2, 1))
+
+
+def _hermitian_closure(xis, cs, tol):
+    """The modes closed under xi -> -xi with coeff(-xi) = conj(coeff(xi)), sorted lexicographically.
+
+    A pair given twice must agree to ``tol`` times max(1, the largest entry),
+    or its first member in input order is named; its lexicographically
+    smaller member keeps its value.  The zero mode is made real.
+    """
+    both = np.concatenate([xis, -xis])
+    order = np.lexsort(both.T[::-1])
+    ranked = both[order]
+    first = np.ones(len(ranked), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    slot = (np.cumsum(first) - 1)[np.argsort(order)][:len(xis)]  # the sorted row of each input mode
+    keys = ranked[first]
+    # negation reverses the order of the closed set: the mirror of row j is row -1 - j
+    given = np.full(len(keys), -1)
+    given[slot] = np.arange(len(xis))
+    mirror = given[::-1]
+    paired = np.flatnonzero(mirror[slot] >= 0)
+    defect = np.abs(cs[mirror[slot][paired]] - cs[paired].conj()).max(axis=(1, 2))
+    bad = paired[defect > tol * max(1.0, np.abs(cs).max(initial=0.0))]
+    if len(bad):
+        xi = tuple(xis[bad[0]].tolist())
+        raise ValueError(f"coefficients at {xi}/{_neg(xi)} are not Hermitian partners")
+    own = (given >= 0) & ((mirror < 0) | (np.arange(len(keys)) < (len(keys) + 1) // 2))
+    vals = cs[np.where(own, given, mirror)]
+    out = np.where(own[:, None, None], vals, vals.conj())
+    if len(keys) % 2:
+        out[len(keys) // 2] = out[len(keys) // 2].real
+    return keys, out
 
 
 def _band_dft(max_freq, n):
@@ -243,11 +278,6 @@ def _band_grid(coeffs, dft, rows):
     return np.moveaxis(values.reshape(c, n, n, n), 0, -1)
 
 
-def _cell_centers(n, period):
-    ax = (np.arange(n) + 0.5) * (period / n)
-    return np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
-
-
 def _sym6_sq(v):
     """Squared Frobenius norms of symmetric matrices packed in ``SYM6`` order on the last axis."""
     sq = 0.0
@@ -256,33 +286,8 @@ def _sym6_sq(v):
     return sq
 
 
-class TrigSymField(_ModeField):
-    """Real, symmetric-matrix-valued trigonometric polynomial on the torus."""
-
-    _shape = (3, 3)
-
-    def _validate(self, xi, c, tol):
-        asym = np.abs(c - c.T).max()
-        if asym > tol * max(1.0, np.abs(c).max()):
-            raise ValueError(f"coefficient at {xi} is not symmetric (defect {asym:.2e})")
-        return 0.5 * (c + c.T)
-
-
-class TrigVecField(_ModeField):
-    """Real vector-valued trigonometric polynomial on the torus."""
-
-    _shape = (3,)
-
-
 # ---------------------------------------------------------------------------
 # operations
-
-
-def divergence(f: TrigSymField) -> TrigVecField:
-    """Row-wise divergence, computed mode-by-mode: ``i (2pi/L) M(xi) xi``."""
-    k = TWO_PI / f.period
-    out = {xi: 1j * k * (c @ np.asarray(xi, dtype=float)) for xi, c in f.coeffs.items()}
-    return TrigVecField(out, period=f.period)
 
 
 def project_div_free(f: TrigSymField) -> TrigSymField:
@@ -358,22 +363,16 @@ def curl_curl_T(v: TrigSymField) -> TrigSymField:
     return _apply_symbols(_curl_curl_symbols(xis, v.period), xis, cs, v.period)
 
 
-def div_symbol_matrix(xi, period=1.0):
-    """The 3x6 divergence symbol (Mandel basis, without the factor ``i 2pi/L``)."""
-    return np.stack([_mandel_to_sym(e) @ np.asarray(xi, dtype=float) for e in np.eye(6)], axis=1)
-
-
-def sym_grad_symbol_matrix(xi, period=1.0):
-    """The 6x3 symmetric-gradient symbol (Mandel basis, without ``i 2pi/L``)."""
-    x = np.asarray(xi, dtype=float)
-    return np.stack([_sym_to_mandel(0.5 * (np.outer(u, x) + np.outer(x, u))) for u in np.eye(3)], axis=1)
+def _div_defect(f: TrigSymField):
+    """The largest norm of a row-wise divergence coefficient ``i (2pi/L) M(xi) xi``."""
+    xis, cs = f.mode_arrays()
+    return TWO_PI / f.period * np.linalg.norm(cs @ xis[:, :, None], axis=(1, 2)).max(initial=0.0)
 
 
 def assert_div_free(f: TrigSymField, tol=1e-10, what="field"):
     """Raise ``PreconditionError`` unless every divergence coefficient is below ``tol``."""
-    xis, cs = f.mode_arrays()
-    worst = TWO_PI / f.period * np.linalg.norm(cs @ xis[:, :, None], axis=(1, 2)).max(initial=0.0)
-    if worst > tol * max(1.0, np.linalg.norm(cs, axis=(1, 2)).max(initial=0.0)):
+    worst = _div_defect(f)
+    if worst > tol * max(1.0, np.linalg.norm(f.mode_arrays()[1], axis=(1, 2)).max(initial=0.0)):
         raise PreconditionError(f"{what} is not divergence-free (defect {worst:.3e})")
 
 
@@ -429,25 +428,25 @@ def random_field(seed, max_freq, amplitude, divfree=False, period=1.0) -> TrigSy
 # serialization: one representative per Hermitian pair, upper triangle only
 
 
-def _canonical(xi):
-    """True for the stored representative of the pair {xi, -xi}."""
-    return xi >= _neg(xi)
-
-
 def field_to_dict(f: TrigSymField) -> dict:
-    modes = []
-    for xi, c in f.coeffs.items():
-        if not _canonical(xi):
-            continue
-        re = [float(c[a, b].real) for a, b in UPPER_TRI]
-        im = [float(c[a, b].imag) for a, b in UPPER_TRI]
-        modes.append({"xi": list(xi), "re": re, "im": im})
-    return {"period": f.period, "modes": modes}
+    xis, cs = f.mode_arrays()
+    upper = slice(len(xis) // 2, None)  # xi >= -xi: the upper half of the sorted modes
+    packed = cs[upper][:, _ur, _uc]
+    return {"period": f.period, "modes": [{"xi": xi, "re": c.real.tolist(), "im": c.imag.tolist()}
+                                          for xi, c in zip(xis[upper].tolist(), packed)]}
+
+
+def _json_rows(modes, part):
+    """``mode[part]`` of every mode as one array; rows of unequal length raise ``IndexError``, as short ones do."""
+    try:
+        return np.asarray([mode[part] for mode in modes])
+    except ValueError as exc:
+        raise IndexError(f"the modes' {part!r} rows differ in length") from exc
 
 
 def field_from_dict(data: dict) -> TrigSymField:
-    coeffs = {}
-    for mode in data["modes"]:
-        with np.errstate(invalid="ignore"):  # 1j * inf warns; the constructor refuses what it makes
-            coeffs[_as_freq(mode["xi"])] = (np.asarray(mode["re"]) + 1j * np.asarray(mode["im"]))[UPPER_TRI_SLOT]
-    return TrigSymField(coeffs, period=float(data["period"]))
+    """The field of ``field_to_dict``'s layout, all modes converted at once."""
+    modes = data["modes"]
+    with np.errstate(invalid="ignore"):  # 1j * inf warns; the constructor refuses what it makes
+        cs = (_json_rows(modes, "re") + 1j * _json_rows(modes, "im"))[:, UPPER_TRI_SLOT] if modes else []
+    return TrigSymField(dict(zip([tuple(mode["xi"]) for mode in modes], cs)), period=float(data["period"]))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SYM6, TrigSymField, _sym6_sq
+from .fields import TrigSymField, _sym6_sq
 
 
 @dataclass
@@ -86,7 +86,7 @@ def sample_abs(f: TrigSymField, n: int) -> ScalarGrid:
     """Grid of Frobenius norms |f(x)| at cell centers."""
     if n < 8:
         raise ValueError("resolution must be >= 8")
-    return ScalarGrid(n=n, period=f.period, values=np.sqrt(_sym6_sq(f.grid_components(n, SYM6))))
+    return ScalarGrid(n=n, period=f.period, values=np.sqrt(_sym6_sq(f.grid_components(n))))
 
 
 def _ball_kernel(n, h, r):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import SYM6, PreconditionError, TrigSymField, _sym6_sq, potential_inverse
+from .fields import PreconditionError, TrigSymField, _sym6_sq, potential_inverse
 from .maximal import ScalarGrid, bad_set, maximal_function
 from .truncation import flag_bad_set
 
@@ -31,7 +31,7 @@ def _derivative_magnitude_grids(v: TrigSymField, n: int):
     eye = np.eye(3, dtype=np.int64)
     levels = [[(0, 0, 0)], [tuple(eye[d]) for d in range(3)],
               [tuple(eye[d] + eye[e]) for d in range(3) for e in range(3)]]
-    grids = {o: v.grid_components(n, SYM6, order=o) for o in set().union(*levels)}
+    grids = {o: v.grid_components(n, order=o) for o in set().union(*levels)}
     return tuple(np.sqrt(sum(_sym6_sq(grids[o]) for o in orders)) for orders in levels)
 
 

@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, field as dfield
 import numpy as np
 
 from . import _kernels
-from .fields import SYM6, SYM6_SLOT, TWO_PI, PreconditionError, TrigSymField, _sym6_sq, assert_div_free
+from .fields import SYM6_SLOT, TWO_PI, PreconditionError, TrigSymField, _sym6_sq, assert_div_free
 from .flux import CENTROID, _edge_moments
 from .maximal import OpenSetMask, ScalarGrid, bad_set, maximal_function, sample_abs
 from .whitney import _partition, _upsample, whitney_decompose
@@ -221,7 +221,7 @@ def _w_on_grid(ctx, m):
     """The packed components of w on the m-grid, (m, m, m, 6) in ``SYM6`` order."""
     key = ("w", m)
     if key not in ctx._caches:
-        ctx._caches[key] = ctx.w.grid_components(m, SYM6)
+        ctx._caches[key] = ctx.w.grid_components(m)
     return ctx._caches[key]
 
 

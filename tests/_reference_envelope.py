@@ -18,7 +18,8 @@ DFT: the oracle for ``fields._band_grid`` and ``fields._band_modes``.
 import numpy as np
 from scipy import fft
 
-from divsym.fields import TrigSymField, _cell_centers, project_div_free
+from _reference_fields import cell_centers
+from divsym.fields import TrigSymField, project_div_free
 
 
 def _fft_index(xis, n):
@@ -152,7 +153,7 @@ def minimize_over_test_fields(objective, max_freq, restarts, iterations, seed,
     initial one.  Returns (best value, best field, trace).
     """
     n = max(4 * max_freq, 16)
-    grid = _cell_centers(n, period).reshape(-1, 3)
+    grid = cell_centers(n, period).reshape(-1, 3)
     offset = np.zeros((3, 3)) if xi_offset is None else np.asarray(xi_offset, dtype=float)
 
     def evaluate(phi_values):

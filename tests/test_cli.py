@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from divsym.cli import main
-from divsym.fields import divergence, field_from_dict, field_to_dict, random_field
+from divsym.fields import _div_defect, field_from_dict, field_to_dict, random_field
 from divsym.maximal import read_grid
 from divsym.truncation import lambda_for_fraction
 from divsym import schemas
@@ -28,7 +28,7 @@ class TestGenField:
         run(["gen-field", "--seed", 5, "--max-freq", 2, "--amplitude", 1.0, "--divfree",
              "--out", out])
         f = field_from_dict(json.loads(out.read_text()))
-        assert divergence(f).max_coeff_norm() < 1e-12 * max(1.0, f.max_coeff_norm())
+        assert _div_defect(f) < 1e-12 * max(1.0, f.max_coeff_norm())
 
     def test_zero_amplitude_empty_modes(self, tmp_path):
         out = tmp_path / "z.json"
@@ -215,3 +215,18 @@ class TestEnvelope:
         assert code == 2
         assert "error" in json.loads(capsys.readouterr().out)
         assert not out.exists()
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # the parser is built once; a usage error in one call leaves the next call's parse unchanged
+    from divsym import cli
+
+    assert cli._build_parser() is cli._build_parser()
+    out = tmp_path / "f.json"
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            run(["truncate", "--field", out, "--grid-n", 16])  # no --lambda, no --out
+        assert exc.value.code == 2 and "--lambda" in capsys.readouterr().err
+        assert run(["gen-field", "--seed", 2, "--max-freq", 1, "--amplitude", 1.0, "--out", out]) == 0
+        assert not hasattr(cli._build_parser().parse_args(["gen-field", "--seed", "1", "--max-freq", "1",
+                                                           "--amplitude", "1", "--out", "x"]), "lam")

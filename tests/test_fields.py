@@ -4,25 +4,25 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import _reference_fields as refields
 import _reference_potential as refpot
 from divsym import fields
 from divsym.fields import (
+    SYM6,
     PreconditionError,
     TrigSymField,
     UnsupportedOrderError,
-    _cell_centers,
     _curl_curl_symbols,
+    _div_defect,
+    _mandel_to_sym,
     _sym_to_mandel,
     assert_div_free,
     curl_curl_T,
-    div_symbol_matrix,
-    divergence,
     field_from_dict,
     field_to_dict,
     potential_inverse,
     project_div_free,
     random_field,
-    sym_grad_symbol_matrix,
 )
 
 
@@ -83,26 +83,24 @@ class TestEval:
 
 
 def direct_grid(f, n, order):
-    """Every component at the n^3 cell centres by the direct mode sum, in chunks of points."""
-    pts = _cell_centers(n, f.period).reshape(-1, 3)
+    """The ``SYM6`` components at the n^3 cell centres by the direct mode sum, in chunks of points."""
+    pts = refields.cell_centers(n, f.period).reshape(-1, 3)
     vals = np.concatenate([f.eval_many(pts[i:i + 512], order) for i in range(0, len(pts), 512)])
-    return vals.reshape(n, n, n, -1)
+    rows, cols = np.array(SYM6).T
+    return vals[:, rows, cols].reshape(n, n, n, 6)
 
 
 # every n, including aliased grids (2 max_freq >= n), and derivative orders of total <= 3
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from([4, 6, 8, 12, 16, 20]), st.integers(1, 5),
        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)).filter(lambda o: sum(o) <= 3),
-       st.booleans(), st.integers(0, 2**16))
-@example(8, 5, (1, 0, 2), False, 0)
-@example(8, 5, (0, 0, 0), True, 1)
-def test_grid_components_match_direct_sum(n, max_freq, order, vector, seed):
+       st.integers(0, 2**16))
+@example(8, 5, (1, 0, 2), 0)
+@example(8, 5, (0, 0, 0), 1)
+def test_grid_components_match_direct_sum(n, max_freq, order, seed):
     f = random_field(seed, max_freq, 1.0)
-    if vector:
-        f = divergence(f)
-    comps = [np.unravel_index(i, f._shape) for i in range(int(np.prod(f._shape)))]
     ref = direct_grid(f, n, order)
-    got = f.grid_components(n, comps, order)
+    got = f.grid_components(n, order)
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
@@ -111,9 +109,8 @@ def test_grid_components_match_direct_sum(n, max_freq, order, vector, seed):
 def test_grid_components_without_modes_or_frequencies(n):
     # max_freq 0: the empty field and a constant-only field against the direct mode sum
     c = np.arange(9.0).reshape(3, 3)
-    comps = [np.unravel_index(i, (3, 3)) for i in range(9)]
     for f in (TrigSymField({}), TrigSymField({(0, 0, 0): c + c.T})):
-        np.testing.assert_array_equal(f.grid_components(n, comps), direct_grid(f, n, (0, 0, 0)))
+        np.testing.assert_array_equal(f.grid_components(n), direct_grid(f, n, (0, 0, 0)))
 
 
 @pytest.mark.parametrize("n", [5, 8])
@@ -126,9 +123,8 @@ def test_grid_components_fold_frequencies_beyond_the_grid(n, order, monkeypatch)
                       (1, -2, 5): 3j * c, (0, 0, 0): c.real + c.real.T})
     seen, band_dft = [], fields._band_dft
     monkeypatch.setattr(fields, "_band_dft", lambda max_freq, m: seen.append(max_freq) or band_dft(max_freq, m))
-    comps = [np.unravel_index(i, (3, 3)) for i in range(9)]
     ref = direct_grid(f, n, order)
-    assert np.abs(f.grid_components(n, comps, order) - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(f.grid_components(n, order) - ref).max() <= 1e-12 * np.abs(ref).max()
     assert seen and max(seen) <= n // 2
 
 
@@ -141,15 +137,15 @@ def test_mandel_keeps_batch_axes():
 
 class TestDivergence:
     def test_zero(self):
-        assert divergence(TrigSymField({})).max_coeff_norm() == 0.0
+        assert _div_defect(TrigSymField({})) == 0.0
 
     def test_constant_field(self):
         f = TrigSymField({(0, 0, 0): np.eye(3, dtype=complex)})
-        assert divergence(f).max_coeff_norm() == 0.0
+        assert _div_defect(f) == 0.0
 
     def test_projection_kills_divergence(self):
         f = project_div_free(random_field(5, 3, 2.0))
-        assert divergence(f).max_coeff_norm() < 1e-12 * max(1.0, f.max_coeff_norm())
+        assert _div_defect(f) < 1e-12 * max(1.0, f.max_coeff_norm())
 
     def test_one_solenoidal_defect_refused_with_its_size(self):
         # one mode with M xi != 0 in a divergence-free field: the check refuses it and
@@ -160,7 +156,9 @@ class TestDivergence:
         g = TrigSymField({**f.coeffs, (1, 2, 0): c, (-1, -2, 0): c.conj()}, period=2.0)
         with pytest.raises(PreconditionError, match="input is not divergence-free") as err:
             assert_div_free(g, what="input")
-        assert f"(defect {divergence(g).max_coeff_norm():.3e})" in str(err.value)
+        # the largest |(2 pi / L) c xi| over the modes, one mode at a time: about 0.6 pi here
+        worst = max(np.linalg.norm(2 * np.pi / 2.0 * (c @ np.array(xi, dtype=float))) for xi, c in g.coeffs.items())
+        assert f"(defect {worst:.3e})" in str(err.value) and abs(worst - 0.6 * np.pi) < 1e-12
 
 
 def three_step_divfree(seed, max_freq, period=1.0):
@@ -228,6 +226,17 @@ def curl_curl_symbol(xi):
     return _curl_curl_symbols(np.reshape(xi, (1, 3)), 1.0)[0]
 
 
+def div_symbol_matrix(xi):
+    """The 3x6 divergence symbol (Mandel basis, without the factor ``i 2pi/L``)."""
+    return np.stack([_mandel_to_sym(e) @ np.asarray(xi, dtype=float) for e in np.eye(6)], axis=1)
+
+
+def sym_grad_symbol_matrix(xi):
+    """The 6x3 symmetric-gradient symbol (Mandel basis, without ``i 2pi/L``)."""
+    x = np.asarray(xi, dtype=float)
+    return np.stack([_sym_to_mandel(0.5 * (np.outer(u, x) + np.outer(x, u))) for u in np.eye(3)], axis=1)
+
+
 class TestCurlCurlT:
     def test_zero_and_constant(self):
         assert curl_curl_T(TrigSymField({})).max_coeff_norm() == 0.0
@@ -243,7 +252,7 @@ class TestCurlCurlT:
     def test_output_divergence_free(self):
         v = random_field(9, 2, 1.0)
         u = curl_curl_T(v)
-        assert divergence(u).max_coeff_norm() < 1e-10 * max(1.0, u.max_coeff_norm())
+        assert _div_defect(u) < 1e-10 * max(1.0, u.max_coeff_norm())
 
     def test_exact_sequence_per_mode(self):
         # image of the symmetric-gradient symbol = kernel of curl curl^T,
@@ -344,13 +353,13 @@ class TestRandomField:
     def test_deterministic(self):
         a = random_field(17, 2, 1.5)
         b = random_field(17, 2, 1.5)
-        assert a.frequencies == b.frequencies
+        assert list(a.coeffs) == list(b.coeffs)
         for xi in a.coeffs:
             np.testing.assert_array_equal(a.coeff(xi), b.coeff(xi))
 
     def test_divfree_flag(self):
         f = random_field(17, 2, 1.5, divfree=True)
-        assert divergence(f).max_coeff_norm() < 1e-12 * max(1.0, f.max_coeff_norm())
+        assert _div_defect(f) < 1e-12 * max(1.0, f.max_coeff_norm())
         assert (0, 0, 0) not in f.coeffs
 
     def test_zero_amplitude(self):
@@ -383,3 +392,124 @@ class TestSerialization:
         for xi in ([2.0, 0, 0], np.array([2, 0, 0], dtype=np.int64)):
             f = field_from_dict({"period": 2.0, "modes": [dict(mode, xi=xi)]})
             assert set(f.coeffs) == {(2, 0, 0), (-2, 0, 0)} and f.period == 2.0
+
+
+# ---------------------------------------------------------------------------
+# the stacked constructor against the per-mode one it replaced
+
+
+def sym_coefficient(rng, scale):
+    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return scale * (m + m.T)
+
+
+def as_given(draw, xi, c):
+    """``xi`` and ``c`` as a caller may give them: int, float or numpy keys; arrays or nested lists."""
+    as_key = draw(st.sampled_from([tuple, lambda v: tuple(map(float, v)), lambda v: tuple(np.array(v, dtype=np.int64))]))
+    return as_key(xi), draw(st.sampled_from([np.asarray, lambda v: np.asarray(v).tolist()]))(c)
+
+
+@st.composite
+def mode_dicts(draw):
+    """Valid coefficient dicts in any input order: modes alone or with their mirrors, exact or
+    within rounding, coefficients symmetric to rounding, a zero mode with a tiny imaginary part."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    reps = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), max_size=10))
+    reps = sorted({max(xi, fields._neg(xi)) for xi in reps})
+    items = []
+    for xi in reps:
+        c = sym_coefficient(rng, draw(st.sampled_from([1e-3, 1.0, 40.0])))
+        if xi == (0, 0, 0):
+            items.append(as_given(draw, xi, c.real + draw(st.sampled_from([0.0, 1e-13, -4e-12])) * 1j))
+            continue
+        c = c + draw(st.sampled_from([0.0, 1e-14])) * np.triu(np.ones((3, 3)), 1)  # asymmetric within tol
+        how = draw(st.sampled_from(["given", "mirror", "both", "rounded"]))
+        if how != "mirror":
+            items.append(as_given(draw, xi, c))
+        if how != "given":
+            partner = c.conj() * (1 + 2.0**-52) if how == "rounded" else c.conj()
+            items.append(as_given(draw, fields._neg(xi), partner))
+    return dict(draw(st.permutations(items)))
+
+
+def arrays_or_error(build):
+    try:
+        xis, cs = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return xis.dtype, xis.shape, xis.tobytes(), cs.dtype, cs.shape, cs.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(mode_dicts(), st.sampled_from([1.0, 2.0, 0.75]))
+@example({}, 1.0)
+@example({(1, -2, 0): np.diag([1.0, 2.0j, 3.0])}, 1.0)
+@example({(0, 0, 0): np.eye(3) + 1e-13j, (0, 1, 0): np.eye(3)}, 2.0)
+def test_constructor_matches_per_mode_reference(coeffs, period):
+    # sorted, closed, symmetrised mode arrays bit for bit, and the coeffs dict over their rows
+    want = arrays_or_error(lambda: refields.mode_arrays(coeffs, period))
+    f = TrigSymField(coeffs, period=period)
+    assert arrays_or_error(f.mode_arrays) == want and f.period == float(period)
+    assert list(f.coeffs) == [tuple(xi) for xi in f.mode_arrays()[0].tolist()]
+    assert all(np.shares_memory(c, f.mode_arrays()[1]) for c in f.coeffs.values())
+
+
+NAN, INF = float("nan"), float("inf")
+
+# one malformed mode per class: (key, coefficient) from a free frequency xi and a valid coefficient c
+MALFORMED = {
+    "fractional key": lambda xi, c: ((xi[0] + 0.5, xi[1], xi[2]), c),
+    "short key": lambda xi, c: (xi[:2], c),
+    "long key": lambda xi, c: (xi + (0,), c),
+    "inf key": lambda xi, c: ((INF, xi[1], xi[2]), c),
+    "nan key": lambda xi, c: ((NAN, xi[1], xi[2]), c),
+    "vector": lambda xi, c: (xi, c[0]),
+    "2x2": lambda xi, c: (xi, c[:2, :2]),
+    "3x3x1": lambda xi, c: (xi, c[..., None]),
+    "nan": lambda xi, c: (xi, np.where(np.eye(3) > 0, NAN, c)),
+    "inf": lambda xi, c: (xi, np.where(np.eye(3) > 0, INF, c)),
+    "asymmetric": lambda xi, c: (xi, c + 1e-6 * np.abs(c).max() * np.triu(np.ones((3, 3)), 1)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(mode_dicts(), st.data())
+def test_constructor_errors_match_per_mode_reference(coeffs, data):
+    # the first offending mode in input order raises the reference's error, type and message
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    items = list(coeffs.items())
+    for kind in data.draw(st.lists(st.sampled_from([*MALFORMED, "non-Hermitian"]), min_size=1, max_size=3)):
+        xi = data.draw(st.tuples(st.integers(4, 6), st.integers(-6, 6), st.integers(-6, 6)))
+        c = sym_coefficient(rng, 1.0)
+        new = ([(xi, c), (fields._neg(xi), c.conj() + 1e-6)] if kind == "non-Hermitian"
+               else [MALFORMED[kind](xi, c)])
+        at = data.draw(st.integers(0, len(items)))
+        items[at:at] = new
+    period = data.draw(st.sampled_from([1.0, 2.0, 0.75, 1.0, 2.0, 0.75, 0.0, -1.0, NAN, INF]))
+    bad = dict(items)
+    got = arrays_or_error(lambda: TrigSymField(bad, period=period).mode_arrays())
+    assert got == arrays_or_error(lambda: refields.mode_arrays(bad, period))
+
+
+@pytest.mark.parametrize("kind", [*MALFORMED, "non-Hermitian", "bad period"])
+def test_each_malformed_class_is_refused_like_the_reference(kind):
+    c = sym_coefficient(np.random.default_rng(0), 1.0)
+    items = [((1, 0, 0), c)]
+    if kind == "non-Hermitian":
+        items += [((-1, 0, 0), c.conj() + 1e-6)]
+    elif kind != "bad period":
+        items += [MALFORMED[kind]((2, 1, 0), c)]
+    coeffs, period = dict(items), 0.0 if kind == "bad period" else 1.0
+    want = arrays_or_error(lambda: refields.mode_arrays(coeffs, period))
+    assert want[0] is ValueError
+    assert arrays_or_error(lambda: TrigSymField(coeffs, period=period).mode_arrays()) == want
+
+
+def test_hermitian_tolerance_scales_with_the_largest_mode():
+    # partners 1e-8 apart pass beside a mode of size 1e4 (tol 1e-10 x 1e4) and fail without it
+    c = sym_coefficient(np.random.default_rng(1), 1.0)
+    pair = {(2, 0, 0): c, (-2, 0, 0): c.conj() + 1e-8}
+    for coeffs in ({(1, 0, 0): 1e4 * np.eye(3), **pair}, pair):
+        want = arrays_or_error(lambda: refields.mode_arrays(coeffs))
+        assert arrays_or_error(lambda: TrigSymField(coeffs).mode_arrays()) == want
+        assert (want[0] is ValueError) == (len(coeffs) == 2)

@@ -51,9 +51,9 @@ def test_command_loads_no_scipy(command, tmp_path):
 # The package's public names; a new export shows up here in review.
 PUBLIC = [
     "CompactSetDescriptor", "EnvelopeEstimate", "OpenSetMask", "PreconditionError",
-    "QuadratureRule", "ScalarGrid", "TrigSymField", "TrigVecField", "TruncationContext",
+    "QuadratureRule", "ScalarGrid", "TrigSymField", "TruncationContext",
     "UnsupportedOrderError", "VerificationReport", "WhitneyCover", "bad_set", "build_context",
-    "curl_curl_T", "dist_p", "divergence", "divergence_defects", "field_from_dict", "field_to_dict",
+    "curl_curl_T", "dist_p", "divergence_defects", "field_from_dict", "field_to_dict",
     "hull_membership", "local_field",
     "maximal_function", "potential_bad_set", "potential_inverse", "project_div_free",
     "qsdqc_estimate", "random_field", "sample_abs", "stability_comparison",
@@ -130,6 +130,8 @@ def test_tracer_counts_a_truncate_command(tmp_path):
             assert cli.main(["truncate", "--field", str(field), "--lambda", repr(lam), "--grid-n", "16",
                              "--out", str(out)]) == 0
     counts = tracer.root_counts[0]
+    # the field methods are wrapped through the fields._ModeField alias
+    assert "fields.grid_components" in {span[0] for span in tracer.spans}
     assert (counts["triples"], counts["flagged_points"]) == (3257, 2624)
     assert counts["moment_nodes"] == counts["triples"] * len(CENTROID.weights)
     assert counts["pairs"] > 0 and counts["triples_visited"] == 3257 and counts["triples_active"] > 0

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from divsym.fields import (
-    SYM6,
     PreconditionError,
     TrigSymField,
     _sym6_sq,
@@ -121,7 +120,7 @@ def comparison_from_masks(u, lam, n):
     potential = bad_set(ScalarGrid(n=n, period=1.0, values=vt_level(potential_inverse(u), n)), lam)
     if potential.is_full():
         raise PreconditionError("potential bad set covers the whole torus; raise lambda")
-    umax = float(np.sqrt(_sym6_sq(u.grid_components(n, SYM6))).max())
+    umax = float(np.sqrt(_sym6_sq(u.grid_components(n))).max())
     return {
         "lambda": lam,
         "grid_n": n,

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _reference_divergence import battery_psis, divergence_battery, spiked_battery
+from _reference_fields import cell_centers
 from _reference_moments import _batched_moments, _triangle_moments, antisym, triangle_rule
 from _reference_pointwise import (PointwiseReference, build_partition, cubes_at, phi_at, pou_eval,
                                   summation_vanish_loop)
 from _subset_kernel import summation_vanish_check
 from divsym import truncation
-from divsym.fields import (SYM6, SYM6_SLOT, PreconditionError, TrigSymField, UnsupportedOrderError,
-                           _cell_centers, project_div_free, random_field)
+from divsym.fields import (SYM6_SLOT, PreconditionError, TrigSymField, UnsupportedOrderError,
+                           project_div_free, random_field)
 from divsym.flux import _moment_functions
 from divsym.maximal import ScalarGrid, bad_set
 from divsym.truncation import (
@@ -299,10 +300,10 @@ class TestWeakDivergence:
         # the exact trig pairing plus the flagged correction must equal the literal midpoint sum
         m = 2 * ctx.n
         _, mask_m, tvals = sample_bad_truncation(ctx, m)
-        comps = ctx.w.grid_components(m, SYM6)
+        comps = ctx.w.grid_components(m)
         comps[mask_m] = tvals
         rows = comps.reshape(-1, 6)[:, SYM6_SLOT]
-        pts = _cell_centers(m, ctx.period).reshape(-1, 3)
+        pts = cell_centers(m, ctx.period).reshape(-1, 3)
         direct = np.array([[(rows[:, a] * psi.grad(pts)).sum() / m**3 for a in range(3)]
                            for psi in battery_psis()])
         fast = divergence_defects(ctx, m)

@@ -206,9 +206,9 @@ def _band_project(values, band):
     return np.einsum("mij,mj->mi", proj, _band_modes(values, dft, rows))
 
 
-def _band_field(xis, coeffs, period):
-    """The field of half-band Mandel coefficients; the constructor adds the mirrors."""
-    return TrigSymField(dict(zip(map(tuple, xis.tolist()), _mandel_to_sym(coeffs))), period=period)
+def _band_field(xis, coeffs):
+    """The period-1 field of half-band Mandel coefficients; the constructor adds the mirrors."""
+    return TrigSymField(dict(zip(map(tuple, xis.tolist()), _mandel_to_sym(coeffs))))
 
 
 @dataclass
@@ -225,7 +225,7 @@ class EnvelopeEstimate:
 
 
 def minimize_over_test_fields(objective, max_freq, restarts, iterations, seed,
-                              period=1.0, init_amplitude=0.1, xi_offset=None):
+                              init_amplitude=0.1, xi_offset=None):
     """Projected descent of mean(objective(xi + phi)) over admissible fields.
 
     The objective is pointwise: it maps Mandel rows ``(n, n, n, 6)`` to
@@ -283,7 +283,7 @@ def minimize_over_test_fields(objective, max_freq, restarts, iterations, seed,
         trace.append(val)
         if val < best_val:
             best_val, best_coeffs = val, coeffs
-    best_field = None if best_coeffs is None else _band_field(xis, best_coeffs, period)
+    best_field = None if best_coeffs is None else _band_field(xis, best_coeffs)
     return best_val, best_field, trace
 
 

@@ -91,7 +91,7 @@ class TrigSymField:
         return self.coeffs.get(_as_freq(xi), np.zeros((3, 3), dtype=complex)).copy()
 
     def max_coeff_norm(self):
-        return max((np.linalg.norm(c) for c in self._cs), default=0.0)
+        return np.linalg.norm(self._cs, axis=(1, 2)).max(initial=0.0)
 
     def mode_arrays(self):
         """All modes as ``(xis (m,3) int64, coeffs (m,3,3) complex)``, sorted by frequency."""
@@ -372,7 +372,7 @@ def _div_defect(f: TrigSymField):
 def assert_div_free(f: TrigSymField, tol=1e-10, what="field"):
     """Raise ``PreconditionError`` unless every divergence coefficient is below ``tol``."""
     worst = _div_defect(f)
-    if worst > tol * max(1.0, np.linalg.norm(f.mode_arrays()[1], axis=(1, 2)).max(initial=0.0)):
+    if worst > tol * max(1.0, f.max_coeff_norm()):
         raise PreconditionError(f"{what} is not divergence-free (defect {worst:.3e})")
 
 

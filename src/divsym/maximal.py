@@ -2,9 +2,13 @@
 
 Grids sample the torus at cell centers ``x = (idx + 1/2) h`` with ``h =
 period / n``.  Ball averages use cell-center membership in the open
-periodic Euclidean ball; the default radius family is dyadic ``{h, 2h,
-4h, ..., period/2}``, so the supremum over all radii is approximated
-within a fixed factor of ball-volume ratios.
+periodic Euclidean ball.  Radii count cells: the family is fixed at
+1, 2, 4, ... below n/2, then n/2 (half the period), so the supremum over
+all radii is approximated within a fixed factor of ball-volume ratios, and
+a ball holds the offsets whose integer squared length is below r^2.
+
+The flagging stage ends at the superlevel mask; the distance to its
+complement is read only by the Whitney step, which computes it there.
 """
 
 from __future__ import annotations
@@ -44,12 +48,11 @@ class ScalarGrid:
 
 @dataclass
 class OpenSetMask:
-    """Boolean cell mask plus periodic Chebyshev distance to the complement."""
+    """Boolean mask of the flagged cells."""
 
     n: int
     period: float
     mask: np.ndarray  # (n, n, n) bool
-    distance: np.ndarray  # (n, n, n) float, length units; 0 exactly off the set
 
     @property
     def h(self):
@@ -70,18 +73,6 @@ class OpenSetMask:
         return self.mask[cell[..., 0], cell[..., 1], cell[..., 2]]
 
 
-def dyadic_radii(n, period=1.0):
-    """The default radius family {h, 2h, 4h, ...} capped at period/2."""
-    h = period / n
-    radii = []
-    r = h
-    while r < period / 2:
-        radii.append(r)
-        r *= 2
-    radii.append(period / 2)
-    return radii
-
-
 def sample_abs(f: TrigSymField, n: int) -> ScalarGrid:
     """Grid of Frobenius norms |f(x)| at cell centers."""
     if n < 8:
@@ -89,73 +80,45 @@ def sample_abs(f: TrigSymField, n: int) -> ScalarGrid:
     return ScalarGrid(n=n, period=f.period, values=np.sqrt(_sym6_sq(f.grid_components(n))))
 
 
-def _ball_kernel(n, h, r):
-    """Indicator of grid offsets whose periodic distance is strictly below r."""
-    ax = np.minimum(np.arange(n), n - np.arange(n)).astype(float)
+def _radii(n):
+    """The radius family in cells: 1, 2, 4, ... below n/2, then n/2."""
+    return [1 << k for k in range(n.bit_length()) if 2 << k < n] + [n / 2]
+
+
+def _ball_kernel(n, r):
+    """Indicator of grid offsets whose periodic distance is strictly below r cells."""
+    ax = np.minimum(np.arange(n), n - np.arange(n))
     d2 = ax[:, None, None] ** 2 + ax[None, :, None] ** 2 + ax[None, None, :] ** 2
-    return d2 < (r / h) ** 2 * (1.0 - 1e-12)
+    return d2 < r * r
 
 
-def maximal_function(g: ScalarGrid, radii=None) -> ScalarGrid:
-    """Centered maximal function: max over the radius family of ball averages.
+def maximal_function(g: ScalarGrid) -> ScalarGrid:
+    """Centered maximal function: max over the radius family ``_radii`` of ball averages.
 
-    Output dominates the input pointwise because the smallest admissible
-    radius ball contains the cell itself.
+    Output dominates the input pointwise because the one-cell ball is the
+    cell itself.
     """
-    if radii is None:
-        radii = dyadic_radii(g.n, g.period)
-    radii = sorted(float(r) for r in radii)
-    if not radii:
-        raise ValueError("radius list must be nonempty")
-    h = g.h
-    if radii[0] < h * (1.0 - 1e-12):
-        raise ValueError(f"smallest radius {radii[0]} is below the grid spacing {h}")
-    if radii[-1] > g.period / 2 + 1e-12:
-        raise ValueError("radii must stay within half the period")
     spec = np.fft.rfftn(g.values)
     out = np.full_like(g.values, -np.inf)
-    shape = g.values.shape
-    for r in radii:
-        kernel = _ball_kernel(g.n, h, r)
+    for r in _radii(g.n):
+        kernel = _ball_kernel(g.n, r)
         count = int(kernel.sum())
-        avg = np.fft.irfftn(spec * np.fft.rfftn(kernel), s=shape, axes=(0, 1, 2)) / count
+        avg = np.fft.irfftn(spec * np.fft.rfftn(kernel), s=g.values.shape, axes=(0, 1, 2)) / count
         np.maximum(out, avg, out=out)
-    # the r=h ball is the cell itself; guard rounding so domination is exact
+    # the r=1 ball is the cell itself; guard rounding so domination is exact
     np.maximum(out, g.values, out=out)
     return ScalarGrid(n=g.n, period=g.period, values=out)
 
 
-def _wrap_min3(a):
-    """Minimum over each cell's periodic 3x3x3 neighbourhood, one axis at a time."""
-    for ax in range(a.ndim):
-        a = np.minimum(np.minimum(np.roll(a, 1, ax), a), np.roll(a, -1, ax))
-    return a
-
-
-def _chebyshev_distance(mask, h, period):
-    """Periodic Chebyshev distance (cell centers) to the unflagged cells."""
-    n = mask.shape[0]
-    if not mask.any():
-        return np.zeros_like(mask, dtype=float)
-    if mask.all():
-        return np.full(mask.shape, period / 2.0)
-    dist = np.where(mask, np.inf, 0.0)
-    for _ in range(n // 2):
-        step = _wrap_min3(dist) + 1.0
-        new = np.minimum(dist, step)
-        if np.array_equal(new, dist):
-            break
-        dist = new
-    return dist * h
+def _check_lambda(lam, error=ValueError):
+    if not (np.isfinite(lam) and lam > 0):
+        raise error("lambda must be positive and finite")
 
 
 def bad_set(m: ScalarGrid, lam: float) -> OpenSetMask:
-    """Superlevel mask {values > lam} with its periodic distance transform."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    mask = m.values > lam
-    dist = _chebyshev_distance(mask, m.h, m.period)
-    return OpenSetMask(n=m.n, period=m.period, mask=mask, distance=dist)
+    """Superlevel mask {values > lam}."""
+    _check_lambda(lam)
+    return OpenSetMask(n=m.n, period=m.period, mask=m.values > lam)
 
 
 @dataclass
@@ -165,12 +128,11 @@ class ZhangReport:
     ratio: float   # lhs * lambda / rhs (0 when both vanish, inf when only rhs does)
 
 
-def zhang_bound_check(f: TrigSymField, lam: float, n: int, radii=None) -> ZhangReport:
+def zhang_bound_check(f: TrigSymField, lam: float, n: int) -> ZhangReport:
     """Both sides of the superlevel set estimate, by midpoint quadrature."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    _check_lambda(lam)
     g = sample_abs(f, n)
-    m = maximal_function(g, radii)
+    m = maximal_function(g)
     cell = g.cell_measure()
     lhs = float((m.values > lam).sum()) * cell
     tail = g.values > lam / 2

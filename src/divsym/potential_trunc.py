@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import PreconditionError, TrigSymField, _sym6_sq, potential_inverse
-from .maximal import ScalarGrid, bad_set, maximal_function
+from .maximal import ScalarGrid, _check_lambda, bad_set, maximal_function
 from .truncation import flag_bad_set
 
 
@@ -42,8 +42,7 @@ def potential_bad_set(v: TrigSymField, lam: float, n: int):
     and |grad^2 v| on the n-grid; the potential twin of
     ``truncation.flag_bad_set``.
     """
-    if lam <= 0:
-        raise PreconditionError("lambda must be positive")
+    _check_lambda(lam, PreconditionError)
     total = sum(maximal_function(ScalarGrid(n=n, period=v.period, values=g)).values
                 for g in _derivative_magnitude_grids(v, n))
     level = ScalarGrid(n=n, period=v.period, values=total)

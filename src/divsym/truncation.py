@@ -35,7 +35,7 @@ import numpy as np
 from . import _kernels
 from .fields import SYM6_SLOT, TWO_PI, PreconditionError, TrigSymField, _sym6_sq, assert_div_free
 from .flux import CENTROID, _edge_moments
-from .maximal import OpenSetMask, ScalarGrid, bad_set, maximal_function, sample_abs
+from .maximal import OpenSetMask, ScalarGrid, _check_lambda, bad_set, maximal_function, sample_abs
 from .whitney import _partition, _upsample, whitney_decompose
 
 LAMBDA_EFF_FACTOR = 1.25
@@ -79,8 +79,7 @@ def lambda_for_fraction(w, n, fraction):
 
 def flag_bad_set(w: TrigSymField, lam: float, n: int):
     """The flagging stage: |w| on the n-grid, its maximal function, lam_eff = 1.25 lam, the mask."""
-    if lam <= 0:
-        raise PreconditionError("lambda must be positive")
+    _check_lambda(lam, PreconditionError)
     g = sample_abs(w, n)
     m = maximal_function(g)
     lam_eff = LAMBDA_EFF_FACTOR * lam

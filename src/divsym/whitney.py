@@ -2,10 +2,14 @@
 
 Blocks are unions of grid cells whose side is a power-of-two multiple of
 the spacing; a block is admissible when it is fully flagged and its side
-does not exceed its center-distance to the complement.  Maximal
-admissible blocks tile the flagged region exactly, and each is dilated
-about its center to create overlap.  The stored ``side`` of a cube is the
-dilated sidelength; the undilated tile is the middle ``1/DILATION``.
+does not exceed its center-distance to the complement.  Both count whole
+cells: the distance is the periodic Chebyshev distance from a cell's
+center to the nearest unflagged center, an integer, and a block of side
+s cells is admissible when s is at most the least distance over its
+cells.  Maximal admissible blocks tile the flagged region exactly, and
+each is dilated about its center to create overlap.  The stored ``side``
+of a cube is the dilated sidelength; the undilated tile is the middle
+``1/DILATION``.
 
 Bumps are even C^4 piecewise polynomials equal to 1 on the undilated core
 ``[-BUMP_CORE, BUMP_CORE]`` (in units of the dilated side) and 0 outside
@@ -298,13 +302,37 @@ def _block_min(arr, s):
     return arr.reshape(m, s, m, s, m, s).min(axis=(1, 3, 5))
 
 
+def _wrap_min3(a):
+    """Minimum over each cell's periodic 3x3x3 neighbourhood, one axis at a time."""
+    for ax in range(a.ndim):
+        a = np.minimum(np.minimum(np.roll(a, 1, ax), a), np.roll(a, -1, ax))
+    return a
+
+
+def _cell_distance(mask):
+    """Periodic Chebyshev distance in cells from each flagged cell to the unflagged ones; 0 off the set.
+
+    The mask must leave a cell unflagged.  No distance exceeds n/2, so n
+    stands for "not reached yet".
+    """
+    n = mask.shape[0]
+    dist = np.where(mask, n, 0)
+    for _ in range(n // 2):
+        new = np.minimum(dist, _wrap_min3(dist) + 1)
+        if np.array_equal(new, dist):
+            break
+        dist = new
+    return dist
+
+
 def whitney_decompose(mask: OpenSetMask) -> WhitneyCover:
     """Maximal admissible dyadic blocks of the flagged set, dilated by ``DILATION``.
 
     Admissible means fully flagged with side <= center distance to the
-    complement; maximality is failure of the parent block.  The selected
-    undilated blocks partition the flagged cells exactly (W1).  Cubes run
-    by level, then block in row-major order; ``stats`` holds W1-W4.
+    complement, both in cells; maximality is failure of the parent block.
+    The selected undilated blocks partition the flagged cells exactly (W1).
+    Cubes run by level, then block in row-major order; ``stats`` holds
+    W1-W4.
     """
     n, h, period = mask.n, mask.h, mask.period
     if mask.is_empty():
@@ -316,13 +344,12 @@ def whitney_decompose(mask: OpenSetMask) -> WhitneyCover:
         raise PreconditionError(f"grid resolution {n} has no dyadic block level (needs n >= 4)")
 
     levels = [k for k in range(0, n.bit_length()) if n % (1 << k) == 0 and (1 << k) <= n // 4]
-    dist_cells = mask.distance / h
+    cells = _cell_distance(mask.mask)
     adm = {}
     for k in levels:
         s = 1 << k
         flagged = _block_min(mask.mask.astype(np.int8), s).astype(bool)
-        dmin = _block_min(dist_cells, s)
-        adm[k] = flagged & (s <= dmin + 1e-9)
+        adm[k] = flagged & (s <= _block_min(cells, s))
 
     centers, cube_levels, dists = [], [], []
     paint = np.zeros_like(mask.mask)     # W1: the undilated blocks must repaint the mask exactly
@@ -335,7 +362,7 @@ def whitney_decompose(mask: OpenSetMask) -> WhitneyCover:
         centers.append((np.argwhere(maximal) + 0.5) * s * h)
         cube_levels.append(np.full(len(centers[-1]), k, dtype=np.int64))
         # W2: center distance to the complement against the undilated side
-        dists.append(_block_min(mask.distance, s)[maximal])
+        dists.append(_block_min(cells, s)[maximal] * h)
 
     cube_levels = np.concatenate(cube_levels)
     tile = (1 << cube_levels) * h           # undilated sides

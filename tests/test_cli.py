@@ -149,6 +149,16 @@ def test_non_finite_field_file_refused_at_load(command, payload, names, tmp_path
     assert err["type"] == "ValueError" and names in err["message"]
 
 
+@pytest.mark.parametrize("command", ["truncate", "compare"])
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_non_finite_lambda_exits_with_error_object(command, lam, field_file, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = run([command, "--field", field_file, "--lambda", lam, "--grid-n", 16, "--out", out])
+    assert code == 2 and not out.exists()
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "PreconditionError", "message": "lambda must be positive and finite"}
+
+
 class TestCompare:
     def test_report(self, field_file, tmp_path):
         out = tmp_path / "cmp.json"
@@ -157,6 +167,18 @@ class TestCompare:
         rep = json.loads(out.read_text())
         schemas.validate("compare", rep)
         assert rep["geometric"]["changed_measure"] == 0.0
+
+    def test_benchmark_field_figures(self, tmp_path):
+        # the n=16 benchmark input: random_field(3) at the lambda that flags 8 % of the cells
+        payload = field_to_dict(random_field(3, 2, 1.0, divfree=True))
+        field, out = tmp_path / "field.json", tmp_path / "cmp.json"
+        field.write_text(json.dumps(payload))
+        lam = lambda_for_fraction(field_from_dict(payload), 16, 0.08)
+        assert run(["compare", "--field", field, "--lambda", lam, "--grid-n", 16, "--out", out]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["geometric"]["bad_fraction"] == 0.080078125
+        assert rep["potential"]["bad_fraction"] == 0.664306640625
+        assert rep["linf_u"] == 51.94790479983648
 
 
 class TestEnvelope:

@@ -137,3 +137,24 @@ def test_tracer_counts_a_truncate_command(tmp_path):
     assert counts["pairs"] > 0 and counts["triples_visited"] == 3257 and counts["triples_active"] > 0
     assert counts["bad_cells"] > 0
     assert [c["cubes"] for c in counts["_covers"]] == [328]
+
+
+def test_tracer_sees_compare_flag_two_masks_and_no_cover(tmp_path):
+    """``compare`` on the benchmark's n=16 input flags two masks and builds no Whitney cover.
+
+    ``bad_cells`` sums both masks: 328 geometric and 2,721 potential cells.
+    """
+    from divsym import cli, field_to_dict, random_field, truncation
+
+    payload = field_to_dict(random_field(3, 2, 1.0, divfree=True))
+    field, out = tmp_path / "field.json", tmp_path / "compare.json"
+    field.write_text(json.dumps(payload))
+    lam = truncation.lambda_for_fraction(cli.field_from_dict(payload), 16, 0.08)
+    with bench_tracer() as tracer:
+        with tracer.root("compare"):
+            assert cli.main(["compare", "--field", str(field), "--lambda", repr(lam), "--grid-n", "16",
+                             "--out", str(out)]) == 0
+    assert tracer.root_counts[0]["bad_cells"] == 3049
+    names = {span[0] for span in tracer.spans}
+    assert "maximal.bad_set" in names
+    assert not [name for name in names if name.startswith("whitney.")]

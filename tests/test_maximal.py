@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import _reference_maximal as ref
 from _reference_fields import cell_centers
 from divsym.fields import TrigSymField, random_field
 from divsym.maximal import (
     ScalarGrid,
     _ball_kernel,
-    _chebyshev_distance,
-    _wrap_min3,
+    _radii,
     bad_set,
-    dyadic_radii,
     maximal_function,
     read_grid,
     sample_abs,
@@ -17,6 +17,7 @@ from divsym.maximal import (
     zhang_bound_check,
 )
 from divsym.truncation import BAD_MARGIN, LAMBDA_EFF_FACTOR, flag_bad_set, lambda_for_fraction
+from divsym.whitney import _cell_distance, _wrap_min3
 
 
 def constant_field(c):
@@ -71,19 +72,13 @@ class TestMaximalFunction:
         m = maximal_function(g)
         assert (m.values >= g.values).all()
 
-    def test_small_radius_rejected(self):
-        g = ScalarGrid(n=8, period=1.0, values=np.ones((8, 8, 8)))
-        with pytest.raises(ValueError):
-            maximal_function(g, radii=[0.5 / 8])
-
     def test_brute_force_spike(self):
         n = 16
         vals = np.zeros((n, n, n))
         vals[3, 11, 7] = 5.0
         g = ScalarGrid(n=n, period=1.0, values=vals)
-        radii = dyadic_radii(n)
-        m = maximal_function(g, radii)
-        oracle = brute_force_maximal(g, radii)
+        m = maximal_function(g)
+        oracle = brute_force_maximal(g, ref.dyadic_radii(n))
         np.testing.assert_allclose(m.values, oracle, atol=1e-10)
 
     def test_sublinear(self):
@@ -100,10 +95,16 @@ class TestBadSet:
         g = ScalarGrid(n=8, period=1.0, values=np.ones((8, 8, 8)))
         m = maximal_function(g)
         empty = bad_set(m, 2.0)
-        assert empty.is_empty() and not empty.distance.any()
-        full = bad_set(m, 0.5)
-        assert full.is_full()
-        np.testing.assert_allclose(full.distance, 0.5)
+        assert empty.is_empty() and not _cell_distance(empty.mask).any()
+        assert bad_set(m, 0.5).is_full()
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
+    def test_lambda_must_be_positive_and_finite(self, lam):
+        m = ScalarGrid(n=8, period=1.0, values=np.ones((8, 8, 8)))
+        with pytest.raises(ValueError, match="lambda must be positive and finite"):
+            bad_set(m, lam)
+        with pytest.raises(ValueError, match="lambda must be positive and finite"):
+            zhang_bound_check(constant_field(np.eye(3)), lam, 8)
 
     def test_monotone_in_lambda(self):
         m = maximal_function(sample_abs(random_field(8, 2, 1.0), 16))
@@ -119,13 +120,12 @@ class TestBadSet:
             pytest.skip("degenerate draw")
         m = ScalarGrid(n=n, period=1.0, values=vals)
         got = bad_set(m, 0.6)
+        cells = _cell_distance(got.mask)
         unflagged = np.argwhere(~got.mask)
-        h = 1.0 / n
         for cell in np.argwhere(got.mask)[::37]:
             delta = np.abs(unflagged - cell)
             delta = np.minimum(delta, n - delta)
-            oracle = delta.max(axis=1).min() * h
-            assert abs(got.distance[tuple(cell)] - oracle) < 1e-12
+            assert cells[tuple(cell)] == delta.max(axis=1).min()
 
     @pytest.mark.parametrize("n", [16, 20, 24, 32])
     def test_wrap_minimum_matches_scipy(self, n):
@@ -144,7 +144,7 @@ class TestBadSet:
             want = np.where(mask, np.inf, 0.0)
             for _ in range(n // 2):
                 want = np.minimum(want, ndimage.minimum_filter(want, size=3, mode="wrap") + 1.0)
-            np.testing.assert_array_equal(_chebyshev_distance(mask, 1.0 / n, 1.0), want / n)
+            np.testing.assert_array_equal(_cell_distance(mask), want)
         vals = rng.standard_normal((n, n, n))
         assert _wrap_min3(vals).tobytes() == ndimage.minimum_filter(vals, size=3, mode="wrap").tobytes()
 
@@ -227,8 +227,8 @@ def scipy_fft_maximal(g):
 
     spec = fft.rfftn(g.values)
     out = g.values.copy()
-    for r in dyadic_radii(g.n, g.period):
-        kernel = _ball_kernel(g.n, g.h, r)
+    for r in _radii(g.n):
+        kernel = _ball_kernel(g.n, r)
         avg = fft.irfftn(spec * fft.rfftn(kernel), s=g.values.shape, axes=(0, 1, 2))
         np.maximum(out, avg / int(kernel.sum()), out=out)
     return out
@@ -254,3 +254,26 @@ def test_fft_module_changes_rounding_only():
                 want = ref > LAMBDA_EFF_FACTOR * lam * (1.0 - BAD_MARGIN)
                 got = flag_bad_set(w, lambda_for_fraction(w, n, fraction), n)[3].mask
                 assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("period", [1.0, 1.7, 2.5, 2 * np.pi])
+def test_cell_radii_are_the_length_radii(period):
+    # for every n in 8-128 the cell-unit family admits the same offsets as the
+    # length-unit family with its slack: compared on every squared offset length
+    # the grid holds, deduplicated radii giving the same kernel
+    for n in range(8, 129):
+        half = np.arange(n // 2 + 1)
+        d2 = np.unique(half[:, None, None] ** 2 + half[None, :, None] ** 2 + half[None, None, :] ** 2)
+        h = period / n
+        want = {tuple(d2 < (r / h) ** 2 * (1.0 - 1e-12)) for r in ref.dyadic_radii(n, period)}
+        got = [tuple(d2 < r * r) for r in _radii(n)]
+        assert len(set(got)) == len(got) and set(got) == want, n
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(8, 40), st.sampled_from([1.7, 2.5, 0.3, 2 * np.pi]), st.integers(0, 2**16))
+def test_maximal_matches_length_units(n, period, seed):
+    # bitwise the length-unit oracle's, at odd n and periods other than 1 too
+    vals = np.random.default_rng(seed).random((n, n, n)) ** 8
+    g = ScalarGrid(n=n, period=period, values=vals)
+    assert maximal_function(g).values.tobytes() == ref.maximal_function(g).values.tobytes()

@@ -34,7 +34,7 @@ class TestWmInfTruncate:
         # an empty bad set: the truncation leaves the potential as it is
         v = div_free(4, max_freq=1, amplitude=0.01)
         _, mask = potential_bad_set(v, 1e9, 16)
-        assert mask.is_empty() and not mask.distance.any()
+        assert mask.is_empty()
 
     def test_zero_field(self):
         level, mask = potential_bad_set(TrigSymField({}), 1.0, 16)
@@ -47,8 +47,8 @@ class TestWmInfTruncate:
 
     def test_bad_set_preconditions(self):
         v = div_free(5)
-        for lam in (0.0, -1.0):
-            with pytest.raises(PreconditionError, match="positive"):
+        for lam in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(PreconditionError, match="lambda must be positive and finite"):
                 potential_bad_set(v, lam, 16)
 
     def test_bad_set_is_the_truncation_mask(self):
@@ -58,7 +58,21 @@ class TestWmInfTruncate:
         assert 0 < mask.mask.mean() < 1
         np.testing.assert_array_equal(level.values, vt_level(v))
         np.testing.assert_array_equal(mask.mask, want.mask)
-        np.testing.assert_array_equal(mask.distance, want.distance)
+
+
+def test_comparison_computes_no_distance(monkeypatch):
+    # the comparison reads two masks and builds no cover, so no distance transform runs
+    from divsym import whitney
+
+    def refuse(mask):
+        raise AssertionError("distance transform called")
+
+    monkeypatch.setattr(whitney, "_cell_distance", refuse)
+    w = div_free(6)
+    rep = stability_comparison(w, lambda_for_fraction(w, 16, 0.08), 16)
+    assert 0 < rep["geometric"]["bad_fraction"] < rep["potential"]["bad_fraction"] < 1
+    with pytest.raises(AssertionError, match="distance transform"):
+        whitney.whitney_decompose(flag_bad_set(w, lambda_for_fraction(w, 16, 0.08), 16)[3])
 
 
 class TestAfreeTruncate:

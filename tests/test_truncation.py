@@ -20,6 +20,7 @@ from divsym.truncation import (
     _pair_moments,
     build_context,
     divergence_defects,
+    flag_bad_set,
     lambda_for_fraction,
     local_field,
     sample_bad_truncation,
@@ -28,7 +29,7 @@ from divsym.truncation import (
     truncate,
     verify,
 )
-from divsym.whitney import _pack_slot, whitney_decompose
+from divsym.whitney import _cell_distance, _pack_slot, whitney_decompose
 from test_topology import triangles
 
 
@@ -62,6 +63,11 @@ class TestBuildContext:
         big = 10.0 * float(np.abs(w.max_coeff_norm())) * len(w.coeffs)
         ctx = build_context(w, big, 16)
         assert ctx.bad.is_empty()
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
+    def test_lambda_must_be_positive_and_finite(self, lam):
+        with pytest.raises(PreconditionError, match="lambda must be positive and finite"):
+            flag_bad_set(div_free(1), lam, 16)
 
     def test_non_divfree_rejected(self):
         with pytest.raises(PreconditionError):
@@ -249,7 +255,7 @@ class TestTruncate:
         ctx = build_context(w, lam, 24)
         ev = truncate(ctx)
         h = 1.0 / ctx.n
-        deep = np.argwhere(ctx.bad.distance > 2.5 * h)
+        deep = np.argwhere(_cell_distance(ctx.bad.mask) > 2.5)
         assert len(deep) > 0
         rng = np.random.default_rng(2)
         hfd = 1e-5

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import _reference_maximal as ref
 from _reference_pointwise import build_partition, cubes_at, phi_at, pou_eval
 from divsym.fields import PreconditionError, UnsupportedOrderError, random_field
+from divsym.truncation import flag_bad_set, lambda_for_fraction
 from divsym.maximal import OpenSetMask, ScalarGrid, bad_set, maximal_function, sample_abs
 from _loop_kernels import _bump012
 from divsym.whitney import (
@@ -170,6 +172,38 @@ class TestDecompose:
         mask = ball_mask(64, (0.5, 0.5, 0.5), 0.2)
         cover = whitney_decompose(mask)
         assert cover.stats["w4_ratio_max"] <= 8.0
+
+    @pytest.mark.parametrize("n, size, stats", [
+        (16, 328, {"w1_exact": True, "w2_ratio_min": 1.0, "w2_ratio_max": 1.0, "overlap": 8,
+                   "w4_ratio_max": 1.0}),
+        (32, 2608, {"w1_exact": True, "w2_ratio_min": 1.0, "w2_ratio_max": 2.0, "overlap": 10,
+                    "w4_ratio_max": 2.0}),
+    ])
+    def test_benchmark_field_stats(self, n, size, stats):
+        # random_field(3) at the lambda that flags 8 % of the n-grid
+        w = random_field(3, 2, 1.0, divfree=True)
+        cover = whitney_decompose(flag_bad_set(w, lambda_for_fraction(w, n, 0.08), n)[3])
+        assert len(cover) == size and cover.stats == stats
+
+
+@settings(max_examples=16, deadline=None)
+@given(st.integers(8, 40), st.sampled_from([1.7, 2.5, 0.3, 2 * np.pi]), st.floats(0.02, 0.6),
+       st.booleans(), st.integers(0, 2**16))
+def test_cover_matches_length_units(n, period, fraction, blobs, seed):
+    # admissibility and W2 in whole cells give the length-unit oracle's cover bit for bit:
+    # i.i.d. masks, or superlevel sets of a smooth field's maximal function, which hold
+    # blocks above level 0
+    if blobs:
+        grid = maximal_function(sample_abs(random_field(seed % 64, 2, 1.0, period=period), n))
+    else:
+        grid = ScalarGrid(n=n, period=period, values=np.random.default_rng(seed).random((n, n, n)))
+    mask = bad_set(grid, float(np.quantile(grid.values, 1.0 - fraction)))
+    assume(not mask.is_empty() and not mask.is_full())
+    got, want = whitney_decompose(mask), ref.whitney_decompose(mask)
+    for key in ("centers", "sides", "levels"):
+        assert getattr(got, key).tobytes() == getattr(want, key).tobytes()
+    assert got.stats == want.stats
+    assert all(type(got.stats[k]) is type(want.stats[k]) for k in want.stats)
 
 
 def phi_pack(cover, x, j, order=(0, 0, 0)):

@@ -16,7 +16,7 @@ from .fields import (
 from .maximal import ScalarGrid, OpenSetMask, sample_abs, maximal_function, bad_set, zhang_bound_check
 from .whitney import WhitneyCover, whitney_decompose
 from .flux import QuadratureRule
-from .truncation import TruncationContext, VerificationReport, build_context, local_field, truncate, divergence_defects, verify
+from .truncation import TruncationContext, build_context, truncate, divergence_defects, verify
 from .potential_trunc import potential_bad_set, stability_comparison
 from .envelope import CompactSetDescriptor, EnvelopeEstimate, dist_p, qsdqc_estimate, hull_membership
 

@@ -29,9 +29,9 @@ is 80 KB, one of a partition pass (4 to 7 active cubes per point) 130 to
 they cut the kernel stage by 21 to 27 % against 100,000 pairs and
 32,768 points, and halving or doubling both moved it by under 4 %.
 Chunks hold whole points, so no size changes a point's summation order.
-The grid kernel ``accumulate_truncation`` and the pointwise evaluators in
-``truncation`` all run it.  Packs follow ``whitney``'s layout and packed
-symmetric outputs ``fields.SYM6``.
+The grid kernel ``accumulate_truncation`` and the pointwise evaluator
+``truncation.truncate`` both run it.  Packs follow ``whitney``'s layout and
+packed symmetric outputs ``fields.SYM6``.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from .envelope import CompactSetDescriptor, hull_membership
 from .fields import UPPER_TRI_SLOT, PreconditionError, field_from_dict, field_to_dict, random_field
 from .maximal import write_grid
 from .potential_trunc import stability_comparison
-from .truncation import build_context, sample_truncation_norm, verify
+from .truncation import build_context, verify
 
 
 def _dump_json(path, payload):
@@ -51,12 +51,10 @@ def cmd_gen_field(args):
 
 def cmd_truncate(args):
     f = _load_field(args.field)
-    ctx = build_context(f, args.lam, args.grid_n)
-    report = verify(ctx).to_dict()
-    grid_path = os.path.splitext(args.out)[0] + ".grid.bin"
-    write_grid(grid_path, sample_truncation_norm(ctx, 2 * args.grid_n))
-    report["sampled_field"] = grid_path
-    schemas.validate("report", report)
+    report, grid = verify(build_context(f, args.lam, args.grid_n))
+    report["sampled_field"] = os.path.splitext(args.out)[0] + ".grid.bin"
+    schemas.validate("report", report)  # before either file is written
+    write_grid(report["sampled_field"], grid)
     _dump_json(args.out, report)
     return 0
 

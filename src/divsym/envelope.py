@@ -62,10 +62,17 @@ class CompactSetDescriptor:
             self.points = [np.asarray(p, dtype=float).reshape(3, 3) for p in self.points]
         else:
             raise ValueError(f"unknown set kind {self.kind!r}")
-        # Mandel rows of the points (of the centre for a ball) and their |r|^2/2, computed once
-        self.rows = _sym_to_mandel(self.center[None] if self.kind == "ball" else np.stack(self.points))
-        if not np.isfinite(self.rows).all():
+        mats = self.center[None] if self.kind == "ball" else np.stack(self.points)
+        if not np.isfinite(mats).all():
             raise ValueError("ball centre must be finite" if self.kind == "ball" else "set points must be finite")
+        # asymmetry above 1e-10 * max(1, largest entry) is refused, the rule of ``TrigSymField``
+        asym = np.abs(mats - mats.swapaxes(1, 2)).max(axis=(1, 2))
+        bad = np.flatnonzero(asym > 1e-10 * np.maximum(1.0, np.abs(mats).max(axis=(1, 2))))
+        if len(bad):
+            raise ValueError(("ball centre" if self.kind == "ball" else f"set point {bad[0]}")
+                             + f" is not symmetric (defect {asym[bad[0]]:.2e})")
+        # Mandel rows of the points (of the centre for a ball) and their |r|^2/2, computed once
+        self.rows = _sym_to_mandel(mats)
         self.half_sq = 0.5 * np.einsum("ij,ij->i", self.rows, self.rows)
 
     def diameter(self):

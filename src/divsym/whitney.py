@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import SYM6, SYM6_SLOT, PreconditionError, UnsupportedOrderError, _check_order
+from .fields import SYM6, SYM6_SLOT, PreconditionError, UnsupportedOrderError
 from .maximal import OpenSetMask
 
 DILATION = 2.0        # dilated side over tile side; 9/8 leaves overlap too thin to sample
@@ -114,16 +114,6 @@ def _phi_packs(eta, spk):
         q = _D2[d, e]
         out[q] = (eta[q] - out[1 + d] * spk[1 + e] - out[1 + e] * spk[1 + d] - v * spk[q]) / s0
     return out
-
-
-def _pack_slot(order):
-    """Pack slot of the derivative multi-index ``order``; packs stop at total order 2."""
-    axes = [d for d, k in enumerate(_check_order(order)) for _ in range(k)]
-    if len(axes) > 2:
-        raise UnsupportedOrderError(f"phi packs hold derivatives up to order 2, not {tuple(order)}")
-    if len(axes) == 2:
-        return int(_D2[axes[0], axes[1]])
-    return 1 + axes[0] if axes else 0
 
 
 def _partition(cover, x):

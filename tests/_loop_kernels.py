@@ -11,16 +11,28 @@ Slow (about 0.3 ms per pair); use on small grids only.
 cover's half-cell index: array code, the oracle for the pair rows that
 ``whitney._partition`` finds through ``WhitneyCover.candidates``.
 
-Pack layout per point: [v, dx, dy, dz, dxx, dyy, dzz, dyz, dxz, dxy].
+Pack layout per point: [v, dx, dy, dz, dxx, dyy, dzz, dyz, dxz, dxy];
+``pack_slot`` gives the slot of a derivative multi-index.
 """
 
 import math
 
 import numpy as np
 
-from divsym.whitney import BUMP_CORE, BUMP_SUPP, SUPPORT_MARGIN, _eta_packs, _phi_packs, _segments
+from divsym.fields import UnsupportedOrderError, _check_order
+from divsym.whitney import _D2, BUMP_CORE, BUMP_SUPP, SUPPORT_MARGIN, _eta_packs, _phi_packs, _segments
 
 _TRANS = BUMP_SUPP - BUMP_CORE
+
+
+def pack_slot(order):
+    """Pack slot of the derivative multi-index ``order``; packs stop at total order 2."""
+    axes = [d for d, k in enumerate(_check_order(order)) for _ in range(k)]
+    if len(axes) > 2:
+        raise UnsupportedOrderError(f"phi packs hold derivatives up to order 2, not {tuple(order)}")
+    if len(axes) == 2:
+        return int(_D2[axes[0], axes[1]])
+    return 1 + axes[0] if axes else 0
 
 
 def _bump012(t):

@@ -9,7 +9,7 @@ are kept as the oracles they are tested against.
 import numpy as np
 
 from divsym.fields import SYM6_SLOT, TWO_PI, TrigSymField
-from divsym.truncation import TruncationContext, _w_on_grid, sample_bad_truncation
+from divsym.truncation import TruncationContext, sample_bad_truncation
 
 
 class PlaneWave:
@@ -52,14 +52,14 @@ def _plane_wave_pairing(f: TrigSymField, psi: PlaneWave, alpha: int) -> float:
     return float(total)
 
 
-def weak_divergence_defect(ctx: TruncationContext, alpha: int, psi: PlaneWave, m: int | None = None) -> float:
-    """Midpoint quadrature of integral (T w)_alpha . grad(psi) at resolution m.
+def weak_divergence_defect(ctx: TruncationContext, alpha: int, psi: PlaneWave, mask_m, tvals, w_bad) -> float:
+    """Midpoint quadrature of integral (T w)_alpha . grad(psi) on the grid of ``mask_m``.
 
+    ``tvals`` and ``w_bad`` hold T w and w at its flagged points, packed.
     Splits into the trig part (exact by discrete orthogonality for plane
     waves) plus the flagged-point correction (T - w) . grad(psi).
     """
-    m = 2 * ctx.n if m is None else m
-    _, mask_m, tvals = sample_bad_truncation(ctx, m)
+    m = mask_m.shape[0]
     h3 = (ctx.period / m) ** 3
 
     term1 = _plane_wave_pairing(ctx.w, psi, alpha)
@@ -70,18 +70,24 @@ def weak_divergence_defect(ctx: TruncationContext, alpha: int, psi: PlaneWave, m
     pts = (np.argwhere(mask_m) + 0.5) * (ctx.period / m)
     g = psi.grad(pts)
     t_row = tvals[:, SYM6_SLOT[alpha]]
-    w_row = _w_on_grid(ctx, m)[mask_m][:, SYM6_SLOT[alpha]]
+    w_row = w_bad[:, SYM6_SLOT[alpha]]
     term2 = float(((t_row - w_row) * g).sum()) * h3
     return term1 + term2
 
 
 def divergence_battery(ctx: TruncationContext, m: int | None = None, psis=None) -> np.ndarray:
-    """Defects |integral (T w)_alpha . grad psi| for the whole battery; (npsi, 3)."""
+    """Defects |integral (T w)_alpha . grad psi| for the whole battery; (npsi, 3).
+
+    T w and w are sampled once, at the flagged points of the m-grid.
+    """
     psis = battery_psis(ctx.period) if psis is None else psis
+    m = 2 * ctx.n if m is None else m
+    _, mask_m, tvals = sample_bad_truncation(ctx, m)
+    w_bad = ctx.w.grid_components(m)[mask_m]
     out = np.zeros((len(psis), 3))
     for p, psi in enumerate(psis):
         for alpha in range(3):
-            out[p, alpha] = abs(weak_divergence_defect(ctx, alpha, psi, m))
+            out[p, alpha] = abs(weak_divergence_defect(ctx, alpha, psi, mask_m, tvals, w_bad))
     return out
 
 

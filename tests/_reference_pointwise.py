@@ -19,9 +19,9 @@ ran the grid kernel's formula at one point: phi derivatives from
 ``pou_eval``, a dict from sorted cube triples to rows of the triple
 moments (``_subset_kernel.subset_moments``), and the permutation sign of
 each ordered triple applied to their B and A.
-The tests compare ``truncation.TruncationEvaluator`` and
-``truncation.local_field`` with it.  About 0.1 s per point on the n = 24
-test fixture.
+The tests compare ``truncation.truncate`` with it, and with each of its
+local fields wtilde^(k), which the pair kernel finds equal to T w.  About
+0.1 s per point on the n = 24 test fixture.
 """
 
 from dataclasses import dataclass
@@ -29,11 +29,12 @@ from math import comb
 
 import numpy as np
 
+from _loop_kernels import pack_slot
 from _subset_kernel import PERMS, active_triples, subset_moments
 from divsym.fields import PreconditionError, _check_order
 from divsym.flux import PAIRS, _moment_functions
 from divsym.truncation import sym6_to_mat
-from divsym.whitney import SUPPORT_MARGIN, WhitneyCover, _pack_slot, _partition, bump
+from divsym.whitney import SUPPORT_MARGIN, WhitneyCover, _partition, bump
 
 CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 _COMP6 = {(0, 0): 0, (1, 1): 1, (2, 2): 2, (1, 2): 3, (2, 1): 3, (0, 2): 4, (2, 0): 4, (0, 1): 5, (1, 0): 5}
@@ -66,7 +67,7 @@ def summation_vanish_loop(ctx, a, b, c, mode, samples):
     ``totals`` holds each used sample's sum and ``scales`` the sum of the
     absolute values of its terms, the size its rounding scales with.
     """
-    sa, sb, sc = (_pack_slot(o) for o in (a, b, c))
+    sa, sb, sc = (pack_slot(o) for o in (a, b, c))
     tri_b, tri_g = subset_moments(ctx)
     totals, scales, skipped = [], [], 0
     for y in samples:
@@ -173,7 +174,7 @@ class PointwiseReference:
 
     def __init__(self, ctx):
         self.ctx = ctx
-        self.pou = None if ctx.cover is None else build_partition(ctx.cover)
+        self.pou = build_partition(ctx.cover)
         self.moment_index = {tuple(int(v) for v in t): r for r, t in enumerate(ctx.triples)}
 
     def in_bad_set(self, x):
@@ -267,7 +268,7 @@ class PointwiseReference:
     def __call__(self, x):
         ctx = self.ctx
         x = np.asarray(x, dtype=float)
-        if ctx.cover is None or not self.in_bad_set(x):
+        if not self.in_bad_set(x):
             return ctx.w(x)
         active, packs = self.phi_packs(x)
         acc = np.zeros(6)

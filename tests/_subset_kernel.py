@@ -12,18 +12,20 @@
 - ``subset_evaluate``: ``local_terms`` over every subset of each point,
   scattered with ``np.add.at``;
 - ``subset_truncation`` and ``subset_local_field``: a context's T w and
-  wtilde^(k) by that route, with the triple moments cached per context;
+  wtilde^(k) by that route, with the triple moments of the last context
+  kept;
 - ``summation_vanish_check``: the triple partition-derivative sums against
   B or A, which vanish at flagged points.
 """
 
 import numpy as np
 
+from _loop_kernels import pack_slot
 from divsym._kernels import _point_chunks
 from divsym.fields import SYM6_SLOT
 from divsym.flux import _AL, _BE, CENTROID, _moment_functions
 from divsym.truncation import _pair_moments, sym6_to_mat
-from divsym.whitney import _D2, _pack_slot, _partition, _segments
+from divsym.whitney import _D2, _partition, _segments
 
 # (i, j, k, sign) of the six permutations, and the cycles (alpha, beta, gamma)
 PERMS = ((0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
@@ -146,11 +148,14 @@ def subset_evaluate(cover, triples, tri_b, tri_g, tri_verts, pts, weight, out):
     return cube
 
 
+_LAST = [None, None]  # the last context passed to ``subset_moments`` and its moments
+
+
 def subset_moments(ctx):
-    """``triple_moments`` of the context's triples, (tri_b, tri_g), computed once per context."""
-    if "subset_moments" not in ctx._caches:
-        ctx._caches["subset_moments"] = triple_moments(ctx.w, ctx.cover, ctx.triples)[1:]
-    return ctx._caches["subset_moments"]
+    """``triple_moments`` of the context's triples, (tri_b, tri_g); kept for the last context asked."""
+    if _LAST[0] is not ctx:
+        _LAST[:] = ctx, triple_moments(ctx.w, ctx.cover, ctx.triples)[1:]
+    return _LAST[1]
 
 
 def subset_truncation(ctx, pts):
@@ -178,10 +183,8 @@ def summation_vanish_check(ctx, a, b, c, mode, samples):
     multi-index of total order <= 2 (the phi packs' range).  Samples
     outside the bad set are skipped (counted in the returned report).
     """
-    sa, sb, sc = (_pack_slot(o) for o in (a, b, c))
+    sa, sb, sc = (pack_slot(o) for o in (a, b, c))
     pts = np.asarray(list(samples), dtype=float).reshape(-1, 3)
-    if ctx.cover is None:
-        return {"max_abs": 0.0, "used": 0, "skipped": len(pts)}
     used = pts[ctx.bad.contains(pts)]
     tri_b, tri_g = subset_moments(ctx)
     cube, point, off, phi, _ = _partition(ctx.cover, used)

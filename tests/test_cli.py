@@ -72,11 +72,26 @@ class TestTruncate:
         out = tmp_path / "bench.json"
         assert run(["truncate", "--field", field, "--lambda", lam, "--grid-n", 16, "--out", out]) == 0
         rep = json.loads(out.read_text())
-        assert (rep["cover_size"], rep["triple_count"]) == (328, 3257)
-        assert rep["linf_ratio"] == pytest.approx(36.689869404712766, rel=1e-12, abs=0)
-        assert rep["spiked_defect"] == pytest.approx(92.90021586597199, rel=1e-12, abs=0)
+        counts = {key: rep[key] for key in ("grid_n", "eval_m", "cover_size", "triple_count", "overlap")}
+        assert counts == {"grid_n": 16, "eval_m": 32, "cover_size": 328, "triple_count": 3257, "overlap": 8}
+        figures = {
+            "lambda": 29.571057138747136, "lambda_effective": 36.96382142343392,
+            "linf_ratio": 36.689869404712766, "l1_distance": 21.6740111529894,
+            "tail_integral": 25.564210478211557, "stability_ratio": 0.8478263457994221,
+            "changed_measure": 0.080078125, "small_change_ratio": 0.092629295630193,
+            "spiked_defect": 92.90021586597199,
+            "div_defects": [14.296526504687328, 3.791957139340912, 8.933889290293948, 16.426384538414375,
+                            13.97700112046452, 4.94150404110541, 8.622469327755848, 15.980238805161605,
+                            15.775054015167905, 17.089082109900993, 15.559025548238425, 8.704597323753358],
+        }
+        assert set(figures) | set(counts) == set(rep) - {"sampled_field"}
+        for key, value in figures.items():
+            assert rep[key] == pytest.approx(value, rel=1e-12, abs=0), key
         assert max(rep["div_defects"]) / rep["spiked_defect"] == pytest.approx(
             0.18395094080893676, rel=1e-12, abs=0)
+        grid = read_grid(rep["sampled_field"])
+        assert grid.n == 32
+        assert grid.values.max() == pytest.approx(rep["linf_ratio"] * lam, rel=1e-15, abs=0)
 
     def test_non_divfree_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -91,16 +106,15 @@ class TestTruncate:
                                                     monkeypatch):
         from divsym import cli
 
-        class Incomplete:
-            def to_dict(self):
-                return {"lambda": 1e9}
-
-        monkeypatch.setattr(cli, "verify", lambda ctx: Incomplete())
+        verify = cli.verify
+        monkeypatch.setattr(cli, "verify", lambda ctx: ({"lambda": 1e9}, verify(ctx)[1]))
         code = run(["truncate", "--field", field_file, "--lambda", 1e9, "--grid-n", 16,
                     "--out", tmp_path / "r.json"])
         assert code == 2
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "ValidationError"
+        # the report is refused before either file is written
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.grid.bin").exists()
 
     def test_resolution_guardrail(self, field_file, tmp_path, capsys):
         code = run(["truncate", "--field", field_file, "--lambda", 1.0, "--grid-n", 8,
@@ -237,6 +251,21 @@ class TestEnvelope:
         assert code == 2
         assert "error" in json.loads(capsys.readouterr().out)
         assert not out.exists()
+
+
+@pytest.mark.parametrize("payload", [
+    {"kind": "points", "points": [[[1, 5, 0], [0, 0, 0], [0, 0, 0]]]},
+    {"kind": "polytope", "points": [np.eye(3).tolist(), [[0, 0, 0], [0, 0, 2], [0, 0, 0]]]},
+    {"kind": "ball", "center": [[0, 0, 0], [0, 0, 0], [1, 0, 0]], "radius": 1.0},
+], ids=["points", "polytope", "ball"])
+def test_asymmetric_set_exits_with_error_object(payload, tmp_path, capsys):
+    kfile, out = tmp_path / "k.json", tmp_path / "e.json"
+    kfile.write_text(json.dumps(payload))
+    code = run(["envelope", "--set", kfile, "--xi", "0,0,0,0,0,0", "--p", 2, "--max-freq", 1, "--restarts", 1,
+                "--iters", 2, "--out", out])
+    assert code == 2 and not out.exists()
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ValueError" and "not symmetric" in err["message"]
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys):

@@ -315,3 +315,16 @@ class TestDescriptor:
         k = CompactSetDescriptor(kind="points", points=pts)
         _, grad = DistanceObjective(k, 2)(np.zeros((3, 3)))
         np.testing.assert_array_equal(grad, -2.0 * pts[0])
+
+    @pytest.mark.parametrize("kind", ["points", "polytope", "ball"])
+    def test_asymmetric_matrix_refused(self, kind):
+        # the lower triangle is read too: asymmetry above 1e-10 * max(1, largest entry) is refused
+        skew = np.zeros((3, 3))
+        skew[0, 1] = 5.0
+        near = np.diag([1e6, 0.0, 0.0])
+        near[0, 1], near[1, 0] = 1.0, 1.0 + 5e-5  # 5e-5 below 1e-10 * 1e6: accepted
+        make = (lambda m: ball(1.0, center=m)) if kind == "ball" else (
+            lambda m: CompactSetDescriptor(kind=kind, points=[np.eye(3), m]))
+        with pytest.raises(ValueError, match="not symmetric"):
+            make(skew)
+        make(near)

@@ -52,9 +52,9 @@ def test_command_loads_no_scipy(command, tmp_path):
 PUBLIC = [
     "CompactSetDescriptor", "EnvelopeEstimate", "OpenSetMask", "PreconditionError",
     "QuadratureRule", "ScalarGrid", "TrigSymField", "TruncationContext",
-    "UnsupportedOrderError", "VerificationReport", "WhitneyCover", "bad_set", "build_context",
+    "UnsupportedOrderError", "WhitneyCover", "bad_set", "build_context",
     "curl_curl_T", "dist_p", "divergence_defects", "field_from_dict", "field_to_dict",
-    "hull_membership", "local_field",
+    "hull_membership",
     "maximal_function", "potential_bad_set", "potential_inverse", "project_div_free",
     "qsdqc_estimate", "random_field", "sample_abs", "stability_comparison",
     "truncate", "verify", "whitney_decompose", "zhang_bound_check",

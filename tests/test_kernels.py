@@ -114,7 +114,7 @@ def test_constant_field_matches_subset_oracle(draw, waves, n):
     w = TrigSymField(coeffs)
     seed3 = random_field(3, 2, 1.0, divfree=True)
     ctx = build_context(seed3, lambda_for_fraction(seed3, n, 0.08), n)
-    check_against_subsets(dataclasses.replace(ctx, w=w, pair_M=_pair_moments(w, ctx.cover), _caches={}))
+    check_against_subsets(dataclasses.replace(ctx, w=w, pair_M=_pair_moments(w, ctx.cover)))
 
 
 def test_chunks_hold_whole_points_and_at_most_chunk_pairs():

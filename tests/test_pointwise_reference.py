@@ -1,4 +1,4 @@
-"""The kernel-routed pointwise evaluator and local fields against the pou_eval reference."""
+"""The pointwise evaluator ``truncate`` against the pou_eval reference and the 3-subset local fields."""
 
 import dataclasses
 
@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _reference_pointwise import PointwiseReference, cubes_at, pou_eval
+from _reference_pointwise import PointwiseReference, cubes_at
 from _subset_kernel import subset_local_field
 from divsym import whitney
 from divsym.fields import TrigSymField, project_div_free, random_field
-from divsym.truncation import (build_context, lambda_for_fraction, local_field, sample_bad_truncation, sym6_to_mat,
-                               truncate)
+from divsym.truncation import build_context, lambda_for_fraction, sample_bad_truncation, sym6_to_mat, truncate
 from divsym.whitney import SUPPORT_MARGIN
 
 # Agreement bound, relative to max(1, largest reference component): the
@@ -44,7 +43,7 @@ def test_evaluator_matches_reference(case, pick):
     seed, n, fraction = case
     w = div_free(seed)
     ctx = build_context(w, lambda_for_fraction(w, n, fraction), n)
-    ev, ref = truncate(ctx), PointwiseReference(ctx)
+    ref = PointwiseReference(ctx)
     rng = np.random.default_rng(pick)
     cells = np.argwhere(ctx.bad.mask)
     chosen = cells[rng.integers(0, len(cells), size=6)]
@@ -52,16 +51,12 @@ def test_evaluator_matches_reference(case, pick):
     # three random flagged points, then three mask-cell centres (support edges)
     pts = np.concatenate([(chosen[:3] + rng.random((3, 3))) * h, (chosen[3:] + 0.5) * h])
     for s, y in enumerate(pts):
-        got = ev(y)
+        got = truncate(ctx, y)
         assert np.array_equal(got, got.T)
         assert_close(got, ref(y))
-        active = active_cubes(ctx.cover, y)
-        locals_ = {k: local_field(ctx, k, y) for k in active}
-        assert_close(sum(pou_eval(ref.pou, k, y) * locals_[k] for k in active), got)
-        if s == 0:
-            for k in active:
-                assert np.array_equal(locals_[k], locals_[k].T)
-                assert_close(locals_[k], ref.local_field(k, y))
+        if s == 0:  # the reference's local fields, each T w
+            for k in active_cubes(ctx.cover, y):
+                assert_close(got, ref.local_field(k, y))
 
 
 def cell_of(x, period, n):
@@ -74,33 +69,39 @@ def cell_of(x, period, n):
 @given(st.integers(0, 30), st.integers(1, 30), st.sampled_from([16, 20, 24]), st.integers(0, 2**16),
        st.integers(1, 24), st.booleans())
 def test_batched_evaluator_matches_points(seed, percent, n, pick, k, stacked):
+    # truncate(ctx, x) on a (k, 3) or (2, k, 3) batch: symmetric, w off the mask, the grid
+    # kernel at the flagged m-grid points, and w everywhere when the bad set is empty
     w = div_free(seed)
     ctx = build_context(w, lambda_for_fraction(w, n, percent / 100), n)
-    ev = truncate(ctx)
     rng = np.random.default_rng(pick)
     cells = np.argwhere(ctx.bad.mask)
     h = ctx.period / n
-    # flagged points, and uniform ones shifted by whole periods; a (k, 3) or (2, k, 3) batch
+    # flagged points, and uniform ones shifted by whole periods
     shape = (2, k) if stacked else (k,)
     size = int(np.prod(shape))
     flagged = (cells[rng.integers(0, len(cells), size=size)] + rng.random((size, 3))) * h
     uniform = (rng.random((size, 3)) + rng.integers(-2, 3, size=(size, 3))) * ctx.period
     pts = np.where(rng.random((size, 1)) < 0.5, flagged, uniform)
-    got = ev(pts.reshape(shape + (3,)))
+    got = truncate(ctx, pts.reshape(shape + (3,)))
     bad = ctx.bad.contains(pts.reshape(shape + (3,)))
     assert got.shape == shape + (3, 3) and bad.shape == shape
+    assert np.array_equal(got, got.swapaxes(-1, -2))
     got, bad = got.reshape(-1, 3, 3), bad.ravel()
     assert bad.tolist() == [bool(ctx.bad.mask[cell_of(x, ctx.period, n)]) for x in pts]
     for x, val in zip(pts[bad], got[bad]):
-        assert np.array_equal(val, ev(x))
+        assert np.array_equal(val, truncate(ctx, x))
     assert np.array_equal(got[~bad], w.eval_many(pts)[~bad])
     # flagged centres of the m-grid against the grid kernel
     m = 2 * n
     bad_index, mask_m, tvals = sample_bad_truncation(ctx, m)
     centres = np.argwhere(mask_m)[rng.integers(0, int(mask_m.sum()), size=size)]
-    vals = ev(((centres + 0.5) * (ctx.period / m)).reshape(shape + (3,)))
+    vals = truncate(ctx, ((centres + 0.5) * (ctx.period / m)).reshape(shape + (3,)))
     want = sym6_to_mat(tvals[bad_index[tuple(centres.T)]]).reshape(shape + (3, 3))
     np.testing.assert_allclose(vals, want, rtol=0, atol=1e-12 * max(1.0, np.abs(tvals).max()))
+    # an empty bad set: T is the identity
+    empty = build_context(w, 1e9, n)
+    assert empty.bad.is_empty()
+    assert np.array_equal(truncate(empty, pts), w.eval_many(pts))
 
 
 def test_missing_pair_raises():
@@ -115,13 +116,11 @@ def test_missing_pair_raises():
             break
     else:
         pytest.fail("no pair overlaps at a flagged point")
-    local_field(ctx, int(i), y)
+    truncate(ctx, y)
     cut = dataclasses.replace(ctx, pairs=np.delete(ctx.pairs, row, axis=0),
-                              pair_M=np.delete(ctx.pair_M, row, axis=0), _caches={})
+                              pair_M=np.delete(ctx.pair_M, row, axis=0))
     with pytest.raises(KeyError):
-        local_field(cut, int(i), y)
-    with pytest.raises(KeyError):
-        truncate(cut)(y)
+        truncate(cut, y)
     with pytest.raises(KeyError):
         sample_bad_truncation(cut, 32)
 
@@ -136,15 +135,13 @@ def test_local_field_is_the_truncation(seed, percent, n, pick):
     rng = np.random.default_rng(pick)
     cells = np.argwhere(ctx.bad.mask)
     pts = (cells[rng.integers(0, len(cells), size=5)] + rng.random((5, 3))) * (ctx.period / n)
-    vals = truncate(ctx)(pts)
+    vals = truncate(ctx, pts)
     scale = max(1.0, np.abs(vals).max())
     for y, val in zip(pts, vals):
         active = active_cubes(ctx.cover, y)
         assert len(active) >= 1
         for k in active:
-            np.testing.assert_allclose(local_field(ctx, k, y), val, rtol=0, atol=1e-12 * scale)
-        k = active[rng.integers(0, len(active))]
-        np.testing.assert_allclose(subset_local_field(ctx, k, y), val, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(subset_local_field(ctx, k, y), val, rtol=0, atol=1e-12 * scale)
 
 
 def test_partition_evaluated_once_per_pair(monkeypatch):

@@ -1,9 +1,8 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _loop_kernels import pack_slot
 from _reference_divergence import battery_psis, divergence_battery, spiked_battery
 from _reference_fields import cell_centers
 from _reference_moments import _batched_moments, _triangle_moments, antisym, triangle_rule
@@ -22,14 +21,12 @@ from divsym.truncation import (
     divergence_defects,
     flag_bad_set,
     lambda_for_fraction,
-    local_field,
     sample_bad_truncation,
-    sample_truncation_norm,
     sym6_to_mat,
     truncate,
     verify,
 )
-from divsym.whitney import _cell_distance, _pack_slot, whitney_decompose
+from divsym.whitney import _cell_distance, whitney_decompose
 from test_topology import triangles
 
 
@@ -56,7 +53,7 @@ def bad_points(ctx, count, seed=0):
 class TestBuildContext:
     def test_zero_field_empty(self):
         ctx = build_context(TrigSymField({}), 1.0, 16)
-        assert ctx.cover is None and ctx.bad.is_empty()
+        assert len(ctx.cover) == 0 and len(ctx.pairs) == 0 and ctx.bad.is_empty()
 
     def test_huge_lambda_empty(self):
         w = div_free(1)
@@ -104,15 +101,9 @@ def _touch_matrix(cover):
 
 class TestLocalField:
     def test_symmetry_exact(self, ctx):
-        for y in bad_points(ctx, 5, seed=2):
-            k = cubes_at(ctx.cover, y)[0]
-            val = local_field(ctx, k, y)
-            assert np.array_equal(val, val.T)
-
-    def test_outside_cube_rejected(self, ctx):
-        far = ctx.cover.centers[0] + 0.5
-        with pytest.raises(PreconditionError):
-            local_field(ctx, 0, far % 1.0)
+        # every local field active at a flagged point is T w there
+        val = truncate(ctx, bad_points(ctx, 5, seed=2))
+        assert np.array_equal(val, val.swapaxes(1, 2))
 
     def test_transcription_oracle(self):
         # independent straight-line evaluation of the two component formulas,
@@ -143,7 +134,7 @@ class TestLocalField:
         y = (np.array([5, 4, 4]) + np.array([0.45, 0.52, 0.5])) / n
         active = cubes_at(cover, y)
         k = active[0]
-        got = local_field(ctx, k, y)
+        got = truncate(ctx, y)  # wtilde^(k) for every active k
 
         # ---- oracle: no shared machinery beyond pou_eval and quadrature ----
         def phi(j, order=(0, 0, 0)):
@@ -194,42 +185,39 @@ class TestLocalField:
 
 class TestTruncate:
     def test_identity_off_bad_set_bitwise(self, ctx):
-        ev = truncate(ctx)
         rng = np.random.default_rng(4)
         checked = 0
         while checked < 10:
             x = rng.random(3)
             if ctx.bad.contains(x):
                 continue
-            assert np.array_equal(ev(x), ctx.w(x))
+            assert np.array_equal(truncate(ctx, x), ctx.w(x))
             checked += 1
 
     def test_empty_bad_set_identity(self):
         w = div_free(5)
         ctx = build_context(w, 1e9, 16)
-        ev = truncate(ctx)
         for x in np.random.default_rng(1).random((5, 3)):
-            assert np.array_equal(ev(x), w(x))
+            assert np.array_equal(truncate(ctx, x), w(x))
 
     def test_zero_field(self):
         ctx = build_context(TrigSymField({}), 1.0, 16)
-        assert not truncate(ctx)(np.array([0.1, 0.5, 0.9])).any()
+        assert not truncate(ctx, np.array([0.1, 0.5, 0.9])).any()
 
     def test_symmetric_values(self, ctx):
-        ev = truncate(ctx)
         for y in bad_points(ctx, 5, seed=6):
-            val = ev(y)
+            val = truncate(ctx, y)
             assert np.array_equal(val, val.T)
 
     def test_mask_cell_centres(self, ctx):
         # cell centres of the mask grid lie exactly on support edges of
         # neighbouring cubes; the evaluator must not look up their triples
         bad_index, mask_m, tvals = sample_bad_truncation(ctx, ctx.n)
-        ev, ref = truncate(ctx), PointwiseReference(ctx)
+        ref = PointwiseReference(ctx)
         scale = max(1.0, np.abs(tvals).max())
         for cell in np.argwhere(ctx.bad.mask)[:40]:
             x = (cell + 0.5) / ctx.n
-            got = ev(x)
+            got = truncate(ctx, x)
             ker = sym6_to_mat(tvals[bad_index[tuple(cell)]])
             np.testing.assert_allclose(got, ker, rtol=0, atol=1e-12 * scale)
             np.testing.assert_allclose(got, ref(x), rtol=0, atol=1e-12 * scale)
@@ -237,13 +225,13 @@ class TestTruncate:
     def test_kernel_matches_reference(self, ctx):
         m = 2 * ctx.n
         bad_index, mask_m, tvals = sample_bad_truncation(ctx, m)
-        ev, ref = truncate(ctx), PointwiseReference(ctx)
+        ref = PointwiseReference(ctx)
         pts = (np.argwhere(mask_m) + 0.5) / m
         rng = np.random.default_rng(8)
         scale = max(1.0, np.abs(tvals).max())
         for s in rng.choice(len(pts), size=6, replace=False):
             cell = tuple((pts[s] * m - 0.5).round().astype(int))
-            got = ev(pts[s])
+            got = truncate(ctx, pts[s])
             ker = sym6_to_mat(tvals[bad_index[cell]])
             np.testing.assert_allclose(got, ker, atol=1e-10 * scale)
             np.testing.assert_allclose(got, ref(pts[s]), atol=1e-10 * scale)
@@ -253,7 +241,6 @@ class TestTruncate:
         w = div_free(7, max_freq=1)
         lam = lambda_for_fraction(w, 24, 0.3)
         ctx = build_context(w, lam, 24)
-        ev = truncate(ctx)
         h = 1.0 / ctx.n
         deep = np.argwhere(_cell_distance(ctx.bad.mask) > 2.5)
         assert len(deep) > 0
@@ -266,31 +253,30 @@ class TestTruncate:
             for d in range(3):
                 e = np.zeros(3)
                 e[d] = hfd
-                diff = (ev(x + e) - ev(x - e)) / (2 * hfd)
+                diff = (truncate(ctx, x + e) - truncate(ctx, x - e)) / (2 * hfd)
                 div += diff[:, d]
                 grad_scale = max(grad_scale, np.abs(diff).max())
             assert np.abs(div).max() < 1e-4 * max(1.0, grad_scale)
 
     def test_norm_grid_matches_values(self, ctx):
         m = 2 * ctx.n
-        g = sample_truncation_norm(ctx, m)
-        ev = truncate(ctx)
+        _, g = verify(ctx, m)
         rng = np.random.default_rng(3)
         for _ in range(4):
             cell = rng.integers(0, m, size=3)
             x = (cell + 0.5) / m
-            assert abs(g.values[tuple(cell)] - np.linalg.norm(ev(x))) < 1e-8 * max(1.0, g.values.max())
-
+            assert abs(g.values[tuple(cell)] - np.linalg.norm(truncate(ctx, x))) < 1e-8 * max(1.0, g.values.max())
 
     def test_norm_grid_sampled_once(self, ctx, monkeypatch):
-        # verify and the truncate command's grid file read the same m = 2n sample
-        fresh = dataclasses.replace(ctx, _caches={})
-        made = []
-        monkeypatch.setattr(truncation, "ScalarGrid", lambda **kw: made.append(1) or ScalarGrid(**kw))
-        report = verify(fresh)
-        g = sample_truncation_norm(fresh, 2 * ctx.n)
-        assert len(made) == 1 and sample_truncation_norm(fresh, 2 * ctx.n) is g
-        assert report.linf_ratio == g.values.max() / ctx.lam
+        # one verify pass samples the kernel and w once each; the report and the grid read them
+        kernel, comps = [], []
+        sample = truncation.sample_bad_truncation
+        monkeypatch.setattr(truncation, "sample_bad_truncation", lambda c, m: kernel.append(m) or sample(c, m))
+        grid_components = TrigSymField.grid_components
+        monkeypatch.setattr(TrigSymField, "grid_components", lambda f, m: comps.append(m) or grid_components(f, m))
+        report, g = verify(ctx)
+        assert kernel == comps == [2 * ctx.n] and g.n == 2 * ctx.n
+        assert report["linf_ratio"] == g.values.max() / ctx.lam
 
 
 class TestWeakDivergence:
@@ -321,9 +307,9 @@ class TestWeakDivergence:
         assert d4 < d2
 
     def test_spiked_control_discriminates(self, ctx):
-        rep = verify(ctx)
-        assert rep.spiked_defect > np.pi * ctx.lam * 0.6
-        assert max(rep.div_defects) < rep.spiked_defect
+        rep, _ = verify(ctx)
+        assert rep["spiked_defect"] > np.pi * ctx.lam * 0.6
+        assert max(rep["div_defects"]) < rep["spiked_defect"]
 
 
 @settings(max_examples=12, deadline=None)
@@ -335,7 +321,7 @@ def test_battery_matches_per_wave_loop(seed, percent, n, ratio):
     oracle = divergence_battery(ctx, m)
     got = divergence_defects(ctx, m)
     assert np.abs(got - oracle).max() <= 1e-13 * max(1.0, oracle.max())
-    assert verify(ctx).spiked_defect == spiked_battery(ctx).max()
+    assert verify(ctx)[0]["spiked_defect"] == spiked_battery(ctx).max()
 
 
 class TestSummationVanish:
@@ -344,7 +330,7 @@ class TestSummationVanish:
         y = bad_points(ctx, 1, seed=9)[0]
         _, _, packs = phi_at(ctx.cover, y)
         for order in ((1, 0, 0), (0, 1, 0)):
-            row = packs[_pack_slot(order)]
+            row = packs[pack_slot(order)]
             assert abs(row.sum()) ** 3 < 1e-20 * max(1.0, np.abs(row).max() ** 3)
 
     def test_sums_small_and_refinement_convergent(self):
@@ -396,20 +382,20 @@ class TestVerify:
     def test_empty_bad_set(self):
         w = div_free(11)
         ctx = build_context(w, 1e9, 16)
-        rep = verify(ctx)
-        assert rep.l1_distance == 0.0
-        assert rep.changed_measure == 0.0
-        assert rep.stability_ratio == 0.0
-        assert rep.linf_ratio <= 1.25
+        rep, _ = verify(ctx)
+        assert rep["l1_distance"] == 0.0
+        assert rep["changed_measure"] == 0.0
+        assert rep["stability_ratio"] == 0.0
+        assert rep["linf_ratio"] <= 1.25
+        assert (rep["cover_size"], rep["triple_count"], rep["overlap"]) == (0, 0, 0)
 
     def test_zero_field(self):
-        rep = verify(build_context(TrigSymField({}), 1.0, 16))
-        assert rep.linf_ratio == 0.0 and rep.tail_integral == 0.0
-        assert max(rep.div_defects) == 0.0
+        rep, _ = verify(build_context(TrigSymField({}), 1.0, 16))
+        assert rep["linf_ratio"] == 0.0 and rep["tail_integral"] == 0.0
+        assert max(rep["div_defects"]) == 0.0
 
     def test_report_fields_finite(self, ctx):
-        rep = verify(ctx)
-        d = rep.to_dict()
+        d, _ = verify(ctx)
         for key in ("linf_ratio", "l1_distance", "tail_integral", "stability_ratio",
                     "changed_measure", "small_change_ratio", "spiked_defect"):
             assert np.isfinite(d[key]) and d[key] >= 0

@@ -7,13 +7,12 @@ from _reference_pointwise import build_partition, cubes_at, phi_at, pou_eval
 from divsym.fields import PreconditionError, UnsupportedOrderError, random_field
 from divsym.truncation import flag_bad_set, lambda_for_fraction
 from divsym.maximal import OpenSetMask, ScalarGrid, bad_set, maximal_function, sample_abs
-from _loop_kernels import _bump012
+from _loop_kernels import _bump012, pack_slot
 from divsym.whitney import (
     BUMP_CORE,
     BUMP_SUPP,
     DILATION,
     _bumps,
-    _pack_slot,
     bump,
     whitney_decompose,
 )
@@ -210,7 +209,7 @@ def phi_pack(cover, x, j, order=(0, 0, 0)):
     """Derivative ``order`` of phi_j at ``x`` from the ``whitney`` packs; 0 where cube j is inactive."""
     active, _, packs = phi_at(cover, np.asarray(x, dtype=float))
     hit = np.flatnonzero(active == j)
-    return float(packs[_pack_slot(order), hit[0]]) if len(hit) else 0.0
+    return float(packs[pack_slot(order), hit[0]]) if len(hit) else 0.0
 
 
 class TestPartition:
@@ -226,7 +225,7 @@ class TestPartition:
             build_partition(empty)
 
     def test_pack_slots(self):
-        assert [_pack_slot(o) for o in PACK_ORDERS] == list(range(10))
+        assert [pack_slot(o) for o in PACK_ORDERS] == list(range(10))
 
     def test_partition_of_unity_on_bad_set(self):
         for x in interior_points(self.mask, 60):
@@ -274,7 +273,7 @@ class TestPartition:
         for x in interior_points(self.mask, 25, seed=5):
             _, _, packs = phi_at(self.cover, x)
             for order in [(1, 0, 0), (0, 1, 0), (2, 0, 0), (1, 1, 0)]:
-                row = packs[_pack_slot(order)]
+                row = packs[pack_slot(order)]
                 assert abs(row.sum()) < 1e-9 * max(1.0, np.abs(row).max())
             # third order lies beyond the packs: the reference partition
             active = cubes_at(self.cover, x)

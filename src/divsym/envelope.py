@@ -294,21 +294,39 @@ def minimize_over_test_fields(objective, max_freq, restarts, iterations, seed,
     return best_val, best_field, trace
 
 
+_KEY_SHIFT = 64  # a stream's key words are its mode + 64, non-negative on bands up to max-norm 64
+
+
+def _seed_words(value):
+    """The little-endian 32-bit words ``numpy.random.SeedSequence`` splits a non-negative int into."""
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"seed words need a non-negative integer, not {value}")
+    words = [value & 0xFFFFFFFF]
+    while value := value >> 32:
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
 def _seeded_init(seed, restart, xis, amplitude, proj):
     """Half-band Mandel rows of a restart's divergence-free initial field.
 
     Each Hermitian pair draws from its own hashed stream, keyed by the
-    lexicographically larger mode; the other mode is the conjugate.  The
-    band's ``proj`` matrices make the rows divergence-free.
+    lexicographically larger mode; the other mode is the conjugate.  A
+    stream's entropy is the words of [seed, restart, key + _KEY_SHIFT], given to
+    ``default_rng`` as one uint32 array: the stream of the list itself.
+    The band's ``proj`` matrices make the rows divergence-free.
     """
-    drawn = []
-    for xi in map(tuple, xis.tolist()):
-        key = max(xi, tuple(-v for v in xi))
-        rng = np.random.default_rng([seed, restart, key[0] + 64, key[1] + 64, key[2] + 64])
-        re, im = rng.standard_normal((2, 3, 3))  # the same numbers as two (3, 3) draws
-        m = re + 1j * im
-        drawn.append(m if key == xi else m.conj())
-    drawn = np.stack(drawn)
+    flip = xis[np.arange(len(xis)), (xis != 0).argmax(axis=1)] < 0  # the smaller mode of its pair
+    shifted = np.where(flip[:, None], -xis, xis) + _KEY_SHIFT
+    if (shifted < 0).any():
+        raise ValueError(f"modes beyond max-norm {_KEY_SHIFT} have no seed word")
+    prefix = _seed_words(seed) + _seed_words(restart)
+    words = np.column_stack([np.tile(prefix, (len(xis), 1)), shifted]).astype(np.uint32)
+    # the same numbers as two (3, 3) draws per stream
+    re, im = np.stack([np.random.default_rng(w).standard_normal((2, 3, 3)) for w in words], axis=1)
+    drawn = re + 1j * im
+    drawn[flip] = drawn[flip].conj()
     rows = _sym_to_mandel(amplitude * 0.5 * (drawn + drawn.swapaxes(1, 2)))
     return np.einsum("mij,mj->mi", proj, rows)
 
@@ -321,6 +339,10 @@ def qsdqc_estimate(k: CompactSetDescriptor, xi, p, budget, seed=0) -> EnvelopeEs
     iterations = int(budget.get("iterations", 60))
     if max_freq < 1 or restarts < 1 or iterations < 1:
         raise PreconditionError("budget entries must be positive")
+    if max_freq > _KEY_SHIFT:
+        raise PreconditionError(f"budget max_freq {max_freq} exceeds {_KEY_SHIFT}, the widest seeded band")
+    if seed < 0:
+        raise PreconditionError(f"seed {seed} is negative; seeds are non-negative integers")
     xi = np.asarray(xi, dtype=float).reshape(3, 3)
     objective = DistanceObjective(k, p)
     val, best, trace = minimize_over_test_fields(

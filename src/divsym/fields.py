@@ -120,6 +120,14 @@ class TrigSymField:
     def grid_components(self, n, order=(0, 0, 0)):
         """The ``SYM6`` components at the n^3 cell centers; returns (n, n, n, 6).
 
+        The one-order case of ``_grid_stack``; the result is a view over a
+        component-major buffer.
+        """
+        return self._grid_stack(n, [order])[0]
+
+    def _grid_stack(self, n, orders):
+        """The ``SYM6`` components of each derivative in ``orders``: a list of (n, n, n, 6) grids.
+
         The values are Re sum w c e^{i xi x} over the field's half band (its
         modes with xi_z >= 0, weight w = 2 off the plane xi_z = 0).  Each
         axis frequency f folds to f - m n in [-n//2, n - 1 - n//2], since
@@ -127,22 +135,26 @@ class TrigSymField:
         plane is swapped for its mirror, which keeps the real part, and
         coinciding modes add up.  The separable band DFT of the folded modes,
         of max-norm <= n//2, is then exact at every n, aliased n included.
-        The result is a view over a component-major buffer.
+        The modes are folded once, and one band DFT samples the 6 columns of
+        every order side by side; each grid is a view over one
+        component-major buffer.
         """
-        order = _check_order(order)
+        orders = [_check_order(o) for o in orders]
         half = self._xis[:, 2] >= 0
         xis, weight = self._xis[half], np.where(self._xis[half, 2] > 0, 2.0, 1.0)
-        vals = self._cs[half][:, _r, _c] * self._order_factor(order)[half, None]
+        factors = np.stack([self._order_factor(o)[half] for o in orders], axis=1)
+        vals = self._cs[half][:, None, _r, _c] * factors[:, :, None]  # (m, orders, 6)
         folded = (xis + n // 2) % n - n // 2
         weight *= (-1.0) ** ((xis - folded) // n).sum(axis=1)
         below = folded[:, 2] < 0
         folded[below], vals[below] = -folded[below], vals[below].conj()
-        vals *= (weight * np.where(folded[:, 2] > 0, 0.5, 1.0))[:, None]  # _band_grid adds the mirrors
+        vals *= (weight * np.where(folded[:, 2] > 0, 0.5, 1.0))[:, None, None]  # _band_grid adds the mirrors
         max_freq = int(np.abs(folded).max(initial=0))
         rows, slot = np.unique(_band_rows(folded, max_freq), return_inverse=True)
-        coeffs = np.zeros((len(rows), len(SYM6)), dtype=complex)
-        np.add.at(coeffs, slot.ravel(), vals)
-        return _band_grid(coeffs, _band_dft(max_freq, n), rows)
+        coeffs = np.zeros((len(rows), len(orders) * len(SYM6)), dtype=complex)
+        np.add.at(coeffs, slot.ravel(), vals.reshape(len(vals), coeffs.shape[1]))
+        grids = _band_grid(coeffs, _band_dft(max_freq, n), rows)
+        return [grids[..., k:k + len(SYM6)] for k in range(0, grids.shape[-1], len(SYM6))]
 
 
 # bench/tracing.py wraps TrigSymField.eval_many and .grid_components through this name
@@ -279,10 +291,16 @@ def _band_grid(coeffs, dft, rows):
 
 
 def _sym6_sq(v):
-    """Squared Frobenius norms of symmetric matrices packed in ``SYM6`` order on the last axis."""
-    sq = 0.0
-    for q, (a, b) in enumerate(SYM6):
-        sq = sq + (1.0 if a == b else 2.0) * v[..., q] ** 2
+    """Squared Frobenius norms of symmetric matrices packed in ``SYM6`` order on the last axis.
+
+    The slot terms are added in order, in place; an off-diagonal slot counts twice.
+    """
+    sq = v[..., 0] ** 2  # SYM6 opens with a diagonal slot
+    for q, (a, b) in enumerate(SYM6[1:], 1):
+        term = v[..., q] ** 2
+        if a != b:
+            term *= 2.0
+        sq += term
     return sq
 
 
@@ -382,9 +400,12 @@ def potential_inverse(u: TrigSymField, what="potential_inverse input") -> TrigSy
     Singular values below ``PINV_RCOND`` times each mode's largest are treated as
     zero; exactness of the symbol sequence guarantees the solution lies in
     the row space, so the round trip ``curl_curl_T(potential_inverse(u)) == u``
-    holds per mode.  The symbols of all non-zero modes come from one array
-    pass and are inverted by one stacked ``pinv``.  ``what`` names the input
-    in the divergence error, which is checked before the mean.
+    holds per mode.  The kept modes are sorted and closed under negation,
+    so row -1 - j is the mirror of row j, whose symbol (quadratic in xi) is
+    the same bit for bit: the symbols of the first half come from one array
+    pass and are inverted by one stacked ``pinv``, and the second half
+    mirrors them.  ``what`` names the input in the divergence error, which
+    is checked before the mean.
     """
     assert_div_free(u, tol=1e-10, what=what)
     scale = max(1.0, u.max_coeff_norm())
@@ -393,8 +414,10 @@ def potential_inverse(u: TrigSymField, what="potential_inverse input") -> TrigSy
         raise PreconditionError("potential_inverse requires a mean-zero field")
     xis, cs = u.mode_arrays()
     keep = xis.any(axis=1)
-    symbols = _curl_curl_symbols(xis[keep], u.period)
-    return _apply_symbols(np.linalg.pinv(symbols, rcond=PINV_RCOND), xis[keep], cs[keep], u.period)
+    xis, cs = xis[keep], cs[keep]
+    inverse = np.linalg.pinv(_curl_curl_symbols(xis[:(len(xis) + 1) // 2], u.period), rcond=PINV_RCOND)
+    inverse = np.concatenate([inverse, inverse[:len(xis) // 2][::-1]])
+    return _apply_symbols(inverse, xis, cs, u.period)
 
 
 def random_field(seed, max_freq, amplitude, divfree=False, period=1.0) -> TrigSymField:

@@ -96,18 +96,33 @@ def maximal_function(g: ScalarGrid) -> ScalarGrid:
     """Centered maximal function: max over the radius family ``_radii`` of ball averages.
 
     Output dominates the input pointwise because the one-cell ball is the
-    cell itself.
+    cell itself.  The one-grid case of ``_maximal``.
     """
-    spec = np.fft.rfftn(g.values)
-    out = np.full_like(g.values, -np.inf)
-    for r in _radii(g.n):
-        kernel = _ball_kernel(g.n, r)
+    return ScalarGrid(n=g.n, period=g.period, values=_maximal(g.values))
+
+
+def _maximal(values):
+    """The maximal function of each (n, n, n) grid of a stack ``values`` (..., n, n, n).
+
+    Each radius's ball kernel is transformed once per call, and every grid
+    of the stack goes through one batched ``rfftn``/``irfftn`` over the
+    last three axes.  The product keeps the spelling ``spec * rfftn(kernel)``:
+    from n = 32 on, numpy reuses the temporary of a lone (n, n, n) grid and
+    computes ``rfftn(kernel) * spec``, and complex products are not bitwise
+    commutative, so a stacked grid may differ from a lone one by a rounding
+    step there.
+    """
+    n, axes = values.shape[-1], (-3, -2, -1)
+    spec = np.fft.rfftn(values, axes=axes)
+    out = np.full_like(values, -np.inf)
+    for r in _radii(n):
+        kernel = _ball_kernel(n, r)
         count = int(kernel.sum())
-        avg = np.fft.irfftn(spec * np.fft.rfftn(kernel), s=g.values.shape, axes=(0, 1, 2)) / count
+        avg = np.fft.irfftn(spec * np.fft.rfftn(kernel), s=values.shape[-3:], axes=axes) / count
         np.maximum(out, avg, out=out)
     # the r=1 ball is the cell itself; guard rounding so domination is exact
-    np.maximum(out, g.values, out=out)
-    return ScalarGrid(n=g.n, period=g.period, values=out)
+    np.maximum(out, values, out=out)
+    return out
 
 
 def _check_lambda(lam, error=ValueError):

@@ -17,34 +17,35 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import PreconditionError, TrigSymField, _sym6_sq, potential_inverse
-from .maximal import ScalarGrid, _check_lambda, bad_set, maximal_function
+from .maximal import ScalarGrid, _check_lambda, _maximal, bad_set
 from .truncation import flag_bad_set
 
 
 def _derivative_magnitude_grids(v: TrigSymField, n: int):
     """Frobenius norms of v, grad v, grad^2 v at the cell centers.
 
-    One batched transform per distinct derivative multi-index; level l sums
-    over the ordered index tuples (d_1, ..., d_l), so mixed second
-    derivatives count twice.
+    One band transform samples all 10 distinct derivative multi-indices,
+    and each one's squared norm is taken once; level l sums over the
+    ordered index tuples (d_1, ..., d_l), so mixed second derivatives
+    count twice.
     """
     eye = np.eye(3, dtype=np.int64)
     levels = [[(0, 0, 0)], [tuple(eye[d]) for d in range(3)],
               [tuple(eye[d] + eye[e]) for d in range(3) for e in range(3)]]
-    grids = {o: v.grid_components(n, order=o) for o in set().union(*levels)}
-    return tuple(np.sqrt(sum(_sym6_sq(grids[o]) for o in orders)) for orders in levels)
+    orders = sorted(set().union(*levels))
+    sq = dict(zip(orders, map(_sym6_sq, v._grid_stack(n, orders))))
+    return tuple(np.sqrt(sum(sq[o] for o in level)) for level in levels)
 
 
 def potential_bad_set(v: TrigSymField, lam: float, n: int):
     """The potential's flagging stage: the level grid and its superlevel mask at ``lam``.
 
     The level is the sum of the centered maximal functions of |v|, |grad v|
-    and |grad^2 v| on the n-grid; the potential twin of
-    ``truncation.flag_bad_set``.
+    and |grad^2 v| on the n-grid, taken in one stacked pass; the potential
+    twin of ``truncation.flag_bad_set``.
     """
     _check_lambda(lam, PreconditionError)
-    total = sum(maximal_function(ScalarGrid(n=n, period=v.period, values=g)).values
-                for g in _derivative_magnitude_grids(v, n))
+    total = sum(_maximal(np.stack(_derivative_magnitude_grids(v, n))))
     level = ScalarGrid(n=n, period=v.period, values=total)
     mask = bad_set(level, lam)
     if mask.is_full():

@@ -224,6 +224,15 @@ class TestEnvelope:
         assert code == 2
         assert "error" in json.loads(capsys.readouterr().out)
 
+    @pytest.mark.parametrize("flag, value, message", [("--max-freq", 65, "exceeds 64"), ("--seed", -1, "negative")])
+    def test_unseeded_query_exits_with_error_object(self, flag, value, message, tmp_path, capsys):
+        kfile, out = tmp_path / "k.json", tmp_path / "e.json"
+        kfile.write_text(json.dumps({"kind": "points", "points": [np.eye(3).tolist()]}))
+        code = run(["envelope", "--set", kfile, "--xi", "0,0,0,0,0,0", "--p", 2, flag, value, "--out", out])
+        assert code == 2 and not out.exists()
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "PreconditionError" and message in err["message"]
+
     def test_bad_xi(self, tmp_path, capsys):
         kfile = tmp_path / "k.json"
         kfile.write_text(json.dumps({"kind": "ball", "center": np.zeros((3, 3)).tolist(),

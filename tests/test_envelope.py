@@ -11,7 +11,7 @@ from divsym.envelope import (
     minimize_over_test_fields,
     qsdqc_estimate,
 )
-from divsym.fields import _div_defect, _mandel_to_sym, _sym_to_mandel
+from divsym.fields import PreconditionError, _div_defect, _mandel_to_sym, _sym_to_mandel
 
 BUDGET = {"max_freq": 1, "restarts": 4, "iterations": 30}
 DEFAULT_BUDGET = {"max_freq": 2, "restarts": 10, "iterations": 60}  # the CLI's
@@ -238,6 +238,17 @@ class TestEstimate:
     def test_budget_validation(self):
         with pytest.raises(Exception):
             qsdqc_estimate(ball(), np.eye(3), 2, {"max_freq": 0, "restarts": 0, "iterations": 0})
+
+    @pytest.mark.parametrize("budget, seed, message", [({"max_freq": 65}, 0, "exceeds 64"),
+                                                       ({"max_freq": 1}, -1, "negative")])
+    def test_unseeded_queries_refused_before_the_band(self, budget, seed, message, monkeypatch):
+        # stream keys are mode + 64 >= 0 and seeds are SeedSequence words: refused up front
+        def refuse(*args):
+            raise AssertionError("band built")
+
+        monkeypatch.setattr(envelope, "_band", refuse)
+        with pytest.raises(PreconditionError, match=message):
+            qsdqc_estimate(ball(), np.eye(3), 2, budget, seed=seed)
 
 
 @pytest.mark.parametrize("seed, p, score", [(3, 1, 0.20890286296248578), (3, 4, 0.006565673053474353),

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import _reference_envelope as ref
 from divsym import envelope
-from divsym.envelope import (CompactSetDescriptor, DistanceObjective, _band, _band_project, _project_hull,
-                             minimize_over_test_fields)
+from divsym.envelope import (CompactSetDescriptor, DistanceObjective, _band, _band_field, _band_project,
+                             _project_hull, _seed_words, _seeded_init, minimize_over_test_fields)
 from divsym.fields import _band_grid, _band_modes
 
 # Agreement bound, relative to the largest reference value.  Resampling by
@@ -191,3 +191,27 @@ def test_objective_receives_component_major_grids():
     minimize_over_test_fields(objective, 2, 3, 10, 5, init_amplitude=0.01, xi_offset=0.5 * (a + b))
     assert len(objective.component_major) > 3
     assert all(objective.component_major)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**32 - 1, 2**32, 2**40 + 3])
+def test_seeded_init_draws_the_reference_streams(seed):
+    # one uint32 word array per stream is the stream of the list [seed, restart, key + 64]:
+    # a seed of 2^32 and above spans two little-endian words, as SeedSequence splits it
+    xis, _, _, proj = _band(2, 16)
+    for restart in (1, 2):
+        got = _band_field(xis, _seeded_init(seed, restart, xis, 0.3, proj))
+        assert_fields_close(got, ref._seeded_init(seed, restart, 2, 0.3, 1.0))
+        key = [2 + 64, 0 + 64, 1 + 64]
+        words = np.array(_seed_words(seed) + _seed_words(restart) + key, dtype=np.uint32)
+        draws = np.random.default_rng(words).standard_normal(18)
+        assert draws.tobytes() == np.random.default_rng([seed, restart] + key).standard_normal(18).tobytes()
+    assert len(_seed_words(seed)) == (2 if seed >= 2**32 else 1)
+
+
+def test_seeded_init_refuses_what_has_no_word():
+    # a negative word would wrap silently in uint32; SeedSequence refuses it, and so does the init
+    proj = np.zeros((1, 6, 6))
+    with pytest.raises(ValueError, match="max-norm 64"):
+        _seeded_init(0, 1, np.array([[1, -65, 0]]), 0.1, proj)
+    with pytest.raises(ValueError, match="non-negative"):
+        _seeded_init(-1, 1, np.array([[1, 0, 0]]), 0.1, proj)

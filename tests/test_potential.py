@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import _reference_potential as ref
+from divsym import fields
 from divsym.fields import (
     PreconditionError,
     TrigSymField,
@@ -10,7 +13,7 @@ from divsym.fields import (
     project_div_free,
     random_field,
 )
-from divsym.maximal import ScalarGrid, bad_set, maximal_function
+from divsym.maximal import ScalarGrid, _maximal, bad_set, maximal_function
 from divsym.potential_trunc import _derivative_magnitude_grids, potential_bad_set, stability_comparison
 from divsym.truncation import flag_bad_set, lambda_for_fraction
 
@@ -73,6 +76,60 @@ def test_comparison_computes_no_distance(monkeypatch):
     assert 0 < rep["geometric"]["bad_fraction"] < rep["potential"]["bad_fraction"] < 1
     with pytest.raises(AssertionError, match="distance transform"):
         whitney.whitney_decompose(flag_bad_set(w, lambda_for_fraction(w, 16, 0.08), 16)[3])
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**16), st.integers(8, 40), st.sampled_from([1.0, 1.7, 2 * np.pi]), st.integers(1, 3))
+def test_one_band_transform_is_the_per_order_route(seed, n, period, max_freq):
+    # all derivative orders from one band transform: bitwise the grids of one transform per order
+    v = potential_inverse(random_field(seed, max_freq, 1.0, divfree=True, period=period))
+    got, want = _derivative_magnitude_grids(v, n), ref.derivative_magnitude_grids(v, n)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**16), st.integers(8, 40), st.sampled_from([1.0, 1.7, 2 * np.pi]))
+def test_stacked_maximal_is_the_per_grid_pass(seed, n, period):
+    # bitwise below n = 32; from n = 32 on, a lone grid's product runs with its operands
+    # swapped (numpy reuses the temporary), which moves the rounding only
+    grids = np.random.default_rng(seed).random((3, n, n, n)) ** 8
+    got = _maximal(grids)
+    for g, m in zip(grids, got):
+        want = maximal_function(ScalarGrid(n=n, period=period, values=g)).values
+        if n < 32:
+            assert m.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(m, want, rtol=0, atol=4e-16 * want.max())
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**16), st.sampled_from([1.0, 1.7, 2 * np.pi]), st.integers(1, 3))
+def test_half_band_inverse_is_the_stacked_inverse(seed, period, max_freq):
+    # row -1 - j mirrors row j with the same symbol: half the inversions, the same bits
+    u = random_field(seed, max_freq, 1.0, divfree=True, period=period)
+    got, want = potential_inverse(u).mode_arrays(), ref.stacked_potential_inverse(u).mode_arrays()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_comparison_does_each_piece_of_work_once(monkeypatch):
+    # at n = 16: one rfftn per grid stack and radius kernel (4 radii, 2 stacks), one band
+    # DFT per flagging stage, and one symbol inversion per Hermitian pair of the 124 modes
+    calls = {"rfftn": 0, "band_dft": 0, "pinv": 0}
+
+    def counted(name, func, size=lambda *args: 1):
+        def wrapper(*args, **kwargs):
+            calls[name] += size(*args)
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "rfftn", counted("rfftn", np.fft.rfftn))
+    monkeypatch.setattr(fields, "_band_dft", counted("band_dft", fields._band_dft))
+    monkeypatch.setattr(np.linalg, "pinv", counted("pinv", np.linalg.pinv, lambda a, *_: len(a)))
+    w = random_field(3, 2, 1.0, divfree=True)
+    lam = lambda_for_fraction(w, 16, 0.08)
+    calls.update(rfftn=0, band_dft=0)
+    stability_comparison(w, lam, 16)
+    assert calls["rfftn"] <= 10 and calls["band_dft"] <= 2 and calls["pinv"] == 62
 
 
 class TestAfreeTruncate:

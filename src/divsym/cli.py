@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import schemas
-from .envelope import CompactSetDescriptor, hull_membership
+from .envelope import DEFAULT_BUDGET, CompactSetDescriptor, hull_membership
 from .fields import UPPER_TRI_SLOT, PreconditionError, field_from_dict, field_to_dict, random_field
 from .maximal import write_grid
 from .potential_trunc import stability_comparison
@@ -108,9 +108,9 @@ def _build_parser():
     e.add_argument("--set", required=True, help="JSON descriptor of the compact set K")
     e.add_argument("--xi", required=True, help="6 floats, upper triangle row-major")
     e.add_argument("--p", type=float, required=True)
-    e.add_argument("--max-freq", type=int, default=2)
-    e.add_argument("--restarts", type=int, default=10)
-    e.add_argument("--iters", type=int, default=60)
+    e.add_argument("--max-freq", type=int, default=DEFAULT_BUDGET["max_freq"])
+    e.add_argument("--restarts", type=int, default=DEFAULT_BUDGET["restarts"])
+    e.add_argument("--iters", type=int, default=DEFAULT_BUDGET["iterations"])
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--out", required=True)
     e.set_defaults(func=cmd_envelope)

@@ -39,12 +39,15 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .fields import (PreconditionError, TrigSymField, _band_dft, _band_grid, _band_modes, _band_rows,
-                     _mandel_to_sym, _sym_to_mandel)
+                     _mandel_to_sym, _modes, _projectors, _sym_to_mandel)
+
+# the CLI's descent budget, and the entries ``qsdqc_estimate`` fills in
+DEFAULT_BUDGET = {"max_freq": 2, "restarts": 10, "iterations": 60}
 
 
 @dataclass
 class CompactSetDescriptor:
-    """A compact subset of the symmetric matrices with the Frobenius metric."""
+    """A compact subset of the symmetric matrices with the Frobenius metric; a ball is its centre with a radius."""
 
     kind: str                       # "ball" | "points" | "polytope"
     center: np.ndarray = None       # ball
@@ -76,10 +79,8 @@ class CompactSetDescriptor:
         self.half_sq = 0.5 * np.einsum("ij,ij->i", self.rows, self.rows)
 
     def diameter(self):
-        if self.kind == "ball":
-            return 2.0 * self.radius
         d = np.linalg.norm(self.rows[:, None, :] - self.rows[None, :, :], axis=-1)
-        return float(d.max())
+        return float(d.max() + 2.0 * self.radius)
 
     def to_json(self):
         if self.kind == "ball":
@@ -130,12 +131,6 @@ def _project_hull(vertices, y):
     return best
 
 
-def dist_p(k: CompactSetDescriptor, xi, p: float) -> float:
-    """Frobenius distance from xi to K, raised to the power p."""
-    vals, _ = DistanceObjective(k, p)(_sym_to_mandel(np.asarray(xi, dtype=float))[None])
-    return float(vals[0])
-
-
 class DistanceObjective:
     """Pointwise value/gradient of dist^p(., K) for batched Mandel rows."""
 
@@ -146,23 +141,19 @@ class DistanceObjective:
         self.p = float(p)
 
     def __call__(self, values):
-        """values: (..., 6) -> (vals (...,), grads (..., 6)).
+        """Mandel rows (..., 6) -> (vals (...,), grads (..., 6)).
 
-        Matrices (..., 3, 3) are converted to rows on entry and the
-        gradients back to matrices on exit.  The work runs on the rows
-        transposed to component-major (6, N).  The nearest of a point set
-        is the first point of largest score y.r - |r|^2/2, as ``argmax``
-        picks it; a running comparison over the few points keeps the
-        reduction off the strided axis of the (k, N) scores.
+        The work runs on the rows transposed to component-major (6, N).  The
+        nearest of a point set (a ball's centre) is the first point of
+        largest score y.r - |r|^2/2, as ``argmax`` picks it; a running
+        comparison over the few points keeps the reduction off the strided
+        axis of the (k, N) scores.
         """
         values = np.asarray(values)
-        if values.shape[-1] == 3:
-            vals, grads = self(_sym_to_mandel(values))
-            return vals, _mandel_to_sym(grads)
         y, rows = np.ascontiguousarray(values.reshape(-1, 6).T), self.k.rows
-        if self.k.kind == "ball":
-            delta = y - rows[0][:, None]
-        elif self.k.kind == "points":
+        if self.k.kind == "polytope":
+            delta = y - _project_hull(rows, y.T).T
+        else:  # a point set, or a ball's centre
             scores = rows @ y
             scores -= self.k.half_sq[:, None]
             best, nearest = scores[0], np.zeros(y.shape[1], dtype=np.intp)
@@ -172,20 +163,12 @@ class DistanceObjective:
                 np.maximum(best, scores[i], out=best)
             delta = np.take(rows.T, nearest, axis=1)
             np.subtract(y, delta, out=delta)
-        else:
-            delta = y - _project_hull(rows, y.T).T
         norm = np.sqrt(np.einsum("ij,ij->j", delta, delta))
-        dist = np.maximum(norm - self.k.radius, 0.0)  # the radius of a point set is 0
+        dist = np.maximum(norm - self.k.radius, 0.0)
         slope = np.where(dist > 0, norm, np.inf)  # the slope is 0 where dist = 0
         np.divide(self.p * dist ** (self.p - 1.0), slope, out=slope)
         delta *= slope
         return (dist**self.p).reshape(values.shape[:-1]), delta.T.reshape(values.shape)
-
-
-def _modes(max_freq):
-    """All modes of max-norm <= max_freq, sorted; the zero mode sits in the middle."""
-    span = np.arange(-max_freq, max_freq + 1)
-    return np.stack(np.meshgrid(span, span, span, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 def _band(max_freq, n):
@@ -194,12 +177,11 @@ def _band(max_freq, n):
     The modes are the non-zero ``xi`` of max-norm <= F = max_freq with
     ``xi_z >= 0``, in sorted order; ``fields._band_dft`` and
     ``fields._band_rows`` give the DFT and the rows.  The projectors are the
-    6x6 Mandel matrices of c -> Q c Q, Q = I - xi^ xi^T.
+    6x6 Mandel matrices of c -> Q c Q, with Q from ``fields._projectors``.
     """
     xis = _modes(max_freq)
     xis = xis[(xis[:, 2] >= 0) & xis.any(axis=1)]
-    unit = xis / np.linalg.norm(xis, axis=1, keepdims=True)
-    q = (np.eye(3) - unit[:, :, None] * unit[:, None, :])[:, None]
+    q = _projectors(xis)[:, None]
     proj = _sym_to_mandel(q @ _mandel_to_sym(np.eye(6)) @ q).swapaxes(1, 2)
     return xis, _band_dft(max_freq, n), _band_rows(xis, max_freq), proj
 
@@ -218,24 +200,12 @@ def _band_field(xis, coeffs):
     return TrigSymField(dict(zip(map(tuple, xis.tolist()), _mandel_to_sym(coeffs))))
 
 
-@dataclass
-class EnvelopeEstimate:
-    xi: np.ndarray
-    p: float
-    value: float
-    best_field: TrigSymField
-    trace: list
-
-    def __post_init__(self):
-        if self.value < -1e-12:
-            raise ValueError("envelope estimates are nonnegative")
-
-
 def minimize_over_test_fields(objective, max_freq, restarts, iterations, seed,
                               init_amplitude=0.1, xi_offset=None):
     """Projected descent of mean(objective(xi + phi)) over admissible fields.
 
-    The objective is pointwise: it maps Mandel rows ``(n, n, n, 6)`` to
+    ``xi_offset`` is the Mandel row of xi (zero by default).  The objective
+    is pointwise: it maps Mandel rows ``(n, n, n, 6)`` to
     values ``(n, n, n)`` and gradients ``(n, n, n, 6)`` row by row.  The
     grids it receives are component-major views.  Every iterate lies in
     the band, so the projected trial P(phi - s g) is phi - s P(g): the
@@ -252,12 +222,13 @@ def minimize_over_test_fields(objective, max_freq, restarts, iterations, seed,
     which opens the trace.  (Trying the steps anyway can only accept
     rounding noise in P(g).)  Every other restart only ever accepts
     decreasing steps, so the reported value never exceeds the restart's
-    initial one.  Returns (best value, best field, trace).
+    initial one.  Returns (best value, best field, trace); a restart 0
+    value that is not finite ends the descent with (value, None, [value]).
     """
     n = max(4 * max_freq, 16)
     band = _band(max_freq, n)
     xis, dft, rows, proj = band
-    offset = _sym_to_mandel(np.zeros((3, 3)) if xi_offset is None else np.asarray(xi_offset, dtype=float))
+    offset = np.zeros(6) if xi_offset is None else np.asarray(xi_offset, dtype=float)
 
     def evaluate(values):
         vals, grads = objective(values)
@@ -271,6 +242,8 @@ def minimize_over_test_fields(objective, max_freq, restarts, iterations, seed,
             coeffs, tries = _seeded_init(seed, r, xis, init_amplitude, proj), iterations
             point = offset + _band_grid(coeffs, dft, rows)  # xi + phi at the cell centres
         val, grads = evaluate(point)
+        if r == 0 and not np.isfinite(val):
+            return val, None, [val]
         step, down = 1.0, None
         for _ in range(tries):
             if down is None:  # the current point's projected gradient, on the modes and the grid
@@ -331,12 +304,13 @@ def _seeded_init(seed, restart, xis, amplitude, proj):
     return np.einsum("mij,mj->mi", proj, rows)
 
 
-def qsdqc_estimate(k: CompactSetDescriptor, xi, p, budget, seed=0) -> EnvelopeEstimate:
-    """Upper bound of the div-quasiconvex envelope of dist^p(., K) at xi."""
-    budget = dict(budget)
-    max_freq = int(budget.get("max_freq", 2))
-    restarts = int(budget.get("restarts", 10))
-    iterations = int(budget.get("iterations", 60))
+def qsdqc_estimate(k: CompactSetDescriptor, xi, p, budget, seed=0):
+    """Upper bound of the div-quasiconvex envelope of dist^p(., K) at xi: (value, best field, trace).
+
+    Budget entries default to ``DEFAULT_BUDGET``; a query whose restart 0 value dist(xi, K)^p is not finite is refused.
+    """
+    budget = {**DEFAULT_BUDGET, **dict(budget)}
+    max_freq, restarts, iterations = (int(budget[key]) for key in DEFAULT_BUDGET)
     if max_freq < 1 or restarts < 1 or iterations < 1:
         raise PreconditionError("budget entries must be positive")
     if max_freq > _KEY_SHIFT:
@@ -344,25 +318,25 @@ def qsdqc_estimate(k: CompactSetDescriptor, xi, p, budget, seed=0) -> EnvelopeEs
     if seed < 0:
         raise PreconditionError(f"seed {seed} is negative; seeds are non-negative integers")
     xi = np.asarray(xi, dtype=float).reshape(3, 3)
-    objective = DistanceObjective(k, p)
     val, best, trace = minimize_over_test_fields(
-        objective, max_freq, restarts, iterations, seed, xi_offset=xi,
+        DistanceObjective(k, p), max_freq, restarts, iterations, seed, xi_offset=_sym_to_mandel(xi),
         init_amplitude=0.25 * max(k.diameter(), 1.0),
     )
-    val = max(val, 0.0)
-    if best is None:
-        best = TrigSymField({})
-    return EnvelopeEstimate(xi=xi, p=float(p), value=val, best_field=best, trace=trace)
+    if not np.isfinite(trace[0]):
+        raise PreconditionError(f"dist(xi, K)^p is not finite at p = {p}; lower p")
+    return max(val, 0.0), best, trace
 
 
 def hull_membership(k: CompactSetDescriptor, xi, p, budget, seed=0) -> dict:
-    """One-sided hull test: membership when the envelope estimate is tiny.
+    """One-sided hull test: membership when the envelope estimate is at most (1e-4 diam K)^p, which must be finite.
 
     'member' is reliable (the estimate is an upper bound); 'non-member'
     only says no descent was found within the supplied budget.
     """
-    est = qsdqc_estimate(k, xi, p, budget, seed)
-    tol = 1e-4 * max(k.diameter(), 1e-12) ** p
-    return {"member": bool(est.value <= tol), "score": float(est.value), "tolerance": float(tol),
+    value, _, _ = qsdqc_estimate(k, xi, p, budget, seed)
+    try:
+        tol = (1e-4 * max(k.diameter(), 1e-12)) ** float(p)
+    except OverflowError:
+        raise PreconditionError(f"the tolerance (1e-4 diam K)^p overflows at p = {p}; lower p") from None
+    return {"member": bool(value <= tol), "score": float(value), "tolerance": float(tol),
             "budget_limited": True}
-

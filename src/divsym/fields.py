@@ -5,9 +5,9 @@ A field is stored as two arrays sorted by frequency: the integer modes
 the Hermitian pair ``coeff(-xi) == conj(coeff(xi))`` kept explicitly so
 every field is real valued.  The constructor checks and closes all modes
 in one stacked pass (frequency keys, shape, finiteness, symmetry,
-Hermitian partners).  All differential operators act mode-by-mode through
-their Fourier symbols, which makes derivatives, divergence-free projection
-and the second-order potential operator exact up to rounding.  Grids are
+Hermitian partners).  Derivatives, the divergence-free projection
+(``_projectors``) and curl curl^T (``_curl_curl_symbols``) act on all modes
+at once through their Fourier symbols, exact up to rounding.  Grids are
 sampled by a separable DFT restricted to the band of the modes
 (``_band_dft``): three small matmuls, no FFT.
 """
@@ -308,23 +308,19 @@ def _sym6_sq(v):
 # operations
 
 
-def project_div_free(f: TrigSymField) -> TrigSymField:
-    """Frobenius-orthogonal projection of every mode onto ``{M sym : M xi = 0}``.
+def _modes(max_freq):
+    """All modes of max-norm <= max_freq, sorted; the zero mode sits in the middle."""
+    span = np.arange(-max_freq, max_freq + 1)
+    return np.stack(np.meshgrid(span, span, span, indexing="ij"), axis=-1).reshape(-1, 3)
 
-    The zero mode is kept: constants are divergence-free.  The projector is
-    ``M -> Q M Q`` with ``Q = I - n n^T``, which is idempotent and kills the
-    divergence symbol exactly.
+
+def _projectors(xis):
+    """Q = I - xi^ xi^T (m, 3, 3), xi^ = xi / |xi|, of non-zero modes (m, 3): c -> Q c Q projects onto M xi = 0.
+
+    The projection is Frobenius-orthogonal on symmetric c and kills the divergence symbol exactly.
     """
-    out = {xi: c.copy() if xi == (0, 0, 0) else _project_mode(xi, c) for xi, c in f.coeffs.items()}
-    return TrigSymField(out, period=f.period)
-
-
-def _project_mode(xi, c):
-    """``Q c Q`` with ``Q = I - n n^T``, n = xi / |xi|, for a non-zero frequency ``xi``."""
-    nvec = np.asarray(xi, dtype=float)
-    nvec = nvec / np.linalg.norm(nvec)
-    q = np.eye(3) - np.outer(nvec, nvec)
-    return q @ c @ q
+    unit = xis / np.linalg.norm(xis, axis=1, keepdims=True)
+    return np.eye(3) - unit[:, :, None] * unit[:, None, :]
 
 
 # Mandel weights of the SYM6 slots: the packed entries times these are an isometry
@@ -370,17 +366,6 @@ def _apply_symbols(symbols, xis, coeffs, period):
     return TrigSymField(dict(zip(map(tuple, xis.tolist()), out)), period=period)
 
 
-def curl_curl_T(v: TrigSymField) -> TrigSymField:
-    """Second-order operator ``curl curl^T`` applied mode-by-mode.
-
-    Its image is divergence-free for every input; on mean-zero fields it is
-    the potential operator whose kernel is the image of the symmetric
-    gradient.
-    """
-    xis, cs = v.mode_arrays()
-    return _apply_symbols(_curl_curl_symbols(xis, v.period), xis, cs, v.period)
-
-
 def _div_defect(f: TrigSymField):
     """The largest norm of a row-wise divergence coefficient ``i (2pi/L) M(xi) xi``."""
     xis, cs = f.mode_arrays()
@@ -399,8 +384,8 @@ def potential_inverse(u: TrigSymField, what="potential_inverse input") -> TrigSy
 
     Singular values below ``PINV_RCOND`` times each mode's largest are treated as
     zero; exactness of the symbol sequence guarantees the solution lies in
-    the row space, so the round trip ``curl_curl_T(potential_inverse(u)) == u``
-    holds per mode.  The kept modes are sorted and closed under negation,
+    the row space, so applying the curl curl^T symbols back returns u per
+    mode.  The kept modes are sorted and closed under negation,
     so row -1 - j is the mirror of row j, whose symbol (quadratic in xi) is
     the same bit for bit: the symbols of the first half come from one array
     pass and are inverted by one stacked ``pinv``, and the second half
@@ -423,8 +408,9 @@ def potential_inverse(u: TrigSymField, what="potential_inverse input") -> TrigSy
 def random_field(seed, max_freq, amplitude, divfree=False, period=1.0) -> TrigSymField:
     """Reproducible random field with modes on ``max-norm(xi) <= max_freq``.
 
-    With ``divfree`` each mode is projected as it is drawn and the zero mode
-    dropped: the coefficients of ``project_div_free``, bit for bit.
+    Each Hermitian pair, in sorted order of its larger mode xi (the zero
+    mode first, kept real), draws two 3x3 normals re, im: c = amplitude
+    (m + m^T) / 2, m = re + i im.  With ``divfree`` the zero mode is dropped and -xi gets Q c* Q.
     """
     if max_freq < 1:
         raise ValueError("max_freq must be >= 1")
@@ -432,19 +418,17 @@ def random_field(seed, max_freq, amplitude, divfree=False, period=1.0) -> TrigSy
         raise ValueError("amplitude must be nonnegative")
     if amplitude == 0.0:
         return TrigSymField({}, period=period)
-    rng = np.random.default_rng(seed)
-    coeffs = {}
-    rng_span = range(-max_freq, max_freq + 1)
-    for xi in sorted((a, b, c) for a in rng_span for b in rng_span for c in rng_span):
-        if xi < _neg(xi):
-            continue  # one draw per Hermitian pair
-        m = rng.standard_normal((3, 3)) + (0.0 if xi == (0, 0, 0) else 1j) * rng.standard_normal((3, 3))
-        c = amplitude * 0.5 * (m + m.T)
-        if not divfree:
-            coeffs[xi] = c
-        elif xi != (0, 0, 0):  # the field projected keeps the partner's projection and mirrors it
-            coeffs[_neg(xi)] = _project_mode(_neg(xi), c.conj())
-    return TrigSymField(coeffs, period=period)
+    xis = _modes(max_freq)
+    xis = xis[len(xis) // 2:]  # xi >= -xi: one mode per Hermitian pair, the zero mode first
+    re, im = np.random.default_rng(seed).standard_normal((len(xis), 2, 3, 3)).swapaxes(0, 1)
+    m = re + 1j * im
+    m[0] = re[0] + 0.0 * im[0]  # the zero mode draws an imaginary part and drops it
+    cs = amplitude * 0.5 * (m + m.swapaxes(1, 2))
+    if divfree:
+        xis = -xis[1:]
+        q = _projectors(xis)
+        cs = q @ cs[1:].conj() @ q
+    return TrigSymField(dict(zip(map(tuple, xis.tolist()), cs)), period=period)
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +452,13 @@ def _json_rows(modes, part):
 
 
 def field_from_dict(data: dict) -> TrigSymField:
-    """The field of ``field_to_dict``'s layout, all modes converted at once."""
+    """The field of ``field_to_dict``'s layout, all modes converted at once; a frequency listed twice is refused."""
     modes = data["modes"]
     with np.errstate(invalid="ignore"):  # 1j * inf warns; the constructor refuses what it makes
         cs = (_json_rows(modes, "re") + 1j * _json_rows(modes, "im"))[:, UPPER_TRI_SLOT] if modes else []
-    return TrigSymField(dict(zip([tuple(mode["xi"]) for mode in modes], cs)), period=float(data["period"]))
+    xis = [tuple(mode["xi"]) for mode in modes]
+    coeffs = dict(zip(xis, cs))
+    if len(coeffs) < len(xis):
+        repeated = next(xi for i, xi in enumerate(xis) if xi in xis[:i])
+        raise ValueError(f"frequency {list(repeated)} is listed twice in the field")
+    return TrigSymField(coeffs, period=float(data["period"]))

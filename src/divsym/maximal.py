@@ -42,9 +42,6 @@ class ScalarGrid:
     def h(self):
         return self.period / self.n
 
-    def cell_measure(self):
-        return self.h**3
-
 
 @dataclass
 class OpenSetMask:
@@ -148,7 +145,7 @@ def zhang_bound_check(f: TrigSymField, lam: float, n: int) -> ZhangReport:
     _check_lambda(lam)
     g = sample_abs(f, n)
     m = maximal_function(g)
-    cell = g.cell_measure()
+    cell = g.h**3
     lhs = float((m.values > lam).sum()) * cell
     tail = g.values > lam / 2
     rhs = float(g.values[tail].sum()) * cell

@@ -78,30 +78,3 @@ def stability_comparison(u: TrigSymField, lam: float, n: int = 32) -> dict:
                       "bad_fraction": float(potential.mask.mean())},
     }
 
-
-def strong_stability_witness(lam: float, margin: float = 1.0, period: float = 1.0) -> TrigSymField:
-    """A field whose tail integral above ``lam`` vanishes yet the potential route flags it.
-
-    Two modes along e1 share a norm-flat polarization pair (orthogonal
-    equal-norm matrices as real and imaginary parts), so |u(x)| is exactly
-    the two-mode beat envelope with sup ``margin * lam``.  For margin <= 1
-    the set {|u| > lam} is empty and so is the geometric bad set, while the
-    maximal sum over the potential's derivative levels exceeds ``lam`` on a
-    fixed positive fraction of the torus: the potential truncation modifies
-    a field that strong stability says must be left alone.
-
-    The margin cannot drop much below 1 here: the potential's second
-    derivative is a pointwise isometry of the field mode-by-mode, so the
-    level sum tops out near (1 + 1/(2 pi) + 1/(4 pi^2)) times the sup norm
-    on this frequency band.
-    """
-    if margin <= 0 or margin > 1.0 + 1e-12:
-        raise PreconditionError("witness margin must lie in (0, 1]")
-    s = 1.0 / np.sqrt(2.0)
-    a_mat = np.array([[0.0, 0, 0], [0, s, 0], [0, 0, -s]])
-    b_mat = np.array([[0.0, 0, 0], [0, 0, s], [0, s, 0]])
-    pair = 0.5 * (a_mat + 1j * b_mat)
-    a1, a2 = 1.0, 0.55
-    scale = margin * lam / (a1 + a2)
-    return TrigSymField({(1, 0, 0): scale * a1 * pair, (2, 0, 0): scale * a2 * pair},
-                        period=period)

@@ -335,11 +335,9 @@ def whitney_decompose(mask: OpenSetMask) -> WhitneyCover:
 
     levels = [k for k in range(0, n.bit_length()) if n % (1 << k) == 0 and (1 << k) <= n // 4]
     cells = _cell_distance(mask.mask)
-    adm = {}
-    for k in levels:
-        s = 1 << k
-        flagged = _block_min(mask.mask.astype(np.int8), s).astype(bool)
-        adm[k] = flagged & (s <= _block_min(cells, s))
+    # admissible: least distance >= side, which (0 off the set) also makes the block fully flagged
+    block_dist = {k: _block_min(cells, 1 << k) for k in levels}
+    adm = {k: (1 << k) <= block_dist[k] for k in levels}
 
     centers, cube_levels, dists = [], [], []
     paint = np.zeros_like(mask.mask)     # W1: the undilated blocks must repaint the mask exactly
@@ -352,7 +350,7 @@ def whitney_decompose(mask: OpenSetMask) -> WhitneyCover:
         centers.append((np.argwhere(maximal) + 0.5) * s * h)
         cube_levels.append(np.full(len(centers[-1]), k, dtype=np.int64))
         # W2: center distance to the complement against the undilated side
-        dists.append(_block_min(cells, s)[maximal] * h)
+        dists.append(block_dist[k][maximal] * h)
 
     cube_levels = np.concatenate(cube_levels)
     tile = (1 << cube_levels) * h           # undilated sides

@@ -6,7 +6,8 @@ resampled by the direct mode sum ``eval_many``, band-projected mode by
 mode through a dict and re-validated by the constructor.  Kept apart
 from the code under test; same signatures and return values.  Slow
 (about 40 ms per iteration at max_freq 2).  The initializer draws a dict
-field and projects it with ``project_div_free``.
+field and projects it mode by mode (``_reference_fields.project_div_free``).
+The objective takes Mandel rows; the reference converts its matrices.
 
 ``_project_simplex_hull`` is the active-set nearest point of a polytope,
 one point at a time: the oracle for ``envelope._project_hull``.
@@ -18,8 +19,8 @@ DFT: the oracle for ``fields._band_grid`` and ``fields._band_modes``.
 import numpy as np
 from scipy import fft
 
-from _reference_fields import cell_centers
-from divsym.fields import TrigSymField, project_div_free
+from _reference_fields import cell_centers, project_div_free
+from divsym.fields import TrigSymField, _mandel_to_sym, _sym_to_mandel
 
 
 def _fft_index(xis, n):
@@ -157,8 +158,8 @@ def minimize_over_test_fields(objective, max_freq, restarts, iterations, seed,
     offset = np.zeros((3, 3)) if xi_offset is None else np.asarray(xi_offset, dtype=float)
 
     def evaluate(phi_values):
-        vals, grads = objective(offset[None, :, :] + phi_values)
-        return float(vals.mean()), grads
+        vals, grads = objective(_sym_to_mandel(offset[None, :, :] + phi_values))
+        return float(vals.mean()), _mandel_to_sym(grads)
 
     best_val, best_field, trace = np.inf, None, []
     for r in range(restarts):

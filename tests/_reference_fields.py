@@ -6,12 +6,15 @@ the Hermitian mirrors are checked and closed one pair at a time, the zero
 mode is made real and the modes are sorted.  It is kept as the oracle the
 stacked checks and closure are tested against, for the arrays and for the
 error raised on malformed input.  ``cell_centers`` is the grid the tests
-sample fields on by direct mode sums.
+sample fields on by direct mode sums.  ``random_field`` is the draw loop
+the stacked one replaced, each mode projected as drawn by ``project_mode``,
+the per-mode projector; ``project_div_free`` projects a whole field with it
+and keeps the zero mode.
 """
 
 import numpy as np
 
-from divsym.fields import _as_freq, _neg
+from divsym.fields import TrigSymField, _as_freq, _neg
 
 
 def cell_centers(n, period):
@@ -53,3 +56,40 @@ def mode_arrays(coeffs, period=1.0, tol=1e-10):
         return np.zeros((0, 3), dtype=np.int64), np.zeros((0, 3, 3), dtype=complex)
     xis = np.array(list(coeffs), dtype=np.int64)
     return xis, np.stack([coeffs[tuple(x)] for x in xis])
+
+
+def project_mode(xi, c):
+    """``Q c Q`` with ``Q = I - n n^T``, n = xi / |xi|, for a non-zero frequency ``xi``."""
+    nvec = np.asarray(xi, dtype=float)
+    nvec = nvec / np.linalg.norm(nvec)
+    q = np.eye(3) - np.outer(nvec, nvec)
+    return q @ c @ q
+
+
+def project_div_free(f):
+    """Every non-zero mode of ``f`` projected by ``project_mode``; the zero mode, a constant, is kept."""
+    return TrigSymField({xi: c if xi == (0, 0, 0) else project_mode(xi, c) for xi, c in f.coeffs.items()},
+                        period=f.period)
+
+
+def random_field(seed, max_freq, amplitude, divfree=False, period=1.0):
+    """``fields.random_field`` as a loop over the Hermitian pairs, each mode projected as it is drawn."""
+    if max_freq < 1:
+        raise ValueError("max_freq must be >= 1")
+    if amplitude < 0:
+        raise ValueError("amplitude must be nonnegative")
+    if amplitude == 0.0:
+        return TrigSymField({}, period=period)
+    rng = np.random.default_rng(seed)
+    coeffs = {}
+    span = range(-max_freq, max_freq + 1)
+    for xi in sorted((a, b, c) for a in span for b in span for c in span):
+        if xi < _neg(xi):
+            continue  # one draw per Hermitian pair
+        m = rng.standard_normal((3, 3)) + (0.0 if xi == (0, 0, 0) else 1j) * rng.standard_normal((3, 3))
+        c = amplitude * 0.5 * (m + m.T)
+        if not divfree:
+            coeffs[xi] = c
+        elif xi != (0, 0, 0):  # the field projected keeps the partner's projection and mirrors it
+            coeffs[_neg(xi)] = project_mode(_neg(xi), c.conj())
+    return TrigSymField(coeffs, period=period)

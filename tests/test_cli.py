@@ -164,6 +164,21 @@ def test_non_finite_field_file_refused_at_load(command, payload, names, tmp_path
 
 
 @pytest.mark.parametrize("command", ["truncate", "compare"])
+def test_repeated_frequency_refused(command, tmp_path, capsys):
+    # the benchmark field with the mode (0, 1, 1) listed again, its coefficients doubled:
+    # a later listing must not silently replace the earlier one
+    payload = field_to_dict(random_field(3, 2, 1.0, divfree=True))
+    again = next(mode for mode in payload["modes"] if mode["xi"] == [0, 1, 1])
+    payload["modes"].append({"xi": [0, 1, 1], "re": [2 * v for v in again["re"]], "im": [2 * v for v in again["im"]]})
+    field, out = tmp_path / "field.json", tmp_path / "r.json"
+    field.write_text(json.dumps(payload))
+    assert run([command, "--field", field, "--lambda", 30.0, "--grid-n", 16, "--out", out]) == 2
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "ValueError", "message": "frequency [0, 1, 1] is listed twice in the field"}
+
+
+@pytest.mark.parametrize("command", ["truncate", "compare"])
 @pytest.mark.parametrize("lam", ["nan", "inf"])
 def test_non_finite_lambda_exits_with_error_object(command, lam, field_file, tmp_path, capsys):
     out = tmp_path / "r.json"
@@ -232,6 +247,16 @@ class TestEnvelope:
         assert code == 2 and not out.exists()
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "PreconditionError" and message in err["message"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # restart 0's dist^p overflows
+    def test_overflowing_power_exits_with_error_object(self, tmp_path, capsys):
+        kfile, out = tmp_path / "k.json", tmp_path / "e.json"
+        kfile.write_text(json.dumps({"kind": "points", "points": [np.diag([10.0, 0, 0]).tolist(),
+                                                                  np.diag([0, 10.0, 0]).tolist()]}))
+        code = run(["envelope", "--set", kfile, "--xi", "0,0,0,0,0,0", "--p", 400, "--out", out])
+        assert code == 2 and not out.exists()
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "PreconditionError" and "not finite at p = 400" in err["message"]
 
     def test_bad_xi(self, tmp_path, capsys):
         kfile = tmp_path / "k.json"

@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from divsym import envelope
 from divsym.envelope import (
+    DEFAULT_BUDGET,
     CompactSetDescriptor,
     DistanceObjective,
-    dist_p,
     hull_membership,
     minimize_over_test_fields,
     qsdqc_estimate,
@@ -14,7 +14,6 @@ from divsym.envelope import (
 from divsym.fields import PreconditionError, _div_defect, _mandel_to_sym, _sym_to_mandel
 
 BUDGET = {"max_freq": 1, "restarts": 4, "iterations": 30}
-DEFAULT_BUDGET = {"max_freq": 2, "restarts": 10, "iterations": 60}  # the CLI's
 
 # a rank-one pair and its midpoint, as in the benchmark's laminate query
 LAMINATE = [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0])]
@@ -29,6 +28,12 @@ def ball(radius=1.0, center=None):
 def rand_sym(rng, scale=1.0):
     m = rng.standard_normal((3, 3))
     return scale * (m + m.T) / 2
+
+
+def dist_p(k, xi, p):
+    """dist(xi, K)^p: the objective on the Mandel row of the matrix ``xi``."""
+    vals, _ = DistanceObjective(k, p)(_sym_to_mandel(np.asarray(xi, dtype=float))[None])
+    return float(vals[0])
 
 
 class TestDistP:
@@ -100,21 +105,18 @@ class TestDistP:
 
 @pytest.mark.parametrize("kind", ["ball", "points", "polytope"])
 def test_objective_keeps_batch_axes(kind):
-    # a grid of matrices and the same matrices flattened give the same values
-    # and gradients; Mandel rows give the same values and the rows of the gradients
+    # a grid of Mandel rows and the same rows flattened give the same values and gradients
     rng = np.random.default_rng(1)
     pts = [rand_sym(rng) for _ in range(3)]
     k = ball(0.5, pts[0]) if kind == "ball" else CompactSetDescriptor(kind=kind, points=pts)
     objective = DistanceObjective(k, 2)
     grid = rng.standard_normal((4, 4, 4, 3, 3))
-    grid = grid + grid.swapaxes(-1, -2)
+    grid = _sym_to_mandel(grid + grid.swapaxes(-1, -2))
     vals, grads = objective(grid)
-    flat_vals, flat_grads = objective(grid.reshape(-1, 3, 3))
+    flat_vals, flat_grads = objective(grid.reshape(-1, 6))
+    assert vals.shape == (4, 4, 4) and grads.shape == (4, 4, 4, 6)
     np.testing.assert_array_equal(vals, flat_vals.reshape(4, 4, 4))
-    np.testing.assert_array_equal(grads, flat_grads.reshape(4, 4, 4, 3, 3))
-    row_vals, row_grads = objective(_sym_to_mandel(grid))
-    np.testing.assert_array_equal(row_vals, vals)
-    np.testing.assert_allclose(row_grads, _sym_to_mandel(grads), rtol=0, atol=1e-14 * np.abs(row_grads).max())
+    np.testing.assert_array_equal(grads, flat_grads.reshape(4, 4, 4, 6))
 
 
 @pytest.fixture
@@ -176,8 +178,8 @@ def test_nearest_point_matches_argmax(k, seed, p, diagonal):
 
 class TestEstimate:
     def test_member_zero(self):
-        est = qsdqc_estimate(ball(1.0), 0.3 * np.eye(3) / np.sqrt(3), 2, BUDGET, seed=1)
-        assert est.value == 0.0
+        value, _, _ = qsdqc_estimate(ball(1.0), 0.3 * np.eye(3) / np.sqrt(3), 2, BUDGET, seed=1)
+        assert value == 0.0
 
     def test_convex_no_descent(self):
         # convex integrand: Jensen forbids improvement by mean-zero fields
@@ -186,14 +188,13 @@ class TestEstimate:
             xi = rand_sym(rng)
             xi *= 2.0 / max(np.linalg.norm(xi), 1e-9)
             direct = dist_p(ball(1.0), xi, 2)
-            est = qsdqc_estimate(ball(1.0), xi, 2, BUDGET, seed=3)
-            assert est.value == pytest.approx(direct, rel=1e-3)
+            value, _, _ = qsdqc_estimate(ball(1.0), xi, 2, BUDGET, seed=3)
+            assert value == pytest.approx(direct, rel=1e-3)
 
     def test_feasibility_of_best_field(self):
         rng = np.random.default_rng(4)
         xi = rand_sym(rng, 2.0)
-        est = qsdqc_estimate(ball(0.5), xi, 2, BUDGET, seed=5)
-        f = est.best_field
+        _, f, _ = qsdqc_estimate(ball(0.5), xi, 2, BUDGET, seed=5)
         if f.coeffs:
             assert _div_defect(f) < 1e-12 * max(1.0, f.max_coeff_norm())
             assert (0, 0, 0) not in f.coeffs or np.abs(f.coeff((0, 0, 0))).max() < 1e-12
@@ -218,9 +219,9 @@ class TestEstimate:
         # restart 0 is the zero field; at the ball's centre no value is below 0,
         # and outside it the gradient is constant, so its projection vanishes:
         # no step is accepted and the best field is restart 0's, with no modes
-        est = qsdqc_estimate(ball(1.0), xi, 2, dict(BUDGET, restarts=restarts), seed=1)
-        assert est.value == est.trace[0] == dist_p(ball(1.0), xi, 2)
-        assert est.best_field.coeffs == {}
+        value, best, trace = qsdqc_estimate(ball(1.0), xi, 2, dict(BUDGET, restarts=restarts), seed=1)
+        assert value == trace[0] == dist_p(ball(1.0), xi, 2)
+        assert best.coeffs == {}
 
     def test_restart_zero_is_one_evaluation(self, counted):
         # the zero field's gradient is constant, so its band projection vanishes:
@@ -231,7 +232,7 @@ class TestEstimate:
         for p in (1, 4):
             counted.clear()
             val, best, trace = minimize_over_test_fields(DistanceObjective(k, p), 2, 1, 60, 3,
-                                                         xi_offset=LAMINATE_XI)
+                                                         xi_offset=_sym_to_mandel(LAMINATE_XI))
             assert counted == ["objective"] and best.coeffs == {}
             assert val == trace[0] == dist_p(k, LAMINATE_XI, p)
 
@@ -260,6 +261,31 @@ def test_laminate_hull_scores_pinned(seed, p, score, counted):
                           seed=seed)
     assert rep["score"] == pytest.approx(score, rel=1e-12, abs=0)
     assert counted.count("objective") == 550
+
+
+# K = {10 e1 e1, 10 e2 e2}: every point has trace 10 and xi + phi has mean trace 0, so the
+# envelope at xi = 0 is at least (10 / sqrt 3)^p, while dist(0, K)^p = 10^p
+BIG_PAIR = CompactSetDescriptor(kind="points", points=[np.diag([10.0, 0, 0]), np.diag([0, 10.0, 0])])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # dist^p overflows on grid points far from K
+def test_large_p_tolerance_scales_with_the_score():
+    # the tolerance is (1e-4 diam)^p: the same as 1e-4 diam at p = 1, and no longer
+    # 4e283 at p = 250, where no score of a non-member can fall below it
+    assert hull_membership(BIG_PAIR, np.zeros((3, 3)), 1, BUDGET)["tolerance"] == 1e-4 * BIG_PAIR.diameter()
+    rep = hull_membership(BIG_PAIR, np.zeros((3, 3)), 250, BUDGET)
+    assert rep["member"] is False and rep["score"] >= (10 / np.sqrt(3)) ** 250
+    assert rep["tolerance"] == (1e-4 * BIG_PAIR.diameter()) ** 250
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_query_refused(counted):
+    # dist(0, K)^400 = 1e400 is not a float: refused from restart 0's one evaluation
+    with pytest.raises(PreconditionError, match="not finite at p = 400"):
+        hull_membership(BIG_PAIR, np.zeros((3, 3)), 400, BUDGET)
+    assert counted == ["objective"]
+    with pytest.raises(PreconditionError, match="tolerance"):
+        hull_membership(ball(1e6), np.zeros((3, 3)), 200, BUDGET)
 
 
 class TestMembership:
@@ -291,7 +317,7 @@ class TestMembership:
         vals = []
         for mf in (1, 2):
             budget = dict(BUDGET, max_freq=mf)
-            vals.append(qsdqc_estimate(ball(1.0), xi, 2, budget, seed=9).value)
+            vals.append(qsdqc_estimate(ball(1.0), xi, 2, budget, seed=9)[0])
         assert vals[0] >= vals[1] - 1e-6
 
     def test_hull_antimonotonicity_on_battery(self):
@@ -324,8 +350,8 @@ class TestDescriptor:
         # at a tie the first point is the nearest one: the gradient points away from it
         pts = [np.diag([1.0, 0, 0]), np.diag([-1.0, 0, 0])]
         k = CompactSetDescriptor(kind="points", points=pts)
-        _, grad = DistanceObjective(k, 2)(np.zeros((3, 3)))
-        np.testing.assert_array_equal(grad, -2.0 * pts[0])
+        _, grad = DistanceObjective(k, 2)(np.zeros(6))
+        np.testing.assert_array_equal(grad, -2.0 * _sym_to_mandel(pts[0]))
 
     @pytest.mark.parametrize("kind", ["points", "polytope", "ball"])
     def test_asymmetric_matrix_refused(self, kind):

@@ -8,7 +8,7 @@ import _reference_envelope as ref
 from divsym import envelope
 from divsym.envelope import (CompactSetDescriptor, DistanceObjective, _band, _band_field, _band_project,
                              _project_hull, _seed_words, _seeded_init, minimize_over_test_fields)
-from divsym.fields import _band_grid, _band_modes
+from divsym.fields import _band_grid, _band_modes, _sym_to_mandel
 
 # Agreement bound, relative to the largest reference value.  Resampling by
 # the inverse band DFT instead of the direct mode sum, and projecting all modes at
@@ -39,11 +39,11 @@ def assert_fields_close(got, want):
 
 def assert_descents_agree(k, p, max_freq, restarts, iterations, seed, amplitude, xi, objective=None):
     """Run both descents of dist^p(., K); ``objective`` (a wrapper of it) runs the one under test."""
-    kwargs = dict(init_amplitude=amplitude, xi_offset=xi)
     val, best, trace = minimize_over_test_fields(objective or DistanceObjective(k, p), max_freq, restarts,
-                                                 iterations, seed, **kwargs)
+                                                 iterations, seed, init_amplitude=amplitude,
+                                                 xi_offset=_sym_to_mandel(xi))
     rval, rbest, rtrace = ref.minimize_over_test_fields(DistanceObjective(k, p), max_freq, restarts,
-                                                        iterations, seed, **kwargs)
+                                                        iterations, seed, init_amplitude=amplitude, xi_offset=xi)
     scale = max(1.0, np.abs(rtrace).max())
     np.testing.assert_allclose(trace, rtrace, rtol=0, atol=RTOL * scale)
     assert abs(val - rval) <= RTOL * scale
@@ -188,7 +188,7 @@ def test_objective_receives_component_major_grids():
     # of the inverse band DFT, so the objective's row transpose copies nothing
     a, b = np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0])
     objective = LayoutObjective(CompactSetDescriptor(kind="points", points=[a, b]), 1)
-    minimize_over_test_fields(objective, 2, 3, 10, 5, init_amplitude=0.01, xi_offset=0.5 * (a + b))
+    minimize_over_test_fields(objective, 2, 3, 10, 5, init_amplitude=0.01, xi_offset=_sym_to_mandel(0.5 * (a + b)))
     assert len(objective.component_major) > 3
     assert all(objective.component_major)
 

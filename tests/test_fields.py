@@ -12,16 +12,16 @@ from divsym.fields import (
     PreconditionError,
     TrigSymField,
     UnsupportedOrderError,
+    _apply_symbols,
     _curl_curl_symbols,
     _div_defect,
     _mandel_to_sym,
+    _projectors,
     _sym_to_mandel,
     assert_div_free,
-    curl_curl_T,
     field_from_dict,
     field_to_dict,
     potential_inverse,
-    project_div_free,
     random_field,
 )
 
@@ -35,6 +35,18 @@ def single_mode_field():
 def mean_zero(f):
     f.coeffs.pop((0, 0, 0), None)
     return TrigSymField(f.coeffs, period=f.period)
+
+
+def curl_curl_T(v):
+    """curl curl^T on every mode of ``v`` by the stacked symbols, the path ``potential_inverse`` runs."""
+    xis, cs = v.mode_arrays()
+    return _apply_symbols(_curl_curl_symbols(xis, v.period), xis, cs, v.period)
+
+
+def project(cs, xis):
+    """``Q c Q`` on the coefficients ``cs`` (m, 3, 3) of the non-zero modes ``xis`` by ``_projectors``."""
+    q = _projectors(np.asarray(xis))
+    return q @ cs @ q
 
 
 class TestEval:
@@ -144,7 +156,7 @@ class TestDivergence:
         assert _div_defect(f) == 0.0
 
     def test_projection_kills_divergence(self):
-        f = project_div_free(random_field(5, 3, 2.0))
+        f = refields.project_div_free(random_field(5, 3, 2.0))
         assert _div_defect(f) < 1e-12 * max(1.0, f.max_coeff_norm())
 
     def test_one_solenoidal_defect_refused_with_its_size(self):
@@ -162,8 +174,8 @@ class TestDivergence:
 
 
 def three_step_divfree(seed, max_freq, period=1.0):
-    """``random_field(divfree=True)`` as it was built: draw, ``project_div_free``, drop the zero mode, rebuild."""
-    f = project_div_free(random_field(seed, max_freq, 1.0, period=period))
+    """``random_field(divfree=True)`` as it was built: draw, project every mode, drop the zero mode, rebuild."""
+    f = refields.project_div_free(random_field(seed, max_freq, 1.0, period=period))
     f.coeffs.pop((0, 0, 0), None)
     return TrigSymField(f.coeffs, period=period)
 
@@ -181,22 +193,19 @@ def test_divfree_draw_matches_three_step_route(max_freq):
 
 class TestProjection:
     def test_idempotent(self):
-        f = random_field(2, 2, 1.0)
-        p1 = project_div_free(f)
-        p2 = project_div_free(p1)
-        for xi in p1.coeffs:
-            np.testing.assert_allclose(p1.coeff(xi), p2.coeff(xi), atol=1e-12)
+        xis, cs = mean_zero(random_field(2, 2, 1.0)).mode_arrays()
+        p1 = project(cs, xis)
+        np.testing.assert_allclose(project(p1, xis), p1, rtol=0, atol=1e-12)
 
     def test_divergence_free_input_fixed(self):
-        f = project_div_free(random_field(4, 2, 1.0))
-        g = project_div_free(f)
-        for xi in f.coeffs:
-            np.testing.assert_allclose(f.coeff(xi), g.coeff(xi), atol=1e-12)
+        xis, cs = random_field(4, 2, 1.0, divfree=True).mode_arrays()
+        np.testing.assert_allclose(project(cs, xis), cs, rtol=0, atol=1e-12)
 
     def test_zero_mode_kept(self):
+        # the tests' per-mode projection of a whole field keeps the constant mode
         c = np.eye(3, dtype=complex)
         f = TrigSymField({(0, 0, 0): c})
-        np.testing.assert_allclose(project_div_free(f).coeff((0, 0, 0)), c)
+        np.testing.assert_allclose(refields.project_div_free(f).coeff((0, 0, 0)), c)
 
     def test_against_constrained_least_squares(self):
         # oracle: argmin |M - I|_F over {M sym, M e1 = 0} via explicit KKT solve
@@ -216,8 +225,7 @@ class TestProjection:
         sol = np.linalg.solve(kkt, rhs)[:6]
         oracle = np.einsum("i,iab->ab", sol, basis)
 
-        f = TrigSymField({(1, 0, 0): np.eye(3, dtype=complex)})
-        got = project_div_free(f).coeff((1, 0, 0)).real
+        got = project(np.eye(3)[None], [(1, 0, 0)])[0]
         np.testing.assert_allclose(got, oracle, atol=1e-10)
 
 
@@ -513,3 +521,17 @@ def test_hermitian_tolerance_scales_with_the_largest_mode():
         want = arrays_or_error(lambda: refields.mode_arrays(coeffs))
         assert arrays_or_error(lambda: TrigSymField(coeffs).mode_arrays()) == want
         assert (want[0] is ValueError) == (len(coeffs) == 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(-2, 2**16), st.integers(2**32, 2**70)), st.integers(0, 5),
+       st.sampled_from([1.0, 0.37, 0.0, -1.0]), st.booleans(), st.sampled_from([1.0, 2 * np.pi, 0.3, 0.0, NAN]))
+@example(2**32, 5, 1.0, True, 2 * np.pi)
+@example(2**40, 1, 0.37, False, 0.3)
+def test_random_field_matches_per_mode_loop(seed, max_freq, amplitude, divfree, period):
+    # one stacked draw and one stacked projection give the loop's arrays bit for bit
+    # (signs of zero included), and the same error where the inputs are refused
+    def build(make):
+        return lambda: make(seed, max_freq, amplitude, divfree=divfree, period=period).mode_arrays()
+
+    assert arrays_or_error(build(random_field)) == arrays_or_error(build(refields.random_field))

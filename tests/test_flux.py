@@ -4,14 +4,12 @@ import pytest
 from _reference_moments import (_collapsed_rule, _normals, _triangle_moments, antisym, gauss_green_defect_A,
                                 gauss_green_defect_B, triangle_rule)
 from _reference_pointwise import permutation_sign
-from divsym.fields import PreconditionError, TrigSymField, project_div_free, random_field
+from divsym.fields import PreconditionError, TrigSymField, random_field
 from divsym.flux import _moment_functions, _segment_integrals
 
 
 def div_free(seed, max_freq=2, amplitude=1.0):
-    f = project_div_free(random_field(seed, max_freq, amplitude))
-    f.coeffs.pop((0, 0, 0), None)
-    return TrigSymField(f.coeffs)
+    return random_field(seed, max_freq, amplitude, divfree=True)
 
 
 def normal(x_i, x_j, x_k):

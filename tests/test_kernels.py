@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import _loop_kernels as loops
 from _subset_kernel import subset_moments, subset_truncation
 from divsym import _kernels
-from divsym.fields import TrigSymField, project_div_free, random_field
+from divsym.fields import TrigSymField, random_field
 from divsym.truncation import _bad_grid_index, _pair_moments, build_context, lambda_for_fraction, sample_bad_truncation
 from divsym.whitney import _partition
 
@@ -35,9 +35,7 @@ CASES = st.tuples(st.integers(0, 30), st.sampled_from([16, 20]), st.just(2),
 
 
 def div_free(seed):
-    f = project_div_free(random_field(seed, 2, 1.0))
-    f.coeffs.pop((0, 0, 0), None)
-    return TrigSymField(f.coeffs)
+    return random_field(seed, 2, 1.0, divfree=True)
 
 
 def assert_close(got, ref):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from _reference_pointwise import PointwiseReference, cubes_at
 from _subset_kernel import subset_local_field
 from divsym import whitney
-from divsym.fields import TrigSymField, project_div_free, random_field
+from divsym.fields import random_field
 from divsym.truncation import build_context, lambda_for_fraction, sample_bad_truncation, sym6_to_mat, truncate
 from divsym.whitney import SUPPORT_MARGIN
 
@@ -23,9 +23,7 @@ CASES = st.tuples(st.integers(0, 30), st.sampled_from([16, 20]), st.floats(0.01,
 
 
 def div_free(seed):
-    f = project_div_free(random_field(seed, 2, 1.0))
-    f.coeffs.pop((0, 0, 0), None)
-    return TrigSymField(f.coeffs)
+    return random_field(seed, 2, 1.0, divfree=True)
 
 
 def assert_close(got, ref):

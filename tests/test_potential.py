@@ -4,24 +4,26 @@ from hypothesis import given, settings, strategies as st
 
 import _reference_potential as ref
 from divsym import fields
-from divsym.fields import (
-    PreconditionError,
-    TrigSymField,
-    _sym6_sq,
-    curl_curl_T,
-    potential_inverse,
-    project_div_free,
-    random_field,
-)
+from divsym.fields import PreconditionError, TrigSymField, _sym6_sq, potential_inverse, random_field
 from divsym.maximal import ScalarGrid, _maximal, bad_set, maximal_function
 from divsym.potential_trunc import _derivative_magnitude_grids, potential_bad_set, stability_comparison
 from divsym.truncation import flag_bad_set, lambda_for_fraction
 
 
 def div_free(seed, max_freq=2, amplitude=1.0):
-    f = project_div_free(random_field(seed, max_freq, amplitude))
-    f.coeffs.pop((0, 0, 0), None)
-    return TrigSymField(f.coeffs)
+    return random_field(seed, max_freq, amplitude, divfree=True)
+
+
+@pytest.fixture
+def witness():
+    """A field with sup |u| = 1 that the potential route flags at lambda = 1.
+
+    Two modes along e1 share a norm-flat polarization pair, so |u(x)| is exactly their beat envelope.
+    """
+    s = 1.0 / np.sqrt(2.0)
+    pair = 0.5 * (np.array([[0.0, 0, 0], [0, s, 0], [0, 0, -s]]) + 1j * np.array([[0.0, 0, 0], [0, 0, s], [0, s, 0]]))
+    scale = 1.0 / (1.0 + 0.55)
+    return TrigSymField({(1, 0, 0): scale * 1.0 * pair, (2, 0, 0): scale * 0.55 * pair})
 
 
 def vt_level(v, n=16):
@@ -142,13 +144,13 @@ class TestAfreeTruncate:
         _, mask = potential_bad_set(v, 1e9, 16)
         assert mask.is_empty()
         x = np.array([0.4, 0.2, 0.9])
-        np.testing.assert_allclose(curl_curl_T(v)(x), u(x), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ref.curl_curl_T(v)(x), u(x), rtol=0, atol=1e-12)
 
     def test_zero(self):
         v = potential_inverse(TrigSymField({}))
         level, mask = potential_bad_set(v, 1.0, 16)
         assert not level.values.any() and mask.is_empty()
-        assert not curl_curl_T(v)(np.array([0.1, 0.1, 0.1])).any()
+        assert not ref.curl_curl_T(v)(np.array([0.1, 0.1, 0.1])).any()
 
     def test_non_divfree_rejected(self):
         with pytest.raises(PreconditionError, match="stability_comparison input"):
@@ -167,22 +169,13 @@ class TestStabilityComparison:
         assert rep["geometric"]["changed_measure"] == 0.0
         assert rep["potential"]["changed_measure"] == 0.0
 
-    def test_witness_modifies_potential_only(self):
-        from divsym.potential_trunc import strong_stability_witness
-
+    def test_witness_modifies_potential_only(self, witness):
         lam = 1.0
-        u = strong_stability_witness(lam)
-        rep = stability_comparison(u, lam, 32)
+        rep = stability_comparison(witness, lam, 32)
         # sup|u| <= lam: the tail integral over {|u| > lam} is exactly zero
         assert rep["linf_of_u_over_lambda"] <= 1.0 + 1e-12
         assert rep["geometric"]["changed_measure"] == 0.0
         assert rep["potential"]["changed_measure"] > 0.05
-
-    def test_witness_margin_validation(self):
-        from divsym.potential_trunc import strong_stability_witness
-
-        with pytest.raises(PreconditionError):
-            strong_stability_witness(1.0, margin=1.5)
 
 
 def comparison_from_masks(u, lam, n):

@@ -10,8 +10,7 @@ from _reference_pointwise import (PointwiseReference, build_partition, cubes_at,
                                   summation_vanish_loop)
 from _subset_kernel import summation_vanish_check
 from divsym import truncation
-from divsym.fields import (SYM6_SLOT, PreconditionError, TrigSymField, UnsupportedOrderError,
-                           project_div_free, random_field)
+from divsym.fields import SYM6_SLOT, PreconditionError, TrigSymField, UnsupportedOrderError, random_field
 from divsym.flux import _moment_functions
 from divsym.maximal import ScalarGrid, bad_set
 from divsym.truncation import (
@@ -31,9 +30,7 @@ from test_topology import triangles
 
 
 def div_free(seed, max_freq=2, amplitude=1.0):
-    f = project_div_free(random_field(seed, max_freq, amplitude))
-    f.coeffs.pop((0, 0, 0), None)
-    return TrigSymField(f.coeffs)
+    return random_field(seed, max_freq, amplitude, divfree=True)
 
 
 @pytest.fixture(scope="module")

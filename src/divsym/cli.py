@@ -37,7 +37,7 @@ def _load_field(path):
     try:
         return field_from_dict(payload)
     except (KeyError, TypeError, IndexError):
-        schemas.validate("field", payload)  # names the missing key or the wrong type
+        schemas.validate("field", payload)  # names the missing key, the wrong type or the wrong length
         raise
 
 
@@ -126,7 +126,7 @@ def main(argv=None):
         if n is not None and not (16 <= n <= 128):
             raise PreconditionError(f"grid resolution {n} outside [16, 128]")
         return args.func(args)
-    except (PreconditionError, ValueError, OSError, schemas.ValidationError) as exc:
+    except (PreconditionError, ValueError, OSError) as exc:  # schemas.ValidationError is a ValueError
         json.dump({"error": {"type": type(exc).__name__, "message": str(exc)}}, sys.stdout)
         sys.stdout.write("\n")
         return 2

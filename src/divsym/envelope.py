@@ -222,8 +222,10 @@ def minimize_over_test_fields(objective, max_freq, restarts, iterations, seed,
     which opens the trace.  (Trying the steps anyway can only accept
     rounding noise in P(g).)  Every other restart only ever accepts
     decreasing steps, so the reported value never exceeds the restart's
-    initial one.  Returns (best value, best field, trace); a restart 0
-    value that is not finite ends the descent with (value, None, [value]).
+    initial one; a restart whose initial value is not finite ends there,
+    after its one evaluation.  Returns (best value, best field, trace); a
+    restart 0 value that is not finite ends the descent with
+    (value, None, [value]).
     """
     n = max(4 * max_freq, 16)
     band = _band(max_freq, n)
@@ -231,8 +233,11 @@ def minimize_over_test_fields(objective, max_freq, restarts, iterations, seed,
     offset = np.zeros(6) if xi_offset is None else np.asarray(xi_offset, dtype=float)
 
     def evaluate(values):
-        vals, grads = objective(values)
-        return float(np.add.reduce(vals, axis=None) / vals.size), grads  # the arithmetic of vals.mean()
+        # a value that overflows is inf (or NaN), which rejects a trial or ends a restart at its
+        # start, so its gradient is never read; the warnings of its arithmetic are silenced here only
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals, grads = objective(values)
+            return float(np.add.reduce(vals, axis=None) / vals.size), grads  # the arithmetic of vals.mean()
 
     best_val, best_coeffs, trace = np.inf, None, []
     for r in range(restarts):
@@ -242,8 +247,10 @@ def minimize_over_test_fields(objective, max_freq, restarts, iterations, seed,
             coeffs, tries = _seeded_init(seed, r, xis, init_amplitude, proj), iterations
             point = offset + _band_grid(coeffs, dft, rows)  # xi + phi at the cell centres
         val, grads = evaluate(point)
-        if r == 0 and not np.isfinite(val):
-            return val, None, [val]
+        if not np.isfinite(val):
+            if r == 0:
+                return val, None, [val]
+            tries = 0  # no descent from a start whose value is not finite
         step, down = 1.0, None
         for _ in range(tries):
             if down is None:  # the current point's projected gradient, on the modes and the grid
@@ -307,7 +314,9 @@ def _seeded_init(seed, restart, xis, amplitude, proj):
 def qsdqc_estimate(k: CompactSetDescriptor, xi, p, budget, seed=0):
     """Upper bound of the div-quasiconvex envelope of dist^p(., K) at xi: (value, best field, trace).
 
-    Budget entries default to ``DEFAULT_BUDGET``; a query whose restart 0 value dist(xi, K)^p is not finite is refused.
+    Budget entries default to ``DEFAULT_BUDGET``.  A query is refused when
+    its restart 0 value dist(xi, K)^p is not finite, or when it underflows
+    to 0 while dist(xi, K) > 0 (xi in K stays a member at any p).
     """
     budget = {**DEFAULT_BUDGET, **dict(budget)}
     max_freq, restarts, iterations = (int(budget[key]) for key in DEFAULT_BUDGET)
@@ -317,13 +326,15 @@ def qsdqc_estimate(k: CompactSetDescriptor, xi, p, budget, seed=0):
         raise PreconditionError(f"budget max_freq {max_freq} exceeds {_KEY_SHIFT}, the widest seeded band")
     if seed < 0:
         raise PreconditionError(f"seed {seed} is negative; seeds are non-negative integers")
-    xi = np.asarray(xi, dtype=float).reshape(3, 3)
+    xi = _sym_to_mandel(np.asarray(xi, dtype=float).reshape(3, 3))
     val, best, trace = minimize_over_test_fields(
-        DistanceObjective(k, p), max_freq, restarts, iterations, seed, xi_offset=_sym_to_mandel(xi),
+        DistanceObjective(k, p), max_freq, restarts, iterations, seed, xi_offset=xi,
         init_amplitude=0.25 * max(k.diameter(), 1.0),
     )
     if not np.isfinite(trace[0]):
         raise PreconditionError(f"dist(xi, K)^p is not finite at p = {p}; lower p")
+    if trace[0] == 0 and DistanceObjective(k, 1)(xi)[0] > 0:  # read only when the power is 0
+        raise PreconditionError(f"dist(xi, K)^p underflows to 0 at p = {p} while dist(xi, K) > 0; lower p")
     return max(val, 0.0), best, trace
 
 

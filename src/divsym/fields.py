@@ -15,6 +15,7 @@ sampled by a separable DFT restricted to the band of the modes
 from __future__ import annotations
 
 import functools
+import numbers
 
 import numpy as np
 
@@ -444,15 +445,21 @@ def field_to_dict(f: TrigSymField) -> dict:
 
 
 def _json_rows(modes, part):
-    """``mode[part]`` of every mode as one array; rows of unequal length raise ``IndexError``, as short ones do."""
+    """``mode[part]`` of every mode as one (m, 6) array; rows of any other length raise ``IndexError``."""
     try:
-        return np.asarray([mode[part] for mode in modes])
+        rows = np.asarray([mode[part] for mode in modes])
     except ValueError as exc:
         raise IndexError(f"the modes' {part!r} rows differ in length") from exc
+    if rows.shape != (len(modes), 6):
+        raise IndexError(f"the modes' {part!r} rows are not rows of six entries")
+    return rows
 
 
 def field_from_dict(data: dict) -> TrigSymField:
-    """The field of ``field_to_dict``'s layout, all modes converted at once; a frequency listed twice is refused."""
+    """The field of ``field_to_dict``'s layout, all modes converted at once; a frequency listed twice is refused.
+
+    A period that is not a real number (a string, a bool) raises ``TypeError``.
+    """
     modes = data["modes"]
     with np.errstate(invalid="ignore"):  # 1j * inf warns; the constructor refuses what it makes
         cs = (_json_rows(modes, "re") + 1j * _json_rows(modes, "im"))[:, UPPER_TRI_SLOT] if modes else []
@@ -461,4 +468,7 @@ def field_from_dict(data: dict) -> TrigSymField:
     if len(coeffs) < len(xis):
         repeated = next(xi for i, xi in enumerate(xis) if xi in xis[:i])
         raise ValueError(f"frequency {list(repeated)} is listed twice in the field")
-    return TrigSymField(coeffs, period=float(data["period"]))
+    period = data["period"]
+    if isinstance(period, bool) or not isinstance(period, numbers.Real):
+        raise TypeError(f"the period is a {type(period).__name__}, not a number")
+    return TrigSymField(coeffs, period=float(period))

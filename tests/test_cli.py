@@ -128,15 +128,29 @@ WHOLE = dict(MODE, im=[0.0] * 6)
 
 
 @pytest.mark.parametrize("command", ["truncate", "compare"])
-@pytest.mark.parametrize("payload", [{"period": 1.0}, {"period": 1.0, "modes": [MODE]}, [MODE], {"modes": [WHOLE]},
-                                     {"period": 1.0, "modes": [dict(WHOLE, xi=[1.5, 0, 0])]}],
-                         ids=["no-modes", "mode-without-im", "list", "no-period", "fractional-xi"])
-def test_malformed_field_file_exits_with_error_object(command, payload, tmp_path, capsys):
-    field = tmp_path / "field.json"
+@pytest.mark.parametrize("payload, error, names", [
+    ({"period": 1.0}, "ValidationError", "'modes' is a required property"),
+    ({"period": 1.0, "modes": [MODE]}, "ValidationError", "$.modes[0]: 'im' is a required property"),
+    ([MODE], "ValidationError", "$: "),
+    ({"modes": [WHOLE]}, "ValidationError", "'period' is a required property"),
+    ({"period": 1.0, "modes": [dict(WHOLE, xi=[1.5, 0, 0])]}, "ValueError", "[1.5, 0, 0]"),
+    # the loader reads neither a string nor a bool as the period
+    ({"period": "0.5", "modes": [WHOLE]}, "ValidationError", "$.period: '0.5' is not of type 'number'"),
+    ({"period": True, "modes": [WHOLE]}, "ValidationError", "$.period: True is not of type 'number'"),
+    # rows of seven entries are not cut to six, and rows of unequal length are not broadcast
+    ({"period": 1.0, "modes": [dict(WHOLE, re=[0.0] * 7, im=[0.0] * 7)]}, "ValidationError",
+     "$.modes[0].re: 7 items"),
+    ({"period": 1.0, "modes": [dict(WHOLE, im=[0.0] * 7)]}, "ValidationError", "$.modes[0].im: 7 items"),
+    ({"period": 1.0, "modes": [dict(WHOLE, re=[0.0] * 5)]}, "ValidationError", "$.modes[0].re: 5 items"),
+], ids=["no-modes", "mode-without-im", "list", "no-period", "fractional-xi", "string-period", "bool-period",
+        "seven-entry-rows", "seven-entry-im", "five-entry-re"])
+def test_malformed_field_file_exits_with_error_object(command, payload, error, names, tmp_path, capsys):
+    field, out = tmp_path / "field.json", tmp_path / "r.json"
     field.write_text(json.dumps(payload))
-    code = run([command, "--field", field, "--lambda", 1.0, "--grid-n", 16, "--out", tmp_path / "r.json"])
-    assert code == 2
-    assert "error" in json.loads(capsys.readouterr().out)
+    code = run([command, "--field", field, "--lambda", 1.0, "--grid-n", 16, "--out", out])
+    assert code == 2 and not out.exists()
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == error and names in err["message"]
 
 
 NAN, INF = float("nan"), float("inf")
@@ -248,15 +262,27 @@ class TestEnvelope:
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "PreconditionError" and message in err["message"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # restart 0's dist^p overflows
-    def test_overflowing_power_exits_with_error_object(self, tmp_path, capsys):
+    @staticmethod
+    def refused_pair_query(diagonal, xi, p, tmp_path, capsys):
+        """The error object of a query on K = {d e1 e1, d e2 e2}; no output is written."""
         kfile, out = tmp_path / "k.json", tmp_path / "e.json"
-        kfile.write_text(json.dumps({"kind": "points", "points": [np.diag([10.0, 0, 0]).tolist(),
-                                                                  np.diag([0, 10.0, 0]).tolist()]}))
-        code = run(["envelope", "--set", kfile, "--xi", "0,0,0,0,0,0", "--p", 400, "--out", out])
+        kfile.write_text(json.dumps({"kind": "points", "points": [np.diag([diagonal, 0, 0]).tolist(),
+                                                                  np.diag([0, diagonal, 0]).tolist()]}))
+        code = run(["envelope", "--set", kfile, "--xi", xi, "--p", p, "--out", out])
         assert code == 2 and not out.exists()
-        err = json.loads(capsys.readouterr().out)["error"]
+        return json.loads(capsys.readouterr().out)["error"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_power_exits_with_error_object(self, tmp_path, capsys):
+        err = self.refused_pair_query(10.0, "0,0,0,0,0,0", 400, tmp_path, capsys)  # dist(xi, K)^p = 1e400
         assert err["type"] == "PreconditionError" and "not finite at p = 400" in err["message"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_power_exits_with_error_object(self, tmp_path, capsys):
+        # xi = 0.1 I is not in the hull: K has trace 1 and xi + phi mean trace 0.3, so the
+        # envelope is at least (0.7 / sqrt 3)^p > 0, but dist(xi, K)^p = 0.83^(p / 2) reads 0
+        err = self.refused_pair_query(1.0, "0.1,0,0,0.1,0,0.1", 1e308, tmp_path, capsys)
+        assert err["type"] == "PreconditionError" and "underflows to 0 at p = 1e+308" in err["message"]
 
     def test_bad_xi(self, tmp_path, capsys):
         kfile = tmp_path / "k.json"

@@ -268,17 +268,21 @@ def test_laminate_hull_scores_pinned(seed, p, score, counted):
 BIG_PAIR = CompactSetDescriptor(kind="points", points=[np.diag([10.0, 0, 0]), np.diag([0, 10.0, 0])])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # dist^p overflows on grid points far from K
-def test_large_p_tolerance_scales_with_the_score():
+@pytest.mark.filterwarnings("error")
+def test_large_p_tolerance_scales_with_the_score(counted):
     # the tolerance is (1e-4 diam)^p: the same as 1e-4 diam at p = 1, and no longer
     # 4e283 at p = 250, where no score of a non-member can fall below it
     assert hull_membership(BIG_PAIR, np.zeros((3, 3)), 1, BUDGET)["tolerance"] == 1e-4 * BIG_PAIR.diameter()
-    rep = hull_membership(BIG_PAIR, np.zeros((3, 3)), 250, BUDGET)
+    counted.clear()
+    rep = hull_membership(BIG_PAIR, np.zeros((3, 3)), 250, DEFAULT_BUDGET)
     assert rep["member"] is False and rep["score"] >= (10 / np.sqrt(3)) ** 250
     assert rep["tolerance"] == (1e-4 * BIG_PAIR.diameter()) ** 250
+    # every seeded start has grid points where dist^p overflows: each restart ends at its
+    # start, one evaluation and no projection, and warns of nothing
+    assert counted == ["objective"] * DEFAULT_BUDGET["restarts"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_overflowing_query_refused(counted):
     # dist(0, K)^400 = 1e400 is not a float: refused from restart 0's one evaluation
     with pytest.raises(PreconditionError, match="not finite at p = 400"):
@@ -286,6 +290,19 @@ def test_overflowing_query_refused(counted):
     assert counted == ["objective"]
     with pytest.raises(PreconditionError, match="tolerance"):
         hull_membership(ball(1e6), np.zeros((3, 3)), 200, BUDGET)
+
+
+@pytest.mark.filterwarnings("error")
+def test_underflowing_query_refused_and_points_of_k_kept():
+    # xi = 0.1 I is not in the laminate's hull: every point of K has trace 1 and xi + phi
+    # has mean trace 0.3, so by Jensen the envelope is at least (0.7 / sqrt 3)^p > 0; but
+    # dist(xi, K)^p = 0.83^(p / 2) reads 0 at p = 1e308, and so would every score
+    k = CompactSetDescriptor(kind="points", points=LAMINATE)
+    with pytest.raises(PreconditionError, match="underflows to 0 at p = 1e"):
+        hull_membership(k, 0.1 * np.eye(3), 1e308, DEFAULT_BUDGET)
+    for p in (1, 1e308):  # a point of K is a member at any p
+        rep = hull_membership(k, LAMINATE[0], p, BUDGET)
+        assert rep["member"] is True and rep["score"] == 0.0
 
 
 class TestMembership:

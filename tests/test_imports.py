@@ -1,8 +1,9 @@
-"""Import cost guard: the package and each command line command load no scipy module.
+"""Import cost guard: the package and each command line command load neither scipy nor jsonschema.
 
 ``src/`` imports no scipy: fields are sampled by the separable band DFT of
 ``fields`` and the maximal function convolves through ``numpy.fft``.  The
-tests keep scipy as an oracle only.
+command line checks its outputs with the checker of ``divsym.schemas``.
+The tests keep scipy and jsonschema as oracles only.
 """
 
 import json
@@ -16,32 +17,41 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def loaded_scipy(code):
-    """The scipy modules loaded after running ``code`` in a fresh interpreter."""
-    code += "\nimport sys\nprint(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+def loaded_oracles(code):
+    """The scipy and jsonschema modules loaded after running ``code`` in a fresh interpreter."""
+    code += ("\nimport sys\nprint(sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'jsonschema')))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return out.stdout.strip().splitlines()[-1]
 
 
 def test_package_import_loads_no_scipy():
-    assert loaded_scipy("import divsym, divsym.cli") == "[]"
+    assert loaded_oracles("import divsym, divsym.cli") == "[]"
 
 
-@pytest.mark.parametrize("command", ["gen-field", "truncate", "compare", "envelope"])
+@pytest.mark.parametrize("command", ["gen-field", "truncate", "compare", "envelope", "invalid-field"])
 def test_command_loads_no_scipy(command, tmp_path):
     # the field commands at n=16 on the seed-3 field, about 8 % of it flagged; the
     # envelope command is a laminate query at the default budget, where every
-    # restart resamples and projects through the band DFT
+    # restart resamples and projects through the band DFT; the invalid field lacks
+    # a mode's "im", so the loader's schema check names it and the command exits 2
     field, kset, out = tmp_path / "field.json", tmp_path / "K.json", tmp_path / "out.json"
     gen = ["gen-field", "--seed", "3", "--max-freq", "2", "--amplitude", "1", "--divfree", "--out", str(field)]
     kset.write_text(json.dumps({"kind": "points", "points": [[[1, 0, 0], [0, 0, 0], [0, 0, 0]],
                                                              [[0, 0, 0], [0, 1, 0], [0, 0, 0]]]}))
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text(json.dumps({"period": 1.0, "modes": [{"xi": [1, 0, 0], "re": [0.0] * 6}]}))
     grid = ["--field", str(field), "--lambda", "30", "--grid-n", "16", "--out", str(out)]
     argv = {"gen-field": gen[:-1] + [str(out)], "truncate": ["truncate"] + grid, "compare": ["compare"] + grid,
             "envelope": ["envelope", "--set", str(kset), "--xi", "0.5,0,0,0.5,0,0", "--p", "1", "--seed", "3",
-                         "--out", str(out)]}[command]
-    assert loaded_scipy(f"from divsym.cli import main\nassert main({gen!r}) == main({argv!r}) == 0") == "[]"
+                         "--out", str(out)],
+            "invalid-field": ["truncate", "--field", str(invalid)] + grid[2:]}[command]
+    code = 2 if command == "invalid-field" else 0
+    assert loaded_oracles(f"from divsym.cli import main\nassert main({gen!r}) == 0\n"
+                          f"assert main({argv!r}) == {code}") == "[]"
+    if command == "invalid-field":
+        assert not out.exists()
+        return
     result = json.loads(out.read_text())
     assert "error" not in result
     if command == "envelope":
